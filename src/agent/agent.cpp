@@ -1,7 +1,7 @@
 #include "agent/agent.hpp"
 
 #include <cmath>
-#include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -55,8 +55,8 @@ std::string to_string(AgentState s) {
 NegotiationAgent::NegotiationAgent(const core::NegotiationProblem& problem,
                                    core::PreferenceOracle& oracle,
                                    Channel& channel, AgentConfig config)
-    : problem_(problem), oracle_(&oracle), channel_(&channel), config_(config) {
-  problem_.validate();
+    : problem_(problem), oracle_(&oracle), channel_(&channel), config_(config),
+      side_(problem, oracle, config.side, config.negotiation) {
   if (config_.side != 0 && config_.side != 1)
     throw std::invalid_argument("AgentConfig: side must be 0 or 1");
   if (config_.negotiation.tie_break != core::TieBreak::kDeterministic)
@@ -66,17 +66,6 @@ NegotiationAgent::NegotiationAgent(const core::NegotiationProblem& problem,
     throw std::invalid_argument("AgentConfig: kCoinToss unsupported on the wire");
   if (config_.negotiation.termination == core::TerminationPolicy::kFull)
     throw std::invalid_argument("AgentConfig: kFull unsupported on the wire");
-
-  tentative_ = problem_.default_assignment;
-  remaining_.assign(problem_.negotiable.size(), 1);
-  banned_.assign(problem_.negotiable.size(),
-                 std::vector<char>(problem_.candidates.size(), 0));
-  default_ci_.reserve(problem_.negotiable.size());
-  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
-    default_ci_.push_back(problem_.default_candidate(pos));
-  remaining_count_ = problem_.negotiable.size();
-  reassign_quantum_ = config_.negotiation.reassign_traffic_fraction *
-                      problem_.negotiable_volume();
 }
 
 const core::NegotiationOutcome& NegotiationAgent::outcome() const {
@@ -95,12 +84,13 @@ void NegotiationAgent::fail(const std::string& why) {
   error_ = why;
 }
 
-std::size_t NegotiationAgent::pos_of_flow(std::uint32_t flow_id) const {
-  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos) {
-    if (static_cast<std::uint32_t>(problem_.negotiable_flow(pos).id.value()) ==
-        flow_id)
-      return pos;
-  }
+std::uint32_t NegotiationAgent::flow_id(std::size_t pos) const {
+  return static_cast<std::uint32_t>(problem_.negotiable_flow(pos).id.value());
+}
+
+std::size_t NegotiationAgent::pos_of_flow(std::uint32_t id) const {
+  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
+    if (flow_id(pos) == id) return pos;
   throw std::out_of_range("unknown flow id");
 }
 
@@ -111,61 +101,54 @@ std::size_t NegotiationAgent::ci_of_ix(std::uint32_t ix_id) const {
   throw std::out_of_range("unknown interconnection id");
 }
 
-core::StrategyView NegotiationAgent::my_view() const {
-  core::StrategyView v;
-  v.remaining = &remaining_;
-  v.banned = &banned_;
-  v.default_ci = &default_ci_;
-  v.my_disclosed = &my_disclosed_;
-  v.remote_disclosed = &remote_disclosed_;
-  v.my_true_value = &truth_.true_value;
-  return v;
-}
-
-int NegotiationAgent::current_proposer() const {
-  switch (config_.negotiation.turn) {
-    case core::TurnPolicy::kAlternate:
-      return static_cast<int>(round_ % 2);
-    case core::TurnPolicy::kLowerGain:
-      if (disclosed_gain_[0] == disclosed_gain_[1])
-        return static_cast<int>(round_ % 2);
-      return disclosed_gain_[0] < disclosed_gain_[1] ? 0 : 1;
-    case core::TurnPolicy::kCoinToss:
-      break;
-  }
-  throw std::logic_error("current_proposer: bad policy");
-}
-
 void NegotiationAgent::send_pref_advert(bool reassignment) {
   proto::PrefAdvert advert;
   advert.reassignment = reassignment;
   advert.flows.reserve(problem_.negotiable.size());
   for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos) {
     proto::PrefAdvert::Item item;
-    item.flow_id =
-        static_cast<std::uint32_t>(problem_.negotiable_flow(pos).id.value());
-    for (core::PrefClass p : my_disclosed_.flows[pos].pref_of_candidate)
+    item.flow_id = flow_id(pos);
+    for (core::PrefClass p : side_.disclosed().flows[pos].pref_of_candidate)
       item.pref_of_candidate.push_back(p);
     advert.flows.push_back(std::move(item));
   }
   send_message(advert);
 }
 
-void NegotiationAgent::send_handshake() {
-  const core::OracleContext ctx{&problem_, &tentative_, &remaining_};
-  {
-    const obs::PhaseTimer timer(obs::Phase::kEvaluateFull);
-    truth_ = oracle_->evaluate(ctx);
+bool NegotiationAgent::receive_pref_advert(const proto::PrefAdvert& advert) {
+  if (advert.flows.size() != problem_.negotiable.size()) {
+    fail("preference list shape mismatch");
+    return false;
   }
-  ++outcome_.evaluate_calls_full;
-  outcome_.evaluate_rows_computed += truth_.rows_recomputed;
-  outcome_.evaluate_rows_full_equivalent += problem_.negotiable.size();
-  // Honest disclosure on the wire; remote truth is unknowable here, so the
-  // decorator hook gets our own classes as a stand-in (honest oracles ignore
-  // the argument entirely).
-  my_disclosed_ = oracle_->disclose(ctx, truth_.classes, truth_.classes);
-  if (truth_.classes.flows.size() != problem_.negotiable.size())
-    throw std::logic_error("oracle returned wrong number of flows");
+  const int range = config_.negotiation.preferences.range;
+  core::PreferenceList list;
+  for (std::size_t pos = 0; pos < advert.flows.size(); ++pos) {
+    const auto& item = advert.flows[pos];
+    if (item.flow_id != flow_id(pos) ||
+        item.pref_of_candidate.size() != problem_.candidates.size()) {
+      fail("preference list shape mismatch");
+      return false;
+    }
+    core::FlowPreferences fp;
+    fp.flow = problem_.negotiable_flow(pos).id;
+    for (std::int32_t p : item.pref_of_candidate) {
+      if (p < -range || p > range) {
+        fail("preference class out of agreed range");
+        return false;
+      }
+      fp.pref_of_candidate.push_back(p);
+    }
+    list.flows.push_back(std::move(fp));
+  }
+  side_.set_remote_disclosed(std::move(list));
+  return true;
+}
+
+void NegotiationAgent::send_handshake() {
+  side_.evaluate();
+  // The remote's truth is unknowable on the wire, so the disclosure hook
+  // gets our own classes as a stand-in (honest oracles ignore it).
+  side_.disclose(side_.truth().classes);
 
   send_message(make_hello(config_, oracle_->wants_reassignment()));
   proto::Candidates cands;
@@ -175,8 +158,7 @@ void NegotiationAgent::send_handshake() {
   proto::FlowAnnounce fa;
   for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos) {
     proto::FlowAnnounce::Item item;
-    item.flow_id =
-        static_cast<std::uint32_t>(problem_.negotiable_flow(pos).id.value());
+    item.flow_id = flow_id(pos);
     item.default_interconnection =
         static_cast<std::uint32_t>(problem_.default_ix(pos));
     item.size = problem_.negotiable_flow(pos).size;
@@ -196,6 +178,7 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
                             make_hello(config_, oracle_->wants_reassignment())))
         return fail("contractual parameter mismatch");
       remote_hello_ = *hello;
+      side_.enable_reassignment(hello->wants_reassignment);
       break;
     }
     case 1: {
@@ -217,11 +200,10 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
         return fail("flow set mismatch");
       for (std::size_t pos = 0; pos < fa->flows.size(); ++pos) {
         const auto& item = fa->flows[pos];
-        const auto& flow = problem_.negotiable_flow(pos);
-        if (item.flow_id != static_cast<std::uint32_t>(flow.id.value()) ||
+        if (item.flow_id != flow_id(pos) ||
             item.default_interconnection !=
                 static_cast<std::uint32_t>(problem_.default_ix(pos)) ||
-            std::abs(item.size - flow.size) > 1e-9)
+            std::abs(item.size - problem_.negotiable_flow(pos).size) > 1e-9)
           return fail("flow set mismatch");
       }
       break;
@@ -230,26 +212,7 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
       const auto* advert = std::get_if<proto::PrefAdvert>(&m);
       if (advert == nullptr || advert->reassignment)
         return fail("expected initial PREF_ADVERT");
-      remote_disclosed_.flows.clear();
-      if (advert->flows.size() != problem_.negotiable.size())
-        return fail("preference list shape mismatch");
-      for (std::size_t pos = 0; pos < advert->flows.size(); ++pos) {
-        const auto& item = advert->flows[pos];
-        if (item.flow_id !=
-                static_cast<std::uint32_t>(
-                    problem_.negotiable_flow(pos).id.value()) ||
-            item.pref_of_candidate.size() != problem_.candidates.size())
-          return fail("preference list shape mismatch");
-        core::FlowPreferences fp;
-        fp.flow = problem_.negotiable_flow(pos).id;
-        const int range = config_.negotiation.preferences.range;
-        for (std::int32_t p : item.pref_of_candidate) {
-          if (p < -range || p > range)
-            return fail("preference class out of agreed range");
-          fp.pref_of_candidate.push_back(p);
-        }
-        remote_disclosed_.flows.push_back(std::move(fp));
-      }
+      if (!receive_pref_advert(*advert)) return;
       state_ = AgentState::kNegotiating;
       break;
     }
@@ -259,70 +222,22 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
   ++handshake_received_;
 }
 
-void NegotiationAgent::apply_accept(std::size_t pos, std::size_t ci) {
-  const std::size_t ix = problem_.candidates[ci];
-  // Delta bookkeeping feeds evaluate_incremental(); skip it when full
-  // recomputes were requested (mirrors NegotiationEngine).
-  const bool record_delta = config_.negotiation.incremental_evaluation;
-  for (std::size_t flow_index : problem_.members_of(pos)) {
-    const std::size_t from = tentative_.ix_of_flow[flow_index];
-    if (record_delta && from != ix)
-      pending_delta_.moves.push_back(
-          core::EvaluationDelta::Move{flow_index, from, ix});
-    tentative_.ix_of_flow[flow_index] = ix;
-  }
-  if (record_delta) pending_delta_.settled_positions.push_back(pos);
-  if (ix != problem_.default_ix(pos))
-    accepted_moves_.push_back(AcceptedMove{pos, ci, truth_.true_value[pos][ci], false});
-  true_gain_ += truth_.true_value[pos][ci];
-  disclosed_gain_[config_.side] += my_disclosed_.flows[pos].pref_of_candidate[ci];
-  disclosed_gain_[1 - config_.side] +=
-      remote_disclosed_.flows[pos].pref_of_candidate[ci];
-  remaining_[pos] = 0;
-  --remaining_count_;
-  ++outcome_.flows_negotiated;
-  if (ix != problem_.default_ix(pos)) ++outcome_.flows_moved;
-  for (std::size_t flow_index : problem_.members_of(pos))
-    // nexit-lint: allow(float-accumulate): member order mirrors the engine's
-    // quantum accumulation — both sides must drift identically
-    volume_since_reassign_ += (*problem_.flows)[flow_index].size;
-}
-
-void NegotiationAgent::maybe_trigger_reassignment() {
-  if (remaining_count_ == 0 || reassign_quantum_ <= 0.0) return;
-  const bool anyone_stateful =
-      oracle_->wants_reassignment() || remote_hello_.wants_reassignment;
-  if (!anyone_stateful || volume_since_reassign_ < reassign_quantum_) return;
-
-  volume_since_reassign_ = 0.0;
-  ++outcome_.reassignments;
+void NegotiationAgent::reassign() {
   if (oracle_->wants_reassignment()) {
-    const core::OracleContext ctx{&problem_, &tentative_, &remaining_};
-    {
-      const obs::PhaseTimer timer(config_.negotiation.incremental_evaluation
-                                      ? obs::Phase::kEvaluateIncremental
-                                      : obs::Phase::kEvaluateFull);
-      truth_ = config_.negotiation.incremental_evaluation
-                   ? oracle_->evaluate_incremental(ctx, pending_delta_)
-                   : oracle_->evaluate(ctx);
-    }
-    ++(config_.negotiation.incremental_evaluation
-           ? outcome_.evaluate_calls_incremental
-           : outcome_.evaluate_calls_full);
-    outcome_.evaluate_rows_computed += truth_.rows_recomputed;
-    outcome_.evaluate_rows_full_equivalent += problem_.negotiable.size();
-    my_disclosed_ = oracle_->disclose(ctx, truth_.classes, remote_disclosed_);
+    side_.evaluate();
+    side_.disclose(side_.remote_disclosed());
     send_pref_advert(true);
+  } else {
+    side_.discard_pending_delta();
   }
-  pending_delta_.clear();
   awaiting_remote_advert_ = remote_hello_.wants_reassignment;
 }
 
 void NegotiationAgent::handle_propose(const proto::Propose& m) {
   if (state_ != AgentState::kNegotiating)
     return fail("PROPOSE in state " + to_string(state_));
-  if (current_proposer() == config_.side) return fail("PROPOSE out of turn");
-  if (m.seq != round_) return fail("PROPOSE with bad sequence number");
+  if (side_.turn_holder() == config_.side) return fail("PROPOSE out of turn");
+  if (m.seq != side_.round()) return fail("PROPOSE with bad sequence number");
 
   std::size_t pos = 0, ci = 0;
   try {
@@ -331,112 +246,59 @@ void NegotiationAgent::handle_propose(const proto::Propose& m) {
   } catch (const std::out_of_range&) {
     return fail("PROPOSE references unknown flow/interconnection");
   }
-  if (!remaining_[pos]) return fail("PROPOSE for already-negotiated flow");
-  if (banned_[pos][ci]) return fail("PROPOSE for vetoed alternative");
-
-  const double own_pref = truth_.true_value[pos][ci];
-  bool accept = true;
-  switch (config_.negotiation.acceptance) {
-    case core::AcceptancePolicy::kAlwaysAccept:
-      break;
-    case core::AcceptancePolicy::kVetoOwnLoss:
-      accept = own_pref >= 0;
-      break;
-    case core::AcceptancePolicy::kProtective: {
-      if (true_gain_ + own_pref < 0) {
-        remaining_[pos] = 0;
-        const core::Projection rest = core::project_future(my_view());
-        remaining_[pos] = 1;
-        accept = true_gain_ + own_pref + rest.peak >= 0;
-      }
-      break;
-    }
-  }
+  if (!side_.proposable(pos, ci))
+    return fail("PROPOSE for a negotiated flow or vetoed alternative");
 
   proto::Response resp;
   resp.seq = m.seq;
-  resp.accepted = accept;
+  resp.accepted = side_.accepts(pos, ci);
   send_message(resp);
-
-  if (accept) {
-    apply_accept(pos, ci);
-  } else {
-    banned_[pos][ci] = 1;
+  if (!resp.accepted) {
+    side_.ban(pos, ci);
+  } else if (side_.apply_accept(pos, ci)) {
+    reassign();
   }
-  ++round_;
-  if (accept) maybe_trigger_reassignment();
 }
 
 void NegotiationAgent::handle_response(const proto::Response& m) {
   if (state_ != AgentState::kAwaitResponse)
     return fail("RESPONSE in state " + to_string(state_));
-  if (m.seq != round_) return fail("RESPONSE with bad sequence number");
+  if (m.seq != side_.round()) return fail("RESPONSE with bad sequence number");
   state_ = AgentState::kNegotiating;
-  if (m.accepted) {
-    apply_accept(outstanding_.pos, outstanding_.ci);
-  } else {
-    banned_[outstanding_.pos][outstanding_.ci] = 1;
+  if (!m.accepted) {
+    side_.ban(outstanding_.pos, outstanding_.ci);
+  } else if (side_.apply_accept(outstanding_.pos, outstanding_.ci)) {
+    reassign();
   }
-  ++round_;
-  if (m.accepted) maybe_trigger_reassignment();
 }
 
-void NegotiationAgent::begin_settlement(core::StopReason reason,
-                                        bool i_stopped) {
-  outcome_.stop_reason = reason;
+void NegotiationAgent::begin_settlement(core::StopReason reason) {
+  stop_reason_ = reason;
+  // The stopper held the turn, so it also opens the settlement.
+  const bool i_open = side_.settlement_opener(reason) == config_.side;
   if (!config_.negotiation.settlement_rollback) {
-    if (i_stopped) {
+    if (i_open) {
       state_ = AgentState::kStopping;  // await BYE
     } else {
       send_message(proto::Bye{});
-      finish(reason);
+      finish();
     }
     return;
   }
   state_ = AgentState::kSettling;
   last_received_rollback_empty_ = false;
-  if (i_stopped) send_settlement_turn();  // the stopper speaks first
+  if (i_open) send_settlement_turn();
 }
 
 void NegotiationAgent::send_settlement_turn() {
-  // Greedy, mirrors NegotiationEngine::compute_rollback: while below
-  // default, roll back the concession that hurts most (first-lowest index on
-  // ties).
-  std::vector<std::size_t> picked;
-  double cum = true_gain_;
-  std::vector<char> taken(accepted_moves_.size(), 0);
-  while (cum < -1e-12) {
-    std::ptrdiff_t worst = -1;
-    for (std::size_t i = 0; i < accepted_moves_.size(); ++i) {
-      const AcceptedMove& m = accepted_moves_[i];
-      if (m.rolled_back || taken[i] || m.own_value >= 0.0) continue;
-      if (worst < 0 ||
-          m.own_value < accepted_moves_[static_cast<std::size_t>(worst)].own_value)
-        worst = static_cast<std::ptrdiff_t>(i);
-    }
-    if (worst < 0) break;
-    taken[static_cast<std::size_t>(worst)] = 1;
-    cum -= accepted_moves_[static_cast<std::size_t>(worst)].own_value;
-    picked.push_back(static_cast<std::size_t>(worst));
-  }
-
-  if (picked.empty() && last_received_rollback_empty_) {
+  const std::vector<std::size_t> rolled = side_.rollback_turn();
+  if (rolled.empty() && last_received_rollback_empty_) {
     send_message(proto::Bye{});
-    finish(outcome_.stop_reason);
+    finish();
     return;
   }
-
   proto::Rollback msg;
-  for (std::size_t mi : picked) {
-    AcceptedMove& m = accepted_moves_[mi];
-    for (std::size_t flow_index : problem_.members_of(m.pos))
-      tentative_.ix_of_flow[flow_index] = problem_.default_ix(m.pos);
-    true_gain_ -= m.own_value;
-    m.rolled_back = true;
-    ++outcome_.flows_rolled_back;
-    msg.flow_ids.push_back(
-        static_cast<std::uint32_t>(problem_.negotiable_flow(m.pos).id.value()));
-  }
+  for (std::size_t pos : rolled) msg.flow_ids.push_back(flow_id(pos));
   send_message(msg);
 }
 
@@ -451,37 +313,15 @@ void NegotiationAgent::handle_rollback(
     } catch (const std::out_of_range&) {
       return fail("ROLLBACK references unknown flow");
     }
-    bool found = false;
-    for (AcceptedMove& m : accepted_moves_) {
-      if (m.pos == pos && !m.rolled_back) {
-        for (std::size_t flow_index : problem_.members_of(pos))
-          tentative_.ix_of_flow[flow_index] = problem_.default_ix(pos);
-        true_gain_ -= m.own_value;
-        m.rolled_back = true;
-        ++outcome_.flows_rolled_back;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return fail("ROLLBACK for flow that never moved");
+    if (!side_.apply_peer_rollback(pos))
+      return fail("ROLLBACK for flow that never moved");
   }
   last_received_rollback_empty_ = flow_ids.empty();
   send_settlement_turn();
 }
 
-void NegotiationAgent::finish(core::StopReason reason) {
-  outcome_.assignment = tentative_;
-  if (config_.side == 0) {
-    outcome_.true_gain_a = true_gain_;
-    outcome_.true_gain_b = disclosed_gain_[1];  // best visible estimate
-  } else {
-    outcome_.true_gain_b = true_gain_;
-    outcome_.true_gain_a = disclosed_gain_[0];
-  }
-  outcome_.disclosed_gain_a = disclosed_gain_[0];
-  outcome_.disclosed_gain_b = disclosed_gain_[1];
-  outcome_.rounds = round_;
-  outcome_.stop_reason = reason;
+void NegotiationAgent::finish() {
+  outcome_ = side_.outcome(stop_reason_);
   state_ = AgentState::kDone;
 }
 
@@ -493,17 +333,7 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
   if (const auto* advert = std::get_if<proto::PrefAdvert>(&m)) {
     if (!advert->reassignment || !awaiting_remote_advert_)
       return fail("unexpected PREF_ADVERT");
-    if (advert->flows.size() != problem_.negotiable.size())
-      return fail("reassignment shape mismatch");
-    for (std::size_t pos = 0; pos < advert->flows.size(); ++pos) {
-      if (advert->flows[pos].pref_of_candidate.size() !=
-          problem_.candidates.size())
-        return fail("reassignment shape mismatch");
-      auto& row = remote_disclosed_.flows[pos].pref_of_candidate;
-      row.assign(advert->flows[pos].pref_of_candidate.begin(),
-                 advert->flows[pos].pref_of_candidate.end());
-    }
-    awaiting_remote_advert_ = false;
+    if (receive_pref_advert(*advert)) awaiting_remote_advert_ = false;
     return;
   }
   if (const auto* propose = std::get_if<proto::Propose>(&m)) {
@@ -516,10 +346,12 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
     return;
   }
   if (const auto* stop = std::get_if<proto::Stop>(&m)) {
+    const auto reason = static_cast<core::StopReason>(stop->reason);
     if (state_ != AgentState::kNegotiating)
       return fail("STOP in state " + to_string(state_));
-    begin_settlement(static_cast<core::StopReason>(stop->reason),
-                     /*i_stopped=*/false);
+    if (side_.settlement_opener(reason) == config_.side)
+      return fail("STOP out of turn");
+    begin_settlement(reason);
     return;
   }
   if (const auto* rollback = std::get_if<proto::Rollback>(&m)) {
@@ -529,7 +361,7 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
   if (std::get_if<proto::Bye>(&m) != nullptr) {
     if (state_ != AgentState::kStopping && state_ != AgentState::kSettling)
       return fail("unexpected BYE");
-    finish(outcome_.stop_reason);
+    finish();
     return;
   }
   fail("unexpected message");
@@ -537,43 +369,30 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
 
 void NegotiationAgent::maybe_act() {
   if (state_ != AgentState::kNegotiating || awaiting_remote_advert_) return;
-  if (current_proposer() != config_.side) return;
+  if (side_.turn_holder() != config_.side) return;
 
-  core::StopReason stop_reason{};
-  bool stop = false;
-  if (remaining_count_ == 0) {
-    stop = true;
-    stop_reason = core::StopReason::kExhausted;
-  } else if (config_.negotiation.termination ==
-             core::TerminationPolicy::kEarly) {
-    const core::Projection f = core::project_future(my_view());
-    if (f.peak <= 0 && f.end < 0) {
-      stop = true;
-      stop_reason = config_.side == 0 ? core::StopReason::kEarlyStopA
-                                      : core::StopReason::kEarlyStopB;
-    }
-  }
-
+  std::optional<core::StopReason> stop;
   core::ProposalChoice sel{};
-  if (!stop &&
-      !core::select_proposal(my_view(), config_.negotiation.proposal,
-                             /*rng=*/nullptr, sel)) {
-    stop = true;
-    stop_reason = core::StopReason::kNoProposal;
+  if (side_.remaining_count() == 0) {
+    stop = core::StopReason::kExhausted;
+  } else if (side_.stops_early()) {
+    stop = config_.side == 0 ? core::StopReason::kEarlyStopA
+                             : core::StopReason::kEarlyStopB;
+  } else if (!core::select_proposal(side_.view(), config_.negotiation.proposal,
+                                    /*rng=*/nullptr, sel)) {
+    stop = core::StopReason::kNoProposal;
   }
-
-  if (stop) {
+  if (stop.has_value()) {
     proto::Stop m;
-    m.reason = static_cast<std::uint8_t>(stop_reason);
+    m.reason = static_cast<std::uint8_t>(*stop);
     send_message(m);
-    begin_settlement(stop_reason, /*i_stopped=*/true);
+    begin_settlement(*stop);
     return;
   }
 
   proto::Propose m;
-  m.seq = static_cast<std::uint32_t>(round_);
-  m.flow_id = static_cast<std::uint32_t>(
-      problem_.negotiable_flow(sel.pos).id.value());
+  m.seq = static_cast<std::uint32_t>(side_.round());
+  m.flow_id = flow_id(sel.pos);
   m.interconnection_id =
       static_cast<std::uint32_t>(problem_.candidates[sel.ci]);
   outstanding_ = sel;
@@ -586,7 +405,7 @@ bool NegotiationAgent::step() {
     return false;
 
   const AgentState entry_state = state_;
-  const std::size_t entry_round = round_;
+  const std::size_t entry_round = side_.round();
   bool progress = false;
 
   if (!sent_handshake_) {
@@ -623,7 +442,13 @@ bool NegotiationAgent::step() {
       fail("decode error: " + msg.error().message);
       return true;
     }
-    handle_message(msg.value());
+    try {
+      handle_message(msg.value());
+    } catch (const std::logic_error& e) {
+      // A failed oracle audit or a malformed evaluation ends the session.
+      fail(std::string("evaluation failed: ") + e.what());
+      return true;
+    }
     progress = true;
   }
   if (decoder_.failed()) {
@@ -639,7 +464,7 @@ bool NegotiationAgent::step() {
     return true;
   }
 
-  return progress || state_ != entry_state || round_ != entry_round;
+  return progress || state_ != entry_state || side_.round() != entry_round;
 }
 
 std::size_t run_session(NegotiationAgent& a, NegotiationAgent& b,

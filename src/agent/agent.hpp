@@ -4,7 +4,7 @@
 #include <string>
 
 #include "agent/channel.hpp"
-#include "core/engine.hpp"
+#include "core/side.hpp"
 #include "proto/messages.hpp"
 
 namespace nexit::agent {
@@ -37,10 +37,12 @@ struct AgentConfig {
 
 /// One side of the out-of-band negotiation of Fig. 12: evaluates routing
 /// choices through its oracle, advertises opaque preferences, exchanges
-/// proposals over the channel, and reports the agreed assignment. Decision
-/// logic is the shared core/strategy.hpp code, so a session between two
-/// honest agents reproduces NegotiationEngine::run() exactly
-/// (tests/agent_test.cpp asserts this).
+/// proposals over the channel, and reports the agreed assignment. The
+/// agent is one core::NegotiationSide (the negotiation state and every
+/// protocol step, shared with the in-process engine) plus the handshake and
+/// the wire codec, so a session between two honest agents reproduces
+/// NegotiationEngine::run() by construction (tests/agent_test.cpp sweeps
+/// the policy grid to confirm it).
 class NegotiationAgent {
  public:
   NegotiationAgent(const core::NegotiationProblem& problem,
@@ -60,21 +62,9 @@ class NegotiationAgent {
   /// Valid once done(): the negotiated outcome as seen by this side.
   [[nodiscard]] const core::NegotiationOutcome& outcome() const;
 
-  // Mid-session introspection for the durability layer (runtime/snapshot):
-  // the replayable negotiation state a WAL record's integrity mark pins —
-  // tentative assignment, accumulated gains, pending delta, round.
-  [[nodiscard]] std::size_t round() const { return round_; }
-  [[nodiscard]] std::size_t remaining_count() const { return remaining_count_; }
-  [[nodiscard]] const routing::Assignment& tentative() const {
-    return tentative_;
-  }
-  [[nodiscard]] double true_gain() const { return true_gain_; }
-  [[nodiscard]] int disclosed_gain(int side) const {
-    return disclosed_gain_[side];
-  }
-  [[nodiscard]] const core::EvaluationDelta& pending_delta() const {
-    return pending_delta_;
-  }
+  /// This ISP's replica of the negotiation, for mid-session introspection
+  /// (the durability layer's WAL integrity marks read it).
+  [[nodiscard]] const core::NegotiationSide& side() const { return side_; }
 
  private:
   void send_message(const proto::Message& m);
@@ -82,27 +72,32 @@ class NegotiationAgent {
   void send_handshake();
   void handle_message(const proto::Message& m);
   void handle_handshake_message(const proto::Message& m);
+  /// Reads a PREF_ADVERT into the remote's disclosed list; fails the
+  /// session and returns false on a malformed advert.
+  bool receive_pref_advert(const proto::PrefAdvert& advert);
   void handle_propose(const proto::Propose& m);
   void handle_response(const proto::Response& m);
-  void apply_accept(std::size_t pos, std::size_t ci);
-  void maybe_trigger_reassignment();
+  /// Runs a completed reassignment quantum: re-evaluates and advertises
+  /// when this side's oracle is stateful, and awaits the peer's advert when
+  /// the peer's is.
+  void reassign();
   void send_pref_advert(bool reassignment);
   void handle_rollback(const std::vector<std::uint32_t>& flow_ids);
   /// Computes, applies and sends this side's next ROLLBACK list; sends BYE
   /// and finishes instead when settlement has converged.
   void send_settlement_turn();
-  void begin_settlement(core::StopReason reason, bool i_stopped);
+  void begin_settlement(core::StopReason reason);
   void maybe_act();
-  [[nodiscard]] int current_proposer() const;
-  [[nodiscard]] core::StrategyView my_view() const;
-  [[nodiscard]] std::size_t pos_of_flow(std::uint32_t flow_id) const;
+  [[nodiscard]] std::uint32_t flow_id(std::size_t pos) const;
+  [[nodiscard]] std::size_t pos_of_flow(std::uint32_t id) const;
   [[nodiscard]] std::size_t ci_of_ix(std::uint32_t ix_id) const;
-  void finish(core::StopReason reason);
+  void finish();
 
   const core::NegotiationProblem& problem_;
   core::PreferenceOracle* oracle_;
   Channel* channel_;
   AgentConfig config_;
+  core::NegotiationSide side_;
 
   proto::FrameDecoder decoder_;
   AgentState state_ = AgentState::kHandshake;
@@ -113,36 +108,10 @@ class NegotiationAgent {
   int handshake_received_ = 0;  // how many of the 4 peer messages arrived
   proto::Hello remote_hello_;
 
-  // Negotiation state (mirrors NegotiationEngine).
-  routing::Assignment tentative_;
-  std::vector<char> remaining_;
-  std::vector<std::vector<char>> banned_;
-  std::vector<std::size_t> default_ci_;
-  core::Evaluation truth_;
-  core::PreferenceList my_disclosed_;
-  core::PreferenceList remote_disclosed_;
-  double true_gain_ = 0.0;
-  int disclosed_gain_[2] = {0, 0};  // by side, from disclosed lists
-  std::size_t remaining_count_ = 0;
-  std::size_t round_ = 0;
-  /// Accepted moves + settles since this side's last oracle evaluation;
-  /// consumed by evaluate_incremental() at the next reassignment quantum
-  /// (same contract as NegotiationEngine, so wire sessions stay bit-
-  /// identical to in-process runs).
-  core::EvaluationDelta pending_delta_;
-  double volume_since_reassign_ = 0.0;
-  double reassign_quantum_ = 0.0;
   bool awaiting_remote_advert_ = false;
-  /// One accepted non-default move (settlement bookkeeping).
-  struct AcceptedMove {
-    std::size_t pos = 0;
-    std::size_t ci = 0;
-    double own_value = 0.0;
-    bool rolled_back = false;
-  };
-  std::vector<AcceptedMove> accepted_moves_;
   bool last_received_rollback_empty_ = false;
   core::ProposalChoice outstanding_{};
+  core::StopReason stop_reason_ = core::StopReason::kExhausted;
   core::NegotiationOutcome outcome_;
 };
 

@@ -1,252 +1,69 @@
 #include "core/engine.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <stdexcept>
-
 #include "obs/registry.hpp"
 
 namespace nexit::core {
-
-namespace {
-
-/// Bit-level equality of two evaluations (telemetry fields excluded): the
-/// contract evaluate_incremental() must honour versus a full recompute.
-bool same_evaluation_bits(const Evaluation& a, const Evaluation& b) {
-  if (a.true_value.size() != b.true_value.size()) return false;
-  for (std::size_t i = 0; i < a.true_value.size(); ++i) {
-    if (a.true_value[i].size() != b.true_value[i].size()) return false;
-    if (!a.true_value[i].empty() &&
-        std::memcmp(a.true_value[i].data(), b.true_value[i].data(),
-                    a.true_value[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  if (a.classes.flows.size() != b.classes.flows.size()) return false;
-  for (std::size_t i = 0; i < a.classes.flows.size(); ++i) {
-    if (a.classes.flows[i].flow != b.classes.flows[i].flow ||
-        a.classes.flows[i].pref_of_candidate !=
-            b.classes.flows[i].pref_of_candidate)
-      return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string to_string(StopReason r) {
-  switch (r) {
-    case StopReason::kExhausted: return "exhausted";
-    case StopReason::kEarlyStopA: return "early-stop-a";
-    case StopReason::kEarlyStopB: return "early-stop-b";
-    case StopReason::kGainWouldGoNegative: return "gain-would-go-negative";
-    case StopReason::kNoProposal: return "no-proposal";
-  }
-  return "?";
-}
 
 NegotiationEngine::NegotiationEngine(const NegotiationProblem& problem,
                                      PreferenceOracle& isp_a,
                                      PreferenceOracle& isp_b,
                                      NegotiationConfig config)
-    : problem_(problem), oracles_{&isp_a, &isp_b}, config_(config),
+    : problem_(problem), config_(config),
+      sides_{NegotiationSide(problem, isp_a, 0, config),
+             NegotiationSide(problem, isp_b, 1, config)},
       rng_(config.seed) {
-  problem_.validate();
-  tentative_ = problem_.default_assignment;
-  remaining_.assign(problem_.negotiable.size(), 1);
-  banned_.assign(problem_.negotiable.size(),
-                 std::vector<char>(problem_.candidates.size(), 0));
-  default_ci_.reserve(problem_.negotiable.size());
-  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
-    default_ci_.push_back(problem_.default_candidate(pos));
-}
-
-bool NegotiationEngine::cross_check_due() const {
-  if (config_.verify_incremental_every < 0) return false;  // explicitly off
-  if (config_.verify_incremental_every > 0)
-    return (incremental_refreshes_ %
-            static_cast<std::size_t>(config_.verify_incremental_every)) == 0;
-#ifndef NDEBUG
-  return true;  // debug builds audit every incremental refresh
-#else
-  return false;
-#endif
+  sides_[0].enable_reassignment(isp_b.wants_reassignment());
+  sides_[1].enable_reassignment(isp_a.wants_reassignment());
 }
 
 void NegotiationEngine::refresh_preferences() {
-  const OracleContext ctx{&problem_, &tentative_, &remaining_};
-  const bool incremental = config_.incremental_evaluation && evaluated_once_;
-  for (int s = 0; s < 2; ++s) {
-    if (incremental) {
-      const obs::PhaseTimer timer(obs::Phase::kEvaluateIncremental);
-      truth_[s] = oracles_[s]->evaluate_incremental(ctx, pending_delta_);
-      ++eval_calls_incremental_;
-    } else {
-      const obs::PhaseTimer timer(obs::Phase::kEvaluateFull);
-      truth_[s] = oracles_[s]->evaluate(ctx);
-      ++eval_calls_full_;
-    }
-    eval_rows_computed_ += truth_[s].rows_recomputed;
-    eval_rows_full_equivalent_ += problem_.negotiable.size();
-  }
-  if (incremental) {
-    ++incremental_refreshes_;
-    if (cross_check_due()) {
-      // The audit: a full recompute must reproduce the incremental result
-      // bit for bit. Running evaluate() also rebuilds the oracle's internal
-      // state from the context, so later incremental calls continue from a
-      // verified baseline.
-      for (int s = 0; s < 2; ++s) {
-        const Evaluation full = oracles_[s]->evaluate(ctx);
-        if (!same_evaluation_bits(full, truth_[s]))
-          throw std::logic_error(
-              "incremental evaluation diverged from full recompute (side " +
-              std::to_string(s) + ")");
-      }
-    }
-  }
-  pending_delta_.clear();
-  evaluated_once_ = true;
-  disclosed_[0] =
-      oracles_[0]->disclose(ctx, truth_[0].classes, truth_[1].classes);
-  disclosed_[1] =
-      oracles_[1]->disclose(ctx, truth_[1].classes, truth_[0].classes);
-  for (const PreferenceList* list : {&truth_[0].classes, &truth_[1].classes,
-                                     &disclosed_[0], &disclosed_[1]}) {
-    if (list->flows.size() != problem_.negotiable.size())
-      throw std::logic_error("oracle returned wrong number of flows");
-    for (const auto& fp : list->flows)
-      if (fp.pref_of_candidate.size() != problem_.candidates.size())
-        throw std::logic_error("oracle returned wrong number of candidates");
-  }
-  for (const Evaluation* e : {&truth_[0], &truth_[1]}) {
-    if (e->true_value.size() != problem_.negotiable.size())
-      throw std::logic_error("oracle returned wrong true_value shape");
-    for (const auto& row : e->true_value)
-      if (row.size() != problem_.candidates.size())
-        throw std::logic_error("oracle returned wrong true_value shape");
-  }
+  for (NegotiationSide& s : sides_) s.evaluate();
+  sides_[0].disclose(sides_[1].truth().classes);
+  sides_[1].disclose(sides_[0].truth().classes);
+  sides_[0].set_remote_disclosed(sides_[1].disclosed());
+  sides_[1].set_remote_disclosed(sides_[0].disclosed());
 }
 
-int NegotiationEngine::pick_turn(std::size_t round) const {
-  switch (config_.turn) {
-    case TurnPolicy::kAlternate:
-      return static_cast<int>(round % 2);
-    case TurnPolicy::kLowerGain:
-      if (disclosed_gain_[0] == disclosed_gain_[1])
-        return static_cast<int>(round % 2);
-      return disclosed_gain_[0] < disclosed_gain_[1] ? 0 : 1;
-    case TurnPolicy::kCoinToss:
-      return rng_.next_bool() ? 0 : 1;
-  }
-  throw std::logic_error("pick_turn: bad policy");
-}
-
-std::vector<std::size_t> NegotiationEngine::compute_rollback(int side) const {
-  // Greedy: while below default, roll back the still-standing concession
-  // that hurts `side` most (ties toward the lowest flow position). Identical
-  // logic runs in NegotiationAgent, so wire sessions settle the same way.
-  std::vector<std::size_t> picked;
-  double cum = true_gain_[side];
-  std::vector<char> taken(accepted_moves_.size(), 0);
-  while (cum < -1e-12) {
-    std::ptrdiff_t worst = -1;
-    for (std::size_t i = 0; i < accepted_moves_.size(); ++i) {
-      const AcceptedMove& m = accepted_moves_[i];
-      if (m.rolled_back || taken[i] || m.value[side] >= 0.0) continue;
-      if (worst < 0 ||
-          m.value[side] <
-              accepted_moves_[static_cast<std::size_t>(worst)].value[side])
-        worst = static_cast<std::ptrdiff_t>(i);
-    }
-    if (worst < 0) break;  // nothing left to roll back
-    taken[static_cast<std::size_t>(worst)] = 1;
-    cum -= accepted_moves_[static_cast<std::size_t>(worst)].value[side];
-    picked.push_back(static_cast<std::size_t>(worst));
-  }
-  return picked;
-}
-
-StrategyView NegotiationEngine::view_of(int side) const {
-  StrategyView v;
-  v.remaining = &remaining_;
-  v.banned = &banned_;
-  v.default_ci = &default_ci_;
-  v.my_disclosed = &disclosed_[side];
-  v.remote_disclosed = &disclosed_[1 - side];
-  v.my_true_value = &truth_[side].true_value;
-  return v;
+int NegotiationEngine::pick_turn() {
+  if (config_.turn == TurnPolicy::kCoinToss) return rng_.next_bool() ? 0 : 1;
+  return sides_[0].turn_holder();
 }
 
 NegotiationOutcome NegotiationEngine::run() {
-  NegotiationOutcome outcome;
   refresh_preferences();
+  std::vector<RoundTrace> trace;
+  StopReason stop = StopReason::kExhausted;
 
-  const double total_volume = problem_.negotiable_volume();
-  const bool reassign_enabled =
-      config_.reassign_traffic_fraction > 0.0 &&
-      (oracles_[0]->wants_reassignment() || oracles_[1]->wants_reassignment());
-  const double reassign_quantum =
-      config_.reassign_traffic_fraction * total_volume;
-  double volume_since_reassign = 0.0;
+  while (sides_[0].remaining_count() > 0) {
+    const std::size_t round = sides_[0].round();
+    const int proposer = pick_turn();
 
-  std::size_t remaining_count = problem_.negotiable.size();
-  std::size_t round = 0;
-
-  while (remaining_count > 0) {
-    const int proposer = pick_turn(round);
-
-    if (config_.termination == TerminationPolicy::kEarly) {
-      // The ISP holding the turn stops once it perceives no additional gain
-      // in continuing AND continuing would actually hurt it; a flat future
-      // is harmless (Fig. 3's ISP-A proposes a zero-gain alternative). The
-      // decision sits with the turn holder: mid-trade compromises already
-      // accepted are honoured until one's own next turn, which is what lets
-      // trades across flows complete and both ISPs end ahead.
-      const Projection f = project_future(view_of(proposer));
-      if (f.peak <= 0 && f.end < 0) {
-        outcome.stop_reason =
-            proposer == 0 ? StopReason::kEarlyStopA : StopReason::kEarlyStopB;
-        break;
-      }
+    // The ISP holding the turn stops once it perceives no additional gain
+    // in continuing AND continuing would actually hurt it; a flat future is
+    // harmless (Fig. 3's ISP-A proposes a zero-gain alternative). The
+    // decision sits with the turn holder: mid-trade compromises already
+    // accepted are honoured until one's own next turn, which is what lets
+    // trades across flows complete and both ISPs end ahead.
+    if (sides_[proposer].stops_early()) {
+      stop = proposer == 0 ? StopReason::kEarlyStopA : StopReason::kEarlyStopB;
+      break;
     }
     ProposalChoice sel{};
     util::Rng* tie_rng =
         config_.tie_break == TieBreak::kRandom ? &rng_ : nullptr;
-    if (!select_proposal(view_of(proposer), config_.proposal, tie_rng, sel)) {
-      outcome.stop_reason = StopReason::kNoProposal;
+    if (!select_proposal(sides_[proposer].view(), config_.proposal, tie_rng,
+                         sel)) {
+      stop = StopReason::kNoProposal;
       break;
     }
-
-    const double pa = truth_[0].true_value[sel.pos][sel.ci];
-    const double pb = truth_[1].true_value[sel.pos][sel.ci];
     if (config_.termination == TerminationPolicy::kFull) {
       // Continue only while both cumulative gains stay non-negative.
-      if (true_gain_[0] + pa < 0 || true_gain_[1] + pb < 0) {
-        outcome.stop_reason = StopReason::kGainWouldGoNegative;
-        break;
-      }
-    }
-
-    const int responder = 1 - proposer;
-    const double responder_pref =
-        truth_[responder].true_value[sel.pos][sel.ci];
-    bool accepted = true;
-    switch (config_.acceptance) {
-      case AcceptancePolicy::kAlwaysAccept:
-        break;
-      case AcceptancePolicy::kVetoOwnLoss:
-        accepted = responder_pref >= 0;
-        break;
-      case AcceptancePolicy::kProtective: {
-        if (true_gain_[responder] + responder_pref < 0) {
-          // Would dip below default: accept only if the projected future
-          // (without this flow) can recover the deficit even under
-          // pessimistic tie resolution.
-          remaining_[sel.pos] = 0;
-          const Projection rest = project_future(view_of(responder));
-          remaining_[sel.pos] = 1;
-          accepted = true_gain_[responder] + responder_pref + rest.peak >= 0;
-        }
+      bool negative = false;
+      for (const NegotiationSide& s : sides_)
+        negative |=
+            s.true_gain() + s.truth().true_value[sel.pos][sel.ci] < 0;
+      if (negative) {
+        stop = StopReason::kGainWouldGoNegative;
         break;
       }
     }
@@ -256,104 +73,58 @@ NegotiationOutcome NegotiationEngine::run() {
     tr.proposer = proposer;
     tr.flow = problem_.negotiable_flow(sel.pos).id;
     tr.interconnection = problem_.candidates[sel.ci];
-    tr.pref_a = disclosed_[0].flows[sel.pos].pref_of_candidate[sel.ci];
-    tr.pref_b = disclosed_[1].flows[sel.pos].pref_of_candidate[sel.ci];
-    tr.accepted = accepted;
-
-    if (!accepted) {
-      banned_[sel.pos][sel.ci] = 1;
+    tr.pref_a = sides_[0].disclosed().flows[sel.pos].pref_of_candidate[sel.ci];
+    tr.pref_b = sides_[1].disclosed().flows[sel.pos].pref_of_candidate[sel.ci];
+    tr.accepted = sides_[1 - proposer].accepts(sel.pos, sel.ci);
+    if (tr.accepted) {
+      bool due = false;
+      for (NegotiationSide& s : sides_) due = s.apply_accept(sel.pos, sel.ci);
+      if (due) refresh_preferences();
+      tr.reassigned_after = due;
     } else {
-      const std::size_t ix = problem_.candidates[sel.ci];
-      // Delta bookkeeping feeds evaluate_incremental(); skip it entirely
-      // when full recomputes were requested (keeps --incremental=0 honest).
-      const bool record_delta = config_.incremental_evaluation;
-      for (std::size_t flow_index : problem_.members_of(sel.pos)) {
-        const std::size_t from = tentative_.ix_of_flow[flow_index];
-        if (record_delta && from != ix)
-          pending_delta_.moves.push_back(
-              EvaluationDelta::Move{flow_index, from, ix});
-        tentative_.ix_of_flow[flow_index] = ix;
-      }
-      if (record_delta) pending_delta_.settled_positions.push_back(sel.pos);
-      if (ix != problem_.default_ix(sel.pos))
-        accepted_moves_.push_back(AcceptedMove{sel.pos, sel.ci, {pa, pb}});
-      true_gain_[0] += pa;
-      true_gain_[1] += pb;
-      disclosed_gain_[0] += disclosed_[0].flows[sel.pos].pref_of_candidate[sel.ci];
-      disclosed_gain_[1] += disclosed_[1].flows[sel.pos].pref_of_candidate[sel.ci];
-      remaining_[sel.pos] = 0;
-      --remaining_count;
-      ++outcome.flows_negotiated;
-      if (ix != problem_.default_ix(sel.pos)) ++outcome.flows_moved;
-      for (std::size_t flow_index : problem_.members_of(sel.pos))
-        // nexit-lint: allow(float-accumulate): member order mirrors the wire
-        // agent's quantum accumulation — both sides must drift identically
-        volume_since_reassign += (*problem_.flows)[flow_index].size;
-
-      if (reassign_enabled && remaining_count > 0 &&
-          volume_since_reassign >= reassign_quantum) {
-        refresh_preferences();
-        volume_since_reassign = 0.0;
-        ++outcome.reassignments;
-        tr.reassigned_after = true;
-      }
+      for (NegotiationSide& s : sides_) s.ban(sel.pos, sel.ci);
     }
-
-    if (config_.record_trace) outcome.trace.push_back(tr);
-    ++round;
+    if (config_.record_trace) trace.push_back(tr);
   }
 
   if (config_.settlement_rollback) {
-    // §6 settlement: sides alternate rolling back their losing concessions,
-    // starting with the side that stopped the negotiation. The same loop
-    // runs on both ends of the wire protocol (ROLLBACK messages).
-    int who = 0;
-    switch (outcome.stop_reason) {
-      case StopReason::kEarlyStopA: who = 0; break;
-      case StopReason::kEarlyStopB: who = 1; break;
-      default: who = static_cast<int>(round % 2); break;
-    }
+    // §6 settlement: sides alternate rolling back their losing concessions;
+    // each rollback may trigger the other's. The wire agents run the same
+    // exchange as ROLLBACK messages.
+    int who = sides_[0].settlement_opener(stop);
     bool previous_empty = false;
     for (;;) {
-      const std::vector<std::size_t> moves = compute_rollback(who);
-      for (std::size_t mi : moves) {
-        AcceptedMove& m = accepted_moves_[mi];
-        for (std::size_t flow_index : problem_.members_of(m.pos))
-          tentative_.ix_of_flow[flow_index] = problem_.default_ix(m.pos);
-        true_gain_[0] -= m.value[0];
-        true_gain_[1] -= m.value[1];
-        m.rolled_back = true;
-        ++outcome.flows_rolled_back;
-      }
-      if (moves.empty() && previous_empty) break;
-      previous_empty = moves.empty();
+      const std::vector<std::size_t> rolled = sides_[who].rollback_turn();
+      for (std::size_t pos : rolled) sides_[1 - who].apply_peer_rollback(pos);
+      if (rolled.empty() && previous_empty) break;
+      previous_empty = rolled.empty();
       who = 1 - who;
     }
   }
 
-  outcome.evaluate_calls_full = eval_calls_full_;
-  outcome.evaluate_calls_incremental = eval_calls_incremental_;
-  outcome.evaluate_rows_computed = eval_rows_computed_;
-  outcome.evaluate_rows_full_equivalent = eval_rows_full_equivalent_;
-  outcome.assignment = tentative_;
-  outcome.true_gain_a = true_gain_[0];
-  outcome.true_gain_b = true_gain_[1];
-  outcome.disclosed_gain_a = disclosed_gain_[0];
-  outcome.disclosed_gain_b = disclosed_gain_[1];
-  outcome.rounds = round;
+  NegotiationOutcome outcome = sides_[0].outcome(stop);
+  const NegotiationOutcome b = sides_[1].outcome(stop);
+  outcome.true_gain_b = b.true_gain_b;
+  outcome.evaluate_calls_full += b.evaluate_calls_full;
+  outcome.evaluate_calls_incremental += b.evaluate_calls_incremental;
+  outcome.evaluate_rows_computed += b.evaluate_rows_computed;
+  outcome.evaluate_rows_full_equivalent += b.evaluate_rows_full_equivalent;
+  outcome.trace = std::move(trace);
 
   // Registry bumps happen on the worker thread that ran the negotiation;
   // uint64 shard sums are commutative, so the merged "obs" section is the
   // same for every --threads=N.
   obs::Registry& reg = obs::Registry::global();
   reg.add("engine.negotiations", 1);
-  reg.add("engine.rounds", round);
+  reg.add("engine.rounds", outcome.rounds);
   reg.add("engine.flows_moved", outcome.flows_moved);
-  reg.add("engine.evaluate_calls_full", eval_calls_full_);
-  reg.add("engine.evaluate_calls_incremental", eval_calls_incremental_);
-  reg.add("engine.evaluate_rows_computed", eval_rows_computed_);
-  reg.add("engine.evaluate_rows_full_equivalent", eval_rows_full_equivalent_);
-  reg.observe("engine.rounds_per_negotiation", round);
+  reg.add("engine.evaluate_calls_full", outcome.evaluate_calls_full);
+  reg.add("engine.evaluate_calls_incremental",
+          outcome.evaluate_calls_incremental);
+  reg.add("engine.evaluate_rows_computed", outcome.evaluate_rows_computed);
+  reg.add("engine.evaluate_rows_full_equivalent",
+          outcome.evaluate_rows_full_equivalent);
+  reg.observe("engine.rounds_per_negotiation", outcome.rounds);
 
   return outcome;
 }

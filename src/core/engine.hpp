@@ -1,156 +1,17 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "core/oracle.hpp"
-#include "core/preference.hpp"
-#include "core/problem.hpp"
-#include "core/strategy.hpp"
+#include "core/side.hpp"
 #include "util/rng.hpp"
 
 namespace nexit::core {
 
-/// Who proposes in the current round (paper §4 step "Decide turn").
-enum class TurnPolicy {
-  kAlternate,   // the paper's experimental default
-  kLowerGain,   // the ISP with lower cumulative gain proposes (max-min-fair)
-  kCoinToss,    // seeded coin toss
-};
-
-/// How the proposer picks a (flow, alternative) (paper §4 step "Propose").
-enum class ProposalPolicy {
-  /// Maximise the sum of both ISPs' (disclosed) preferences; ties broken by
-  /// the proposer's own preference, then deterministically. Paper default.
-  kMaxCombinedGain,
-  /// The paper's alternative: the proposer's best local alternative with
-  /// minimal negative impact on the other ISP.
-  kBestLocalMinImpact,
-};
-
-/// Whether the responder can reject (paper §4 step "Accept alternative?").
-enum class AcceptancePolicy {
-  /// Accept everything except proposals that would leave the responder
-  /// unrecoverably below its default (cumulative gain + proposal + best
-  /// projected future < 0). This is the §4 veto power used the way the paper
-  /// argues ISPs use it — "an ISP can always protect itself by not
-  /// negotiating losses" — and is what keeps negotiation no-loss (Fig. 4b).
-  kProtective,
-  kAlwaysAccept,  // accept unconditionally (trusting counterparty)
-  kVetoOwnLoss,   // reject anything strictly worse than default for self
-};
-
-/// When negotiation stops (paper §4 step "Stop?").
-enum class TerminationPolicy {
-  /// "Early termination": an ISP stops when it perceives no additional gain
-  /// in continuing — the projected greedy future can no longer raise its
-  /// cumulative gain (peak <= 0) and would in fact lower it (end < 0).
-  /// A future that is flat (all zeros) is harmless, so the ISP keeps
-  /// negotiating, as ISP-A does in the paper's Fig. 3 example.
-  kEarly,
-  /// "Full termination": continue while both cumulative gains stay >= 0.
-  kFull,
-  /// Social-welfare mode: negotiate every flow on the table.
-  kNegotiateAll,
-};
-
-/// How residual proposal ties (same combined sum, same secondary key) break.
-enum class TieBreak {
-  kRandom,         // uniform, seeded — the paper's worked example
-  kDeterministic,  // lowest (flow, candidate) — required by the wire protocol
-};
-
-struct NegotiationConfig {
-  PreferenceConfig preferences;
-  TurnPolicy turn = TurnPolicy::kAlternate;
-  ProposalPolicy proposal = ProposalPolicy::kMaxCombinedGain;
-  AcceptancePolicy acceptance = AcceptancePolicy::kProtective;
-  TerminationPolicy termination = TerminationPolicy::kEarly;
-  TieBreak tie_break = TieBreak::kRandom;
-  /// Re-invoke the oracles after this fraction of the negotiable traffic
-  /// volume has been negotiated (0 disables; the paper uses 0.05 for the
-  /// bandwidth experiments). Only honoured if an oracle wants reassignment.
-  double reassign_traffic_fraction = 0.0;
-  /// §6 settlement: after negotiation stops, an ISP that ended below its
-  /// default "rolls back the compromises made in return" — its accepted
-  /// losing concessions return to their defaults, worst first, until it is
-  /// whole. Sides alternate starting with the one that stopped; each
-  /// rollback may trigger the other's. Guarantees the no-loss property of
-  /// Fig. 4b even when a counterparty stops mid-trade.
-  bool settlement_rollback = true;
-  /// Use the oracles' evaluate_incremental() for every refresh after the
-  /// first, handing them the accepted moves since the previous evaluation.
-  /// Results are contractually bit-identical to full evaluate() — this knob
-  /// exists for A/B benchmarking and as an escape hatch, not because the
-  /// answers differ.
-  bool incremental_evaluation = true;
-  /// Cross-check cadence: every Nth incremental refresh, additionally run
-  /// the full evaluate() and throw std::logic_error unless both results are
-  /// bit-identical. 0 = automatic (every refresh in debug builds, never in
-  /// release); N >= 1 forces the check in all build types; -1 disables it
-  /// even in debug builds (for honest A/B timing, e.g. micro_incremental).
-  int verify_incremental_every = 0;
-  std::uint64_t seed = 1;
-  bool record_trace = false;
-};
-
-enum class StopReason {
-  kExhausted,        // every negotiable flow was negotiated
-  kEarlyStopA,       // ISP A saw no additional gain (early termination)
-  kEarlyStopB,
-  kGainWouldGoNegative,  // full termination guard
-  kNoProposal,       // every remaining alternative was vetoed
-};
-
-std::string to_string(StopReason r);
-
-struct RoundTrace {
-  std::size_t round = 0;
-  int proposer = 0;                 // 0 = A, 1 = B
-  traffic::FlowId flow;
-  std::size_t interconnection = 0;  // proposed interconnection index
-  PrefClass pref_a = 0;             // disclosed preferences of the proposal
-  PrefClass pref_b = 0;
-  bool accepted = false;
-  bool reassigned_after = false;
-};
-
-struct NegotiationOutcome {
-  /// Final interconnection per flow (all flows; non-negotiated ones on their
-  /// default).
-  routing::Assignment assignment;
-  /// Cumulative *true* gains in each ISP's own exact metric units (km saved,
-  /// load-ratio reduction, ... — whatever its oracle measures).
-  double true_gain_a = 0.0;
-  double true_gain_b = 0.0;
-  /// Cumulative gains as visible through disclosed preferences.
-  int disclosed_gain_a = 0;
-  int disclosed_gain_b = 0;
-  std::size_t rounds = 0;
-  std::size_t flows_negotiated = 0;  // accepted proposals
-  std::size_t flows_moved = 0;       // accepted with a non-default choice
-  std::size_t flows_rolled_back = 0; // settlement rollbacks (§6)
-  std::size_t reassignments = 0;
-  /// Oracle-evaluation telemetry: how the preference work was actually done.
-  /// A full call recomputes one row per negotiable position; incremental
-  /// calls recompute only the rows the accepted moves' links feed, so
-  /// evaluate_rows_computed / (calls x positions) is the fraction of the
-  /// naive full-recompute work this negotiation performed.
-  std::size_t evaluate_calls_full = 0;
-  std::size_t evaluate_calls_incremental = 0;
-  std::size_t evaluate_rows_computed = 0;
-  /// What the same calls would have cost under full recomputation
-  /// (calls x negotiable positions) — the denominator for the fraction of
-  /// naive work performed.
-  std::size_t evaluate_rows_full_equivalent = 0;
-  StopReason stop_reason = StopReason::kExhausted;
-  std::vector<RoundTrace> trace;     // filled when config.record_trace
-};
-
 /// The Nexit negotiation protocol (paper §4): ISPs exchange preference
 /// lists and agree on an interconnection per flow, one proposal per round.
-/// All decisions are deterministic given the config seed.
+/// The engine runs both ISPs' NegotiationSide replicas in one process and
+/// drives the turn loop directly; what it adds over the wire agents is only
+/// what needs both sides at once or a shared RNG: coin-toss turns, random
+/// tie-breaks, kFull termination, and the round trace. All decisions are
+/// deterministic given the config seed.
 class NegotiationEngine {
  public:
   NegotiationEngine(const NegotiationProblem& problem, PreferenceOracle& isp_a,
@@ -159,48 +20,15 @@ class NegotiationEngine {
   NegotiationOutcome run();
 
  private:
-  /// One accepted non-default move, remembered for settlement rollback.
-  struct AcceptedMove {
-    std::size_t pos = 0;
-    std::size_t ci = 0;
-    double value[2] = {0.0, 0.0};  // both sides' true values at acceptance
-    bool rolled_back = false;
-  };
-
+  /// Re-evaluates both oracles and exchanges the disclosed lists; a
+  /// cheating oracle is handed the other ISP's true preferences (§5.4).
   void refresh_preferences();
-  /// True when this refresh must also run the full-recompute cross-check.
-  [[nodiscard]] bool cross_check_due() const;
-  [[nodiscard]] int pick_turn(std::size_t round) const;
-  /// Indices into accepted_moves_ that `side` rolls back to get whole.
-  [[nodiscard]] std::vector<std::size_t> compute_rollback(int side) const;
-  /// StrategyView of the negotiation from `side`'s perspective; decisions
-  /// delegate to core/strategy.hpp (shared with the wire-protocol agents).
-  [[nodiscard]] StrategyView view_of(int side) const;
+  [[nodiscard]] int pick_turn();
 
   const NegotiationProblem& problem_;
-  PreferenceOracle* oracles_[2];
   NegotiationConfig config_;
-
-  // Mutable negotiation state.
-  routing::Assignment tentative_;
-  std::vector<char> remaining_;           // per negotiable position
-  std::vector<std::vector<char>> banned_; // vetoed (pos, ci) pairs
-  std::vector<std::size_t> default_ci_;   // default candidate per position
-  Evaluation truth_[2];
-  PreferenceList disclosed_[2];
-  double true_gain_[2] = {0.0, 0.0};
-  int disclosed_gain_[2] = {0, 0};
-  std::vector<AcceptedMove> accepted_moves_;
-  /// Accepted moves + settles since the last oracle refresh; consumed by
-  /// evaluate_incremental() at the next reassignment quantum.
-  EvaluationDelta pending_delta_;
-  bool evaluated_once_ = false;
-  std::size_t incremental_refreshes_ = 0;
-  std::size_t eval_calls_full_ = 0;
-  std::size_t eval_calls_incremental_ = 0;
-  std::size_t eval_rows_computed_ = 0;
-  std::size_t eval_rows_full_equivalent_ = 0;
-  mutable util::Rng rng_{1};
+  NegotiationSide sides_[2];
+  util::Rng rng_;
 };
 
 }  // namespace nexit::core

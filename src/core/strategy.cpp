@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/engine.hpp"
+#include "core/side.hpp"
 #include "obs/registry.hpp"
 
 namespace nexit::core {

@@ -8,12 +8,12 @@
 
 namespace nexit::core {
 
-enum class ProposalPolicy;  // defined in engine.hpp
+enum class ProposalPolicy;  // defined in side.hpp
 
-/// View of the shared negotiation state from ONE side's perspective. Both the
-/// in-process engine and the wire-protocol agents drive their decisions
-/// through these functions, which is what makes the two implementations
-/// provably equivalent (tests/agent_test.cpp checks it end to end).
+/// View of the negotiation state from ONE side's perspective. The state
+/// itself lives in core::NegotiationSide (side.hpp), which builds this view
+/// for every proposal, stop and acceptance decision; the in-process engine
+/// and the wire agents both decide only through their sides.
 struct StrategyView {
   /// Aligned with the negotiable flow list.
   const std::vector<char>* remaining = nullptr;

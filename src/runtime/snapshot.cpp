@@ -84,14 +84,15 @@ proto::SnapshotNegotiationMark Session::negotiation_mark() const {
   m.live = 1;
   m.state_a = static_cast<std::uint8_t>(agent_a_->state());
   m.state_b = static_cast<std::uint8_t>(agent_b_->state());
-  m.round = agent_a_->round();
-  m.remaining = agent_a_->remaining_count();
-  m.disclosed_gain_a = agent_a_->disclosed_gain(0);
-  m.disclosed_gain_b = agent_a_->disclosed_gain(1);
-  m.true_gain_a = agent_a_->true_gain();
-  m.pending_moves = agent_a_->pending_delta().moves.size();
-  m.pending_settles = agent_a_->pending_delta().settled_positions.size();
-  const std::vector<std::size_t>& ix = agent_a_->tentative().ix_of_flow;
+  const core::NegotiationSide& side = agent_a_->side();
+  m.round = side.round();
+  m.remaining = side.remaining_count();
+  m.disclosed_gain_a = side.disclosed_gain(0);
+  m.disclosed_gain_b = side.disclosed_gain(1);
+  m.true_gain_a = side.true_gain();
+  m.pending_moves = side.pending_delta().moves.size();
+  m.pending_settles = side.pending_delta().settled_positions.size();
+  const std::vector<std::size_t>& ix = side.tentative().ix_of_flow;
   m.assignment.assign(ix.begin(), ix.end());
   return m;
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/metrics.hpp"
 #include "obs/registry.hpp"
 #include "proto/frame.hpp"
 #include "proto/snapshot_messages.hpp"
@@ -295,6 +296,48 @@ TEST(CrashResume, ObsCountersEqualUninterrupted) {
     EXPECT_EQ(plain.counters[i].value, resumed.counters[i].value)
         << plain.counters[i].name;
   }
+}
+
+// The paper's no-loss property over the wire, under adversity: with lossy
+// or corrupting transports and seeded kill/resume cycles, every session
+// that completes leaves both ISPs at or below their default flow-km inside
+// their own network.
+TEST(CrashResume, CompletedSessionsAreNoLossUnderFaultsAndKills) {
+  std::mt19937 rng(2024);
+  std::size_t done = 0, failed = 0, retried = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    ScenarioConfig cfg = crash_config();
+    cfg.seed = 11 + static_cast<std::uint64_t>(trial);
+    cfg.faults = trial % 2 == 0 ? FaultConfig{0.01, 0.0} : FaultConfig{0.0, 0.01};
+    cfg.limits.max_attempts = 5;
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      const Tick kill_at = rng() % 24;
+      cfg.events.push_back({kill_at, EventKind::kKill, s, 0});
+      cfg.events.push_back({kill_at + 1 + rng() % 5, EventKind::kResume, s, 0});
+    }
+    Scenario scenario(cfg);
+    const ScenarioReport report = scenario.run();
+    for (const ScenarioSessionResult& s : report.sessions) {
+      retried += s.attempts > 1 ? 1 : 0;
+      if (s.status != SessionStatus::kDone) {
+        ++failed;
+        continue;
+      }
+      ++done;
+      const SessionWorld& w = scenario.world_of(s.id);
+      for (int side = 0; side < 2; ++side) {
+        const double def = metrics::side_flow_km(
+            *w.base->routing, w.traffic.flows(), w.problem.default_assignment,
+            side);
+        const double neg = metrics::side_flow_km(
+            *w.base->routing, w.traffic.flows(), s.outcome.assignment, side);
+        EXPECT_LE(neg, def + 1e-6)
+            << "trial " << trial << " session " << s.id << " side " << side;
+      }
+    }
+  }
+  EXPECT_GT(done, 0u);
+  EXPECT_GT(retried + failed, 0u);  // the faults did bite
 }
 
 TEST(CrashResume, CorruptJournalFallsBackToFreshNegotiationInRun) {
