@@ -1,12 +1,10 @@
 #pragma once
 
 // Shared scaffolding for the non-scenario benches (runtime_throughput,
-// micro_incremental): flag parsing into universe/negotiation configs and
-// the universe summary line. The figure/ablation binaries no longer use
-// this — they are shims over sim/scenarios.hpp, and the JSON emitter plus
-// the FNV digest helpers that used to live here are promoted to
-// src/util/json_report.hpp and src/util/digest.hpp so the driver, the
-// benches, and the tests share one emitter/digest scheme.
+// micro_incremental, ...): flag parsing into universe/negotiation configs
+// and the universe summary line. Figures and ablations run through
+// nexit_run and sim/scenarios.hpp instead; the JSON emitter and the FNV
+// digest helpers are in src/util (json_report.hpp, digest.hpp).
 //
 // Unknown flags are a hard error: after reading all its flags, each binary
 // calls reject_unknown_flags(), so a misspelled flag (--seeed=7) aborts with

@@ -14,12 +14,11 @@
 // first); `--spec=<file>` overlays a key=value spec file; remaining flags
 // override individual keys, and `sweep.<key>=` lines declare sweep axes.
 // Without --scenario the generic "custom" runner executes whatever the
-// spec describes (including experiment=runtime timelines). Output is
-// byte-identical to the legacy per-figure binary for every preset — both
-// dispatch into sim::run_scenario — and CI diffs them to keep the
-// migration guard live. `--help-spec[=<key>]` prints the key metadata the
-// parser itself enforces; `--help-spec=markdown` emits
-// docs/SPEC_REFERENCE.md (CI regenerates it and fails on drift).
+// spec describes (including experiment=runtime timelines). Every preset's
+// outcome digest and JSON record is pinned under tests/golden.
+// `--help-spec[=<key>]` prints the key metadata the parser itself enforces;
+// `--help-spec=markdown` emits docs/SPEC_REFERENCE.md (CI regenerates it
+// and fails on drift).
 
 #include <iostream>
 
@@ -32,8 +31,8 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
 
   // Bare --list-scenarios parses as "true" (the human table); "tsv" is the
-  // machine form the CI migration guard iterates. Anything else is a typo
-  // and must error, not silently print prose into a script's pipe.
+  // machine form scripts iterate. Anything else is a typo and must error,
+  // not silently print prose into a script's pipe.
   const std::string list =
       flags.get_choice("list-scenarios", {"true", "table", "tsv"}, "");
   if (!list.empty()) {

@@ -1,20 +1,16 @@
 // The §6 deployment architecture, end to end: two negotiation agents (one
 // per ISP) talk the Nexit wire protocol over a real AF_UNIX socket pair —
 // HELLO/CANDIDATES/FLOW_ANNOUNCE handshake, opaque PREF_ADVERTs, alternating
-// PROPOSE/RESPONSE rounds, STOP and settlement. The negotiated routes are
-// then installed into a BGP RIB as local-pref overrides, exactly as Fig. 12
-// describes ("low-level BGP mechanisms such as local-prefs are used to
-// implement it").
+// PROPOSE/RESPONSE rounds, STOP and settlement. Exits 1 if the session
+// fails or the two sides end with different assignments.
 //
-//   ./build/examples/wire_agents
+//   ./build/wire_agents
 
 #include <cstdio>
 #include <iostream>
 
 #include "agent/agent.hpp"
-#include "bgp/decision.hpp"
 #include "core/oracles.hpp"
-#include "metrics/metrics.hpp"
 #include "sim/pair_universe.hpp"
 #include "traffic/traffic.hpp"
 #include "util/flags.hpp"
@@ -66,42 +62,9 @@ int main(int argc, char** argv) {
               "%zu flows negotiated, %zu moved, stop: %s\n",
               steps, out.rounds, out.flows_negotiated, out.flows_moved,
               core::to_string(out.stop_reason).c_str());
+  const bool agree =
+      out.assignment.ix_of_flow == agent_b.outcome().assignment.ix_of_flow;
   std::printf("both sides agree on the assignment: %s\n",
-              agent_a.outcome().assignment.ix_of_flow ==
-                      agent_b.outcome().assignment.ix_of_flow
-                  ? "yes"
-                  : "NO (bug!)");
-
-  // Install ISP A's negotiated exits into a BGP RIB: one synthetic prefix
-  // per destination PoP of ISP B, candidate routes via every
-  // interconnection, early-exit IGP costs — then local-pref overrides for
-  // the negotiated choices.
-  bgp::RibIn rib;
-  std::size_t overrides = 0;
-  for (const auto& flow : tm.flows()) {
-    if (flow.direction != traffic::Direction::kAtoB) continue;
-    const auto prefix = *bgp::Prefix::parse(
-        "10." + std::to_string(flow.dst.value()) + ".0.0/16");
-    for (std::size_t ix : candidates) {
-      bgp::Route r;
-      r.prefix = prefix;
-      r.as_path = {64502};
-      r.neighbor_as = 64502;
-      r.exit_id = static_cast<std::uint32_t>(ix);
-      r.igp_cost = routing.igp_to_ix(0, flow.src, ix);
-      r.router_id = static_cast<std::uint32_t>(ix + 1);
-      rib.add_route(r);
-    }
-    const std::size_t negotiated_ix =
-        out.assignment.ix_of_flow[static_cast<std::size_t>(flow.id.value())];
-    if (rib.best(prefix)->exit_id != negotiated_ix) {
-      rib.apply_local_pref_override(prefix,
-                                    static_cast<std::uint32_t>(negotiated_ix), 500);
-      ++overrides;
-    }
-  }
-  std::printf("BGP integration: %zu local-pref overrides installed; every "
-              "negotiated exit now wins the decision process\n",
-              overrides);
-  return 0;
+              agree ? "yes" : "NO (bug!)");
+  return agree ? 0 : 1;
 }

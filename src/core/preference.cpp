@@ -31,13 +31,6 @@ std::vector<PrefClass> quantize_deltas(const std::vector<double>& deltas,
   return out;
 }
 
-double max_abs_delta(const std::vector<std::vector<double>>& deltas) {
-  double m = 0.0;
-  for (const auto& row : deltas)
-    for (double d : row) m = std::max(m, std::abs(d));
-  return m;
-}
-
 double quantization_scale(const std::vector<std::vector<double>>& deltas,
                           const PreferenceConfig& config) {
   const obs::PhaseTimer timer(obs::Phase::kQuantizationScale);

@@ -53,9 +53,6 @@ std::vector<PrefClass> quantize_deltas(const std::vector<double>& deltas,
                                        const PreferenceConfig& config,
                                        double scale);
 
-/// Largest |delta| across a whole list of per-flow delta vectors.
-double max_abs_delta(const std::vector<std::vector<double>>& deltas);
-
 /// Quantisation scale for a whole advertised list: the configured percentile
 /// of the nonzero |delta| distribution (0 when every delta is zero).
 double quantization_scale(const std::vector<std::vector<double>>& deltas,

@@ -90,10 +90,4 @@ double piecewise_linear_cost(const std::vector<double>& loads,
   return total;
 }
 
-double pair_piecewise_cost(const routing::LoadMap& loads,
-                           const routing::LoadMap& capacities) {
-  return piecewise_linear_cost(loads.per_side[0], capacities.per_side[0]) +
-         piecewise_linear_cost(loads.per_side[1], capacities.per_side[1]);
-}
-
 }  // namespace nexit::metrics

@@ -45,8 +45,4 @@ double path_mel(const std::vector<graph::EdgeIndex>& path_edges,
 double piecewise_linear_cost(const std::vector<double>& loads,
                              const std::vector<double>& capacities);
 
-/// Piecewise-linear cost over both sides of a pair.
-double pair_piecewise_cost(const routing::LoadMap& loads,
-                           const routing::LoadMap& capacities);
-
 }  // namespace nexit::metrics

@@ -99,38 +99,6 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Snapshot::merge_from(const Snapshot& other) {
-  std::map<std::string, std::uint64_t> counter_map;
-  for (const CounterSnapshot& c : counters) counter_map[c.name] += c.value;
-  for (const CounterSnapshot& c : other.counters)
-    counter_map[c.name] += c.value;
-  counters.clear();
-  counters.reserve(counter_map.size());
-  for (const auto& [name, value] : counter_map)
-    counters.push_back(CounterSnapshot{name, value});
-
-  std::map<std::string, HistogramSnapshot> histogram_map;
-  const auto fold = [&histogram_map](const std::vector<HistogramSnapshot>& hs) {
-    for (const HistogramSnapshot& h : hs) {
-      HistogramSnapshot& merged = histogram_map[h.name];
-      if (merged.buckets.empty()) merged.buckets.assign(kHistogramBuckets, 0);
-      merged.count += h.count;
-      merged.sum += h.sum;
-      for (std::size_t b = 0; b < h.buckets.size() && b < kHistogramBuckets;
-           ++b)
-        merged.buckets[b] += h.buckets[b];
-    }
-  };
-  fold(histograms);
-  fold(other.histograms);
-  histograms.clear();
-  histograms.reserve(histogram_map.size());
-  for (auto& [name, merged] : histogram_map) {
-    merged.name = name;
-    histograms.push_back(std::move(merged));
-  }
-}
-
 void Registry::reset_counters() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const std::unique_ptr<Shard>& shard : shards_) {

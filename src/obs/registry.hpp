@@ -75,14 +75,6 @@ struct HistogramSnapshot {
 struct Snapshot {
   std::vector<CounterSnapshot> counters;      // sorted by name
   std::vector<HistogramSnapshot> histograms;  // sorted by name
-
-  /// Sums `other` into this snapshot by name, preserving the sorted order —
-  /// the cross-process twin of the per-thread shard merge. The distributed
-  /// layer folds worker-shard snapshots with this; because every addition
-  /// is a commutative uint64 sum, the merged totals are independent of how
-  /// work was sharded across processes, exactly as they are independent of
-  /// --threads=N within one.
-  void merge_from(const Snapshot& other);
 };
 
 struct PhaseSnapshot {

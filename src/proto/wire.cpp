@@ -58,14 +58,6 @@ std::uint8_t Reader::get_u8() {
   return data_[pos_++];
 }
 
-std::uint32_t Reader::get_u32_fixed() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
 std::uint64_t Reader::get_varint() {
   std::uint64_t v = 0;
   int shift = 0;

@@ -38,7 +38,6 @@ class Reader {
   explicit Reader(const Bytes& b) : Reader(b.data(), b.size()) {}
 
   std::uint8_t get_u8();
-  std::uint32_t get_u32_fixed();
   std::uint64_t get_varint();
   std::int64_t get_signed();
   double get_double();

@@ -85,10 +85,6 @@ double PairRouting::upstream_igp(const traffic::Flow& f, std::size_t ix) const {
   return igp_to_ix(traffic::upstream_side(f.direction), f.src, ix);
 }
 
-double PairRouting::downstream_igp(const traffic::Flow& f, std::size_t ix) const {
-  return igp_to_ix(traffic::downstream_side(f.direction), f.dst, ix);
-}
-
 const std::vector<graph::EdgeIndex>& PairRouting::upstream_path_edges(
     const traffic::Flow& f, std::size_t ix) const {
   return cached_path(traffic::upstream_side(f.direction), f.src, ix);
@@ -129,12 +125,6 @@ std::size_t PairRouting::early_exit(const traffic::Flow& f,
                           [&](std::size_t ix) { return upstream_igp(f, ix); });
 }
 
-std::size_t PairRouting::late_exit(const traffic::Flow& f,
-                                   const std::vector<std::size_t>& candidates) const {
-  return argmin_candidate(candidates,
-                          [&](std::size_t ix) { return downstream_igp(f, ix); });
-}
-
 std::size_t PairRouting::min_total_km_exit(
     const traffic::Flow& f, const std::vector<std::size_t>& candidates) const {
   return argmin_candidate(candidates,
@@ -158,14 +148,6 @@ Assignment assign_early_exit(const PairRouting& routing,
                              const std::vector<std::size_t>& candidates) {
   return assign_all(flows, [&](const traffic::Flow& f) {
     return routing.early_exit(f, candidates);
-  });
-}
-
-Assignment assign_late_exit(const PairRouting& routing,
-                            const std::vector<traffic::Flow>& flows,
-                            const std::vector<std::size_t>& candidates) {
-  return assign_all(flows, [&](const traffic::Flow& f) {
-    return routing.late_exit(f, candidates);
   });
 }
 

@@ -45,9 +45,8 @@ class PairRouting {
   [[nodiscard]] double km_in_side(const traffic::Flow& f, std::size_t ix,
                                   int side) const;
 
-  /// IGP weight inside the upstream / downstream network.
+  /// IGP weight inside the upstream network.
   [[nodiscard]] double upstream_igp(const traffic::Flow& f, std::size_t ix) const;
-  [[nodiscard]] double downstream_igp(const traffic::Flow& f, std::size_t ix) const;
 
   /// Backbone edges the flow traverses inside its upstream ISP when routed
   /// via `ix` (edge indices of that ISP's graph). Empty when src is the
@@ -69,11 +68,6 @@ class PairRouting {
   /// paper's default routing.
   [[nodiscard]] std::size_t early_exit(const traffic::Flow& f,
                                        const std::vector<std::size_t>& candidates) const;
-
-  /// Late-exit (MEDs honored): minimise downstream IGP distance — "simply
-  /// the reverse of early-exit" (paper Fig. 1b).
-  [[nodiscard]] std::size_t late_exit(const traffic::Flow& f,
-                                      const std::vector<std::size_t>& candidates) const;
 
   /// Per-flow globally optimal for the distance metric: minimise total km.
   [[nodiscard]] std::size_t min_total_km_exit(
@@ -108,9 +102,6 @@ struct Assignment {
 Assignment assign_early_exit(const PairRouting& routing,
                              const std::vector<traffic::Flow>& flows,
                              const std::vector<std::size_t>& candidates);
-Assignment assign_late_exit(const PairRouting& routing,
-                            const std::vector<traffic::Flow>& flows,
-                            const std::vector<std::size_t>& candidates);
 Assignment assign_min_total_km(const PairRouting& routing,
                                const std::vector<traffic::Flow>& flows,
                                const std::vector<std::size_t>& candidates);

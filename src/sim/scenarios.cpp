@@ -1638,8 +1638,7 @@ void tune_fig9(ExperimentSpec& s) {
 }
 
 void tune_table3(ExperimentSpec& s) {
-  // Seed 0 means "auto-pick a seed that reaches the paper outcome", the
-  // legacy binary's default.
+  // Seed 0 means "auto-pick a seed that reaches the paper outcome".
   s.seed = 0;
 }
 
@@ -1713,72 +1712,61 @@ void tune_runtime_churn(ExperimentSpec& s) {
 }
 
 const std::vector<ScenarioPreset> kScenarios = {
-    {"fig4", "fig4_distance_gain",
-     "Fig. 4: distance gain of optimal vs negotiated routing", tune_nothing,
-     run_fig4, "experiment"},
-    {"fig4_sweep", "-",
-     "Fig. 4 swept over universe size (declared sweep.isps axis)",
+    {"fig4", "Fig. 4: distance gain of optimal vs negotiated routing",
+     tune_nothing, run_fig4, "experiment"},
+    {"fig4_sweep", "Fig. 4 swept over universe size (declared sweep.isps axis)",
      tune_fig4_sweep, run_fig4, "experiment"},
-    {"fig5", "fig5_flow_strategies",
-     "Fig. 5: flow-pair strawman strategies vs negotiation", tune_fig5,
+    {"fig5", "Fig. 5: flow-pair strawman strategies vs negotiation", tune_fig5,
      run_fig5, "experiment,flow-baselines"},
-    {"fig6", "fig6_flow_level",
-     "Fig. 6: per-flow gains of optimal and negotiated routing", tune_nothing,
-     run_fig6, "experiment"},
-    {"fig7", "fig7_bandwidth_mel",
-     "Fig. 7: post-failure MEL, default and negotiated vs optimal", tune_fig7,
-     run_fig7, "experiment"},
-    {"fig7_sweep", "-",
+    {"fig6", "Fig. 6: per-flow gains of optimal and negotiated routing",
+     tune_nothing, run_fig6, "experiment"},
+    {"fig7", "Fig. 7: post-failure MEL, default and negotiated vs optimal",
+     tune_fig7, run_fig7, "experiment"},
+    {"fig7_sweep",
      "Fig. 7 swept over sampled pair count (declared sweep.pairs axis)",
      tune_fig7_sweep, run_fig7, "experiment"},
-    {"fig8", "fig8_unilateral",
-     "Fig. 8: unilateral upstream optimisation hurts the downstream",
+    {"fig8", "Fig. 8: unilateral upstream optimisation hurts the downstream",
      tune_fig8, run_fig8, "experiment,unilateral"},
-    {"fig9", "fig9_diverse_criteria",
+    {"fig9",
      "Fig. 9: diverse criteria (upstream bandwidth, downstream distance)",
      tune_fig9, run_fig9, "experiment"},
-    {"fig10", "fig10_cheating_distance",
-     "Fig. 10: impact of cheating on the distance experiment", tune_nothing,
-     run_fig10, "experiment"},
-    {"fig11", "fig11_cheating_bandwidth",
-     "Fig. 11: impact of cheating on the bandwidth experiment",
+    {"fig10", "Fig. 10: impact of cheating on the distance experiment",
+     tune_nothing, run_fig10, "experiment"},
+    {"fig11", "Fig. 11: impact of cheating on the bandwidth experiment",
      tune_bandwidth_base, run_fig11, "experiment"},
-    {"table3", "table3_example",
-     "Fig. 3 table: the worked preference-list example of Fig. 2",
+    {"table3", "Fig. 3 table: the worked preference-list example of Fig. 2",
      tune_table3, run_table3, "!seed"},
-    {"abl_destination_based", "abl_destination_based",
+    {"abl_destination_based",
      "footnote 2: destination-based vs source-destination negotiation",
      tune_abl_destination_based, run_abl_destination_based,
      "experiment,flow-baselines,groups"},
-    {"abl_flow_fraction", "abl_flow_fraction",
+    {"abl_flow_fraction",
      "§5.1: fraction of flows that must move to capture the gain",
      tune_abl_flow_fraction, run_abl_flow_fraction, "experiment"},
-    {"abl_group_negotiation", "abl_group_negotiation",
+    {"abl_group_negotiation",
      "§5.1: negotiating in k separate groups vs the whole set",
-     tune_abl_group_negotiation, run_abl_group_negotiation,
-     "experiment,groups", "groups"},
-    {"abl_ix_count", "abl_ix_count",
-     "§5.1: negotiated gain bucketed by interconnection count",
+     tune_abl_group_negotiation, run_abl_group_negotiation, "experiment,groups",
+     "groups"},
+    {"abl_ix_count", "§5.1: negotiated gain bucketed by interconnection count",
      tune_abl_ix_count, run_abl_ix_count, "experiment"},
-    {"abl_models", "abl_models",
-     "§5.2: workload / capacity / metric sensitivity of Fig. 7",
+    {"abl_models", "§5.2: workload / capacity / metric sensitivity of Fig. 7",
      tune_abl_models, run_abl_models,
      "experiment,traffic,capacity-pow2,capacity-unused,oracle-a,oracle-b",
      "model"},
-    {"abl_policies", "abl_policies",
-     "§4: turn / termination / proposal policy comparison", tune_abl_policies,
-     run_abl_policies, "experiment,turn,termination,proposal", "policy"},
-    {"abl_pref_range", "abl_pref_range",
+    {"abl_policies", "§4: turn / termination / proposal policy comparison",
+     tune_abl_policies, run_abl_policies,
+     "experiment,turn,termination,proposal", "policy"},
+    {"abl_pref_range",
      "§5: negotiated gain as a function of the class range P",
      tune_abl_pref_range, run_abl_pref_range, "experiment,pref-range",
      "pref-range"},
-    {"runtime", "-",
+    {"runtime",
      "concurrent-runtime scenario: sessions + a declared runtime.* timeline",
      tune_runtime, run_runtime, "experiment"},
-    {"runtime_churn", "-",
+    {"runtime_churn",
      "runtime timeline demo: staggered starts, link failure, restart, churn",
      tune_runtime_churn, run_runtime, "experiment"},
-    {"custom", "-",
+    {"custom",
      "generic runner for an arbitrary spec (use --spec=<file> or flags)",
      tune_nothing, run_custom},
 };
@@ -1804,12 +1792,11 @@ std::vector<std::string> scenario_names() {
 void print_scenario_list(std::ostream& os) {
   os << "registered scenarios (run with nexit_run --scenario=<name>):\n\n";
   char line[256];
-  std::snprintf(line, sizeof line, "  %-24s %-26s %s\n", "name",
-                "legacy binary", "description");
+  std::snprintf(line, sizeof line, "  %-24s %s\n", "name", "description");
   os << line;
   for (const ScenarioPreset& preset : kScenarios) {
-    std::snprintf(line, sizeof line, "  %-24s %-26s %s\n", preset.name,
-                  preset.legacy_binary, preset.description);
+    std::snprintf(line, sizeof line, "  %-24s %s\n", preset.name,
+                  preset.description);
     os << line;
   }
   os << "\nevery scenario also takes the spec keys (see --help), "
@@ -1818,8 +1805,7 @@ void print_scenario_list(std::ostream& os) {
 
 void print_scenario_tsv(std::ostream& os) {
   for (const ScenarioPreset& preset : kScenarios)
-    os << preset.name << "\t" << preset.legacy_binary << "\t"
-       << preset.description << "\n";
+    os << preset.name << "\t" << preset.description << "\n";
 }
 
 namespace {
@@ -2034,11 +2020,7 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
     spec.overridden.insert("obs.trace");
   }
 
-  // The record carries the legacy binary's name so BENCH_*.json
-  // trajectories stay comparable across the redesign ("custom" has none).
-  util::JsonReport record(
-      flags, std::string(preset.legacy_binary) == "-" ? preset.name
-                                                      : preset.legacy_binary);
+  util::JsonReport record(flags, preset.name);
   const std::string spec_out = flags.get_string("spec-out", "");
   util::reject_unknown(flags);
 
@@ -2048,9 +2030,9 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
     return 2;
   }
   // Keys this preset's run function controls itself: an explicit override
-  // away from the preset's own value would silently vanish — the legacy
-  // binaries exited 2 for these flags, and so do we. (Re-stating the
-  // preset's value is harmless, so serialized specs reload cleanly.)
+  // away from the preset's own value would silently vanish, so it exits 2.
+  // (Re-stating the preset's value is harmless, so serialized specs reload
+  // cleanly.)
   const std::vector<std::string> ignored = expand_ignored_keys(preset, tuned);
   for (const std::string& key : ignored) {
     if (spec.overridden.count(key) > 0 &&
@@ -2256,26 +2238,6 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
   record.metric("digest", util::digest_hex(sweep_digest));
   record.write();
   return 0;
-}
-
-int scenario_shim_main(const char* name, int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const ScenarioPreset* preset = find_scenario(name);
-  if (preset == nullptr) {
-    std::cerr << "internal error: scenario '" << name << "' not registered\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    // The flag list itself is printed by util::reject_unknown once the
-    // pipeline has queried every key; this preamble is the shim-specific
-    // part of the contract.
-    std::cout << "note: this binary is a frozen legacy wrapper; the "
-                 "maintained driver is\n  nexit_run --scenario="
-              << name
-              << " [flags]\n(byte-identical output; sweep axes, --spec-out "
-                 "and --help-spec live on the driver)\n";
-  }
-  return run_scenario(*preset, flags);
 }
 
 runtime::ScenarioConfig runtime_config_of(const ExperimentSpec& spec) {

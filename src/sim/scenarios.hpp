@@ -1,17 +1,15 @@
 #pragma once
 
 // The scenario-preset registry and the shared parse/run/report pipeline
-// behind every figure/ablation binary and the `nexit_run` driver. A
-// ScenarioPreset is a named spec transform (its per-figure defaults) plus
-// the analysis that turns engine samples into the printed figure, the
-// paper checks, and the JSON record. The 16 legacy binaries are thin shims
-// over scenario_shim_main(); `nexit_run --scenario=<name>` dispatches to
-// the identical code path, which is what keeps their outputs byte-identical
-// (the CI migration guard diffs them every run).
+// behind the `nexit_run` driver. A ScenarioPreset is a named spec transform
+// (its per-figure defaults) plus the analysis that turns engine samples
+// into the printed figure, the paper checks, and the JSON record.
+// `nexit_run --scenario=<name>` runs one; tests/golden pins each preset's
+// outcome digest and JSON record.
 //
 // Sweeps: a spec may declare axes (`sweep.<key>=...`). Axes a preset owns
 // (ScenarioPreset::own_axes — the ablation sweeps the paper hard-coded) are
-// iterated inside its run function so the legacy single-table output stays
+// iterated inside its run function so its single-table output stays
 // byte-identical; every other axis is expanded here as a cross product,
 // each point running the preset's full pipeline with a per-point JSON
 // section and a per-point digest folded into one sweep digest.
@@ -62,9 +60,8 @@ struct ScenarioContext {
 };
 
 struct ScenarioPreset {
-  const char* name = nullptr;           // "fig9", "abl_models", "custom", ...
-  const char* legacy_binary = nullptr;  // pre-redesign binary name; "-" if none
-  const char* description = nullptr;    // one line for --list-scenarios
+  const char* name = nullptr;         // "fig9", "abl_models", "custom", ...
+  const char* description = nullptr;  // one line for --list-scenarios
   /// Figure-specific spec defaults, applied before --spec/flag overrides.
   void (*tune)(ExperimentSpec&);
   /// Runs the engines and reports; returns the process exit code.
@@ -72,10 +69,9 @@ struct ScenarioPreset {
   /// Spec keys this preset's run function controls itself (sweep axes, the
   /// fixed worked-example parameters): "" = none, a comma-separated list,
   /// or "!k1,k2" = every key EXCEPT the listed ones. An explicit override
-  /// of an ignored key to a value other than the preset's own exits 2 —
-  /// the legacy binaries rejected exactly these flags, and a knob that
-  /// silently vanishes is the misconfiguration mode this API must not
-  /// reintroduce.
+  /// of an ignored key to a value other than the preset's own exits 2: a
+  /// knob that silently vanishes is the misconfiguration mode this API
+  /// must not allow.
   const char* ignored_keys = "";
   /// Comma-separated axes the run function iterates itself (via
   /// axis_values) instead of the generic cross-product expansion:
@@ -92,9 +88,8 @@ const std::vector<ScenarioPreset>& scenario_registry();
 const ScenarioPreset* find_scenario(const std::string& name);
 std::vector<std::string> scenario_names();
 
-/// `--list-scenarios` bodies: a human table, or name/legacy/description TSV
-/// for scripts (the CI migration guard and the README catalog generator
-/// iterate the tsv form).
+/// `--list-scenarios` bodies: a human table, or name/description TSV for
+/// scripts (the README catalog generator iterates the tsv form).
 void print_scenario_list(std::ostream& os);
 void print_scenario_tsv(std::ostream& os);
 
@@ -102,7 +97,7 @@ void print_scenario_tsv(std::ostream& os);
 /// overrides -> reject_unknown -> validate -> lock/axis checks -> optional
 /// --spec-out archive -> record spec -> run (expanding non-owned sweep
 /// axes, in-process or sharded across dist.* workers) -> digest print +
-/// JSON write. Both the driver and every legacy shim end up here.
+/// JSON write. The record's `binary` field is the preset name.
 int run_scenario(const ScenarioPreset& preset, const util::Flags& flags);
 
 /// What one executed point produced: the run function's exit code, the
@@ -129,11 +124,6 @@ PointOutcome run_point(const ScenarioPreset& preset,
 /// process or shipped from a worker.
 void record_obs_section(util::JsonReport& record, const obs::Snapshot& snap);
 
-/// main() body of a legacy figure binary: parse argv, run `name`. Under
-/// --help it first prints a note that the binary is a frozen wrapper and
-/// names the equivalent `nexit_run --scenario=...` invocation.
-int scenario_shim_main(const char* name, int argc, char** argv);
-
 /// The runtime::ScenarioConfig a spec with experiment=runtime describes —
 /// universe, session population, limits, faults, and the declared timeline
 /// mapped onto runtime::ScenarioEvent. Lives at the scenario layer (not on
@@ -142,7 +132,7 @@ int scenario_shim_main(const char* name, int argc, char** argv);
     const ExperimentSpec& spec);
 
 /// FNV digests over the deterministic per-sample fields; equal digests
-/// across --threads / --incremental / preset-vs-legacy runs demonstrate
+/// across --threads / --incremental / worker counts demonstrate
 /// bit-identical experiments.
 std::uint64_t digest_samples(const std::vector<DistanceSample>& samples);
 std::uint64_t digest_samples(const std::vector<BandwidthSample>& samples);

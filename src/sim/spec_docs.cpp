@@ -64,7 +64,7 @@ constexpr const char* kSweepSyntax =
     "outcome digest folds the per-point digests in expansion order — "
     "bit-identical for every --threads value. Axes a preset owns (the "
     "paper's own ablation sweeps) are iterated inside its run function "
-    "instead, keeping the legacy single-table output byte-identical.";
+    "instead, keeping the single-table output byte-identical.";
 
 void print_one_key(std::ostream& os, const SpecKeyInfo& info) {
   os << "  " << pad(info.sweep_only ? "sweep." + info.key : info.key, 27)

@@ -4,8 +4,8 @@
 // (the scenario driver, runtime_throughput, micro_incremental, and the test
 // suites): one place for the constants so the digest scheme cannot drift
 // between binaries. A digest equal across --threads values (or across
-// --incremental on/off, or between a preset run and its legacy binary)
-// demonstrates two runs are bit-identical from the shell.
+// --incremental on/off, or across worker counts) demonstrates two runs are
+// bit-identical from the shell.
 
 #include <cstdint>
 #include <cstring>

@@ -1,8 +1,7 @@
 #pragma once
 
-// Machine-readable run records, shared by the scenario driver, the legacy
-// bench shims, the runtime/micro benches, and the tests (promoted here from
-// bench/bench_common.hpp so there is exactly one JSON emitter).
+// Machine-readable run records: the one JSON emitter, shared by the
+// scenario driver, the runtime/micro benches, and the tests.
 
 #include <cstdint>
 #include <string>

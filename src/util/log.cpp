@@ -1,13 +1,12 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace nexit::util {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
+constexpr LogLevel kLevel = LogLevel::kWarn;
 // Experiment workers log concurrently; serialize so lines never interleave.
 std::mutex g_log_mutex;
 
@@ -23,12 +22,10 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
+LogLevel log_level() { return kLevel; }
 
 void log_line(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < g_level.load()) return;
+  if (static_cast<int>(level) < static_cast<int>(kLevel)) return;
   std::lock_guard<std::mutex> lock(g_log_mutex);
   std::cerr << "[" << level_name(level) << "] " << message << "\n";
 }

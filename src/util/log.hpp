@@ -7,10 +7,8 @@ namespace nexit::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Process-wide log threshold; messages below it are discarded. Benches and
-/// examples leave this at kWarn so normal output stays clean; tests can raise
-/// or lower it.
-void set_log_level(LogLevel level);
+/// Process-wide log threshold (kWarn); messages below it are discarded so
+/// normal output stays clean.
 LogLevel log_level();
 
 /// Emits one line to stderr: "[LEVEL] message".

@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace nexit::util {
@@ -64,23 +63,6 @@ double Rng::next_double() {
 
 double Rng::next_double(double lo, double hi) {
   return lo + (hi - lo) * next_double();
-}
-
-double Rng::next_gaussian() {
-  if (have_spare_gaussian_) {
-    have_spare_gaussian_ = false;
-    return spare_gaussian_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  const double two_pi = 6.283185307179586;
-  spare_gaussian_ = mag * std::sin(two_pi * u2);
-  have_spare_gaussian_ = true;
-  return mag * std::cos(two_pi * u2);
 }
 
 bool Rng::next_bool(double p_true) { return next_double() < p_true; }

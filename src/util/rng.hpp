@@ -31,9 +31,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   double next_double(double lo, double hi);
 
-  /// Standard normal via Box-Muller.
-  double next_gaussian();
-
   /// Bernoulli trial.
   bool next_bool(double p_true = 0.5);
 
@@ -55,8 +52,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool have_spare_gaussian_ = false;
-  double spare_gaussian_ = 0.0;
 };
 
 /// Forks `streams_per_item` child generators for each of `count` items,

@@ -19,14 +19,6 @@ double mean(const std::vector<double>& xs) {
   return sum(xs) / static_cast<double>(xs.size());
 }
 
-double stddev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
 namespace {
 
 /// Shared tail of both percentile overloads; `sorted` must be sorted.

@@ -15,9 +15,6 @@ double sum(const std::vector<double>& xs);
 /// Mean of a non-empty sample (sum(xs) / size).
 double mean(const std::vector<double>& xs);
 
-/// Population standard deviation (0 for samples of size < 2).
-double stddev(const std::vector<double>& xs);
-
 /// Median (average of the two middle elements for even sizes).
 double median(const std::vector<double>& xs);
 

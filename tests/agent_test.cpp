@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "agent/agent.hpp"
-#include "agent/flow_table.hpp"
 #include "capacity/capacity.hpp"
 #include "core/cheating.hpp"
 #include "core/engine.hpp"
@@ -85,78 +84,6 @@ TEST(Channel, FaultyCorruptsPayload) {
   auto got = b->receive();
   ASSERT_EQ(got.size(), 3u);
   EXPECT_NE(got, (proto::Bytes{1, 2, 3}));
-}
-
-// --- FlowTable (§6) ----------------------------------------------------------
-
-FlowSignature sig(std::uint32_t ingress) {
-  return FlowSignature{*bgp::Prefix::parse("10.0.0.0/8"),
-                       *bgp::Prefix::parse("20.0.0.0/8"), ingress};
-}
-
-TEST(FlowTable, ThresholdElevationNeedsHold) {
-  FlowTableConfig cfg;
-  cfg.rate_threshold_bps = 100.0;
-  cfg.hold_windows = 2;
-  cfg.window_ms = 1000;
-  FlowTable table(cfg);
-  // 200 B/s for 1 window only: not yet negotiable.
-  table.record(sig(1), 200, 0);
-  table.record(sig(1), 200, 1000);  // closes window 0
-  EXPECT_TRUE(table.negotiable(1500).empty());
-  table.record(sig(1), 200, 2000);  // closes window 1
-  auto neg = table.negotiable(2500);
-  ASSERT_EQ(neg.size(), 1u);
-  EXPECT_EQ(neg[0], sig(1));
-}
-
-TEST(FlowTable, LowRateFlowNeverNegotiable) {
-  FlowTableConfig cfg;
-  cfg.rate_threshold_bps = 1000.0;
-  cfg.hold_windows = 1;
-  FlowTable table(cfg);
-  for (int i = 0; i < 10; ++i) table.record(sig(2), 10, 1000ull * i);
-  EXPECT_TRUE(table.negotiable(11000).empty());
-}
-
-TEST(FlowTable, ZeroThresholdMakesAllNegotiable) {
-  FlowTable table(FlowTableConfig{});
-  table.record(sig(1), 1, 0);
-  table.record(sig(2), 1, 0);
-  EXPECT_EQ(table.negotiable(0).size(), 2u);
-}
-
-TEST(FlowTable, InactiveFlowsExpire) {
-  FlowTableConfig cfg;
-  cfg.inactivity_timeout_ms = 5000;
-  FlowTable table(cfg);
-  table.record(sig(1), 100, 0);
-  table.record(sig(2), 100, 4000);
-  EXPECT_EQ(table.expire(6000), 1u);  // sig(1) idle > 5s
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(FlowTable, GapInTrafficResetsStreak) {
-  FlowTableConfig cfg;
-  cfg.rate_threshold_bps = 100.0;
-  cfg.hold_windows = 2;
-  cfg.window_ms = 1000;
-  FlowTable table(cfg);
-  table.record(sig(1), 200, 0);
-  table.record(sig(1), 200, 1000);
-  // Silence for 3 windows, then one burst: streak restarted.
-  table.record(sig(1), 200, 5000);
-  EXPECT_TRUE(table.negotiable(5500).empty());
-}
-
-TEST(FlowTable, RateEstimate) {
-  FlowTableConfig cfg;
-  cfg.window_ms = 1000;
-  FlowTable table(cfg);
-  table.record(sig(1), 500, 0);
-  table.record(sig(1), 0, 1000);
-  EXPECT_DOUBLE_EQ(table.rate_of(sig(1)), 500.0);
-  EXPECT_DOUBLE_EQ(table.rate_of(sig(9)), 0.0);
 }
 
 // --- Agent sessions ----------------------------------------------------------

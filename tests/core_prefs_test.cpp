@@ -48,12 +48,6 @@ TEST(Quantize, BadRangeThrows) {
   EXPECT_THROW(quantize_deltas({1.0}, cfg, 1.0), std::invalid_argument);
 }
 
-TEST(MaxAbsDelta, OverNestedVectors) {
-  EXPECT_DOUBLE_EQ(max_abs_delta({{1.0, -3.0}, {2.0}}), 3.0);
-  EXPECT_DOUBLE_EQ(max_abs_delta({}), 0.0);
-  EXPECT_DOUBLE_EQ(max_abs_delta({{}}), 0.0);
-}
-
 // --- Cheating transform (§5.4) --------------------------------------------
 
 TEST(Cheating, InflatesBestAlternativeToMaxSum) {

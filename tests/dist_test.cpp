@@ -21,7 +21,6 @@
 #include "dist/framed.hpp"
 #include "dist/tcp_channel.hpp"
 #include "dist/worker.hpp"
-#include "obs/registry.hpp"
 #include "proto/dist_messages.hpp"
 #include "proto/frame.hpp"
 #include "runtime/scenario.hpp"
@@ -295,39 +294,6 @@ TEST(DistSpec, KeysRoundTripThroughSerialization) {
   EXPECT_EQ(reparsed.dist.timeout_ms, 5000u);
   EXPECT_EQ(reparsed.dist.retries, 1u);
   EXPECT_EQ(reparsed.dist.log_dir, "/tmp/wl");
-}
-
-TEST(ObsSnapshot, MergeFromSumsAcrossProcessShards) {
-  obs::Snapshot a;
-  a.counters = {{"x", 2}, {"y", 5}};
-  obs::HistogramSnapshot ha;
-  ha.name = "h";
-  ha.count = 2;
-  ha.sum = 10;
-  ha.buckets.assign(obs::kHistogramBuckets, 0);
-  ha.buckets[3] = 2;
-  a.histograms = {ha};
-
-  obs::Snapshot b;
-  b.counters = {{"y", 1}, {"z", 7}};
-  obs::HistogramSnapshot hb = ha;
-  hb.count = 1;
-  hb.sum = 4;
-  hb.buckets[3] = 0;
-  hb.buckets[5] = 1;
-  b.histograms = {hb};
-
-  a.merge_from(b);
-  ASSERT_EQ(a.counters.size(), 3u);  // sorted by name after the merge
-  EXPECT_EQ(a.counters[0].name, "x");
-  EXPECT_EQ(a.counters[1].name, "y");
-  EXPECT_EQ(a.counters[1].value, 6u);
-  EXPECT_EQ(a.counters[2].value, 7u);
-  ASSERT_EQ(a.histograms.size(), 1u);
-  EXPECT_EQ(a.histograms[0].count, 3u);
-  EXPECT_EQ(a.histograms[0].sum, 14u);
-  EXPECT_EQ(a.histograms[0].buckets[3], 2u);
-  EXPECT_EQ(a.histograms[0].buckets[5], 1u);
 }
 
 // --- worker serve loop ---------------------------------------------------

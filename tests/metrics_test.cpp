@@ -86,15 +86,5 @@ TEST(Piecewise, PenalisesOverloadSharply) {
   EXPECT_GT(skewed, 10 * balanced);
 }
 
-TEST(Piecewise, PairCostSumsSides) {
-  routing::LoadMap loads, caps;
-  loads.per_side[0] = {0.5};
-  loads.per_side[1] = {0.5};
-  caps.per_side[0] = {1};
-  caps.per_side[1] = {1};
-  EXPECT_NEAR(pair_piecewise_cost(loads, caps),
-              2 * piecewise_linear_cost({0.5}, {1}), 1e-12);
-}
-
 }  // namespace
 }  // namespace nexit::metrics

@@ -47,13 +47,6 @@ TEST(PairRouting, EarlyExitPicksNearestToSource) {
   EXPECT_EQ(r.early_exit(make_flow(0, Direction::kAtoB, 0, 2), {1, 2}), 1u);
 }
 
-TEST(PairRouting, LateExitPicksNearestToDestination) {
-  auto pair = figure1_pair();
-  PairRouting r(pair);
-  EXPECT_EQ(r.late_exit(make_flow(0, Direction::kAtoB, 0, 2), kAll), 2u);
-  EXPECT_EQ(r.late_exit(make_flow(0, Direction::kAtoB, 0, 0), kAll), 0u);
-}
-
 TEST(PairRouting, MinTotalKmExit) {
   auto pair = figure1_pair();
   PairRouting r(pair);
@@ -101,8 +94,6 @@ TEST(Assignments, PolicyAssignmentsPerFlow) {
                                    make_flow(1, Direction::kAtoB, 2, 0)};
   auto early = assign_early_exit(r, flows, kAll);
   EXPECT_EQ(early.ix_of_flow, (std::vector<std::size_t>{0, 2}));
-  auto late = assign_late_exit(r, flows, kAll);
-  EXPECT_EQ(late.ix_of_flow, (std::vector<std::size_t>{2, 0}));
   auto opt = assign_min_total_km(r, flows, kAll);
   EXPECT_EQ(opt.ix_of_flow, (std::vector<std::size_t>{2, 0}));
 }

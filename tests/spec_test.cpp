@@ -340,8 +340,8 @@ TEST(ExperimentSpec, SeedRoundTripsThroughItsSignedSpelling) {
 }
 
 TEST(ScenarioRegistry, PresetIgnoredKeysAreRejectedNotSwallowed) {
-  // table3 only consumes --seed; the legacy binary exited 2 for anything
-  // else, and the preset must too instead of silently running unchanged.
+  // table3 only consumes --seed; anything else exits 2 instead of
+  // silently running unchanged.
   const ScenarioPreset* table3 = find_scenario("table3");
   ASSERT_NE(table3, nullptr);
   const char* argv[] = {"prog", "--isps=99"};
@@ -413,7 +413,7 @@ TEST(ScenarioRegistry, NamesAreUniqueAndFindable) {
     EXPECT_EQ(preset->name, name);
   }
   EXPECT_EQ(find_scenario("no-such-scenario"), nullptr);
-  // Every paper figure/ablation the legacy binaries covered is registered.
+  // Every paper figure/ablation is registered.
   for (const char* required :
        {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
         "table3", "abl_destination_based", "abl_flow_fraction",

@@ -96,14 +96,6 @@ TEST(Rng, DoubleInUnitInterval) {
   }
 }
 
-TEST(Rng, GaussianMomentsRoughlyStandard) {
-  Rng rng(13);
-  std::vector<double> xs;
-  for (int i = 0; i < 20000; ++i) xs.push_back(rng.next_gaussian());
-  EXPECT_NEAR(mean(xs), 0.0, 0.05);
-  EXPECT_NEAR(stddev(xs), 1.0, 0.05);
-}
-
 TEST(Rng, ForkIndependentButDeterministic) {
   Rng a(5);
   Rng c1 = a.fork();

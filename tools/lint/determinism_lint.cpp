@@ -92,7 +92,7 @@ const PassDoc kPasses[] = {
      "unguarded-write)"},
     {"--dead-keys", "dead spec keys",
      "every key in sim::spec_key_registry must be read by some flags/spec "
-     "accessor outside bench//examples/ shims (rule: dead-spec-key)"},
+     "accessor outside bench/ and examples/ (rule: dead-spec-key)"},
 };
 
 void print_passes_text() {

@@ -5,8 +5,8 @@
 // sanitized view blanks them — at positions located via the sanitized
 // structure), then looks for a *read*: an occurrence of the quoted key
 // whose preceding context contains a flags/spec accessor
-// (get_* / merge_* / axis_values / has). bench/ and examples/ shims spell
-// flag names too, so reads only count outside those trees.
+// (get_* / merge_* / axis_values / has). Programs under bench/ and
+// examples/ spell flag names too, so reads only count outside those trees.
 
 #include <map>
 #include <set>
@@ -117,7 +117,7 @@ void collect_entries(const std::vector<SourceFile>& files, std::size_t fi,
   }
 }
 
-bool shim_path(const std::string& path) {
+bool program_path(const std::string& path) {
   return path.find("bench/") != std::string::npos ||
          path.find("examples/") != std::string::npos;
 }
@@ -136,7 +136,7 @@ void run_dead_key_pass(const std::vector<SourceFile>& files,
 
   std::set<std::string> read_keys;
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    if (shim_path(files[fi].path)) continue;
+    if (program_path(files[fi].path)) continue;
     const std::string& raw = files[fi].content;
     for (const RegistryEntry& e : entries) {
       if (read_keys.count(e.key) != 0) continue;

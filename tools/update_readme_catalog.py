@@ -14,11 +14,10 @@ def main() -> int:
     readme_path = sys.argv[1] if len(sys.argv) > 1 else "README.md"
     begin, end = "<!-- scenario-catalog:begin -->", "<!-- scenario-catalog:end -->"
 
-    rows = ["| scenario | legacy binary | reproduces |", "|---|---|---|"]
+    rows = ["| scenario | reproduces |", "|---|---|"]
     for line in sys.stdin:
-        name, legacy, desc = line.rstrip("\n").split("\t")
-        legacy_cell = "—" if legacy == "-" else f"`{legacy}`"
-        rows.append(f"| `{name}` | {legacy_cell} | {desc} |")
+        name, desc = line.rstrip("\n").split("\t")
+        rows.append(f"| `{name}` | {desc} |")
     table = "\n".join(rows)
 
     text = open(readme_path, encoding="utf-8").read()
