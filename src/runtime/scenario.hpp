@@ -52,6 +52,8 @@ struct ScenarioEvent {
   EventKind kind = EventKind::kStart;
   std::uint32_t session = 0;
   std::uint64_t param = 0;
+
+  friend bool operator==(const ScenarioEvent&, const ScenarioEvent&) = default;
 };
 
 /// kTcpPair is a connected loopback TCP pair from src/dist — same fd-backed

@@ -1,7 +1,6 @@
 #include "sim/scenarios.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -1476,7 +1475,7 @@ int run_custom(ScenarioContext& ctx) {
 // ------------------------------------------------------------------------
 
 int run_runtime(ScenarioContext& ctx) {
-  const runtime::ScenarioConfig cfg = runtime_config_of(ctx.spec);
+  const runtime::ScenarioConfig cfg = ctx.spec.to_runtime_config();
   print_bench_header("Runtime scenario",
                      "concurrent negotiation sessions over a declared timeline",
                      ctx.spec.universe_summary());
@@ -1705,9 +1704,9 @@ void tune_runtime_churn(ExperimentSpec& s) {
   s.runtime.drop = 1.0;
   s.runtime.fault_targets = {3};
   s.runtime.events = {
-      {1, RuntimeEventSpec::Kind::kLinkFailure, 0, RuntimeEventSpec::kBusiest},
-      {3, RuntimeEventSpec::Kind::kPeerRestart, 1, 0},
-      {5, RuntimeEventSpec::Kind::kFlowChurn, 2, 4242},
+      {1, runtime::EventKind::kLinkFailure, 0, runtime::kBusiestIx},
+      {3, runtime::EventKind::kPeerRestart, 1, 0},
+      {5, runtime::EventKind::kFlowChurn, 2, 4242},
   };
 }
 
@@ -2129,10 +2128,11 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
     // *placement*, not experiment shape: the durability contract makes the
     // resumed outcome byte-identical to an uninterrupted run's, so the
     // archived spec drops them too — CI cmp-s the two records whole.
-    std::erase_if(archived.runtime.events, [](const RuntimeEventSpec& ev) {
-      return ev.kind == RuntimeEventSpec::Kind::kKill ||
-             ev.kind == RuntimeEventSpec::Kind::kResume;
-    });
+    std::erase_if(archived.runtime.events,
+                  [](const runtime::ScenarioEvent& ev) {
+                    return ev.kind == runtime::EventKind::kKill ||
+                           ev.kind == runtime::EventKind::kResume;
+                  });
     archived.runtime.snapshot_dir.clear();
     for (const auto& [key, value] : archived.to_key_values())
       record.spec_entry(key, value);
@@ -2238,74 +2238,6 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
   record.metric("digest", util::digest_hex(sweep_digest));
   record.write();
   return 0;
-}
-
-runtime::ScenarioConfig runtime_config_of(const ExperimentSpec& spec) {
-  assert(spec.experiment == ExperimentKind::kRuntime);
-  runtime::ScenarioConfig c;
-  c.universe = spec.universe();
-  c.min_links = spec.runtime.min_links;
-  c.session_count = spec.runtime.sessions;
-  switch (spec.traffic_model) {
-    case traffic::WorkloadModel::kGravity:
-      c.traffic = runtime::ScenarioTraffic::kGravityAtoB;
-      break;
-    case traffic::WorkloadModel::kIdentical:
-      c.traffic = runtime::ScenarioTraffic::kBidirectionalIdentical;
-      break;
-    case traffic::WorkloadModel::kUniformRandom:
-      c.traffic = runtime::ScenarioTraffic::kBidirectionalUniformRandom;
-      break;
-  }
-  c.negotiation = spec.to_negotiation_config();
-  c.limits.handshake_deadline = spec.runtime.handshake_deadline;
-  c.limits.round_timeout = spec.runtime.round_timeout;
-  c.limits.max_attempts = static_cast<int>(spec.runtime.max_attempts);
-  c.limits.max_steps_per_pump = spec.runtime.burst;
-  c.runtime.threads = spec.threads;
-  c.runtime.max_ticks = spec.runtime.max_ticks;
-  c.transport = spec.runtime.transport == RuntimeTransport::kSocket
-                    ? runtime::Transport::kSocketPair
-                : spec.runtime.transport == RuntimeTransport::kTcp
-                    ? runtime::Transport::kTcpPair
-                    : runtime::Transport::kInMemory;
-  c.faults.drop = spec.runtime.drop;
-  c.faults.corrupt = spec.runtime.corrupt;
-  c.fault_targets = spec.runtime.fault_targets;
-  c.start_stagger = spec.runtime.stagger;
-  c.durability.dir = spec.runtime.snapshot_dir;
-  c.seed = spec.seed;
-  for (const RuntimeEventSpec& ev : spec.runtime.events) {
-    runtime::ScenarioEvent out;
-    out.at = ev.at;
-    out.session = ev.session;
-    switch (ev.kind) {
-      case RuntimeEventSpec::Kind::kStart:
-        out.kind = runtime::EventKind::kStart;
-        break;
-      case RuntimeEventSpec::Kind::kFlowChurn:
-        out.kind = runtime::EventKind::kFlowChurn;
-        break;
-      case RuntimeEventSpec::Kind::kLinkFailure:
-        out.kind = runtime::EventKind::kLinkFailure;
-        break;
-      case RuntimeEventSpec::Kind::kPeerRestart:
-        out.kind = runtime::EventKind::kPeerRestart;
-        break;
-      case RuntimeEventSpec::Kind::kKill:
-        out.kind = runtime::EventKind::kKill;
-        break;
-      case RuntimeEventSpec::Kind::kResume:
-        out.kind = runtime::EventKind::kResume;
-        break;
-    }
-    out.param = ev.kind == RuntimeEventSpec::Kind::kLinkFailure &&
-                        ev.param == RuntimeEventSpec::kBusiest
-                    ? runtime::kBusiestIx
-                    : ev.param;
-    c.events.push_back(out);
-  }
-  return c;
 }
 
 }  // namespace nexit::sim

@@ -124,13 +124,6 @@ PointOutcome run_point(const ScenarioPreset& preset,
 /// process or shipped from a worker.
 void record_obs_section(util::JsonReport& record, const obs::Snapshot& snap);
 
-/// The runtime::ScenarioConfig a spec with experiment=runtime describes —
-/// universe, session population, limits, faults, and the declared timeline
-/// mapped onto runtime::ScenarioEvent. Lives at the scenario layer (not on
-/// ExperimentSpec) because only this layer depends on src/runtime.
-[[nodiscard]] runtime::ScenarioConfig runtime_config_of(
-    const ExperimentSpec& spec);
-
 /// FNV digests over the deterministic per-sample fields; equal digests
 /// across --threads / --incremental / worker counts demonstrate
 /// bit-identical experiments.

@@ -7,19 +7,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
-#include <iterator>
 #include <sstream>
+#include <type_traits>
 
+#include "geo/city_db.hpp"
 #include "sim/report.hpp"
 
 namespace nexit::sim {
 
 namespace {
 
+using runtime::EventKind;
+
 // --- enum <-> string tables ---------------------------------------------
-// One table per enum; merge_from_flags feeds the names to
+// One table per enum; a choice key's row feeds the names to
 // Flags::get_choice, so an out-of-set value dies listing exactly these —
 // and the key registry lists the same names as the key's valid choices.
 
@@ -67,18 +72,18 @@ constexpr Choice<capacity::UnusedLinkRule> kUnusedRules[] = {
     {capacity::UnusedLinkRule::kMean, "mean"},
     {capacity::UnusedLinkRule::kMax, "max"},
 };
-constexpr Choice<RuntimeTransport> kTransports[] = {
-    {RuntimeTransport::kMemory, "memory"},
-    {RuntimeTransport::kSocket, "socket"},
-    {RuntimeTransport::kTcp, "tcp"},
+constexpr Choice<runtime::Transport> kTransports[] = {
+    {runtime::Transport::kInMemory, "memory"},
+    {runtime::Transport::kSocketPair, "socket"},
+    {runtime::Transport::kTcpPair, "tcp"},
 };
-constexpr Choice<RuntimeEventSpec::Kind> kEventKinds[] = {
-    {RuntimeEventSpec::Kind::kStart, "start"},
-    {RuntimeEventSpec::Kind::kFlowChurn, "churn"},
-    {RuntimeEventSpec::Kind::kLinkFailure, "fail"},
-    {RuntimeEventSpec::Kind::kPeerRestart, "restart"},
-    {RuntimeEventSpec::Kind::kKill, "kill"},
-    {RuntimeEventSpec::Kind::kResume, "resume"},
+constexpr Choice<EventKind> kEventKinds[] = {
+    {EventKind::kStart, "start"},
+    {EventKind::kFlowChurn, "churn"},
+    {EventKind::kLinkFailure, "fail"},
+    {EventKind::kPeerRestart, "restart"},
+    {EventKind::kKill, "kill"},
+    {EventKind::kResume, "resume"},
 };
 
 template <typename E, std::size_t N>
@@ -89,36 +94,12 @@ std::string name_of(const Choice<E> (&table)[N], E value) {
   return table[0].name;
 }
 
-template <typename E, std::size_t N>
-std::vector<std::string> names_of(const Choice<E> (&table)[N]) {
-  std::vector<std::string> out;
-  for (const auto& c : table) out.emplace_back(c.name);
-  return out;
-}
-
-template <typename E, std::size_t N>
-std::string choices_text(const Choice<E> (&table)[N]) {
-  std::string out = "one of {";
-  for (std::size_t i = 0; i < N; ++i)
-    out += std::string(i == 0 ? "" : ", ") + table[i].name;
+/// "one of {a, b, c}", the "values:" text of a closed set.
+std::string one_of(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& name : names)
+    out += (out.empty() ? "one of {" : ", ") + name;
   return out + "}";
-}
-
-/// Reads one choice key: current enum value is the fallback, the table is
-/// the closed set. get_choice guarantees the returned string is in-table.
-template <typename E, std::size_t N>
-E merge_choice(const util::Flags& flags, const std::string& key,
-               const Choice<E> (&table)[N], E current) {
-  const std::string picked =
-      flags.get_choice(key, names_of(table), name_of(table, current));
-  for (const auto& c : table)
-    if (picked == c.name) return c.value;
-  return current;  // --help run with a malformed value: keep the fallback
-}
-
-std::size_t merge_count(const util::Flags& flags, const std::string& key,
-                        std::size_t current, std::size_t max_value) {
-  return util::get_count(flags, key, current, max_value);
 }
 
 // --- split / numeric helpers --------------------------------------------
@@ -172,7 +153,7 @@ constexpr const char* kEventsGrammar =
     "restart@<tick>/<session>, kill@<tick>/<session>, "
     "resume@<tick>/<session>";
 
-bool parse_event(const std::string& token, RuntimeEventSpec* out) {
+bool parse_event(const std::string& token, runtime::ScenarioEvent* out) {
   const std::size_t at = token.find('@');
   if (at == std::string::npos) return false;
   const std::string kind_name = token.substr(0, at);
@@ -194,16 +175,16 @@ bool parse_event(const std::string& token, RuntimeEventSpec* out) {
   out->session = static_cast<std::uint32_t>(session);
   out->param = 0;
   switch (out->kind) {
-    case RuntimeEventSpec::Kind::kStart:
-    case RuntimeEventSpec::Kind::kPeerRestart:
-    case RuntimeEventSpec::Kind::kKill:
-    case RuntimeEventSpec::Kind::kResume:
+    case EventKind::kStart:
+    case EventKind::kPeerRestart:
+    case EventKind::kKill:
+    case EventKind::kResume:
       return fields.size() == 2;
-    case RuntimeEventSpec::Kind::kFlowChurn:
+    case EventKind::kFlowChurn:
       return fields.size() == 3 && parse_u64(fields[2], &out->param);
-    case RuntimeEventSpec::Kind::kLinkFailure:
+    case EventKind::kLinkFailure:
       if (fields.size() == 2 || (fields.size() == 3 && fields[2] == "busiest")) {
-        out->param = RuntimeEventSpec::kBusiest;
+        out->param = runtime::kBusiestIx;
         return true;
       }
       return fields.size() == 3 && parse_u64(fields[2], &out->param);
@@ -211,20 +192,20 @@ bool parse_event(const std::string& token, RuntimeEventSpec* out) {
   return false;
 }
 
-std::string event_text(const RuntimeEventSpec& ev) {
+std::string event_text(const runtime::ScenarioEvent& ev) {
   std::string out = name_of(kEventKinds, ev.kind) + "@" +
                     std::to_string(ev.at) + "/" + std::to_string(ev.session);
   switch (ev.kind) {
-    case RuntimeEventSpec::Kind::kStart:
-    case RuntimeEventSpec::Kind::kPeerRestart:
-    case RuntimeEventSpec::Kind::kKill:
-    case RuntimeEventSpec::Kind::kResume:
+    case EventKind::kStart:
+    case EventKind::kPeerRestart:
+    case EventKind::kKill:
+    case EventKind::kResume:
       break;
-    case RuntimeEventSpec::Kind::kFlowChurn:
+    case EventKind::kFlowChurn:
       out += "/" + std::to_string(ev.param);
       break;
-    case RuntimeEventSpec::Kind::kLinkFailure:
-      out += ev.param == RuntimeEventSpec::kBusiest
+    case EventKind::kLinkFailure:
+      out += ev.param == runtime::kBusiestIx
                  ? "/busiest"
                  : "/" + std::to_string(ev.param);
       break;
@@ -232,61 +213,11 @@ std::string event_text(const RuntimeEventSpec& ev) {
   return out;
 }
 
-std::string events_text(const std::vector<RuntimeEventSpec>& events) {
-  std::string out;
-  for (std::size_t i = 0; i < events.size(); ++i)
-    out += (i == 0 ? "" : ",") + event_text(events[i]);
-  return out;
-}
-
-std::vector<RuntimeEventSpec> merge_events(
-    const util::Flags& flags, const std::string& key,
-    const std::vector<RuntimeEventSpec>& current) {
-  const std::string raw = flags.get_string(key, events_text(current));
-  if (raw == events_text(current)) return current;
-  std::vector<RuntimeEventSpec> events;
-  if (!raw.empty()) {
-    for (const std::string& token : split(raw, ',')) {
-      RuntimeEventSpec ev;
-      if (!parse_event(token, &ev)) {
-        if (flags.help_requested()) return current;
-        util::die_flag_value(key, raw,
-                             std::string(kEventsGrammar) +
-                                 " (bad event \"" + token + "\")");
-      }
-      events.push_back(ev);
-    }
-  }
-  return events;
-}
-
-// --- runtime.fault-targets (comma-separated session ids) ----------------
-
-std::string targets_text(const std::vector<std::uint32_t>& targets) {
-  std::string out;
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    out += (i == 0 ? "" : ",") + std::to_string(targets[i]);
-  return out;
-}
-
-std::vector<std::uint32_t> merge_targets(
-    const util::Flags& flags, const std::string& key,
-    const std::vector<std::uint32_t>& current) {
-  const std::string raw = flags.get_string(key, targets_text(current));
-  if (raw == targets_text(current)) return current;
-  std::vector<std::uint32_t> targets;
-  if (!raw.empty()) {
-    for (const std::string& token : split(raw, ',')) {
-      std::uint64_t id = 0;
-      if (!parse_u64(token, &id) || id > 0xffffffffull) {
-        if (flags.help_requested()) return current;
-        util::die_flag_value(key, raw,
-                             "a comma-separated list of session ids");
-      }
-      targets.push_back(static_cast<std::uint32_t>(id));
-    }
-  }
-  return targets;
+bool parse_session_id(const std::string& token, std::uint32_t* out) {
+  std::uint64_t id = 0;
+  if (!parse_u64(token, &id) || id > 0xffffffffull) return false;
+  *out = static_cast<std::uint32_t>(id);
+  return true;
 }
 
 // --- sweep axes ----------------------------------------------------------
@@ -353,11 +284,463 @@ std::string axis_values_text(const SweepAxis& axis) {
   return out;
 }
 
+// --- the key table -------------------------------------------------------
+// One row per spec key, in canonical (serialized) order, then the sweep-only
+// axes. A row names the key, the experiment kinds it applies to and its doc
+// line, and binds the key to its ExperimentSpec field through one codec,
+// with the field's bounds. merge_from_flags, the `overridden` bookkeeping,
+// to_key_values, value_of, spec_key_registry (its "values:" text included)
+// and validate()'s single-key range checks all read the row.
+
+using Range = SpecKeyInfo::Range;
+
+struct KeyRow {
+  SpecKeyInfo info;  // default_value is filled in by spec_key_registry()
+  /// Overlays the key from `flags`, the field's current value being the
+  /// fallback; exits 2 naming the key on a malformed or out-of-range value.
+  /// Empty for sweep-only axes, which have no field.
+  std::function<void(ExperimentSpec&, const util::Flags&)> merge;
+  /// The field's serialized value (empty for sweep-only axes).
+  std::function<std::string(const ExperimentSpec&)> text;
+};
+
+/// A field binding is a generic lambda `[](auto& s) -> auto& { return
+/// s.<field>; }`, so one binding reads a const spec and writes a mutable one.
+template <typename F>
+using FieldOf = std::remove_cvref_t<
+    decltype(std::declval<F>()(std::declval<ExperimentSpec&>()))>;
+
+KeyRow make_row(const char* key, unsigned kinds, const char* type,
+                std::string constraints, const char* doc) {
+  KeyRow row;
+  row.info.key = key;
+  row.info.kinds = kinds;
+  row.info.type = type;
+  row.info.constraints = std::move(constraints);
+  row.info.doc = doc;
+  return row;
+}
+
+/// The one codec shape: `read(flags, key, current)` parses the key (exiting
+/// 2 on a bad value) and `print(value)` serializes it.
+template <typename F, typename Read, typename Print>
+KeyRow bound_row(const char* key, unsigned kinds, const char* type,
+                 std::string constraints, const char* doc, F field, Read read,
+                 Print print) {
+  KeyRow row = make_row(key, kinds, type, std::move(constraints), doc);
+  row.merge = [=](ExperimentSpec& s, const util::Flags& flags) {
+    field(s) = read(flags, key, field(s));
+  };
+  row.text = [=](const ExperimentSpec& s) -> std::string {
+    return print(field(s));
+  };
+  return row;
+}
+
+bool in_range(const std::optional<Range>& range, double v) {
+  return !range || (v >= range->lo && v <= range->hi);
+}
+
+/// count / int / double keys; a bounded unsigned field documents itself as
+/// a "count". Integers parse as int64 and serialize through their signed
+/// spelling, so a seed with the top bit set round-trips as its
+/// two's-complement twin ("-1"); doubles print with %.17g, which
+/// round-trips exactly. `note` (a unit, or what a special value means)
+/// follows the bounds in the "values:" text.
+template <typename F>
+KeyRow number_row(const char* key, unsigned kinds, F field,
+                  std::optional<Range> range, const char* note,
+                  const char* doc) {
+  using T = FieldOf<F>;
+  constexpr bool kIntegral = std::is_integral_v<T>;
+  const char* type = !kIntegral                       ? "double"
+                     : std::is_unsigned_v<T> && range ? "count"
+                                                      : "int";
+  std::string text =
+      range ? std::string(kIntegral ? "integer" : "number") + " in [" +
+                  fmt_double(range->lo) + ", " + fmt_double(range->hi) + "]"
+            : "";
+  if (note[0] != '\0')
+    text += text.empty() ? note : std::string(" (") + note + ")";
+  const std::string expected = (kIntegral ? "an " : "a ") + text;
+  const auto read = [range, expected](const util::Flags& flags,
+                                      const char* k, T current) {
+    if constexpr (kIntegral) {
+      const std::int64_t v =
+          flags.get_int(k, static_cast<std::int64_t>(current));
+      if (in_range(range, static_cast<double>(v))) return static_cast<T>(v);
+    } else {
+      const double v = flags.get_double(k, current);
+      if (in_range(range, v)) return v;
+    }
+    if (!flags.help_requested())
+      util::die_flag_value(k, flags.get_string(k, ""), expected);
+    return current;
+  };
+  const auto print = [](T v) {
+    if constexpr (kIntegral)
+      return std::to_string(static_cast<std::int64_t>(v));
+    else
+      return fmt_double(v);
+  };
+  KeyRow row = bound_row(key, kinds, type, text, doc, field, read, print);
+  row.info.range = range;
+  return row;
+}
+
+template <typename F>
+KeyRow bool_row(const char* key, unsigned kinds, F field, const char* doc) {
+  return bound_row(
+      key, kinds, "bool", "", doc, field,
+      [](const util::Flags& flags, const char* k, bool current) {
+        return flags.get_bool(k, current);
+      },
+      [](bool v) -> std::string { return v ? "true" : "false"; });
+}
+
+template <typename E, std::size_t N, typename F>
+KeyRow choice_row(const char* key, unsigned kinds, F field,
+                  const Choice<E> (&table)[N], const char* doc) {
+  std::vector<std::string> names;
+  for (const auto& c : table) names.emplace_back(c.name);
+  return bound_row(
+      key, kinds, "choice", one_of(names), doc, field,
+      [&table, names](const util::Flags& flags, const char* k, E current) {
+        // get_choice exits 2 on an out-of-set value, except in a --help
+        // run, which gets the fallback back.
+        const std::string picked =
+            flags.get_choice(k, names, name_of(table, current));
+        for (const auto& c : table)
+          if (picked == c.name) return c.value;
+        return current;
+      },
+      [&table](E v) { return name_of(table, v); });
+}
+
+/// An objective: an OracleRegistry name or `default`, optionally behind
+/// `cheat:`. Names are checked by validate(), which knows the experiment.
+template <typename F>
+KeyRow oracle_row(const char* key, unsigned kinds, F field, const char* doc) {
+  std::string names;
+  for (const std::string& n : core::OracleRegistry::global().names())
+    names += (names.empty() ? "a registry oracle (" : ", ") + n;
+  names += ") or `default`, optionally behind `cheat:`";
+  return bound_row(
+      key, kinds, "oracle", names, doc, field,
+      [](const util::Flags& flags, const char* k,
+         const core::OracleSpec& current) {
+        return core::OracleSpec::parse(
+            flags.get_string(k, current.to_string()));
+      },
+      [](const core::OracleSpec& v) { return v.to_string(); });
+}
+
+/// A free-form string; `type` is its documented shape ("string", "list").
+template <typename F>
+KeyRow string_row(const char* key, unsigned kinds, const char* type, F field,
+                  const char* note, const char* doc) {
+  return bound_row(
+      key, kinds, type, note, doc, field,
+      [](const util::Flags& flags, const char* k, const std::string& current) {
+        return flags.get_string(k, current);
+      },
+      [](const std::string& v) { return v; });
+}
+
+/// A comma-separated list key: `parse_one(token, &item)` reads one item
+/// and `print_one(item)` writes it; a bad item exits 2 naming the key and
+/// the item.
+template <typename F, typename Parse, typename Print>
+KeyRow list_row(const char* key, unsigned kinds, const char* type,
+                const char* grammar, const char* item, F field,
+                Parse parse_one, Print print_one, const char* doc) {
+  using T = typename FieldOf<F>::value_type;
+  const auto print = [print_one](const std::vector<T>& items) {
+    std::string out;
+    for (std::size_t i = 0; i < items.size(); ++i)
+      out += (i == 0 ? "" : ",") + print_one(items[i]);
+    return out;
+  };
+  const auto read = [=](const util::Flags& flags, const char* k,
+                        const std::vector<T>& current) {
+    const std::string raw = flags.get_string(k, print(current));
+    std::vector<T> items;
+    if (raw.empty()) return items;
+    for (const std::string& token : split(raw, ',')) {
+      T value{};
+      if (!parse_one(token, &value)) {
+        if (flags.help_requested()) return current;
+        util::die_flag_value(k, raw,
+                             std::string(grammar) + " (bad " + item + " \"" +
+                                 token + "\")");
+      }
+      items.push_back(value);
+    }
+    return items;
+  };
+  return bound_row(key, kinds, type, grammar, doc, field, read, print);
+}
+
+/// A sweep-only axis: a virtual key whose values a preset's run function
+/// maps to config variants; `sweep.<key>=...` is its only spelling and
+/// `values` (comma-separated) its default.
+KeyRow axis_row(const char* key, const char* owner, const std::string& values,
+                const char* doc) {
+  KeyRow row = make_row(key, kForDistance | kForBandwidth, "choice",
+                        one_of(split(values, ',')), doc);
+  row.info.default_value = values;
+  row.info.sweep_only = true;
+  row.info.owner_scenario = owner;
+  return row;
+}
+
+/// The keys validate() and the sweep parser name outside the table.
+constexpr const char* kExperimentKey = "experiment";  // never sweepable
+constexpr const char* kOracleKeys[2] = {"oracle-a", "oracle-b"};
+
+std::vector<KeyRow> build_key_rows() {
+  constexpr double kMaxItems = 1u << 20;  // ISPs, pairs, sessions, ...
+  constexpr double kMaxTicks = 1u << 30;
+  const double cities = static_cast<double>(geo::CityDb::builtin().size());
+  const Range fraction{0, 1};
+  return {
+      choice_row(kExperimentKey, kForAllKinds,
+                 [](auto& s) -> auto& { return s.experiment; }, kExperiments,
+                 "Which engine runs: the paper's distance or bandwidth "
+                 "experiment, or the concurrent negotiation runtime with a "
+                 "declared timeline."),
+      number_row("isps", kForAllKinds, [](auto& s) -> auto& { return s.isps; },
+                 Range{2, kMaxItems}, "",
+                 "Synthetic ISPs in the universe (the paper used 65)."),
+      number_row("seed", kForAllKinds, [](auto& s) -> auto& { return s.seed; },
+                 std::nullopt, "",
+                 "Root RNG seed; every per-pair/per-session stream forks from "
+                 "it deterministically."),
+      number_row("pairs", kForAllKinds,
+                 [](auto& s) -> auto& { return s.pairs; }, Range{1, kMaxItems},
+                 "", "Upper bound on ISP pairs drawn from the universe."),
+      // The generator places PoPs in distinct cities of the built-in
+      // database, so its size bounds both counts.
+      number_row("pop-min", kForAllKinds,
+                 [](auto& s) -> auto& { return s.pop_min; }, Range{2, cities},
+                 "", "Minimum PoPs per generated ISP."),
+      number_row("pop-max", kForAllKinds,
+                 [](auto& s) -> auto& { return s.pop_max; }, Range{2, cities},
+                 "", "Maximum PoPs per generated ISP."),
+      oracle_row(kOracleKeys[0], kForDistance | kForBandwidth,
+                 [](auto& s) -> auto& { return s.objective[0]; },
+                 "Side A's objective; `default` resolves per experiment "
+                 "kind."),
+      oracle_row(kOracleKeys[1], kForDistance | kForBandwidth,
+                 [](auto& s) -> auto& { return s.objective[1]; },
+                 "Side B's objective; `default` resolves per experiment "
+                 "kind."),
+      number_row("pref-range", kForAllKinds,
+                 [](auto& s) -> auto& { return s.pref_range; },
+                 Range{1, std::numeric_limits<int>::max()}, "",
+                 "Preference-class range P (paper §4.1)."),
+      choice_row("turn", kForAllKinds, [](auto& s) -> auto& { return s.turn; },
+                 kTurns, "Whose turn it is to propose (paper §4.2)."),
+      choice_row("proposal", kForAllKinds,
+                 [](auto& s) -> auto& { return s.proposal; }, kProposals,
+                 "Which candidate move the proposer picks (paper §4.2)."),
+      choice_row("acceptance", kForAllKinds,
+                 [](auto& s) -> auto& { return s.acceptance; }, kAcceptances,
+                 "When the responder accepts a proposal (paper §4.2)."),
+      choice_row("termination", kForAllKinds,
+                 [](auto& s) -> auto& { return s.termination; },
+                 kTerminations, "When the negotiation stops (paper §4.2)."),
+      choice_row("tie-break", kForDistance | kForBandwidth,
+                 [](auto& s) -> auto& { return s.tie_break; }, kTieBreaks,
+                 "Tie-break among equally good proposals; the runtime always "
+                 "forces `deterministic` (the wire-agent contract)."),
+      number_row("reassign", kForAllKinds,
+                 [](auto& s) -> auto& { return s.reassign; }, fraction,
+                 "fraction of traffic",
+                 "Reassignment quantum (paper: 0.05); only load-dependent "
+                 "oracles honour it."),
+      bool_row("rollback", kForAllKinds,
+               [](auto& s) -> auto& { return s.rollback; },
+               "Settlement rollback of tentative moves the final agreement "
+               "dropped."),
+      bool_row("incremental", kForAllKinds,
+               [](auto& s) -> auto& { return s.incremental; },
+               "Delta-driven oracle re-evaluation (bit-identical to full "
+               "recompute; see docs/ARCHITECTURE.md)."),
+      number_row("verify-incremental", kForAllKinds,
+                 [](auto& s) -> auto& { return s.verify_incremental; },
+                 Range{-1, std::numeric_limits<int>::max()},
+                 "0 = build default, -1 = off",
+                 "Cross-check incremental evaluations against full recomputes "
+                 "every Nth refresh."),
+      choice_row("traffic", kForBandwidth | kForRuntime,
+                 [](auto& s) -> auto& { return s.traffic_model; }, kWorkloads,
+                 "Workload model for PoP weights (bandwidth experiment) / "
+                 "session traffic shape (runtime)."),
+      bool_row("capacity-pow2", kForBandwidth,
+               [](auto& s) -> auto& { return s.capacity_pow2; },
+               "Round link capacities up to powers of two (§5.2 alternate "
+               "model)."),
+      choice_row("capacity-unused", kForBandwidth,
+                 [](auto& s) -> auto& { return s.capacity_unused; },
+                 kUnusedRules,
+                 "Capacity rule for links unused by the baseline routing."),
+      number_row("max-failures", kForBandwidth,
+                 [](auto& s) -> auto& { return s.max_failures; },
+                 Range{0, 10000}, "",
+                 "Interconnection failures sampled per pair."),
+      bool_row("flow-baselines", kForDistance,
+               [](auto& s) -> auto& { return s.flow_baselines; },
+               "Also run the Fig. 5 flow-pair strawman strategies."),
+      bool_row("unilateral", kForBandwidth,
+               [](auto& s) -> auto& { return s.unilateral; },
+               "Also run the Fig. 8 upstream-only LP series."),
+      number_row("groups", kForDistance,
+                 [](auto& s) -> auto& { return s.groups; },
+                 Range{1, kMaxItems}, "",
+                 "Split the flow set into k independently negotiated groups "
+                 "(§5.1)."),
+      number_row("threads", kForAllKinds,
+                 [](auto& s) -> auto& { return s.threads; }, Range{0, 1024}, "",
+                 "Worker threads; 0 = auto-detect. Results are bit-identical "
+                 "for every value."),
+      number_row("runtime.sessions", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.sessions; },
+                 Range{0, kMaxItems}, "",
+                 "Initial sessions; 0 = one per universe pair, larger counts "
+                 "cycle the pairs with per-session traffic."),
+      choice_row("runtime.transport", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.transport; },
+                 kTransports,
+                 "Channel kind: in-memory, fd-backed AF_UNIX socket pairs, or "
+                 "TCP loopback pairs (src/dist)."),
+      number_row("runtime.stagger", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.stagger; },
+                 Range{0, kMaxItems}, "virtual ticks",
+                 "Session i starts at tick i * stagger (start@ events "
+                 "override)."),
+      number_row("runtime.min-links", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.min_links; },
+                 Range{1, 1000}, "",
+                 "Universe pairs need at least this many interconnections "
+                 "(failures need survivors)."),
+      number_row("runtime.burst", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.burst; },
+                 Range{0, kMaxTicks}, "0 = run to stall",
+                 "Pump steps before a session yields its worker; small bursts "
+                 "let timeline events land genuinely mid-negotiation."),
+      number_row("runtime.handshake-deadline", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.handshake_deadline; },
+                 Range{0, kMaxTicks}, "virtual ticks",
+                 "Attempts still in the handshake after this are torn down "
+                 "(and retried)."),
+      number_row("runtime.round-timeout", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.round_timeout; },
+                 Range{0, kMaxTicks}, "virtual ticks",
+                 "Mid-session ticks without progress before teardown."),
+      number_row("runtime.max-attempts", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.max_attempts; },
+                 Range{1, 1000}, "",
+                 "Total attempts per session (first try plus retries, fresh "
+                 "channels each)."),
+      number_row("runtime.max-ticks", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.max_ticks; },
+                 Range{0, kMaxTicks}, "virtual ticks",
+                 "Virtual-clock horizon; still-live sessions are cancelled "
+                 "past it."),
+      number_row("runtime.drop", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.drop; }, fraction,
+                 "probability",
+                 "Whole-frame drop probability per send on faulted "
+                 "transports."),
+      number_row("runtime.corrupt", kForRuntime,
+                 [](auto& s) -> auto& { return s.runtime.corrupt; }, fraction,
+                 "probability",
+                 "Single-byte corruption probability per send on faulted "
+                 "transports."),
+      list_row("runtime.fault-targets", kForRuntime, "list",
+               "comma-separated session ids", "session id",
+               [](auto& s) -> auto& { return s.runtime.fault_targets; },
+               parse_session_id,
+               [](std::uint32_t id) { return std::to_string(id); },
+               "Sessions whose transport gets the fault injection (empty = "
+               "all)."),
+      list_row("runtime.events", kForRuntime, "events", kEventsGrammar,
+               "event", [](auto& s) -> auto& { return s.runtime.events; },
+               parse_event, event_text,
+               "The declared timeline: staggered starts, flow churn, "
+               "mid-session link failure, peer restarts, and crash-recovery "
+               "(kill wipes a session's in-memory state, resume restores it "
+               "from the durable snapshot+WAL; requires transport=memory, "
+               "and the resumed run's record is byte-identical to an "
+               "uninterrupted one)."),
+      string_row("runtime.snapshot-dir", kForRuntime, "string",
+                 [](auto& s) -> auto& { return s.runtime.snapshot_dir; },
+                 "output directory path",
+                 "Mirror session journals (snapshot + WAL frames) here for "
+                 "post-mortems and CI artifacts. Empty = in-memory journaling "
+                 "only; journaling itself is implied by any kill/resume "
+                 "event."),
+      string_row("obs.trace", kForAllKinds, "string",
+                 [](auto& s) -> auto& { return s.obs.trace; },
+                 "output file path",
+                 "Write a Chrome trace_event JSON (Perfetto-loadable) "
+                 "negotiation timeline here; logical clocks only, "
+                 "byte-identical across --threads=N. Empty = no trace."),
+      bool_row("obs.timing", kForAllKinds,
+               [](auto& s) -> auto& { return s.obs.timing; },
+               "Wall-clock phase profile (digest-excluded `timing` JSON "
+               "section); off = disarmed timers, provably zero overhead."),
+      number_row("dist.workers", kForAllKinds,
+                 [](auto& s) -> auto& { return s.dist.workers; }, Range{0, 256},
+                 "",
+                 "Spawn-local worker processes to shard sweep points (or a "
+                 "runtime timeline) across; 0 = in-process. The JSON record "
+                 "and sweep digest are byte-identical for every value."),
+      string_row("dist.connect", kForAllKinds, "list",
+                 [](auto& s) -> auto& { return s.dist.connect; },
+                 "comma-separated host:port endpoints",
+                 "Connect to running `nexit_workerd --listen` daemons "
+                 "instead of spawning local workers (mutually exclusive with "
+                 "dist.workers)."),
+      number_row("dist.timeout-ms", kForAllKinds,
+                 [](auto& s) -> auto& { return s.dist.timeout_ms; },
+                 Range{0, kMaxTicks}, "milliseconds, >= 1 when distributing",
+                 "Per-job deadline; a worker silent past it is declared dead "
+                 "and its job reassigned (bounded by dist.retries)."),
+      number_row("dist.retries", kForAllKinds,
+                 [](auto& s) -> auto& { return s.dist.retries; }, Range{0, 100},
+                 "",
+                 "Reassignments allowed per job after worker death/timeout "
+                 "before the run fails."),
+      string_row("dist.log-dir", kForAllKinds, "string",
+                 [](auto& s) -> auto& { return s.dist.log_dir; },
+                 "directory path",
+                 "Directory for spawn-local worker logs (worker<i>.log); "
+                 "empty = /dev/null."),
+      axis_row("model", "abl_models",
+               "paper,identical,uniform,pow2,unused-max,piecewise",
+               "abl_models variant axis: §5.2 alternate workload / capacity / "
+               "metric models, one deviation from the paper model per "
+               "value."),
+      axis_row("policy", "abl_policies",
+               "paper,lower-gain,coin-toss,full,negotiate-all,best-local",
+               "abl_policies variant axis: §4 turn / termination / proposal "
+               "policy combinations, one deviation from the paper protocol "
+               "per value."),
+  };
+}
+
+const std::vector<KeyRow>& key_rows() {
+  static const std::vector<KeyRow> rows = build_key_rows();
+  return rows;
+}
+
 void merge_sweeps(ExperimentSpec& spec, const util::Flags& flags) {
   for (const std::string& name : flags.names_with_prefix("sweep.")) {
     const std::string key = name.substr(6);
     const SpecKeyInfo* info = find_spec_key(key);
-    if (info == nullptr || key == "experiment") {
+    if (info == nullptr || key == kExperimentKey) {
       if (flags.help_requested()) continue;
       // `experiment` is registered but never sweepable: every preset pins
       // its engine, and `custom` would print mixed figures under one digest.
@@ -366,7 +749,7 @@ void merge_sweeps(ExperimentSpec& spec, const util::Flags& flags) {
                                     : ": the experiment kind cannot be swept")
                 << "; sweepable keys are:";
       for (const SpecKeyInfo& k : spec_key_registry())
-        if (k.key != "experiment") std::cerr << " " << k.key;
+        if (k.key != kExperimentKey) std::cerr << " " << k.key;
       std::cerr << "\n";
       std::exit(2);
     }
@@ -417,92 +800,35 @@ std::string to_string(ExperimentKind kind) {
   return name_of(kExperiments, kind);
 }
 
+const std::vector<SpecKeyInfo>& spec_key_registry() {
+  static const std::vector<SpecKeyInfo> registry = [] {
+    const ExperimentSpec defaults;
+    std::vector<SpecKeyInfo> out;
+    for (const KeyRow& row : key_rows()) {
+      out.push_back(row.info);
+      if (row.text) out.back().default_value = row.text(defaults);
+    }
+    return out;
+  }();
+  return registry;
+}
+
+const SpecKeyInfo* find_spec_key(const std::string& key) {
+  for (const SpecKeyInfo& info : spec_key_registry())
+    if (info.key == key) return &info;
+  return nullptr;
+}
+
 void ExperimentSpec::merge_from_flags(const util::Flags& flags) {
-  // Declared axes first, so the overridden bookkeeping below sees them.
+  // Declared axes first, then every key in canonical order. A key this
+  // source sets is remembered: validate() rejects one the chosen
+  // experiment kind would silently ignore.
   merge_sweeps(*this, flags);
-
-  // Remember which keys this source actually set: validate() rejects ones
-  // the chosen experiment kind would silently ignore.
-  for (const auto& [key, value] : to_key_values())
-    if (flags.has(key)) overridden.insert(key);
-
-  experiment = merge_choice(flags, "experiment", kExperiments, experiment);
-
-  isps = merge_count(flags, "isps", isps, 1u << 20);
-  seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<std::int64_t>(seed)));
-  pairs = merge_count(flags, "pairs", pairs, 1u << 20);
-  pop_min = merge_count(flags, "pop-min", pop_min, 10000);
-  pop_max = merge_count(flags, "pop-max", pop_max, 10000);
-
-  objective[0] = core::OracleSpec::parse(
-      flags.get_string("oracle-a", objective[0].to_string()));
-  objective[1] = core::OracleSpec::parse(
-      flags.get_string("oracle-b", objective[1].to_string()));
-
-  pref_range = static_cast<int>(flags.get_int("pref-range", pref_range));
-  turn = merge_choice(flags, "turn", kTurns, turn);
-  proposal = merge_choice(flags, "proposal", kProposals, proposal);
-  acceptance = merge_choice(flags, "acceptance", kAcceptances, acceptance);
-  termination = merge_choice(flags, "termination", kTerminations, termination);
-  tie_break = merge_choice(flags, "tie-break", kTieBreaks, tie_break);
-  reassign = flags.get_double("reassign", reassign);
-  rollback = flags.get_bool("rollback", rollback);
-  incremental = flags.get_bool("incremental", incremental);
-  verify_incremental = static_cast<int>(
-      flags.get_int("verify-incremental", verify_incremental));
-
-  traffic_model = merge_choice(flags, "traffic", kWorkloads, traffic_model);
-  capacity_pow2 = flags.get_bool("capacity-pow2", capacity_pow2);
-  capacity_unused =
-      merge_choice(flags, "capacity-unused", kUnusedRules, capacity_unused);
-  max_failures = merge_count(flags, "max-failures", max_failures, 10000);
-
-  flow_baselines = flags.get_bool("flow-baselines", flow_baselines);
-  unilateral = flags.get_bool("unilateral", unilateral);
-  groups = merge_count(flags, "groups", groups, 1u << 20);
-  threads = merge_count(flags, "threads", threads, 1024);
-
-  runtime.sessions =
-      merge_count(flags, "runtime.sessions", runtime.sessions, 1u << 20);
-  runtime.transport =
-      merge_choice(flags, "runtime.transport", kTransports, runtime.transport);
-  runtime.stagger = merge_count(flags, "runtime.stagger",
-                                static_cast<std::size_t>(runtime.stagger),
-                                1u << 20);
-  runtime.min_links =
-      merge_count(flags, "runtime.min-links", runtime.min_links, 1000);
-  runtime.burst = merge_count(flags, "runtime.burst", runtime.burst, 1u << 30);
-  runtime.handshake_deadline =
-      merge_count(flags, "runtime.handshake-deadline",
-                  static_cast<std::size_t>(runtime.handshake_deadline),
-                  1u << 30);
-  runtime.round_timeout = merge_count(
-      flags, "runtime.round-timeout",
-      static_cast<std::size_t>(runtime.round_timeout), 1u << 30);
-  runtime.max_attempts =
-      merge_count(flags, "runtime.max-attempts", runtime.max_attempts, 1000);
-  runtime.max_ticks = merge_count(flags, "runtime.max-ticks",
-                                  static_cast<std::size_t>(runtime.max_ticks),
-                                  1u << 30);
-  runtime.drop = flags.get_double("runtime.drop", runtime.drop);
-  runtime.corrupt = flags.get_double("runtime.corrupt", runtime.corrupt);
-  runtime.fault_targets =
-      merge_targets(flags, "runtime.fault-targets", runtime.fault_targets);
-  runtime.events = merge_events(flags, "runtime.events", runtime.events);
-  runtime.snapshot_dir =
-      flags.get_string("runtime.snapshot-dir", runtime.snapshot_dir);
-
-  obs.trace = flags.get_string("obs.trace", obs.trace);
-  obs.timing = flags.get_bool("obs.timing", obs.timing);
-
-  dist.workers = merge_count(flags, "dist.workers", dist.workers, 256);
-  dist.connect = flags.get_string("dist.connect", dist.connect);
-  dist.timeout_ms =
-      merge_count(flags, "dist.timeout-ms",
-                  static_cast<std::size_t>(dist.timeout_ms), 1u << 30);
-  dist.retries = merge_count(flags, "dist.retries", dist.retries, 100);
-  dist.log_dir = flags.get_string("dist.log-dir", dist.log_dir);
+  for (const KeyRow& row : key_rows()) {
+    if (!row.merge) continue;
+    if (flags.has(row.info.key)) overridden.insert(row.info.key);
+    row.merge(*this, flags);
+  }
 }
 
 void ExperimentSpec::merge_from_file(const std::string& path) {
@@ -555,66 +881,19 @@ void ExperimentSpec::merge_from_file(const std::string& path) {
 std::vector<std::pair<std::string, std::string>> ExperimentSpec::to_key_values()
     const {
   std::vector<std::pair<std::string, std::string>> kv;
-  kv.emplace_back("experiment", to_string(experiment));
-  kv.emplace_back("isps", std::to_string(isps));
-  // Serialized via the signed spelling: the parser is get_int (int64), so
-  // a seed with the top bit set must round-trip as its two's-complement
-  // twin ("-1") rather than a uint64 literal get_int cannot read back.
-  kv.emplace_back("seed", std::to_string(static_cast<std::int64_t>(seed)));
-  kv.emplace_back("pairs", std::to_string(pairs));
-  kv.emplace_back("pop-min", std::to_string(pop_min));
-  kv.emplace_back("pop-max", std::to_string(pop_max));
-  kv.emplace_back("oracle-a", objective[0].to_string());
-  kv.emplace_back("oracle-b", objective[1].to_string());
-  kv.emplace_back("pref-range", std::to_string(pref_range));
-  kv.emplace_back("turn", name_of(kTurns, turn));
-  kv.emplace_back("proposal", name_of(kProposals, proposal));
-  kv.emplace_back("acceptance", name_of(kAcceptances, acceptance));
-  kv.emplace_back("termination", name_of(kTerminations, termination));
-  kv.emplace_back("tie-break", name_of(kTieBreaks, tie_break));
-  kv.emplace_back("reassign", fmt_double(reassign));
-  kv.emplace_back("rollback", rollback ? "true" : "false");
-  kv.emplace_back("incremental", incremental ? "true" : "false");
-  kv.emplace_back("verify-incremental", std::to_string(verify_incremental));
-  kv.emplace_back("traffic", name_of(kWorkloads, traffic_model));
-  kv.emplace_back("capacity-pow2", capacity_pow2 ? "true" : "false");
-  kv.emplace_back("capacity-unused", name_of(kUnusedRules, capacity_unused));
-  kv.emplace_back("max-failures", std::to_string(max_failures));
-  kv.emplace_back("flow-baselines", flow_baselines ? "true" : "false");
-  kv.emplace_back("unilateral", unilateral ? "true" : "false");
-  kv.emplace_back("groups", std::to_string(groups));
-  kv.emplace_back("threads", std::to_string(threads));
-  kv.emplace_back("runtime.sessions", std::to_string(runtime.sessions));
-  kv.emplace_back("runtime.transport", name_of(kTransports, runtime.transport));
-  kv.emplace_back("runtime.stagger", std::to_string(runtime.stagger));
-  kv.emplace_back("runtime.min-links", std::to_string(runtime.min_links));
-  kv.emplace_back("runtime.burst", std::to_string(runtime.burst));
-  kv.emplace_back("runtime.handshake-deadline",
-                  std::to_string(runtime.handshake_deadline));
-  kv.emplace_back("runtime.round-timeout",
-                  std::to_string(runtime.round_timeout));
-  kv.emplace_back("runtime.max-attempts", std::to_string(runtime.max_attempts));
-  kv.emplace_back("runtime.max-ticks", std::to_string(runtime.max_ticks));
-  kv.emplace_back("runtime.drop", fmt_double(runtime.drop));
-  kv.emplace_back("runtime.corrupt", fmt_double(runtime.corrupt));
-  kv.emplace_back("runtime.fault-targets", targets_text(runtime.fault_targets));
-  kv.emplace_back("runtime.events", events_text(runtime.events));
-  kv.emplace_back("runtime.snapshot-dir", runtime.snapshot_dir);
-  kv.emplace_back("obs.trace", obs.trace);
-  kv.emplace_back("obs.timing", obs.timing ? "true" : "false");
-  kv.emplace_back("dist.workers", std::to_string(dist.workers));
-  kv.emplace_back("dist.connect", dist.connect);
-  kv.emplace_back("dist.timeout-ms", std::to_string(dist.timeout_ms));
-  kv.emplace_back("dist.retries", std::to_string(dist.retries));
-  kv.emplace_back("dist.log-dir", dist.log_dir);
+  for (const KeyRow& row : key_rows())
+    if (row.text) kv.emplace_back(row.info.key, row.text(*this));
   for (const SweepAxis& axis : sweeps)
     kv.emplace_back("sweep." + axis.key, axis_values_text(axis));
   return kv;
 }
 
 std::string ExperimentSpec::value_of(const std::string& key) const {
-  for (const auto& [k, v] : to_key_values())
-    if (k == key) return v;
+  for (const KeyRow& row : key_rows())
+    if (row.text && row.info.key == key) return row.text(*this);
+  if (key.rfind("sweep.", 0) == 0) {
+    if (const SweepAxis* a = axis(key.substr(6))) return axis_values_text(*a);
+  }
   return {};
 }
 
@@ -645,6 +924,15 @@ bool ExperimentSpec::validate(std::string* error) const {
     if (error != nullptr) *error = message;
     return false;
   };
+  // Single-key bounds, read from the same rows the parser checks, so a
+  // field set directly (a preset tune, a test) is held to them too.
+  for (const KeyRow& row : key_rows()) {
+    if (!row.info.range) continue;
+    const std::string value = row.text(*this);
+    if (!in_range(row.info.range, std::strtod(value.c_str(), nullptr)))
+      return fail(row.info.key + ": expects " + row.info.constraints +
+                  ", got " + value);
+  }
   if (experiment != ExperimentKind::kRuntime) {
     // The runtime builds its own oracles per session kind (distance for
     // initial/churn sessions, bandwidth for failure renegotiations); the
@@ -653,7 +941,7 @@ bool ExperimentSpec::validate(std::string* error) const {
     for (int side = 0; side < 2; ++side) {
       const core::OracleSpec resolved = resolved_objective(side);
       const core::OracleRegistry::Entry* entry = registry.find(resolved.name);
-      const std::string key = side == 0 ? "oracle-a" : "oracle-b";
+      const std::string key = kOracleKeys[side];
       if (entry == nullptr) {
         std::string msg = key + ": unknown oracle '" + resolved.name +
                           "'; valid names (optionally behind \"cheat:\"):";
@@ -668,21 +956,14 @@ bool ExperimentSpec::validate(std::string* error) const {
       }
     }
   }
-  if (groups == 0) return fail("groups: must be >= 1");
   if (pop_min > pop_max) return fail("pop-min: must be <= pop-max");
-  if (pref_range < 1) return fail("pref-range: must be >= 1");
-  if (isps < 2) return fail("isps: need at least 2 ISPs to form a pair");
-  if (pairs == 0) return fail("pairs: must be >= 1");
 
   if (experiment == ExperimentKind::kRuntime) {
-    if (runtime.max_attempts < 1)
-      return fail("runtime.max-attempts: must be >= 1");
-    if (runtime.min_links < 1) return fail("runtime.min-links: must be >= 1");
     // Events and fault targets index the initial sessions. With an explicit
     // session count the bound is known now; with the one-per-pair default it
     // is only known after the universe is built (the runtime re-checks).
     if (runtime.sessions > 0) {
-      for (const RuntimeEventSpec& ev : runtime.events) {
+      for (const runtime::ScenarioEvent& ev : runtime.events) {
         if (ev.session >= runtime.sessions) {
           return fail("runtime.events: event \"" + event_text(ev) +
                       "\" targets session " + std::to_string(ev.session) +
@@ -705,11 +986,11 @@ bool ExperimentSpec::validate(std::string* error) const {
     // but a spec should fail fast with the friendly exit-2 message.
     {
       bool any_kill = false;
-      for (const RuntimeEventSpec& ev : runtime.events) {
-        any_kill |= ev.kind == RuntimeEventSpec::Kind::kKill ||
-                    ev.kind == RuntimeEventSpec::Kind::kResume;
+      for (const runtime::ScenarioEvent& ev : runtime.events) {
+        any_kill |= ev.kind == EventKind::kKill ||
+                    ev.kind == EventKind::kResume;
       }
-      if (any_kill && runtime.transport != RuntimeTransport::kMemory) {
+      if (any_kill && runtime.transport != runtime::Transport::kInMemory) {
         return fail(
             "runtime.events: kill/resume events require "
             "runtime.transport=memory (kernel socket buffers are not part "
@@ -724,15 +1005,15 @@ bool ExperimentSpec::validate(std::string* error) const {
                          });
         std::map<std::uint32_t, bool> down;
         for (std::size_t i : order) {
-          const RuntimeEventSpec& ev = runtime.events[i];
-          if (ev.kind == RuntimeEventSpec::Kind::kKill) {
+          const runtime::ScenarioEvent& ev = runtime.events[i];
+          if (ev.kind == EventKind::kKill) {
             if (down[ev.session]) {
               return fail("runtime.events: event \"" + event_text(ev) +
                           "\" kills session " + std::to_string(ev.session) +
                           " twice without a resume in between");
             }
             down[ev.session] = true;
-          } else if (ev.kind == RuntimeEventSpec::Kind::kResume) {
+          } else if (ev.kind == EventKind::kResume) {
             if (!down[ev.session]) {
               return fail("runtime.events: event \"" + event_text(ev) +
                           "\" resumes session " + std::to_string(ev.session) +
@@ -750,19 +1031,18 @@ bool ExperimentSpec::validate(std::string* error) const {
   // an explicit dist.* key there is the same silent-misconfiguration mode
   // as a locked sweep axis and gets the same exit-2 discipline. Explicit
   // defaults stay legal (serialized specs spell out every key).
-  {
-    const ExperimentSpec dist_defaults;
-    if (experiment != ExperimentKind::kRuntime && sweeps.empty()) {
-      for (const char* key : {"dist.workers", "dist.connect",
-                              "dist.timeout-ms", "dist.retries",
-                              "dist.log-dir"}) {
-        if (overridden.count(key) > 0 &&
-            value_of(key) != dist_defaults.value_of(key)) {
-          return fail(std::string(key) +
-                      ": distributed execution needs declared sweep axes or "
-                      "experiment=runtime — a single-point run has nothing "
-                      "to shard");
-        }
+  const ExperimentSpec defaults;
+  const auto explicit_non_default = [&](const KeyRow& row) {
+    return overridden.count(row.info.key) > 0 &&
+           row.text(*this) != row.text(defaults);
+  };
+  if (experiment != ExperimentKind::kRuntime && sweeps.empty()) {
+    for (const KeyRow& row : key_rows()) {
+      if (row.info.key.rfind("dist.", 0) == 0 && explicit_non_default(row)) {
+        return fail(row.info.key +
+                    ": distributed execution needs declared sweep axes or "
+                    "experiment=runtime — a single-point run has nothing "
+                    "to shard");
       }
     }
   }
@@ -806,14 +1086,12 @@ bool ExperimentSpec::validate(std::string* error) const {
   // key) remains loadable as a --spec file — a validated spec never carries
   // non-default inert keys, so the round trip is safe. The applicability
   // mask lives in the key registry, the same metadata --help-spec prints.
-  const ExperimentSpec defaults;
   const unsigned kind = kind_bit(experiment);
-  for (const SpecKeyInfo& info : spec_key_registry()) {
-    if (info.sweep_only || (info.kinds & kind) != 0) continue;
-    if (overridden.count(info.key) > 0 &&
-        value_of(info.key) != defaults.value_of(info.key)) {
-      return fail(info.key + ": only meaningful for experiment=" +
-                  kinds_label(info.kinds) +
+  for (const KeyRow& row : key_rows()) {
+    if (!row.text || (row.info.kinds & kind) != 0) continue;
+    if (explicit_non_default(row)) {
+      return fail(row.info.key + ": only meaningful for experiment=" +
+                  kinds_label(row.info.kinds) +
                   " — this run would silently ignore it");
     }
   }
@@ -828,6 +1106,16 @@ bool ExperimentSpec::validate(std::string* error) const {
       return fail("sweep." + a.key + ": key is only meaningful for experiment=" +
                   kinds_label(info->kinds) +
                   " — every point of this sweep would silently ignore it");
+    }
+    // Swept numbers are held to the key's bounds before the first point
+    // runs, so a bad value at the end of an axis cannot fail a sweep
+    // halfway. (A malformed value dies when its point parses it.)
+    for (const std::string& value : a.values) {
+      double v = 0;
+      if (parse_finite_double(value, &v) && !in_range(info->range, v)) {
+        return fail("sweep." + a.key + ": expects " + info->constraints +
+                    ", got " + value);
+      }
     }
   }
   return true;
@@ -895,6 +1183,41 @@ BandwidthExperimentConfig ExperimentSpec::to_bandwidth_config() const {
   return cfg;
 }
 
+runtime::ScenarioConfig ExperimentSpec::to_runtime_config() const {
+  assert(experiment == ExperimentKind::kRuntime);
+  runtime::ScenarioConfig c;
+  c.universe = universe();
+  c.min_links = runtime.min_links;
+  c.session_count = runtime.sessions;
+  switch (traffic_model) {
+    case traffic::WorkloadModel::kGravity:
+      c.traffic = runtime::ScenarioTraffic::kGravityAtoB;
+      break;
+    case traffic::WorkloadModel::kIdentical:
+      c.traffic = runtime::ScenarioTraffic::kBidirectionalIdentical;
+      break;
+    case traffic::WorkloadModel::kUniformRandom:
+      c.traffic = runtime::ScenarioTraffic::kBidirectionalUniformRandom;
+      break;
+  }
+  c.negotiation = to_negotiation_config();
+  c.limits.handshake_deadline = runtime.handshake_deadline;
+  c.limits.round_timeout = runtime.round_timeout;
+  c.limits.max_attempts = static_cast<int>(runtime.max_attempts);
+  c.limits.max_steps_per_pump = runtime.burst;
+  c.runtime.threads = threads;
+  c.runtime.max_ticks = runtime.max_ticks;
+  c.transport = runtime.transport;
+  c.faults.drop = runtime.drop;
+  c.faults.corrupt = runtime.corrupt;
+  c.fault_targets = runtime.fault_targets;
+  c.start_stagger = runtime.stagger;
+  c.durability.dir = runtime.snapshot_dir;
+  c.seed = seed;
+  c.events = runtime.events;
+  return c;
+}
+
 std::vector<std::vector<std::pair<std::string, std::string>>> expand_sweep(
     const std::vector<SweepAxis>& axes) {
   std::vector<std::vector<std::pair<std::string, std::string>>> points;
@@ -916,222 +1239,6 @@ std::vector<std::vector<std::pair<std::string, std::string>>> expand_sweep(
     }
   }
   return points;
-}
-
-// ------------------------------------------------------------------------
-// Key metadata registry: the single source for --help-spec, the generated
-// docs/SPEC_REFERENCE.md, and validate()'s kind-applicability checks.
-// Defaults are derived from a default-constructed spec (never typed twice);
-// choice constraints come from the same tables the parser reads.
-// ------------------------------------------------------------------------
-
-namespace {
-
-struct KeyDoc {
-  const char* key;
-  const char* type;
-  unsigned kinds;
-  std::string constraints;
-  const char* doc;
-};
-
-std::vector<SpecKeyInfo> build_key_registry() {
-  const ExperimentSpec defaults;
-  const std::string oracle_names = [] {
-    std::string out = "a registry oracle (";
-    bool first = true;
-    for (const std::string& n : core::OracleRegistry::global().names()) {
-      out += std::string(first ? "" : ", ") + n;
-      first = false;
-    }
-    return out + ") or `default`, optionally behind `cheat:`";
-  }();
-  const KeyDoc docs[] = {
-      {"experiment", "choice", kForAllKinds, choices_text(kExperiments),
-       "Which engine runs: the paper's distance or bandwidth experiment, or "
-       "the concurrent negotiation runtime with a declared timeline."},
-      {"isps", "count", kForAllKinds, "integer in [0, 1048576]",
-       "Synthetic ISPs in the universe (the paper used 65)."},
-      {"seed", "int", kForAllKinds, "",
-       "Root RNG seed; every per-pair/per-session stream forks from it "
-       "deterministically."},
-      {"pairs", "count", kForAllKinds, "integer in [0, 1048576]",
-       "Upper bound on ISP pairs drawn from the universe."},
-      {"pop-min", "count", kForAllKinds, "integer in [0, 10000]",
-       "Minimum PoPs per generated ISP."},
-      {"pop-max", "count", kForAllKinds, "integer in [0, 10000]",
-       "Maximum PoPs per generated ISP."},
-      {"oracle-a", "oracle", kForDistance | kForBandwidth, oracle_names,
-       "Side A's objective; `default` resolves per experiment kind."},
-      {"oracle-b", "oracle", kForDistance | kForBandwidth, oracle_names,
-       "Side B's objective; `default` resolves per experiment kind."},
-      {"pref-range", "int", kForAllKinds, "integer >= 1",
-       "Preference-class range P (paper §4.1)."},
-      {"turn", "choice", kForAllKinds, choices_text(kTurns),
-       "Whose turn it is to propose (paper §4.2)."},
-      {"proposal", "choice", kForAllKinds, choices_text(kProposals),
-       "Which candidate move the proposer picks (paper §4.2)."},
-      {"acceptance", "choice", kForAllKinds, choices_text(kAcceptances),
-       "When the responder accepts a proposal (paper §4.2)."},
-      {"termination", "choice", kForAllKinds, choices_text(kTerminations),
-       "When the negotiation stops (paper §4.2)."},
-      {"tie-break", "choice", kForDistance | kForBandwidth,
-       choices_text(kTieBreaks),
-       "Tie-break among equally good proposals; the runtime always forces "
-       "`deterministic` (the wire-agent contract)."},
-      {"reassign", "double", kForAllKinds, "finite, fraction of traffic",
-       "Reassignment quantum (paper: 0.05); only load-dependent oracles "
-       "honour it."},
-      {"rollback", "bool", kForAllKinds, "",
-       "Settlement rollback of tentative moves the final agreement dropped."},
-      {"incremental", "bool", kForAllKinds, "",
-       "Delta-driven oracle re-evaluation (bit-identical to full recompute; "
-       "see docs/ARCHITECTURE.md)."},
-      {"verify-incremental", "int", kForAllKinds, "0 = build default, -1 = off",
-       "Cross-check incremental evaluations against full recomputes every "
-       "Nth refresh."},
-      {"traffic", "choice", kForBandwidth | kForRuntime,
-       choices_text(kWorkloads),
-       "Workload model for PoP weights (bandwidth experiment) / session "
-       "traffic shape (runtime)."},
-      {"capacity-pow2", "bool", kForBandwidth, "",
-       "Round link capacities up to powers of two (§5.2 alternate model)."},
-      {"capacity-unused", "choice", kForBandwidth, choices_text(kUnusedRules),
-       "Capacity rule for links unused by the baseline routing."},
-      {"max-failures", "count", kForBandwidth, "integer in [0, 10000]",
-       "Interconnection failures sampled per pair."},
-      {"flow-baselines", "bool", kForDistance, "",
-       "Also run the Fig. 5 flow-pair strawman strategies."},
-      {"unilateral", "bool", kForBandwidth, "",
-       "Also run the Fig. 8 upstream-only LP series."},
-      {"groups", "count", kForDistance, "integer in [1, 1048576]",
-       "Split the flow set into k independently negotiated groups (§5.1)."},
-      {"threads", "count", kForAllKinds, "integer in [0, 1024]",
-       "Worker threads; 0 = auto-detect. Results are bit-identical for "
-       "every value."},
-      {"runtime.sessions", "count", kForRuntime, "integer in [0, 1048576]",
-       "Initial sessions; 0 = one per universe pair, larger counts cycle "
-       "the pairs with per-session traffic."},
-      {"runtime.transport", "choice", kForRuntime, choices_text(kTransports),
-       "Channel kind: in-memory, fd-backed AF_UNIX socket pairs, or TCP "
-       "loopback pairs (src/dist)."},
-      {"runtime.stagger", "count", kForRuntime, "virtual ticks",
-       "Session i starts at tick i * stagger (start@ events override)."},
-      {"runtime.min-links", "count", kForRuntime, "integer >= 1",
-       "Universe pairs need at least this many interconnections (failures "
-       "need survivors)."},
-      {"runtime.burst", "count", kForRuntime, "0 = run to stall",
-       "Pump steps before a session yields its worker; small bursts let "
-       "timeline events land genuinely mid-negotiation."},
-      {"runtime.handshake-deadline", "count", kForRuntime, "virtual ticks",
-       "Attempts still in the handshake after this are torn down (and "
-       "retried)."},
-      {"runtime.round-timeout", "count", kForRuntime, "virtual ticks",
-       "Mid-session ticks without progress before teardown."},
-      {"runtime.max-attempts", "count", kForRuntime, "integer >= 1",
-       "Total attempts per session (first try plus retries, fresh channels "
-       "each)."},
-      {"runtime.max-ticks", "count", kForRuntime, "virtual ticks",
-       "Virtual-clock horizon; still-live sessions are cancelled past it."},
-      {"runtime.drop", "double", kForRuntime, "probability in [0, 1]",
-       "Whole-frame drop probability per send on faulted transports."},
-      {"runtime.corrupt", "double", kForRuntime, "probability in [0, 1]",
-       "Single-byte corruption probability per send on faulted transports."},
-      {"runtime.fault-targets", "list", kForRuntime,
-       "comma-separated session ids",
-       "Sessions whose transport gets the fault injection (empty = all)."},
-      {"runtime.events", "events", kForRuntime, kEventsGrammar,
-       "The declared timeline: staggered starts, flow churn, mid-session "
-       "link failure, peer restarts, and crash-recovery (kill wipes a "
-       "session's in-memory state, resume restores it from the durable "
-       "snapshot+WAL; requires transport=memory, and the resumed run's "
-       "record is byte-identical to an uninterrupted one)."},
-      {"runtime.snapshot-dir", "string", kForRuntime, "output directory path",
-       "Mirror session journals (snapshot + WAL frames) here for "
-       "post-mortems and CI artifacts. Empty = in-memory journaling only; "
-       "journaling itself is implied by any kill/resume event."},
-      {"obs.trace", "string", kForAllKinds, "output file path",
-       "Write a Chrome trace_event JSON (Perfetto-loadable) negotiation "
-       "timeline here; logical clocks only, byte-identical across "
-       "--threads=N. Empty = no trace."},
-      {"obs.timing", "bool", kForAllKinds, "",
-       "Wall-clock phase profile (digest-excluded `timing` JSON section); "
-       "off = disarmed timers, provably zero overhead."},
-      {"dist.workers", "count", kForAllKinds, "integer in [0, 256]",
-       "Spawn-local worker processes to shard sweep points (or a runtime "
-       "timeline) across; 0 = in-process. The JSON record and sweep digest "
-       "are byte-identical for every value."},
-      {"dist.connect", "list", kForAllKinds,
-       "comma-separated host:port endpoints",
-       "Connect to running `nexit_workerd --listen` daemons instead of "
-       "spawning local workers (mutually exclusive with dist.workers)."},
-      {"dist.timeout-ms", "count", kForAllKinds, "milliseconds >= 1",
-       "Per-job deadline; a worker silent past it is declared dead and its "
-       "job reassigned (bounded by dist.retries)."},
-      {"dist.retries", "count", kForAllKinds, "integer in [0, 100]",
-       "Reassignments allowed per job after worker death/timeout before the "
-       "run fails."},
-      {"dist.log-dir", "string", kForAllKinds, "directory path",
-       "Directory for spawn-local worker logs (worker<i>.log); empty = "
-       "/dev/null."},
-  };
-
-  std::vector<SpecKeyInfo> registry;
-  for (const KeyDoc& d : docs) {
-    SpecKeyInfo info;
-    info.key = d.key;
-    info.type = d.type;
-    info.doc = d.doc;
-    info.constraints = d.constraints;
-    info.default_value = defaults.value_of(d.key);
-    info.kinds = d.kinds;
-    registry.push_back(std::move(info));
-  }
-
-  // Sweep-only axes: virtual keys a preset's run function maps to config
-  // variants. They have no scalar value; `sweep.<name>=...` is their only
-  // spelling.
-  const auto sweep_only = [&registry](const char* key, const char* owner,
-                                      const std::string& choices,
-                                      const char* doc,
-                                      const std::string& default_values) {
-    SpecKeyInfo info;
-    info.key = key;
-    info.type = "choice";
-    info.doc = doc;
-    info.constraints = choices;
-    info.default_value = default_values;
-    info.kinds = kForDistance | kForBandwidth;
-    info.sweep_only = true;
-    info.owner_scenario = owner;
-    registry.push_back(std::move(info));
-  };
-  sweep_only("model", "abl_models",
-             "one of {paper, identical, uniform, pow2, unused-max, piecewise}",
-             "abl_models variant axis: §5.2 alternate workload / capacity / "
-             "metric models, one deviation from the paper model per value.",
-             "paper,identical,uniform,pow2,unused-max,piecewise");
-  sweep_only("policy", "abl_policies",
-             "one of {paper, lower-gain, coin-toss, full, negotiate-all, "
-             "best-local}",
-             "abl_policies variant axis: §4 turn / termination / proposal "
-             "policy combinations, one deviation from the paper protocol "
-             "per value.",
-             "paper,lower-gain,coin-toss,full,negotiate-all,best-local");
-  return registry;
-}
-
-}  // namespace
-
-const std::vector<SpecKeyInfo>& spec_key_registry() {
-  static const std::vector<SpecKeyInfo> registry = build_key_registry();
-  return registry;
-}
-
-const SpecKeyInfo* find_spec_key(const std::string& key) {
-  for (const SpecKeyInfo& info : spec_key_registry())
-    if (info.key == key) return &info;
-  return nullptr;
 }
 
 }  // namespace nexit::sim

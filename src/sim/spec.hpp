@@ -20,19 +20,23 @@
 // `--spec-out=<file>` archives it, and parsing that list reproduces the
 // spec bit-for-bit (round-trippable).
 //
-// Every key is registered with metadata (doc string, type, default, valid
-// choices/range, owning experiment kinds) in spec_key_registry();
-// `nexit_run --help-spec` and docs/SPEC_REFERENCE.md are generated from it,
-// so the reference documentation cannot drift from the parser.
+// Every key is one row of a single table in spec.cpp: its name, owning
+// experiment kinds, doc line, a codec bound to its ExperimentSpec field, and
+// the field's bounds. The parser, the serializer, spec_key_registry() (and
+// through it `nexit_run --help-spec` and docs/SPEC_REFERENCE.md) and
+// validate()'s single-key range checks all read that row, so none of them
+// can drift from the others.
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/oracle_registry.hpp"
+#include "runtime/scenario.hpp"
 #include "sim/bandwidth_experiment.hpp"
 #include "sim/distance_experiment.hpp"
 #include "util/flags.hpp"
@@ -68,45 +72,6 @@ struct SweepAxis {
   friend bool operator==(const SweepAxis&, const SweepAxis&) = default;
 };
 
-/// A runtime timeline event as declared in `runtime.events=` — the spec
-/// spelling of runtime::ScenarioEvent. Grammar, comma-separated:
-///
-///   start@<tick>/<session>          start the session at <tick> instead of
-///                                   its staggered default
-///   churn@<tick>/<session>/<seed>   replace the session's traffic matrix
-///                                   (reseeded by <seed>) and renegotiate
-///   fail@<tick>/<session>/<ix>      interconnection failure mid-session;
-///                                   <ix> is an index or `busiest`
-///   restart@<tick>/<session>        one peer crashes and reconnects
-///   kill@<tick>/<session>           crash the session outright: in-memory
-///                                   state is wiped, only the durable
-///                                   snapshot+WAL survives (frozen until a
-///                                   matching resume)
-///   resume@<tick>/<session>         restore the session from its journal;
-///                                   the outcome digest and record bytes
-///                                   equal an uninterrupted run's
-struct RuntimeEventSpec {
-  enum class Kind : std::uint8_t {
-    kStart,
-    kFlowChurn,
-    kLinkFailure,
-    kPeerRestart,
-    kKill,
-    kResume,
-  };
-  static constexpr std::uint64_t kBusiest = ~std::uint64_t{0};
-
-  std::uint64_t at = 0;
-  Kind kind = Kind::kStart;
-  std::uint32_t session = 0;
-  std::uint64_t param = 0;
-
-  friend bool operator==(const RuntimeEventSpec&,
-                         const RuntimeEventSpec&) = default;
-};
-
-enum class RuntimeTransport : std::uint8_t { kMemory, kSocket, kTcp };
-
 /// The `runtime.*` spec namespace: session population, transport, lifecycle
 /// limits, fault injection, and the declared timeline. Only meaningful for
 /// experiment=runtime (validate() enforces that, like every kind-specific
@@ -115,7 +80,7 @@ struct RuntimeSpec {
   /// Initial sessions; 0 = one per universe pair, larger counts cycle the
   /// pairs with per-session traffic.
   std::size_t sessions = 0;
-  RuntimeTransport transport = RuntimeTransport::kMemory;
+  runtime::Transport transport = runtime::Transport::kInMemory;
   /// Session i starts at tick i * stagger (start@ events override).
   std::uint64_t stagger = 1;
   /// Universe pairs need at least this many interconnections (failures need
@@ -131,7 +96,10 @@ struct RuntimeSpec {
   double corrupt = 0.0;
   /// Sessions whose transport gets the fault injection (empty = all).
   std::vector<std::uint32_t> fault_targets;
-  std::vector<RuntimeEventSpec> events;
+  /// The declared timeline, spelled `kind@<tick>/<session>[/<param>]`
+  /// comma-separated in `runtime.events=` (`--help-spec=runtime.events`
+  /// prints the grammar; runtime::EventKind documents each kind).
+  std::vector<runtime::ScenarioEvent> events;
   /// Mirror session journals (snapshot + WAL frames) to this directory —
   /// CI uploads them when a crash-recovery run diverges. Empty = in-memory
   /// journaling only. Journaling itself is implied by any kill/resume
@@ -187,16 +155,25 @@ struct ObsSpec {
 };
 
 /// Everything --help-spec and the generated reference know about one key
-/// (or sweep-only axis). `default_value` is derived from a
-/// default-constructed ExperimentSpec, and choice/range constraints from
-/// the same tables the parser uses — nothing here is hand-maintained twice.
+/// (or sweep-only axis). Each key is one row of the key table in spec.cpp,
+/// and that row also parses, serializes and bounds it: `default_value` is
+/// the row's serialization of a default-constructed ExperimentSpec, and
+/// `constraints` is printed from the choice table or `range` the parser
+/// and validate() enforce — nothing here is hand-maintained twice.
 struct SpecKeyInfo {
+  /// Inclusive bounds of a numeric key.
+  struct Range {
+    double lo = 0;
+    double hi = 0;
+  };
+
   std::string key;
   std::string type;         // "choice", "count", "int", "double", "bool", ...
   std::string doc;          // one line
   std::string constraints;  // "one of {...}", "integer in [lo, hi]", or ""
   std::string default_value;
   unsigned kinds = kForAllKinds;
+  std::optional<Range> range;
   /// True for virtual axes that exist only as `sweep.<key>` (a preset maps
   /// their values to config variants); they have no scalar value.
   bool sweep_only = false;
@@ -280,9 +257,10 @@ struct ExperimentSpec {
 
   /// Overlays every key present in `flags` onto this spec (absent keys keep
   /// their current values — the accessor fallbacks are the spec itself).
-  /// Malformed values and out-of-set choices exit 2 via util::Flags; so do
-  /// malformed `sweep.<key>` axes (unknown axis key, empty value list, bad
-  /// lo:hi:step range), naming the axis.
+  /// Malformed values, out-of-set choices and out-of-range numbers exit 2
+  /// naming the key, like util::Flags; so do malformed `sweep.<key>` axes
+  /// (unknown axis key, empty value list, bad lo:hi:step range), naming the
+  /// axis.
   void merge_from_flags(const util::Flags& flags);
 
   /// Loads a `key=value` spec file on top of this spec. Unknown keys, keys
@@ -304,24 +282,25 @@ struct ExperimentSpec {
   /// The declared axis for `key` (nullptr if not swept).
   [[nodiscard]] const SweepAxis* axis(const std::string& key) const;
 
-  /// Semantic checks beyond syntax: oracle names must be registered (or
-  /// "default"), the distance engine only takes capacity-free oracles, the
-  /// universe must be able to yield pairs, explicitly overridden keys must
-  /// be meaningful for the chosen experiment kind, and a declared timeline
-  /// must only reference sessions that will exist. Returns false and sets
-  /// *error on failure.
+  /// Semantic checks beyond syntax: every numeric key, and every value of a
+  /// sweep axis over one, must lie within its row's bounds (the same ones
+  /// the parser enforces, so a field set directly is held to them too);
+  /// oracle names must be registered (or "default"), the distance engine
+  /// only takes capacity-free oracles, pop-min must not exceed pop-max,
+  /// explicitly overridden keys must be meaningful for the chosen
+  /// experiment kind, and a declared timeline must only reference sessions
+  /// that will exist. Returns false and sets *error on failure.
   [[nodiscard]] bool validate(std::string* error) const;
 
   /// The objective with "default" resolved for this spec's experiment kind
   /// (runtime sessions negotiate distance, like the initial sessions do).
   [[nodiscard]] core::OracleSpec resolved_objective(int side) const;
 
-  /// Engine configs. Both require validate() to have passed; they assert
-  /// the experiment kind matches. (The runtime twin lives in
-  /// sim/scenarios.cpp — runtime_config_of — because the scenario layer,
-  /// not the spec data model, depends on src/runtime.)
+  /// Engine configs. Each requires validate() to have passed and asserts
+  /// the experiment kind matches.
   [[nodiscard]] DistanceExperimentConfig to_distance_config() const;
   [[nodiscard]] BandwidthExperimentConfig to_bandwidth_config() const;
+  [[nodiscard]] runtime::ScenarioConfig to_runtime_config() const;
 
   /// The shared §4 negotiation-policy block of both engine configs and the
   /// runtime scenario.

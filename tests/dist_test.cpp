@@ -223,7 +223,7 @@ TEST(TcpChannel, RuntimeNegotiationOverTcpMatchesUnixSocketpair) {
     spec.merge_from_flags(kv_flags(lines));
     std::string error;
     EXPECT_TRUE(spec.validate(&error)) << error;
-    runtime::Scenario scenario(sim::runtime_config_of(spec));
+    runtime::Scenario scenario(spec.to_runtime_config());
     return runtime::outcome_digest(scenario.run());
   };
   EXPECT_EQ(run_with("socket"), run_with("tcp"));

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/oracle_registry.hpp"
+#include "geo/city_db.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/spec.hpp"
+#include "topology/generator.hpp"
 #include "util/flags.hpp"
 
 namespace nexit::sim {
@@ -90,41 +96,206 @@ TEST(ExperimentSpec, DefaultSpecRoundTripsThroughItsSerialization) {
   EXPECT_EQ(original.to_text(), reparsed.to_text());
 }
 
-TEST(ExperimentSpec, FullyNonDefaultSpecRoundTrips) {
-  ExperimentSpec s;
-  s.experiment = ExperimentKind::kBandwidth;
-  s.isps = 17;
-  s.seed = 909;
-  s.pairs = 33;
-  s.pop_min = 4;
-  s.pop_max = 9;
-  s.objective[0] = {"piecewise", true};
-  s.objective[1] = {"distance", false};
-  s.pref_range = 7;
-  s.turn = core::TurnPolicy::kLowerGain;
-  s.proposal = core::ProposalPolicy::kBestLocalMinImpact;
-  s.acceptance = core::AcceptancePolicy::kVetoOwnLoss;
-  s.termination = core::TerminationPolicy::kNegotiateAll;
-  s.tie_break = core::TieBreak::kDeterministic;
-  s.reassign = 0.125;
-  s.rollback = false;
-  s.incremental = false;
-  s.verify_incremental = -1;
-  s.traffic_model = traffic::WorkloadModel::kUniformRandom;
-  s.capacity_pow2 = true;
-  s.capacity_unused = capacity::UnusedLinkRule::kMax;
-  s.max_failures = 2;
-  s.flow_baselines = true;
-  s.unilateral = true;
-  s.groups = 5;
-  s.threads = 3;
+// --- the key table -------------------------------------------------------
 
-  ExperimentSpec reparsed;
+/// The spec `s` serializes to, parsed back through its own to_text().
+ExperimentSpec reparse(const ExperimentSpec& s) {
   std::vector<std::string> lines;
-  for (const auto& [key, value] : s.to_key_values())
-    lines.push_back(key + "=" + value);
+  std::istringstream text(s.to_text());
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  ExperimentSpec reparsed;
   reparsed.merge_from_flags(kv_flags(lines));
-  EXPECT_EQ(s, reparsed);
+  return reparsed;
+}
+
+/// A value of `info`'s key other than its default, derived from the
+/// registry alone, so a key added to the table is covered here unasked.
+std::string non_default_value(const SpecKeyInfo& info) {
+  const std::string& d = info.default_value;
+  if (info.type == "bool") return d == "true" ? "false" : "true";
+  if (info.type == "choice") {
+    // "one of {a, b, c}"
+    std::istringstream names(
+        info.constraints.substr(8, info.constraints.size() - 9));
+    for (std::string name; std::getline(names, name, ',');) {
+      name.erase(0, name.find_first_not_of(' '));
+      if (name != d) return name;
+    }
+  }
+  if (info.type == "oracle") return "cheat:piecewise";
+  if (info.type == "events") return "kill@3/1,resume@5/1";
+  if (info.type == "list") return "1,2";
+  if (info.type == "string") return "out/dir";
+  if (info.type == "double") return d == "0.5" ? "0.25" : "0.5";
+  const std::int64_t v = std::stoll(d);  // count / int: one step inside
+  return std::to_string(!info.range || static_cast<double>(v + 1) <=
+                                           info.range->hi
+                            ? v + 1
+                            : v - 1);
+}
+
+TEST(SpecKeyTable, EveryKeyParsesIntoItsOwnFieldAndRoundTrips) {
+  // For each scalar key, a non-default value set through the parser must
+  // read back through value_of, mark the key overridden, move no other key,
+  // and survive a to_text() round trip. A row bound to the wrong field, two
+  // rows sharing one, or a key nothing parses all fail here. A sweep-only
+  // axis has no field; the preset whose run function iterates it must own
+  // it instead.
+  const ExperimentSpec defaults;
+  std::vector<std::string> every_key;
+  for (const SpecKeyInfo& info : spec_key_registry()) {
+    if (info.sweep_only) {
+      const ScenarioPreset* owner = find_scenario(info.owner_scenario);
+      ASSERT_NE(owner, nullptr) << info.key;
+      std::istringstream axes(owner->own_axes);
+      bool listed = false;
+      for (std::string axis; std::getline(axes, axis, ',');)
+        listed = listed || axis == info.key;
+      EXPECT_TRUE(listed) << info.key << " is missing from " << owner->name
+                          << "'s own_axes";
+      continue;
+    }
+    const std::string value = non_default_value(info);
+    ASSERT_NE(value, info.default_value) << info.key;
+    ExperimentSpec s;
+    s.merge_from_flags(kv_flags({info.key + "=" + value}));
+    EXPECT_EQ(s.value_of(info.key), value) << info.key;
+    EXPECT_EQ(s.overridden, std::set<std::string>{info.key});
+    for (const auto& [key, v] : s.to_key_values()) {
+      if (key == info.key) continue;
+      EXPECT_EQ(v, defaults.value_of(key)) << info.key << " moved " << key;
+    }
+    EXPECT_EQ(reparse(s), s) << info.key;
+    every_key.push_back(info.key + "=" + value);
+  }
+
+  // All of them at once: the fully non-default spec.
+  ExperimentSpec all;
+  all.merge_from_flags(kv_flags(every_key));
+  for (const std::string& assignment : every_key) {
+    const std::size_t eq = assignment.find('=');
+    EXPECT_EQ(all.value_of(assignment.substr(0, eq)),
+              assignment.substr(eq + 1));
+  }
+  EXPECT_EQ(all.overridden.size(), every_key.size());
+  EXPECT_EQ(reparse(all), all);
+  EXPECT_EQ(reparse(all).to_text(), all.to_text());
+}
+
+TEST(SpecDeathTest, EveryBoundedKeyRejectsAValueJustAboveItsRange) {
+  for (const SpecKeyInfo& info : spec_key_registry()) {
+    if (!info.range) continue;
+    char above[32];
+    if (info.type == "double") {
+      std::snprintf(above, sizeof above, "%.17g",
+                    std::nextafter(info.range->hi, HUGE_VAL));
+    } else {
+      std::snprintf(above, sizeof above, "%lld",
+                    static_cast<long long>(info.range->hi) + 1);
+    }
+    ExperimentSpec s;
+    EXPECT_EXIT(s.merge_from_flags(kv_flags({info.key + "=" + above})),
+                ::testing::ExitedWithCode(2), "--" + info.key + " expects")
+        << info.key << "=" << above;
+  }
+}
+
+constexpr double kJustBelowZero = -std::numeric_limits<double>::denorm_min();
+
+TEST(SpecKeyTable, ValidateHoldsDirectlySetFieldsToTheirLowerBound) {
+  // Presets and tests set fields without the parser; validate() reads the
+  // same bounds, so a value just below a row's range fails it, naming the
+  // key.
+  using Setter = void (*)(ExperimentSpec&);
+  const std::map<std::string, Setter> just_below = {
+      {"isps", [](ExperimentSpec& s) { s.isps = 1; }},
+      {"pairs", [](ExperimentSpec& s) { s.pairs = 0; }},
+      {"pop-min", [](ExperimentSpec& s) { s.pop_min = 1; }},
+      {"pop-max", [](ExperimentSpec& s) { s.pop_max = 1; }},
+      {"pref-range", [](ExperimentSpec& s) { s.pref_range = 0; }},
+      {"reassign", [](ExperimentSpec& s) { s.reassign = kJustBelowZero; }},
+      {"verify-incremental",
+       [](ExperimentSpec& s) { s.verify_incremental = -2; }},
+      {"groups", [](ExperimentSpec& s) { s.groups = 0; }},
+      {"runtime.min-links", [](ExperimentSpec& s) { s.runtime.min_links = 0; }},
+      {"runtime.max-attempts",
+       [](ExperimentSpec& s) { s.runtime.max_attempts = 0; }},
+      {"runtime.drop",
+       [](ExperimentSpec& s) { s.runtime.drop = kJustBelowZero; }},
+      {"runtime.corrupt",
+       [](ExperimentSpec& s) { s.runtime.corrupt = kJustBelowZero; }},
+  };
+  std::size_t checked = 0;
+  for (const SpecKeyInfo& info : spec_key_registry()) {
+    if (!info.range) continue;
+    const auto it = just_below.find(info.key);
+    if (it == just_below.end()) {
+      // Only an unsigned count bounded at 0 has no value below its range.
+      EXPECT_TRUE(info.type == "count" && info.range->lo == 0)
+          << info.key << " needs a just-below setter here";
+      continue;
+    }
+    ExperimentSpec s;
+    it->second(s);
+    std::string error;
+    EXPECT_FALSE(s.validate(&error)) << info.key;
+    EXPECT_EQ(error.rfind(info.key + ": ", 0), 0u) << error;
+    ++checked;
+  }
+  EXPECT_EQ(checked, just_below.size()) << "a setter names an unbounded key";
+}
+
+TEST(SpecDeathTest, OutOfRangeValuesExitTwoNamingTheKey) {
+  // Values no engine can honour: a pop count outside [2, cities] throws in
+  // the topology generator, and a fraction outside [0, 1] would run while
+  // the record claims a value that never took effect.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"pop-min=0"}, "pop-min"},
+      {{"pop-min=1", "pop-max=1"}, "pop-min"},
+      {{"pop-max=150"}, "pop-max"},
+      {{"reassign=-1"}, "reassign"},
+      {{"reassign=7"}, "reassign"},
+      {{"runtime.drop=5"}, "runtime.drop"},
+      {{"runtime.drop=-0.5"}, "runtime.drop"},
+      {{"runtime.corrupt=3"}, "runtime.corrupt"},
+  };
+  for (const auto& [assignments, key] : cases) {
+    ExperimentSpec s;
+    EXPECT_EXIT(s.merge_from_flags(kv_flags(assignments)),
+                ::testing::ExitedWithCode(2), "--" + key + " expects")
+        << assignments.front();
+  }
+
+  // The values the shipped specs and sweeps use stay legal...
+  ExperimentSpec legal;
+  legal.merge_from_flags(kv_flags({"experiment=runtime", "runtime.drop=1.0",
+                                   "reassign=0",
+                                   "sweep.reassign=0.025,0.05,0.1"}));
+  std::string error;
+  EXPECT_TRUE(legal.validate(&error)) << error;
+  // ...and a swept value outside the bounds fails before any point runs.
+  legal.merge_from_flags(kv_flags({"sweep.reassign=0.5,7"}));
+  EXPECT_FALSE(legal.validate(&error));
+  EXPECT_EQ(error.rfind("sweep.reassign: ", 0), 0u) << error;
+}
+
+TEST(ExperimentSpec, PopCountEdgesParseValidateAndBuild) {
+  // The generator places each PoP in a distinct city of the built-in
+  // database, so [2, cities] is exactly the range it accepts.
+  const std::size_t cities = geo::CityDb::builtin().size();
+  ExperimentSpec s;
+  s.merge_from_flags(
+      kv_flags({"pop-min=2", "pop-max=" + std::to_string(cities)}));
+  std::string error;
+  ASSERT_TRUE(s.validate(&error)) << error;
+  EXPECT_NO_THROW(topology::TopologyGenerator(geo::CityDb::builtin(),
+                                              s.universe().generator));
+  const std::string range = "\\[2, " + std::to_string(cities) + "\\]";
+  EXPECT_EXIT(s.merge_from_flags(kv_flags({"pop-min=1"})),
+              ::testing::ExitedWithCode(2), "--pop-min expects.*" + range);
+  EXPECT_EXIT(s.merge_from_flags(
+                  kv_flags({"pop-max=" + std::to_string(cities + 1)})),
+              ::testing::ExitedWithCode(2), "--pop-max expects.*" + range);
 }
 
 TEST(ExperimentSpec, SpecFileRoundTripsThroughMergeFromFile) {

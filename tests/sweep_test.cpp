@@ -235,8 +235,8 @@ TEST(RuntimeSpec, EventsAndTargetsRoundTrip) {
        "start@7/3,fail@9/0/2",
        "runtime.fault-targets=3,5"}));
   ASSERT_EQ(s.runtime.events.size(), 5u);
-  EXPECT_EQ(s.runtime.events[0].kind, RuntimeEventSpec::Kind::kLinkFailure);
-  EXPECT_EQ(s.runtime.events[0].param, RuntimeEventSpec::kBusiest);
+  EXPECT_EQ(s.runtime.events[0].kind, runtime::EventKind::kLinkFailure);
+  EXPECT_EQ(s.runtime.events[0].param, runtime::kBusiestIx);
   EXPECT_EQ(s.runtime.events[2].param, 4242u);
   EXPECT_EQ(s.runtime.events[4].param, 2u);
   EXPECT_EQ(s.runtime.fault_targets, (std::vector<std::uint32_t>{3, 5}));
@@ -307,7 +307,7 @@ TEST(RuntimeSpec, SpecTimelineReproducesTheFailureNegotiationExample) {
   std::string error;
   ASSERT_TRUE(spec.validate(&error)) << error;
 
-  runtime::Scenario scenario(runtime_config_of(spec));
+  runtime::Scenario scenario(spec.to_runtime_config());
   const runtime::ScenarioReport report = scenario.run();
   ASSERT_EQ(report.sessions.size(), 2u);
   EXPECT_EQ(report.sessions[0].status, runtime::SessionStatus::kCancelled);
@@ -335,7 +335,7 @@ TEST(RuntimeSpec, SpecTimelineReproducesTheFailureNegotiationExample) {
   ExperimentSpec threaded = spec;
   threaded.merge_from_flags(kv_flags({"threads=4"}));
   const runtime::ScenarioReport parallel =
-      runtime::run_scenario(runtime_config_of(threaded));
+      runtime::run_scenario(threaded.to_runtime_config());
   EXPECT_EQ(runtime::outcome_digest(report),
             runtime::outcome_digest(parallel));
 }

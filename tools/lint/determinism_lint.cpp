@@ -11,7 +11,6 @@
 // Passes (line-local rules always run):
 //   --taint        cross-TU source->sink determinism-taint propagation
 //   --locks        lock-order + unguarded worker-lambda writes
-//   --dead-keys    spec_key_registry entries nothing reads
 //   --all-passes   all of the above
 //
 // Outputs:
@@ -90,9 +89,6 @@ const PassDoc kPasses[] = {
      "opposite orders (rule: lock-order) and writes to shared state in "
      "ThreadPool worker lambdas with no lock/atomic in scope (rule: "
      "unguarded-write)"},
-    {"--dead-keys", "dead spec keys",
-     "every key in sim::spec_key_registry must be read by some flags/spec "
-     "accessor outside bench/ and examples/ (rule: dead-spec-key)"},
 };
 
 void print_passes_text() {
@@ -164,10 +160,8 @@ int main(int argc, char** argv) {
       opts.taint = true;
     } else if (arg == "--locks") {
       opts.locks = true;
-    } else if (arg == "--dead-keys") {
-      opts.dead_keys = true;
     } else if (arg == "--all-passes") {
-      opts.taint = opts.locks = opts.dead_keys = true;
+      opts.taint = opts.locks = true;
     } else if (arg.rfind("--callgraph=", 0) == 0) {
       callgraph_file = arg.substr(12);
     } else if (arg.rfind("--sarif=", 0) == 0) {
@@ -178,7 +172,7 @@ int main(int argc, char** argv) {
       std::cerr << "determinism_lint: unknown flag " << arg
                 << " (flags: --root=DIR --list-rules[=markdown] "
                    "--list-passes[=markdown] --show-allowed --taint --locks "
-                   "--dead-keys --all-passes --callgraph=FILE --sarif=FILE "
+                   "--all-passes --callgraph=FILE --sarif=FILE "
                    "--format=sarif)\n";
       return 2;
     } else {

@@ -25,7 +25,6 @@ const char* const kUninitPodDigest = "uninit-pod-digest";
 const char* const kTaintFlow = "taint-flow";
 const char* const kLockOrder = "lock-order";
 const char* const kUnguardedWrite = "unguarded-write";
-const char* const kDeadSpecKey = "dead-spec-key";
 const char* const kBadAllow = "bad-allow";
 const char* const kStaleAllow = "stale-allow";
 
@@ -90,12 +89,6 @@ const std::vector<Rule>& rule_table() {
        "the nondeterminism the --threads=N bit-identity contract forbids; "
        "give each worker its own slot (out[i] = ...), guard the write, or "
        "make it atomic"},
-      {kDeadSpecKey,
-       "sim::spec_key_registry entry whose key is never read by any "
-       "flags/spec accessor (runs under --dead-keys)",
-       "a registered key that nothing reads still serializes, documents, "
-       "and digests — so specs look configurable while the knob is "
-       "disconnected; wire it up or delete the entry"},
       {kBadAllow,
        "malformed nexit-lint annotation (unknown rule name, or missing "
        "reason)",
@@ -1009,7 +1002,6 @@ std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
     if (opts.taint) run_taint_pass(files, graph, findings);
     if (opts.locks) run_lock_pass(files, graph, findings);
   }
-  if (opts.dead_keys) run_dead_key_pass(files, findings);
 
   // Apply suppressions: an allow() covers findings of its rule on its own
   // line or on the next code line — lines that are blank after stripping
@@ -1046,7 +1038,6 @@ std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
     active.insert(kLockOrder);
     active.insert(kUnguardedWrite);
   }
-  if (opts.dead_keys) active.insert(kDeadSpecKey);
   for (const auto& [path, file_allows] : allows) {
     for (const Allow& a : file_allows) {
       if (a.used || active.count(a.rule) == 0) continue;

@@ -33,8 +33,6 @@
 //                         in opposite orders (ABBA deadlock shape)
 //   unguarded-write       write to shared state inside a ThreadPool worker
 //                         lambda with no lock/atomic in scope
-//   dead-spec-key         sim::spec_key_registry entry never read by any
-//                         flags/spec accessor
 //
 // Findings are suppressible only by an inline annotation on the same line
 // or directly above the flagged statement (comment-only lines in between —
@@ -104,7 +102,6 @@ struct SourceFile {
 struct ProjectOptions {
   bool taint = false;
   bool locks = false;
-  bool dead_keys = false;
 };
 
 /// Lint a whole project: line-local rules per file, then the enabled

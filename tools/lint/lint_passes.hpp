@@ -33,11 +33,4 @@ void run_taint_pass(const std::vector<SourceFile>& files,
 void run_lock_pass(const std::vector<SourceFile>& files,
                    const CallGraph& graph, std::vector<Finding>& findings);
 
-/// dead-spec-key: every key registered in sim::spec_key_registry (the
-/// KeyDoc table and sweep_only() entries) must be read somewhere via a
-/// flags/spec accessor; an entry that only serializes is flagged at its
-/// registry line.
-void run_dead_key_pass(const std::vector<SourceFile>& files,
-                       std::vector<Finding>& findings);
-
 }  // namespace nexit::lint

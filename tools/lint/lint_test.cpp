@@ -135,7 +135,7 @@ std::vector<SourceFile> load_group(const std::vector<fs::path>& paths) {
   return files;
 }
 
-constexpr ProjectOptions kAllPasses{true, true, true};
+constexpr ProjectOptions kAllPasses{true, true};
 
 using FileLineRule = std::tuple<std::string, int, std::string>;
 
