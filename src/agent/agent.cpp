@@ -378,8 +378,7 @@ void NegotiationAgent::maybe_act() {
   } else if (side_.stops_early()) {
     stop = config_.side == 0 ? core::StopReason::kEarlyStopA
                              : core::StopReason::kEarlyStopB;
-  } else if (!core::select_proposal(side_.view(), config_.negotiation.proposal,
-                                    /*rng=*/nullptr, sel)) {
+  } else if (!side_.select_proposal(/*rng=*/nullptr, sel)) {
     stop = core::StopReason::kNoProposal;
   }
   if (stop.has_value()) {

@@ -51,8 +51,7 @@ NegotiationOutcome NegotiationEngine::run() {
     ProposalChoice sel{};
     util::Rng* tie_rng =
         config_.tie_break == TieBreak::kRandom ? &rng_ : nullptr;
-    if (!select_proposal(sides_[proposer].view(), config_.proposal, tie_rng,
-                         sel)) {
+    if (!sides_[proposer].select_proposal(tie_rng, sel)) {
       stop = StopReason::kNoProposal;
       break;
     }

@@ -17,8 +17,8 @@ using PrefClass = int;
 
 struct PreferenceConfig {
   /// P: classes live in [-range, range]. The paper uses 10 and reports that
-  /// larger ranges do not noticeably help (we reproduce that in
-  /// bench/abl_pref_range).
+  /// larger ranges do not noticeably help (reproduced by
+  /// `nexit_run --scenario=abl_pref_range`).
   int range = 10;
   /// Disclose only the ordering of alternatives (classes compressed to
   /// {-1, 0, +1} relative to default) — the paper's suggestion for ISPs that

@@ -1,5 +1,7 @@
 #include "core/side.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -38,10 +40,34 @@ constexpr bool kAuditByDefault = true;  // debug builds audit every refresh
 
 void check_shape(const PreferenceList& list, const NegotiationProblem& p) {
   if (list.flows.size() != p.negotiable.size())
-    throw std::logic_error("oracle returned wrong number of flows");
+    throw std::logic_error("preference list has wrong number of flows");
   for (const auto& fp : list.flows)
     if (fp.pref_of_candidate.size() != p.candidates.size())
-      throw std::logic_error("oracle returned wrong number of candidates");
+      throw std::logic_error("preference list has wrong number of candidates");
+}
+
+/// Stable sort of `items` by `digit_of(item)` in [0, span): LSD radix sort
+/// in 16-bit digits, so one counting pass for every class span below 65536
+/// and bounded bucket memory for any other.
+template <typename DigitOf>
+void radix_sort(std::vector<std::size_t>& items, std::uint64_t span,
+                DigitOf digit_of) {
+  constexpr unsigned kBits = 16;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
+  std::vector<std::size_t> scratch(items.size());
+  std::vector<std::size_t> start;
+  for (unsigned shift = 0; shift == 0 || (span - 1) >> shift != 0;
+       shift += kBits) {
+    const auto digit = [&](std::size_t item) {
+      return (digit_of(item) >> shift) & kMask;
+    };
+    const std::uint64_t buckets = std::min((span - 1) >> shift, kMask) + 1;
+    start.assign(buckets + 1, 0);
+    for (std::size_t item : items) ++start[digit(item) + 1];
+    for (std::uint64_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
+    for (std::size_t item : items) scratch[start[digit(item)]++] = item;
+    items.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -117,27 +143,107 @@ void NegotiationSide::evaluate() {
   for (const auto& row : truth_.true_value)
     if (row.size() != problem_.candidates.size())
       throw std::logic_error("oracle returned wrong true_value shape");
+  rebuild_index();
 }
 
 void NegotiationSide::disclose(const PreferenceList& remote_hint) {
   const OracleContext ctx{&problem_, &tentative_, &remaining_};
   disclosed_ = oracle_->disclose(ctx, truth_.classes, remote_hint);
   check_shape(disclosed_, problem_);
+  rebuild_index();
 }
 
 void NegotiationSide::set_remote_disclosed(PreferenceList list) {
+  check_shape(list, problem_);
   remote_disclosed_ = std::move(list);
+  rebuild_index();
 }
 
-StrategyView NegotiationSide::view() const {
-  StrategyView v;
-  v.remaining = &remaining_;
-  v.banned = &banned_;
-  v.default_ci = &default_ci_;
-  v.my_disclosed = &disclosed_;
-  v.remote_disclosed = &remote_disclosed_;
-  v.my_true_value = &truth_.true_value;
-  return v;
+NegotiationSide::RankKey NegotiationSide::proposal_key(int own, int remote,
+                                                       bool is_default) const {
+  switch (config_.proposal) {
+    case ProposalPolicy::kMaxCombinedGain:
+      return RankKey{own + remote, own, is_default};
+    case ProposalPolicy::kBestLocalMinImpact:
+      return RankKey{own, remote, is_default};
+  }
+  throw std::logic_error("proposal_key: bad policy");
+}
+
+NegotiationSide::PositionSummary NegotiationSide::summarize(
+    std::size_t pos) const {
+  const auto& mine = disclosed_.flows[pos].pref_of_candidate;
+  const auto& theirs = remote_disclosed_.flows[pos].pref_of_candidate;
+  const auto& truth = truth_.true_value[pos];
+  const auto& banned = banned_[pos];
+  // Each proposer maximises the combined class, breaks ties by its own
+  // disclosed class, then prefers the default; on a residual tie the owner
+  // assumes the worst of the tied alternatives.
+  const auto track = [](RankKey& best, double& own, const RankKey& key,
+                        double value) {
+    if (best < key) {
+      best = key;
+      own = value;
+    } else if (key == best) {
+      own = std::min(own, value);
+    }
+  };
+  PositionSummary s;
+  RankKey as_mine, as_remote;
+  for (std::size_t ci = 0; ci < mine.size(); ++ci) {
+    if (banned[ci]) continue;
+    const int combined = mine[ci] + theirs[ci];
+    const bool is_default = ci == default_ci_[pos];
+    const RankKey mine_key{combined, mine[ci], is_default};
+    const RankKey remote_key{combined, theirs[ci], is_default};
+    const RankKey key = proposal_key(mine[ci], theirs[ci], is_default);
+    if (!s.open) {
+      s.open = true;
+      as_mine = mine_key;
+      as_remote = remote_key;
+      s.own_if_mine = s.own_if_remote = truth[ci];
+      s.best = key;
+      s.best_ci = ci;
+      continue;
+    }
+    track(as_mine, s.own_if_mine, mine_key, truth[ci]);
+    track(as_remote, s.own_if_remote, remote_key, truth[ci]);
+    if (s.best < key) {
+      s.best = key;
+      s.best_ci = ci;
+    }
+  }
+  s.combined = as_mine.primary;
+  return s;
+}
+
+void NegotiationSide::rebuild_index() {
+  const std::size_t n = problem_.negotiable.size();
+  summary_.clear();
+  order_.clear();
+  if (truth_.true_value.size() != n || disclosed_.flows.size() != n ||
+      remote_disclosed_.flows.size() != n)
+    return;  // not every list has arrived yet
+  summary_.reserve(n);
+  int lo = 0, hi = 0;
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    // Settled positions stay out of the index for good.
+    summary_.push_back(remaining_[pos] ? summarize(pos) : PositionSummary{});
+    const PositionSummary& s = summary_.back();
+    if (!s.open) continue;
+    if (order_.empty() || s.combined < lo) lo = s.combined;
+    if (order_.empty() || s.combined > hi) hi = s.combined;
+    order_.push_back(pos);
+  }
+  if (order_.empty()) return;
+  // Bucket by distance below the observed maximum: decreasing combined
+  // class, and stable, so equal classes keep position order.
+  const auto span = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(hi) - static_cast<std::int64_t>(lo) + 1);
+  radix_sort(order_, span, [&](std::size_t pos) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) -
+                                      summary_[pos].combined);
+  });
 }
 
 int NegotiationSide::turn_holder() const {
@@ -153,13 +259,82 @@ int NegotiationSide::settlement_opener(StopReason reason) const {
   return turn_holder();
 }
 
+bool NegotiationSide::select_proposal(util::Rng* rng,
+                                      ProposalChoice& out) const {
+  const obs::PhaseTimer timer(obs::Phase::kSelectProposal);
+  bool found = false;
+  RankKey best;
+  std::size_t num_tied = 0;
+  for (std::size_t pos = 0; pos < summary_.size(); ++pos) {
+    const PositionSummary& s = summary_[pos];
+    if (!remaining_[pos] || !s.open) continue;
+    // Below the running best, no candidate here can win or tie.
+    if (found && s.best < best) continue;
+    if (rng == nullptr) {
+      // Ties keep the first pair in scan order: the position's own first
+      // best candidate, unless an earlier position already holds the key.
+      if (!found || best < s.best) {
+        found = true;
+        best = s.best;
+        out = ProposalChoice{pos, s.best_ci};
+      }
+      continue;
+    }
+    const auto& mine = disclosed_.flows[pos].pref_of_candidate;
+    const auto& theirs = remote_disclosed_.flows[pos].pref_of_candidate;
+    for (std::size_t ci = 0; ci < mine.size(); ++ci) {
+      if (banned_[pos][ci]) continue;
+      const RankKey key =
+          proposal_key(mine[ci], theirs[ci], ci == default_ci_[pos]);
+      if (!found || best < key) {
+        found = true;
+        best = key;
+        num_tied = 1;
+        out = ProposalChoice{pos, ci};
+      } else if (key == best) {
+        // Residual tie: uniform via reservoir sampling.
+        ++num_tied;
+        if (rng->next_below(num_tied) == 0) out = ProposalChoice{pos, ci};
+      }
+    }
+  }
+  return found;
+}
+
+template <typename Settled>
+Projection NegotiationSide::walk_projection(std::size_t excluded,
+                                            Settled settled) const {
+  const obs::PhaseTimer timer(obs::Phase::kProjectFuture);
+  Projection p;
+  double run = 0.0;
+  bool mine = true;
+  for (std::size_t pos : order_) {
+    if (!remaining_[pos] || pos == excluded) continue;
+    const PositionSummary& s = summary_[pos];
+    // nexit-lint: allow(float-accumulate): running prefix of the alternating
+    // projection — inherently sequential, order IS the semantics
+    run += mine ? s.own_if_mine : s.own_if_remote;
+    p.peak = std::max(p.peak, run);
+    mine = !mine;
+    if (settled(p.peak)) break;
+  }
+  p.end = run;
+  return p;
+}
+
+Projection NegotiationSide::project_future(std::size_t excluded) const {
+  return walk_projection(excluded, [](double) { return false; });
+}
+
 bool NegotiationSide::stops_early() const {
   if (config_.termination != TerminationPolicy::kEarly) return false;
-  const Projection f = project_future(view());
+  // A positive peak already rules the stop out.
+  const Projection f =
+      walk_projection(kNoPosition, [](double peak) { return peak > 0; });
   return f.peak <= 0 && f.end < 0;
 }
 
-bool NegotiationSide::accepts(std::size_t pos, std::size_t ci) {
+bool NegotiationSide::accepts(std::size_t pos, std::size_t ci) const {
   const double value = truth_.true_value[pos][ci];
   switch (config_.acceptance) {
     case AcceptancePolicy::kAlwaysAccept:
@@ -171,10 +346,10 @@ bool NegotiationSide::accepts(std::size_t pos, std::size_t ci) {
       // Would dip below default: accept only if the projected future
       // (without this flow) can recover the deficit even under pessimistic
       // tie resolution.
-      remaining_[pos] = 0;
-      const Projection rest = project_future(view());
-      remaining_[pos] = 1;
-      return true_gain_ + value + rest.peak >= 0;
+      const auto recovers = [&](double peak) {
+        return true_gain_ + value + peak >= 0;
+      };
+      return recovers(walk_projection(pos, recovers).peak);
     }
   }
   throw std::logic_error("accepts: bad policy");
@@ -219,6 +394,23 @@ bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
 void NegotiationSide::ban(std::size_t pos, std::size_t ci) {
   banned_[pos][ci] = 1;
   ++round_;
+  if (summary_.empty()) return;
+  const PositionSummary now = summarize(pos);
+  PositionSummary& was = summary_[pos];
+  if (now.open == was.open && now.combined == was.combined) {
+    was = now;  // same slot in the order
+    return;
+  }
+  const auto before = [this](std::size_t a, std::size_t b) {
+    return summary_[a].combined > summary_[b].combined ||
+           (summary_[a].combined == summary_[b].combined && a < b);
+  };
+  if (was.open)
+    order_.erase(std::lower_bound(order_.begin(), order_.end(), pos, before));
+  was = now;
+  if (now.open)
+    order_.insert(std::upper_bound(order_.begin(), order_.end(), pos, before),
+                  pos);
 }
 
 void NegotiationSide::roll_back(AcceptedMove& m) {

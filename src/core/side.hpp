@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -7,7 +8,7 @@
 #include "core/oracle.hpp"
 #include "core/preference.hpp"
 #include "core/problem.hpp"
-#include "core/strategy.hpp"
+#include "util/rng.hpp"
 
 namespace nexit::core {
 
@@ -148,6 +149,19 @@ struct NegotiationOutcome {
   std::vector<RoundTrace> trace;     // filled when config.record_trace
 };
 
+/// A proposal: negotiable flow position and candidate index.
+struct ProposalChoice {
+  std::size_t pos = 0;
+  std::size_t ci = 0;
+};
+
+/// The greedy projection of the remaining negotiation (see
+/// NegotiationSide::project_future).
+struct Projection {
+  double peak = 0.0;  // best reachable cumulative own-gain increase
+  double end = 0.0;   // own-gain increase if everything remaining is settled
+};
+
 /// One ISP's replica of a negotiation (paper §4, plus the §6 settlement):
 /// the tentative assignment, which positions are still open or vetoed, its
 /// own evaluation and both disclosed preference lists, its true gain and
@@ -157,8 +171,31 @@ struct NegotiationOutcome {
 /// in-process engine (two sides, one turn loop) and a wire agent (one side,
 /// one channel) cannot drift apart: both replicas of a session apply the
 /// same calls in the same order.
+///
+/// The position index. Every §4 round asks the same three questions of the
+/// open (position, candidate) pairs — stop? propose what? accept? — so the
+/// side keeps, per negotiable position, one summary of its unvetoed
+/// candidates computed in a single pass: the best combined class (own +
+/// remote disclosed), the owner's true value of the alternative each
+/// proposer would pick (ties by its own disclosed class, then the default;
+/// residual ties pessimistic for the owner), and the configured proposal
+/// policy's key of the best candidate. Alongside it, the open positions in
+/// decreasing combined class, ties in position order (a stable counting
+/// sort over the observed class span). Invalidation:
+///   - evaluate(), disclose() and set_remote_disclosed() rebuild every
+///     summary and the order (once all three lists exist);
+///   - ban(pos, ci) recomputes position `pos` and moves it in the order;
+///   - apply_accept() and the settlement rollbacks touch nothing: the walk
+///     and the selection skip settled positions.
+/// The projection is then one walk over the order, which the stop test and
+/// protective acceptance end as soon as the running peak decides them. The
+/// selection skips every position whose best key is below the running best
+/// — such a position can neither win nor tie, so the random tie-break draws
+/// exactly what a scan of every pair would draw.
 class NegotiationSide {
  public:
+  static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+
   /// `side` is 0 for ISP A, 1 for ISP B; `oracle` must outlive the side.
   NegotiationSide(const NegotiationProblem& problem, PreferenceOracle& oracle,
                   int side, const NegotiationConfig& config);
@@ -175,13 +212,13 @@ class NegotiationSide {
   /// believes the remote's true preferences are (only a cheating oracle
   /// reads it).
   void disclose(const PreferenceList& remote_hint);
+  /// Takes the remote's disclosed list (throws std::logic_error on a shape
+  /// mismatch).
   void set_remote_disclosed(PreferenceList list);
   /// Forgets the pending delta at a quantum this side does not evaluate
   /// (its own oracle does not want reassignment).
   void discard_pending_delta() { pending_delta_.clear(); }
 
-  /// The negotiation from this side's perspective (core/strategy.hpp).
-  [[nodiscard]] StrategyView view() const;
   /// Who proposes next under the deterministic turn rules: the lower
   /// disclosed gain under kLowerGain, else round parity (kCoinToss draws
   /// belong to the engine).
@@ -189,11 +226,30 @@ class NegotiationSide {
   /// Who opens §6 settlement: the side that stopped early, else the turn
   /// holder.
   [[nodiscard]] int settlement_opener(StopReason reason) const;
+  /// Picks this side's proposal under the configured policy. Ranking: the
+  /// policy's primary/secondary keys, then status-quo bias (the flow's
+  /// default alternative wins residual ties — ISPs do not reroute without
+  /// perceived benefit, which also keeps coarse class-0 ties from drifting
+  /// traffic). With `rng == nullptr` any leftover tie breaks toward the
+  /// lowest (pos, ci); with an rng it breaks uniformly at random (the
+  /// paper's worked example), drawing `next_below(k)` for the k-th tied
+  /// pair in (pos, ci) order. Returns false if nothing is proposable.
+  bool select_proposal(util::Rng* rng, ProposalChoice& out) const;
+  /// Greedy projection of the remaining negotiation as this side perceives
+  /// it (TerminationPolicy::kEarly), leaving out position `excluded`: open
+  /// flows settle in decreasing order of their best combined class,
+  /// proposers alternate starting with this side, so tie resolution
+  /// alternates between its own tie-break and the remote's (pessimistic on
+  /// residual ties). That is what lets an ISP trust its own upcoming turns
+  /// while staying realistic about the counterparty's (Fig. 4b no-loss,
+  /// §5.4 premature termination against cheats).
+  [[nodiscard]] Projection project_future(
+      std::size_t excluded = kNoPosition) const;
   /// Early termination: the projected future can no longer raise this
   /// side's gain and would lower it.
   [[nodiscard]] bool stops_early() const;
   /// The configured acceptance policy, as the responder to (pos, ci).
-  [[nodiscard]] bool accepts(std::size_t pos, std::size_t ci);
+  [[nodiscard]] bool accepts(std::size_t pos, std::size_t ci) const;
   /// Whether (pos, ci) may still be proposed: the position is open and the
   /// alternative was not vetoed.
   [[nodiscard]] bool proposable(std::size_t pos, std::size_t ci) const {
@@ -242,7 +298,37 @@ class NegotiationSide {
     bool rolled_back = false;
   };
 
+  /// A proposal ranking key, compared in member order: primary, secondary,
+  /// then the default alternative wins.
+  struct RankKey {
+    int primary = 0;
+    int secondary = 0;
+    bool is_default = false;
+
+    friend auto operator<=>(const RankKey&, const RankKey&) = default;
+  };
+
+  /// What the index remembers of one position's unvetoed candidates.
+  struct PositionSummary {
+    bool open = false;  // some candidate is not vetoed
+    int combined = 0;   // best own + remote disclosed class
+    double own_if_mine = 0.0;    // own true value if this side proposes
+    double own_if_remote = 0.0;  // ... if the remote proposes
+    RankKey best;                // best proposal key under the policy
+    std::size_t best_ci = 0;     // first candidate (in ci order) holding it
+  };
+
   void roll_back(AcceptedMove& m);
+  [[nodiscard]] RankKey proposal_key(int own, int remote,
+                                     bool is_default) const;
+  [[nodiscard]] PositionSummary summarize(std::size_t pos) const;
+  /// project_future(), cut short once `settled(peak)` holds: the peak only
+  /// grows along the walk, so a decision waiting for it to clear a bar is
+  /// final the moment it does (`end` is then a prefix).
+  template <typename Settled>
+  [[nodiscard]] Projection walk_projection(std::size_t excluded,
+                                           Settled settled) const;
+  void rebuild_index();
 
   const NegotiationProblem& problem_;
   PreferenceOracle* oracle_;
@@ -272,6 +358,13 @@ class NegotiationSide {
   /// Counters carried into outcome(): flows negotiated/moved/rolled back,
   /// reassignments, and the evaluation telemetry.
   NegotiationOutcome tally_;
+  /// The position index (see the class comment). Empty until evaluate(),
+  /// disclose() and set_remote_disclosed() have all run once.
+  std::vector<PositionSummary> summary_;
+  /// Open positions with an unvetoed candidate at the last rebuild (minus
+  /// those vetoed out since), by decreasing combined class, ties by
+  /// position.
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace nexit::core

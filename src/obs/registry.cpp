@@ -15,6 +15,7 @@ const char* phase_name(Phase p) {
     case Phase::kWireEncode: return "wire_encode";
     case Phase::kWireDecode: return "wire_decode";
     case Phase::kSessionPump: return "session_pump";
+    case Phase::kProjectFuture: return "project_future";
     case Phase::kCount: break;
   }
   return "?";

@@ -44,6 +44,7 @@ enum class Phase : std::uint8_t {
   kWireEncode,
   kWireDecode,
   kSessionPump,
+  kProjectFuture,
   kCount,
 };
 

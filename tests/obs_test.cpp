@@ -211,6 +211,26 @@ TEST(ObsRegistry, PhaseTimersAreDisarmedByDefaultAndCountWhenEnabled) {
   EXPECT_TRUE(saw_decode);
 }
 
+TEST(ObsRegistry, ProjectFuturePhaseIsTimedUnderItsOwnName) {
+  // Appended last, so the keys of the phases before it keep their order.
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kProjectFuture), kPhaseCount - 1);
+  EXPECT_STREQ(phase_name(Phase::kProjectFuture), "project_future");
+
+  Registry& reg = Registry::global();
+  reg.reset_timing();
+  reg.set_timing_enabled(true);
+  { const PhaseTimer t(Phase::kProjectFuture); }
+  { const PhaseTimer t(Phase::kProjectFuture); }
+  const std::vector<PhaseSnapshot> on = reg.timing_snapshot();
+  reg.set_timing_enabled(false);
+  reg.reset_timing();
+
+  ASSERT_EQ(on.size(), kPhaseCount);
+  EXPECT_STREQ(on.back().name, "project_future");
+  EXPECT_EQ(on.back().calls, 2u);
+  EXPECT_EQ(on[0].calls, 0u);
+}
+
 // --- the trace writer ----------------------------------------------------
 
 TEST(ObsTrace, EmitsChromeTraceEventJson) {
