@@ -6,14 +6,16 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nexit::core {
 
 std::vector<PrefClass> quantize_deltas(const std::vector<double>& deltas,
                                        const PreferenceConfig& config,
                                        double scale) {
-  if (config.range < 1)
-    throw std::invalid_argument("quantize_deltas: range < 1");
+  if (config.range < 1 || config.range > kMaxPrefRange)
+    throw std::invalid_argument("quantize_deltas: range out of [1, " +
+                                std::to_string(kMaxPrefRange) + "]");
   std::vector<PrefClass> out;
   out.reserve(deltas.size());
   for (double d : deltas) {
@@ -22,9 +24,11 @@ std::vector<PrefClass> quantize_deltas(const std::vector<double>& deltas,
       if (d > 1e-12) c = 1;
       else if (d < -1e-12) c = -1;
     } else if (scale > 0.0) {
-      const double scaled = d / scale * static_cast<double>(config.range);
-      c = static_cast<PrefClass>(std::lround(scaled));
-      c = std::clamp(c, -config.range, config.range);
+      // Clamp before narrowing: an outlier far beyond the scale must land
+      // on +-P, not wrap through lround's long or the int conversion.
+      const double range = static_cast<double>(config.range);
+      const double scaled = d / scale * range;
+      c = static_cast<PrefClass>(std::lround(std::clamp(scaled, -range, range)));
     }
     out.push_back(c);
   }

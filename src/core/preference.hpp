@@ -15,6 +15,12 @@ namespace nexit::core {
 /// of the design.
 using PrefClass = int;
 
+/// Upper bound on P. Combined classes (own + remote) and the disclosed gains
+/// summed over a negotiation stay far inside `int`, and
+/// `std::numeric_limits<int>::min()` stays free as the position index's
+/// closed-position sentinel (core/side.hpp).
+inline constexpr int kMaxPrefRange = 1 << 20;
+
 struct PreferenceConfig {
   /// P: classes live in [-range, range]. The paper uses 10 and reports that
   /// larger ranges do not noticeably help (reproduced by
@@ -48,7 +54,8 @@ struct PreferenceList {
 /// `deltas[c]` is how much better (positive) or worse (negative) candidate c
 /// is than the default, in the ISP's internal metric units. `scale` is the
 /// metric value that maps to the extreme class (usually the largest |delta|
-/// in the whole advertised list, so the biggest swing lands on ±P).
+/// in the whole advertised list, so the biggest swing lands on ±P). Throws
+/// std::invalid_argument unless 1 <= range <= kMaxPrefRange.
 std::vector<PrefClass> quantize_deltas(const std::vector<double>& deltas,
                                        const PreferenceConfig& config,
                                        double scale);

@@ -220,16 +220,19 @@ NegotiationSide::PositionSummary NegotiationSide::summarize(
 void NegotiationSide::rebuild_index() {
   const std::size_t n = problem_.negotiable.size();
   summary_.clear();
+  best_primary_.clear();
   order_.clear();
   if (truth_.true_value.size() != n || disclosed_.flows.size() != n ||
       remote_disclosed_.flows.size() != n)
     return;  // not every list has arrived yet
   summary_.reserve(n);
+  best_primary_.reserve(n);
   int lo = 0, hi = 0;
   for (std::size_t pos = 0; pos < n; ++pos) {
     // Settled positions stay out of the index for good.
     summary_.push_back(remaining_[pos] ? summarize(pos) : PositionSummary{});
     const PositionSummary& s = summary_.back();
+    best_primary_.push_back(s.open ? s.best.primary : kClosedKey);
     if (!s.open) continue;
     if (order_.empty() || s.combined < lo) lo = s.combined;
     if (order_.empty() || s.combined > hi) hi = s.combined;
@@ -265,10 +268,14 @@ bool NegotiationSide::select_proposal(util::Rng* rng,
   bool found = false;
   RankKey best;
   std::size_t num_tied = 0;
-  for (std::size_t pos = 0; pos < summary_.size(); ++pos) {
-    const PositionSummary& s = summary_[pos];
-    if (!remaining_[pos] || !s.open) continue;
+  // The running best's primary key; it starts just above the sentinel, so
+  // closed and settled positions never pass.
+  int bar = kClosedKey + 1;
+  const int* primary = best_primary_.data();
+  for (std::size_t pos = 0; pos < best_primary_.size(); ++pos) {
     // Below the running best, no candidate here can win or tie.
+    if (primary[pos] < bar) continue;
+    const PositionSummary& s = summary_[pos];
     if (found && s.best < best) continue;
     if (rng == nullptr) {
       // Ties keep the first pair in scan order: the position's own first
@@ -276,6 +283,7 @@ bool NegotiationSide::select_proposal(util::Rng* rng,
       if (!found || best < s.best) {
         found = true;
         best = s.best;
+        bar = best.primary;
         out = ProposalChoice{pos, s.best_ci};
       }
       continue;
@@ -297,6 +305,7 @@ bool NegotiationSide::select_proposal(util::Rng* rng,
         if (rng->next_below(num_tied) == 0) out = ProposalChoice{pos, ci};
       }
     }
+    bar = best.primary;
   }
   return found;
 }
@@ -380,6 +389,7 @@ bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
   disclosed_gain_[1 - side_] +=
       remote_disclosed_.flows[pos].pref_of_candidate[ci];
   remaining_[pos] = 0;
+  if (!best_primary_.empty()) best_primary_[pos] = kClosedKey;
   --remaining_count_;
   ++tally_.flows_negotiated;
   ++round_;
@@ -395,8 +405,10 @@ void NegotiationSide::ban(std::size_t pos, std::size_t ci) {
   banned_[pos][ci] = 1;
   ++round_;
   if (summary_.empty()) return;
-  const PositionSummary now = summarize(pos);
+  const PositionSummary now =
+      remaining_[pos] ? summarize(pos) : PositionSummary{};
   PositionSummary& was = summary_[pos];
+  best_primary_[pos] = now.open ? now.best.primary : kClosedKey;
   if (now.open == was.open && now.combined == was.combined) {
     was = now;  // same slot in the order
     return;

@@ -2,6 +2,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -185,13 +186,16 @@ struct Projection {
 ///   - evaluate(), disclose() and set_remote_disclosed() rebuild every
 ///     summary and the order (once all three lists exist);
 ///   - ban(pos, ci) recomputes position `pos` and moves it in the order;
-///   - apply_accept() and the settlement rollbacks touch nothing: the walk
-///     and the selection skip settled positions.
+///   - apply_accept() closes the position's selection key; it and the
+///     settlement rollbacks leave the rest alone: the walk skips settled
+///     positions.
 /// The projection is then one walk over the order, which the stop test and
 /// protective acceptance end as soon as the running peak decides them. The
-/// selection skips every position whose best key is below the running best
-/// — such a position can neither win nor tie, so the random tie-break draws
-/// exactly what a scan of every pair would draw.
+/// selection scans a contiguous array of each position's best primary key
+/// (kClosedKey for closed or settled positions) and reads a summary only
+/// where that key reaches the running best's: every other position can
+/// neither win nor tie, so the random tie-break draws exactly what a scan of
+/// every pair would draw.
 class NegotiationSide {
  public:
   static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
@@ -361,6 +365,11 @@ class NegotiationSide {
   /// The position index (see the class comment). Empty until evaluate(),
   /// disclose() and set_remote_disclosed() have all run once.
   std::vector<PositionSummary> summary_;
+  /// summary_[pos].best.primary, or kClosedKey once the position is closed
+  /// or settled: the selection's skip loop reads only this array. Real
+  /// primaries stay within +-2 * kMaxPrefRange, far above the sentinel.
+  static constexpr int kClosedKey = std::numeric_limits<int>::min();
+  std::vector<int> best_primary_;
   /// Open positions with an unvetoed candidate at the last rebuild (minus
   /// those vetoed out since), by decreasing combined class, ties by
   /// position.

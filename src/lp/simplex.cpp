@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace nexit::lp {
@@ -83,8 +85,22 @@ class Tableau {
     a_ = artificials;
     cols_ = n_ + s_ + a_ + 1;
 
-    rows_.assign(static_cast<std::size_t>(m_ + 1),
-                 std::vector<double>(static_cast<std::size_t>(cols_), 0.0));
+    // One block from a cache-line boundary, each row padded to an even
+    // length so every row starts 16-byte aligned (the pivot loop's SSE2
+    // width). With a heap vector per row, the pivot's speed depended on
+    // where earlier allocations had left room: an unrelated 32-byte
+    // allocation elsewhere made the same LP 20-35% slower (Xeon, 4 vCPUs).
+    const auto cols = static_cast<std::size_t>(cols_);
+    const std::size_t stride = (cols + 1) / 2 * 2;
+    const std::size_t used = (static_cast<std::size_t>(m_) + 1) * stride;
+    constexpr std::size_t kLine = 64;
+    cells_.assign(used + kLine / sizeof(double), 0.0);
+    void* start = cells_.data();
+    std::size_t space = cells_.size() * sizeof(double);
+    auto* base = static_cast<double*>(
+        std::align(kLine, used * sizeof(double), start, space));
+    for (std::size_t i = 0; i <= static_cast<std::size_t>(m_); ++i)
+      rows_.emplace_back(base + i * stride, cols);
     basis_.assign(static_cast<std::size_t>(m_), -1);
 
     int next_slack = n_;
@@ -115,6 +131,10 @@ class Tableau {
       }
     }
   }
+
+  // rows_ points into cells_.
+  Tableau(const Tableau&) = delete;
+  Tableau& operator=(const Tableau&) = delete;
 
   [[nodiscard]] int num_artificials() const { return a_; }
   [[nodiscard]] int first_artificial() const { return first_artificial_; }
@@ -235,7 +255,10 @@ class Tableau {
       obj[static_cast<std::size_t>(j)] -= factor * r[static_cast<std::size_t>(j)];
   }
 
-  void pivot(int leaving_row, int entering_col) {
+  // Out of line and cache-line aligned, so code added elsewhere cannot
+  // shift the alignment of the LP's hottest loop.
+  [[gnu::noinline, gnu::aligned(64)]] void pivot(int leaving_row,
+                                                 int entering_col) {
     auto& prow = rows_[static_cast<std::size_t>(leaving_row)];
     const double pval = prow[static_cast<std::size_t>(entering_col)];
     for (double& v : prow) v /= pval;
@@ -260,7 +283,8 @@ class Tableau {
   int m_ = 0;      // constraints
   int cols_ = 0;   // total columns incl. rhs
   int first_artificial_ = 0;
-  std::vector<std::vector<double>> rows_;
+  std::vector<double> cells_;
+  std::vector<std::span<double>> rows_;
   std::vector<int> basis_;
 };
 

@@ -16,6 +16,8 @@ const char* phase_name(Phase p) {
     case Phase::kWireDecode: return "wire_decode";
     case Phase::kSessionPump: return "session_pump";
     case Phase::kProjectFuture: return "project_future";
+    case Phase::kJournalAppend: return "journal_append";
+    case Phase::kJournalReplay: return "journal_replay";
     case Phase::kCount: break;
   }
   return "?";

@@ -45,6 +45,8 @@ enum class Phase : std::uint8_t {
   kWireDecode,
   kSessionPump,
   kProjectFuture,
+  kJournalAppend,  // encode + frame (+ disk mirror) of a checkpoint or WAL record
+  kJournalReplay,  // a whole restore, including the session pumps it re-runs
   kCount,
 };
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <optional>
 
+#include "obs/registry.hpp"
 #include "proto/frame.hpp"
 #include "runtime/session.hpp"
 
@@ -20,6 +21,7 @@ SessionJournal::SessionJournal(std::uint32_t id, std::string dir)
 }
 
 void SessionJournal::write_checkpoint(const proto::SnapshotCheckpoint& cp) {
+  const obs::PhaseTimer timer(obs::Phase::kJournalAppend);
   snap_ = proto::encode_frame(proto::encode_snapshot_checkpoint(cp));
   wal_.clear();
   wal_events_ = 0;
@@ -29,6 +31,7 @@ void SessionJournal::write_checkpoint(const proto::SnapshotCheckpoint& cp) {
 }
 
 void SessionJournal::append_event(const proto::SnapshotWalEvent& ev) {
+  const obs::PhaseTimer timer(obs::Phase::kJournalAppend);
   const proto::Bytes frame =
       proto::encode_frame(proto::encode_snapshot_wal_event(ev));
   wal_.insert(wal_.end(), frame.begin(), frame.end());
@@ -131,6 +134,7 @@ void Session::journal_event(proto::WalEventKind kind, Tick sess_now,
 
 bool Session::replay_journal(const SessionJournal& journal, Tick now,
                              std::string* error) {
+  const obs::PhaseTimer timer(obs::Phase::kJournalReplay);
   const auto fail = [error](std::string why) {
     *error = std::move(why);
     return false;

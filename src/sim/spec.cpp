@@ -537,7 +537,7 @@ std::vector<KeyRow> build_key_rows() {
                  "kind."),
       number_row("pref-range", kForAllKinds,
                  [](auto& s) -> auto& { return s.pref_range; },
-                 Range{1, std::numeric_limits<int>::max()}, "",
+                 Range{1, core::kMaxPrefRange}, "",
                  "Preference-class range P (paper §4.1)."),
       choice_row("turn", kForAllKinds, [](auto& s) -> auto& { return s.turn; },
                  kTurns, "Whose turn it is to propose (paper §4.2)."),

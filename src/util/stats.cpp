@@ -19,36 +19,30 @@ double mean(const std::vector<double>& xs) {
   return sum(xs) / static_cast<double>(xs.size());
 }
 
-namespace {
-
-/// Shared tail of both percentile overloads; `sorted` must be sorted.
-double percentile_of_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) throw std::invalid_argument("percentile: empty sample");
-  if (p < 0.0 || p > 100.0)
-    throw std::invalid_argument("percentile: p out of [0,100]");
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-}  // namespace
-
 double median(const std::vector<double>& xs) { return percentile(xs, 50.0); }
 
 double percentile(const std::vector<double>& xs, double p) {
-  if (xs.empty()) throw std::invalid_argument("percentile: empty sample");
-  if (xs.size() == 1) return percentile_of_sorted(xs, p);
-  std::vector<double> sorted = xs;
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_of_sorted(sorted, p);
+  return percentile(std::vector<double>(xs), p);
 }
 
 double percentile(std::vector<double>&& xs, double p) {
-  std::sort(xs.begin(), xs.end());
-  return percentile_of_sorted(xs, p);
+  if (xs.empty()) throw std::invalid_argument("percentile: empty sample");
+  if (p < 0.0 || p > 100.0)
+    throw std::invalid_argument("percentile: p out of [0,100]");
+  if (xs.size() == 1) return xs[0];
+  const double rank = (p / 100.0) * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  // Order statistics by selection: xs[lo] lands where a sort would put it,
+  // with everything above it in (lo, end), so the next order statistic is
+  // that partition's minimum. Same values, same expression as interpolating
+  // a sorted copy, in linear time.
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  const double at_lo = *nth;
+  const double at_hi = hi == lo ? at_lo : *std::min_element(nth + 1, xs.end());
+  return at_lo + (at_hi - at_lo) * frac;
 }
 
 Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)), sorted_(false) {

@@ -20,12 +20,15 @@ double median(const std::vector<double>& xs);
 
 /// p-th percentile, p in [0, 100], linear interpolation between order
 /// statistics. Requires a non-empty sample. The input is left untouched;
-/// one internal copy is sorted (callers that need many percentiles of the
-/// same sample should build a Cdf instead, which sorts once).
+/// the two order statistics are selected from one internal copy in linear
+/// time (callers that need many percentiles of the same sample should
+/// build a Cdf instead, which sorts once).
 double percentile(const std::vector<double>& xs, double p);
 
-/// Zero-copy overload for callers done with their sample: sorts in place.
-/// Used on the oracle-evaluation hot path (quantization_scale).
+/// Zero-copy overload for callers done with their sample: selects in place
+/// (leaving `xs` partially reordered). Bit-identical to interpolating a
+/// sorted copy. Used on the oracle-evaluation hot path
+/// (quantization_scale).
 double percentile(std::vector<double>&& xs, double p);
 
 /// Empirical cumulative distribution over a sample, in the style the paper

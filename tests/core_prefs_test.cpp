@@ -46,6 +46,18 @@ TEST(Quantize, BadRangeThrows) {
   PreferenceConfig cfg;
   cfg.range = 0;
   EXPECT_THROW(quantize_deltas({1.0}, cfg, 1.0), std::invalid_argument);
+  cfg.range = kMaxPrefRange + 1;
+  EXPECT_THROW(quantize_deltas({1.0}, cfg, 1.0), std::invalid_argument);
+}
+
+TEST(Quantize, ClampsBeforeNarrowing) {
+  // At the largest P, deltas far beyond the scale overflow int (and long)
+  // once scaled; they must still land on +-P.
+  PreferenceConfig cfg;
+  cfg.range = kMaxPrefRange;
+  auto prefs = quantize_deltas({1e12, -1e12, 1e300, 0.5}, cfg, 1.0);
+  EXPECT_EQ(prefs, (std::vector<PrefClass>{kMaxPrefRange, -kMaxPrefRange,
+                                           kMaxPrefRange, kMaxPrefRange / 2}));
 }
 
 // --- Cheating transform (§5.4) --------------------------------------------

@@ -393,11 +393,17 @@ bool same_bits(const Projection& a, const Projection& b) {
          std::memcmp(&a.end, &b.end, sizeof(double)) == 0;
 }
 
-/// Random classes in [-2, 2] (ties everywhere), or with `wide` from a set
-/// spanning millions, and true values drawn independently of the classes
-/// from a small set, so tied alternatives often differ in true value and
-/// the pessimistic minimum matters.
-void random_lists(util::Rng& rng, bool wide, std::size_t positions,
+/// Which classes random_lists() draws.
+enum class Classes {
+  kNarrow,   // [-2, 2]: ties everywhere
+  kWide,     // a set spanning millions
+  kAtBound,  // +-kMaxPrefRange and its neighbours: the extreme keys
+};
+
+/// Random classes, and true values drawn independently of the classes from
+/// a small set, so tied alternatives often differ in true value and the
+/// pessimistic minimum matters.
+void random_lists(util::Rng& rng, Classes classes, std::size_t positions,
                   std::size_t candidates,
                   std::vector<std::vector<PrefClass>>& mine,
                   std::vector<std::vector<double>>& my_true,
@@ -405,9 +411,16 @@ void random_lists(util::Rng& rng, bool wide, std::size_t positions,
   static constexpr double kValues[] = {-1.5, -0.5, 0.0, 0.5, 1.0, 2.0};
   static constexpr PrefClass kWide[] = {-1000000, -65537, -1, 0,
                                         1,        65536,  1000000};
+  static constexpr PrefClass kAtBound[] = {
+      -kMaxPrefRange, -kMaxPrefRange + 1, 0, kMaxPrefRange - 1, kMaxPrefRange};
   const auto draw = [&] {
-    return wide ? kWide[rng.next_below(std::size(kWide))]
-                : static_cast<PrefClass>(rng.next_int(-2, 2));
+    switch (classes) {
+      case Classes::kWide: return kWide[rng.next_below(std::size(kWide))];
+      case Classes::kAtBound:
+        return kAtBound[rng.next_below(std::size(kAtBound))];
+      case Classes::kNarrow: break;
+    }
+    return static_cast<PrefClass>(rng.next_int(-2, 2));
   };
   mine.assign(positions, std::vector<PrefClass>(candidates));
   theirs.assign(positions, std::vector<PrefClass>(candidates));
@@ -422,7 +435,7 @@ void random_lists(util::Rng& rng, bool wide, std::size_t positions,
 }
 
 void run_differential(ProposalPolicy policy, bool with_rng,
-                      bool wide = false) {
+                      Classes classes = Classes::kNarrow) {
   util::Rng gen(with_rng ? 7 : 8);
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t positions = 1 + gen.next_below(14);
@@ -435,7 +448,7 @@ void run_differential(ProposalPolicy policy, bool with_rng,
     SideFixture fx(candidates, defaults, config);
     std::vector<std::vector<PrefClass>> mine, theirs;
     std::vector<std::vector<double>> my_true;
-    random_lists(gen, wide, positions, candidates, mine, my_true, theirs);
+    random_lists(gen, classes, positions, candidates, mine, my_true, theirs);
     fx.refresh(mine, my_true, theirs);
 
     Reference ref{fx.side.get(), &fx.problem, policy,
@@ -487,7 +500,7 @@ void run_differential(ProposalPolicy policy, bool with_rng,
         fx.side->apply_accept(want.pos, want.ci);
         ref.remaining[want.pos] = 0;
       } else {
-        random_lists(gen, wide, positions, candidates, mine, my_true, theirs);
+        random_lists(gen, classes, positions, candidates, mine, my_true, theirs);
         switch (gen.next_below(4)) {
           case 0:
             fx.refresh(mine, my_true, theirs);
@@ -527,7 +540,16 @@ TEST(PositionIndex, MatchesPairScanBestLocalDeterministic) {
 
 TEST(PositionIndex, MatchesPairScanOnWideClassSpans) {
   // Combined classes millions apart: the order takes two radix digits.
-  run_differential(ProposalPolicy::kMaxCombinedGain, true, /*wide=*/true);
+  run_differential(ProposalPolicy::kMaxCombinedGain, true, Classes::kWide);
+}
+
+TEST(PositionIndex, MatchesPairScanAtThePrefRangeBound) {
+  // Classes at +-P for the largest P the spec accepts: combined keys reach
+  // +-2P, the lowest still clear of the closed-position sentinel, under
+  // both policies' primary keys.
+  run_differential(ProposalPolicy::kMaxCombinedGain, true, Classes::kAtBound);
+  run_differential(ProposalPolicy::kBestLocalMinImpact, false,
+                   Classes::kAtBound);
 }
 
 }  // namespace

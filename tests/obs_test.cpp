@@ -212,8 +212,9 @@ TEST(ObsRegistry, PhaseTimersAreDisarmedByDefaultAndCountWhenEnabled) {
 }
 
 TEST(ObsRegistry, ProjectFuturePhaseIsTimedUnderItsOwnName) {
-  // Appended last, so the keys of the phases before it keep their order.
-  EXPECT_EQ(static_cast<std::size_t>(Phase::kProjectFuture), kPhaseCount - 1);
+  // Appended after the original phases, so their keys keep their order.
+  const auto ix = static_cast<std::size_t>(Phase::kProjectFuture);
+  EXPECT_EQ(ix, static_cast<std::size_t>(Phase::kSessionPump) + 1);
   EXPECT_STREQ(phase_name(Phase::kProjectFuture), "project_future");
 
   Registry& reg = Registry::global();
@@ -226,9 +227,62 @@ TEST(ObsRegistry, ProjectFuturePhaseIsTimedUnderItsOwnName) {
   reg.reset_timing();
 
   ASSERT_EQ(on.size(), kPhaseCount);
-  EXPECT_STREQ(on.back().name, "project_future");
-  EXPECT_EQ(on.back().calls, 2u);
+  EXPECT_STREQ(on[ix].name, "project_future");
+  EXPECT_EQ(on[ix].calls, 2u);
   EXPECT_EQ(on[0].calls, 0u);
+}
+
+/// The `phase.<name>.calls` entry of a record's timing section, or -1.
+long long timing_calls_in(const std::string& text, const std::string& name) {
+  const std::string needle = "\"phase." + name + ".calls\": ";
+  const auto pos = text.find(needle);
+  return pos == std::string::npos ? -1
+                                  : std::stoll(text.substr(pos + needle.size()));
+}
+
+TEST(ObsRegistry, JournalPhasesAreTimedUnderTheirOwnNames) {
+  // Appended last, after project_future.
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kJournalAppend),
+            static_cast<std::size_t>(Phase::kProjectFuture) + 1);
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kJournalReplay), kPhaseCount - 1);
+  EXPECT_STREQ(phase_name(Phase::kJournalAppend), "journal_append");
+  EXPECT_STREQ(phase_name(Phase::kJournalReplay), "journal_replay");
+
+  // A runtime that kills and resumes a session journals checkpoints and
+  // WAL records, then replays them; without kills nothing is journaled.
+  const sim::ScenarioPreset* runtime = sim::find_scenario("runtime");
+  ASSERT_NE(runtime, nullptr);
+  // scenarios/runtime_crash_resume.spec, one kill/resume cycle.
+  const std::vector<std::string> base = {"isps=30",
+                                         "seed=11",
+                                         "pairs=12",
+                                         "traffic=identical",
+                                         "runtime.min-links=2",
+                                         "runtime.stagger=2",
+                                         "runtime.burst=8",
+                                         "runtime.handshake-deadline=16",
+                                         "runtime.max-attempts=2",
+                                         "obs.timing=true"};
+  const auto run = [&](const std::string& events, const std::string& json) {
+    std::vector<std::string> flags = base;
+    flags.push_back("runtime.events=" + events);
+    flags.push_back("json=" + json);
+    return sim::run_scenario(*runtime, kv_flags(flags));
+  };
+  const std::string killed = temp_path("_killed.json");
+  ASSERT_EQ(run("kill@3/0,resume@6/0", killed), 0);
+  const std::string text = read_file(killed);
+  EXPECT_GT(timing_calls_in(text, "journal_append"), 0) << text;
+  EXPECT_GT(timing_calls_in(text, "journal_replay"), 0) << text;
+
+  const std::string plain = temp_path("_plain.json");
+  ASSERT_EQ(run("", plain), 0);
+  const std::string plain_text = read_file(plain);
+  EXPECT_EQ(timing_calls_in(plain_text, "journal_append"), 0) << plain_text;
+  EXPECT_EQ(timing_calls_in(plain_text, "journal_replay"), 0) << plain_text;
+
+  std::remove(killed.c_str());
+  std::remove(plain.c_str());
 }
 
 // --- the trace writer ----------------------------------------------------

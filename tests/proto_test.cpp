@@ -88,6 +88,39 @@ TEST(Crc32, KnownVectors) {
   const char* s = "123456789";
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xcbf43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+  // Longer than one 8-byte slice, with a byte-wise tail (zlib's values).
+  const char* fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(fox), 43),
+            0x414fa339u);
+  const std::vector<std::uint8_t> zeros(32, 0x00), ones(32, 0xff);
+  EXPECT_EQ(crc32(zeros.data(), zeros.size()), 0x190a55adu);
+  EXPECT_EQ(crc32(ones.data(), ones.size()), 0xff6cab0bu);
+}
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every split into 8-byte slices and a 0..7-byte tail, from every
+  // alignment of the start pointer.
+  util::Rng rng(29);
+  std::vector<std::uint8_t> buf(8 + 257);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(crc32(p, len), bitwise_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(Frame, EncodeDecodeRoundTrip) {

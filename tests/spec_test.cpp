@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/oracle_registry.hpp"
+#include "core/preference.hpp"
 #include "geo/city_db.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/spec.hpp"
@@ -277,6 +278,37 @@ TEST(SpecDeathTest, OutOfRangeValuesExitTwoNamingTheKey) {
   legal.merge_from_flags(kv_flags({"sweep.reassign=0.5,7"}));
   EXPECT_FALSE(legal.validate(&error));
   EXPECT_EQ(error.rfind("sweep.reassign: ", 0), 0u) << error;
+}
+
+TEST(ExperimentSpec, PrefRangeEdgesParseValidateAndQuantize) {
+  // [1, kMaxPrefRange] keeps 2P, the summed disclosed gains and the
+  // position index's closed-key sentinel inside int; beyond it a run used
+  // to exit 0 having negotiated nothing.
+  for (const int p : {1, core::kMaxPrefRange}) {
+    ExperimentSpec s;
+    s.merge_from_flags(kv_flags({"pref-range=" + std::to_string(p)}));
+    std::string error;
+    ASSERT_TRUE(s.validate(&error)) << error;
+    const core::PreferenceConfig prefs = s.to_negotiation_config().preferences;
+    EXPECT_EQ(prefs.range, p);
+    EXPECT_EQ(core::quantize_deltas({1e9, -1e9, 0.0}, prefs, 1.0),
+              (std::vector<core::PrefClass>{p, -p, 0}));
+  }
+  const std::string range =
+      "\\[1, " + std::to_string(core::kMaxPrefRange) + "\\]";
+  for (const std::string& value :
+       {std::string("0"), std::to_string(core::kMaxPrefRange + 1),
+        std::string("2000000000")}) {
+    ExperimentSpec s;
+    EXPECT_EXIT(s.merge_from_flags(kv_flags({"pref-range=" + value})),
+                ::testing::ExitedWithCode(2), "--pref-range expects.*" + range)
+        << value;
+  }
+  ExperimentSpec direct;
+  direct.pref_range = core::kMaxPrefRange + 1;
+  std::string error;
+  EXPECT_FALSE(direct.validate(&error));
+  EXPECT_EQ(error.rfind("pref-range: ", 0), 0u) << error;
 }
 
 TEST(ExperimentSpec, PopCountEdgesParseValidateAndBuild) {

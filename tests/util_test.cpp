@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/digest.hpp"
@@ -137,13 +141,52 @@ TEST(Stats, PercentileOutOfRangeThrows) {
 }
 
 TEST(Stats, PercentileLeavesInputUntouched) {
-  // percentile/median take the sample by const reference and sort an
-  // internal copy; the caller's ordering must survive.
+  // percentile/median take the sample by const reference and select from
+  // an internal copy; the caller's ordering must survive.
   const std::vector<double> xs{5, 1, 4, 2, 3};
   const std::vector<double> original = xs;
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 3.0);
   EXPECT_DOUBLE_EQ(median(xs), 3.0);
   EXPECT_EQ(xs, original);
+}
+
+/// The reference percentile() must reproduce bit for bit: linear
+/// interpolation over a fully sorted copy.
+double sorted_percentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs[0];
+  const double rank = (p / 100.0) * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return xs[lo] + (xs[hi] - xs[lo]) * frac;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Stats, PercentileSelectionMatchesSortedReferenceBitForBit) {
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.next_below(2000);
+    // Heavy duplicates: every third sample draws from at most four values.
+    const std::size_t distinct = 1 + rng.next_below(trial % 3 == 0 ? 4 : n);
+    std::vector<double> pool(distinct);
+    for (double& v : pool) v = rng.next_double(-1e3, 1e3);
+    std::vector<double> xs(n);
+    for (double& x : xs) x = pool[rng.next_below(distinct)];
+    std::vector<double> ps = {0, 0.1, 25, 50, 90, 99.9, 100};
+    ps.push_back(rng.next_double(0.0, 100.0));
+    for (double p : ps) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " n " +
+                   std::to_string(n) + " p " + std::to_string(p));
+      const double want = sorted_percentile(xs, p);
+      EXPECT_TRUE(same_bits(percentile(std::vector<double>(xs), p), want));
+      EXPECT_TRUE(same_bits(percentile(xs, p), want));
+    }
+    EXPECT_TRUE(same_bits(median(xs), sorted_percentile(xs, 50.0)));
+  }
 }
 
 TEST(Cdf, SizeStableAcrossAddAndSortCycles) {
