@@ -102,8 +102,9 @@ struct ScenarioConfig {
   std::vector<ScenarioEvent> events;
   /// Durable-session journaling (runtime/snapshot.hpp). Any kill/resume
   /// event enables it implicitly; `journal` forces it on without kill
-  /// events (the snapshot_throughput bench measures pure overhead that
-  /// way); `dir` additionally mirrors the bytes to disk for CI artifacts.
+  /// events (perfbench's runtime_journaled workload and the crash-resume
+  /// tests run that way); `dir` additionally mirrors the bytes to disk for
+  /// CI artifacts.
   struct Durability {
     bool journal = false;
     std::string dir;
@@ -221,8 +222,8 @@ ScenarioReport run_scenario(ScenarioConfig config);
 /// FNV-1a over every session's terminal state, message count, and (for
 /// completed sessions) rounds and final assignment: any scheduling-
 /// dependent divergence shows up as a different digest. Shared by the
-/// runtime_throughput bench, the spec-driven runtime scenarios, and the
-/// determinism tests, so "bit-identical across --threads" has one spelling.
+/// spec-driven runtime scenarios, perfbench, and the determinism tests, so
+/// "bit-identical across --threads" has one spelling.
 std::uint64_t outcome_digest(const ScenarioReport& report);
 
 }  // namespace nexit::runtime

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -2114,6 +2115,20 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
       return 2;
     }
     std::cout << "merged spec written to " << spec_out << "\n";
+  }
+
+  // The journal mirror directory must be usable before any session starts:
+  // a session that creates it mid-run would surface a bad path as a raw
+  // filesystem exception after half the timeline ran.
+  const std::string& snapshot_dir = spec.runtime.snapshot_dir;
+  if (!snapshot_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(snapshot_dir, ec);
+    if (ec || !std::filesystem::is_directory(snapshot_dir, ec)) {
+      std::cerr << "error: --runtime.snapshot-dir: cannot write "
+                << snapshot_dir << "\n";
+      return 2;
+    }
   }
 
   {

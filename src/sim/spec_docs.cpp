@@ -167,8 +167,8 @@ void print_spec_reference_markdown(std::ostream& os) {
         "with bandwidth oracles (the paper's §5.2 recipe); `churn` events\n"
         "replace the traffic matrix and renegotiate; `restart` events give\n"
         "one peer fresh channels without consuming a retry. Outcomes are\n"
-        "bit-identical for every `threads` value; the run prints the same\n"
-        "outcome digest runtime_throughput uses.\n";
+        "bit-identical for every `threads` value; the printed outcome\n"
+        "digest makes that checkable from the shell.\n";
 }
 
 }  // namespace nexit::sim

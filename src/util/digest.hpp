@@ -1,11 +1,10 @@
 #pragma once
 
 // FNV-1a scaffolding for the determinism digests printed across the repo
-// (the scenario driver, runtime_throughput, micro_incremental, and the test
-// suites): one place for the constants so the digest scheme cannot drift
-// between binaries. A digest equal across --threads values (or across
-// --incremental on/off, or across worker counts) demonstrates two runs are
-// bit-identical from the shell.
+// (the scenario driver, perfbench, and the test suites): one place for the
+// constants so the digest scheme cannot drift between binaries. A digest
+// equal across --threads values (or across --incremental on/off, or across
+// worker counts) demonstrates two runs are bit-identical from the shell.
 
 #include <cstdint>
 #include <cstring>

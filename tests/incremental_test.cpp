@@ -416,6 +416,22 @@ TEST(BandwidthExperiment, BitIdenticalAcrossThreadsAndIncrementalKnob) {
     EXPECT_TRUE(same_sample_bits(serial[i], threaded[i])) << "sample " << i;
     EXPECT_TRUE(same_sample_bits(serial[i], full[i])) << "sample " << i;
   }
+
+  // Same outcome, strictly less row work: incremental refreshes re-score a
+  // subset of the rows a full recompute would, and the full mode does all.
+  const auto row_totals = [](const std::vector<sim::BandwidthSample>& runs) {
+    std::pair<std::size_t, std::size_t> t{0, 0};
+    for (const sim::BandwidthSample& s : runs) {
+      t.first += s.eval_rows_computed;
+      t.second += s.eval_rows_full_equivalent;
+    }
+    return t;
+  };
+  const auto [inc_rows, inc_full_equivalent] = row_totals(serial);
+  const auto [full_rows, full_full_equivalent] = row_totals(full);
+  EXPECT_LT(inc_rows, inc_full_equivalent);
+  EXPECT_EQ(full_rows, full_full_equivalent);
+  EXPECT_GT(full_rows, 0u);
 }
 
 }  // namespace

@@ -518,8 +518,8 @@ TEST(ObsScenario, TimingSectionAppearsOnlyWhenAsked) {
 
 TEST(ObsScenario, DisabledObservabilityReproducesTheBenchDigest) {
   // The zero-overhead contract: with the obs layer compiled in but tracing
-  // and timing off, fig7 at the bench parameters reproduces the BENCH_6
-  // baseline digest bit-for-bit.
+  // and timing off, fig7 at these parameters reproduces its pinned digest
+  // bit-for-bit.
   const sim::ScenarioPreset* fig7 = sim::find_scenario("fig7");
   ASSERT_NE(fig7, nullptr);
   const std::string json = temp_path(".json");

@@ -277,6 +277,35 @@ TEST(CrashResume, RandomizedKillResumeInterleavingsMatchUninterrupted) {
   }
 }
 
+// Journaling is pure record-keeping, and restore is exact for everyone at
+// once: forcing the journal on without a single kill, and killing every
+// session two ticks after its staggered start (resumed two ticks later),
+// must both reproduce the journal-free run.
+TEST(CrashResume, ForcedJournalAndKillingEverySessionMatchPlainRun) {
+  const ScenarioConfig base = crash_config();
+  const ScenarioReport plain = run_scenario(base);
+  for (const auto& s : plain.sessions) {
+    ASSERT_EQ(s.status, SessionStatus::kDone) << s.error;
+    // Still negotiating when its kill lands (a kill after the finish is a
+    // no-op and would test nothing).
+    ASSERT_GT(s.finished_at, s.started_at + 2) << "session " << s.id;
+  }
+
+  ScenarioConfig journaled = base;
+  journaled.durability.journal = true;
+  expect_reports_equal(plain, run_scenario(journaled));
+
+  std::vector<ScenarioEvent> events;
+  for (const auto& s : plain.sessions) {
+    events.push_back({s.started_at + 2, EventKind::kKill, s.id, 0});
+    events.push_back({s.started_at + 4, EventKind::kResume, s.id, 0});
+  }
+  const ScenarioReport resumed = run_with_events(base, std::move(events));
+  EXPECT_EQ(resumed.stats.killed, 0u);
+  EXPECT_EQ(resumed.stats.done, plain.sessions.size());
+  expect_reports_equal(plain, resumed);
+}
+
 TEST(CrashResume, ObsCountersEqualUninterrupted) {
   // The obs snapshot is part of the JSON record, so the durability
   // contract extends to it: a healthy kill/resume cycle adds no counters.

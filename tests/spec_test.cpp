@@ -583,6 +583,20 @@ TEST(ScenarioRegistry, PresetIgnoredKeysAreRejectedNotSwallowed) {
   EXPECT_EQ(run_scenario(*find_scenario("fig5"), fb_flags), 2);
 }
 
+TEST(ScenarioRegistry, UnusableSnapshotDirExitsTwoBeforeAnySessionRuns) {
+  // A regular file where the journal mirror's parent directory should be:
+  // exit 2 like an unwritable --json, not a filesystem exception mid-run.
+  const std::string file = write_temp_spec("");
+  const ScenarioPreset* runtime = find_scenario("runtime");
+  ASSERT_NE(runtime, nullptr);
+  EXPECT_EQ(run_scenario(*runtime,
+                         kv_flags({"runtime.sessions=4",
+                                   "runtime.events=kill@3/0,resume@5/0",
+                                   "runtime.snapshot-dir=" + file + "/sub"})),
+            2);
+  std::remove(file.c_str());
+}
+
 TEST(ScenarioRegistry, CheatingScenariosOwnTheCheatAxis) {
   // fig10/fig11 compare both-truthful against one-cheater, so an explicit
   // cheat: objective cannot mean anything — honouring it would make the

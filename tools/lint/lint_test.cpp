@@ -429,7 +429,7 @@ TEST(LintEngine, CanonicalHelperFilesAreExemptByPath) {
       "auto t0 = std::chrono::steady_clock::now();\n";
   EXPECT_TRUE(lint_source("src/obs/wall_clock.hpp", stopwatch).empty());
   EXPECT_FALSE(lint_source("src/sim/scenarios.cpp", stopwatch).empty());
-  EXPECT_FALSE(lint_source("bench/micro_incremental.cpp", stopwatch).empty());
+  EXPECT_FALSE(lint_source("bench/nexit_run.cpp", stopwatch).empty());
 }
 
 TEST(LintEngine, SiblingHeaderInformsFloatAccumulate) {
