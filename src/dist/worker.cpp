@@ -19,10 +19,11 @@ namespace {
 /// Executes one shard. The spec_text is a complete serialized spec (every
 /// key spelled out), so merging it onto a default-constructed spec — the
 /// exact parser a --spec file goes through — reconstructs the
-/// coordinator's point spec bit-for-bit; no preset tune() is involved.
-/// Unknown keys and validation failures come back as rc 2 in the result
-/// (the worker stays up for the next job); malformed *values* exit 2 via
-/// the shared Flags machinery, which the coordinator sees as worker death.
+/// coordinator's point spec bit-for-bit; no preset defaults are involved.
+/// Unknown keys, validation failures and broken preset input rules come
+/// back as rc 2 in the result (the worker stays up for the next job);
+/// malformed *values* exit 2 via the shared Flags machinery, which the
+/// coordinator sees as worker death.
 proto::DistResult run_job(const proto::DistJob& job) {
   proto::DistResult result;
   result.job = job.job;
@@ -62,7 +63,10 @@ proto::DistResult run_job(const proto::DistJob& job) {
   const sim::PointOutcome out = sim::run_point(*preset, spec, record, nullptr);
   result.rc = out.rc;
   if (out.rc != 0) {
-    result.error = "scenario run failed (rc " + std::to_string(out.rc) + ")";
+    result.error = !out.error.empty()
+                       ? out.error
+                       : "scenario run failed (rc " + std::to_string(out.rc) +
+                             ")";
     return result;
   }
   result.digest = out.digest;

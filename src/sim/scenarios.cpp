@@ -7,8 +7,10 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <set>
+#include <sstream>
+#include <type_traits>
 
 #include "core/engine.hpp"
 #include "core/oracle_registry.hpp"
@@ -20,7 +22,6 @@
 #include "obs/registry.hpp"
 #include "obs/wall_clock.hpp"
 #include "routing/pair_routing.hpp"
-#include "sim/report.hpp"
 #include "topology/isp_topology.hpp"
 #include "traffic/traffic.hpp"
 #include "util/rng.hpp"
@@ -82,28 +83,6 @@ void ScenarioContext::mix(const std::vector<BandwidthSample>& samples) {
   }
 }
 
-std::vector<std::string> ScenarioContext::axis_values(
-    const std::string& key) const {
-  const SweepAxis* axis = spec.axis(key);
-  return axis != nullptr ? axis->values : std::vector<std::string>{};
-}
-
-ExperimentSpec ScenarioContext::spec_with(const std::string& key,
-                                          const std::string& value) const {
-  ExperimentSpec point = spec;
-  {
-    const util::FlagErrorContext context("sweep axis --sweep." + key);
-    point.merge_from_flags(util::Flags({key + "=" + value}));
-  }
-  std::string error;
-  if (!point.validate(&error)) {
-    std::cerr << "error: sweep." << key << "=" << value << ": " << error
-              << "\n";
-    std::exit(2);
-  }
-  return point;
-}
-
 std::uint64_t digest_samples(const std::vector<DistanceSample>& samples) {
   using util::double_bits;
   using util::fnv1a_mix;
@@ -154,9 +133,6 @@ namespace {
 
 using Clock = obs::WallClock;
 
-// nexit-lint: allow(taint-flow): wall-clock phase timings are run-dependent by design; run_fig6/run_fig7 report them via the digest-excluded wall_ms metric section
-double ms_since(Clock::TimePoint t0) { return Clock::ms_since(t0); }
-
 /// A run that produced nothing must not print NaN percentages, emit an
 /// all-zero "everything is fine" digest, and exit 0 — scripts consuming the
 /// digest or the JSON record would read a no-op as success.
@@ -166,549 +142,973 @@ int no_samples() {
   return 1;
 }
 
-/// Oracle-evaluation work summed over an experiment's samples (the same
-/// four counters live on both sample types).
-struct EvalTotals {
-  std::size_t calls_full = 0;
-  std::size_t calls_incremental = 0;
-  std::size_t rows = 0;
-  std::size_t rows_full_equivalent = 0;
+void print_bench_header(const std::string& figure_id, const std::string& title,
+                        const std::string& config_summary) {
+  std::cout << "\n==============================================================\n"
+            << figure_id << ": " << title << "\n"
+            << "config: " << config_summary << "\n"
+            << "==============================================================\n";
+}
+
+/// One paper claim: the claim, the measured value, and whether the shape
+/// holds.
+void paper_check(const std::string& claim, const std::string& measured,
+                 bool holds) {
+  std::cout << (holds ? "[OK]   " : "[MISS] ") << claim << "\n"
+            << "       measured: " << measured << "\n";
+}
+
+// ------------------------------------------------------------------------
+// The rows every figure, ablation table and paper claim is made of
+// ------------------------------------------------------------------------
+
+template <typename S>
+struct Measured;
+
+/// A series row (its record name, its label in the figures and how each
+/// sample adds values to it; printed as a CDF column, recorded through
+/// metric_cdf) or a scalar metric row (`put` records it from the run).
+template <typename S>
+struct Column {
+  const char* name = nullptr;
+  const char* label = nullptr;
+  /// Appends one sample's values; `c` is the same pair's sample of the
+  /// one-cheater arm (`s` itself on a one-arm run).
+  void (*add)(std::vector<double>& out, const S& s, const S& c) = nullptr;
+  void (*put)(util::JsonReport& record, const Measured<S>& m) = nullptr;
+  /// Collect the series only for specs this holds for (null: always).
+  bool (*when)(const ExperimentSpec& spec) = nullptr;
 };
 
-template <typename Sample>
-EvalTotals sum_eval_telemetry(const std::vector<Sample>& samples) {
-  EvalTotals t;
-  for (const Sample& s : samples) {
-    t.calls_full += s.eval_calls_full;
-    t.calls_incremental += s.eval_calls_incremental;
-    t.rows += s.eval_rows_computed;
-    t.rows_full_equivalent += s.eval_rows_full_equivalent;
+/// What one run measured: each arm's samples and, per series, its values
+/// in sample order and their CDF.
+template <typename S>
+struct Measured {
+  std::vector<S> samples;   // the (both-truthful) arm
+  std::vector<S> cheating;  // the one-cheater arm of an arm pair
+  bool arm_pair = false;
+  double wall_ms = 0.0;
+  std::map<std::string, std::vector<double>> values;
+  std::map<std::string, util::Cdf> cdfs;
+
+  /// Samples paired across both arms (every sample on a one-arm run).
+  std::size_t pairs() const {
+    return arm_pair ? std::min(samples.size(), cheating.size())
+                    : samples.size();
   }
-  return t;
+  const util::Cdf& cdf(const Column<S>& c) const { return cdfs.at(c.name); }
+  double median(const Column<S>& c) const { return cdf(c).value_at(0.5); }
+  double mean(const Column<S>& c) const {
+    return util::mean(values.at(c.name));
+  }
+  std::size_t count(const Column<S>& c, bool (*pred)(double)) const {
+    const std::vector<double>& v = values.at(c.name);
+    return static_cast<std::size_t>(std::count_if(v.begin(), v.end(), pred));
+  }
+};
+
+/// One printed CDF figure: id, title, x label and its series. A figure
+/// none of whose series was collected is skipped.
+template <typename S>
+struct Figure {
+  const char* id = nullptr;
+  const char* title = nullptr;
+  const char* x_label = nullptr;
+  std::vector<const Column<S>*> series;
+};
+
+/// One paper claim as checked: the paper's claim, what this run measured
+/// and whether the shape holds. Printed as [OK]/[MISS] after the figures.
+struct Claim {
+  std::string text;
+  std::string measured;
+  bool holds = false;
+};
+using Claims = std::vector<Claim>;
+
+/// An owned-axis table: what each axis value measured, in axis order.
+template <typename S>
+using Table = std::vector<std::pair<std::string, Measured<S>>>;
+
+/// The row of `value` (the last one if the axis repeats it), or null.
+template <typename S>
+const Measured<S>* row_of(const Table<S>& table, const std::string& value) {
+  for (auto it = table.rbegin(); it != table.rend(); ++it)
+    if (it->first == value) return &it->second;
+  return nullptr;
 }
 
-void record_eval_telemetry(ScenarioContext& ctx, const EvalTotals& t) {
-  ctx.record.metric("eval_calls_full",
-                    static_cast<std::int64_t>(t.calls_full));
-  ctx.record.metric("eval_calls_incremental",
-                    static_cast<std::int64_t>(t.calls_incremental));
-  ctx.record.metric("eval_rows_computed", static_cast<std::int64_t>(t.rows));
-  ctx.record.metric("eval_rows_full_equivalent",
-                    static_cast<std::int64_t>(t.rows_full_equivalent));
-}
+}  // namespace
+
+/// One preset's analysis of one experiment kind. A one-arm or arm-pair run
+/// prints the samples line, the figures, an optional table, the claims and
+/// a note, then records `columns` in order. A preset that owns an axis
+/// prints a `row` per axis value instead, then checks and records the
+/// table.
+template <typename S>
+struct Rows {
+  const char* figure = nullptr;  // the header: "Figure 4", ...
+  const char* title = nullptr;
+  bool title_objectives = false;  // append ", A=<oracle>, B=<oracle>"
+  /// The "samples: <n> <unit>[ (x2 runs)]<detail>" line (null: none).
+  const char* unit = nullptr;
+  std::string (*detail)(const Measured<S>&) = nullptr;
+  std::vector<Column<S>> columns{};  // recorded in this order
+  std::vector<Column<S>> hidden{};   // series the record leaves out
+  std::vector<Figure<S>> figures{};
+  void (*table)(const Measured<S>&) = nullptr;  // printed after the figures
+  Claims (*claims)(const Measured<S>&) = nullptr;
+  std::string (*note)(const Measured<S>&) = nullptr;  // after the claims
+
+  const char* heading = nullptr;  // the owned-axis table's column header
+  void (*row)(const std::string& label, const Measured<S>&) = nullptr;
+  /// Records the table's metrics and returns its claims.
+  Claims (*check_table)(util::JsonReport&, const Table<S>&) = nullptr;
+};
+
+namespace {
 
 // ------------------------------------------------------------------------
-// fig4: distance gain of optimal vs negotiated routing
+// The generic runner
 // ------------------------------------------------------------------------
 
-int run_fig4(ScenarioContext& ctx) {
-  const DistanceExperimentConfig cfg = ctx.spec.to_distance_config();
-  print_bench_header("Figure 4",
-                     "distance gain of optimal vs negotiated routing",
-                     ctx.spec.universe_summary());
-  const auto samples = run_distance_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-  std::cout << "samples: " << samples.size() << " ISP pairs\n";
-
-  util::Cdf total_opt, total_neg, indiv_opt, indiv_neg;
-  std::size_t opt_losers = 0, neg_losers = 0, isps = 0;
-  for (const auto& s : samples) {
-    total_opt.add(s.total_gain_pct(s.optimal_km));
-    total_neg.add(s.total_gain_pct(s.negotiated_km));
-    for (int side = 0; side < 2; ++side) {
-      const double og = s.side_gain_pct(s.optimal_side_km, side);
-      const double ng = s.side_gain_pct(s.negotiated_side_km, side);
-      indiv_opt.add(og);
-      indiv_neg.add(ng);
-      ++isps;
-      if (og < -0.5) ++opt_losers;
-      if (ng < -0.5) ++neg_losers;
+/// Runs `spec` and, for an arm pair, its twin whose side A cheats.
+template <typename S>
+Measured<S> measure(const ExperimentSpec& spec, bool arm_pair) {
+  const auto run = [](const ExperimentSpec& s) {
+    if constexpr (std::is_same_v<S, DistanceSample>) {
+      return run_distance_experiment(s.to_distance_config());
+    } else {
+      return run_bandwidth_experiment(s.to_bandwidth_config());
     }
-  }
-
-  print_cdf_figure("Fig 4a", "total gain across both ISPs",
-                   "% reduction in total flow km vs default routing",
-                   {"negotiated", "optimal"}, {&total_neg, &total_opt});
-  print_cdf_figure("Fig 4b", "individual ISP gain",
-                   "% reduction in own-network flow km vs default",
-                   {"negotiated", "optimal"}, {&indiv_neg, &indiv_opt});
-
-  const double med_opt = total_opt.value_at(0.5);
-  const double med_neg = total_neg.value_at(0.5);
-  std::cout << "\n";
-  paper_check(
-      "negotiated total gain is close to globally optimal (within ~1/3)",
-      "median optimal " + std::to_string(med_opt) + "%, negotiated " +
-          std::to_string(med_neg) + "%",
-      med_neg >= med_opt * 0.5);
-  paper_check("median total gain is modest (paper ~4%; price of anarchy low)",
-              "median total optimal gain " + std::to_string(med_opt) + "%",
-              med_opt < 25.0);
-  paper_check(
-      "a sizable fraction of ISPs lose under GLOBAL optimisation (paper ~1/3)",
-      std::to_string(opt_losers) + "/" + std::to_string(isps) +
-          " ISPs lose >0.5% of own distance",
-      opt_losers > isps / 20);
-  paper_check("no ISP loses under NEGOTIATION",
-              std::to_string(neg_losers) + "/" + std::to_string(isps) +
-                  " ISPs lose >0.5%",
-              neg_losers == 0);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric_cdf("total_gain_pct.negotiated", total_neg);
-  ctx.record.metric_cdf("total_gain_pct.optimal", total_opt);
-  ctx.record.metric_cdf("individual_gain_pct.negotiated", indiv_neg);
-  ctx.record.metric_cdf("individual_gain_pct.optimal", indiv_opt);
-  ctx.record.metric("isps_losing.optimal", static_cast<std::int64_t>(opt_losers));
-  ctx.record.metric("isps_losing.negotiated",
-                    static_cast<std::int64_t>(neg_losers));
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// fig5: flow-pair strawman strategies
-// ------------------------------------------------------------------------
-
-int run_fig5(ScenarioContext& ctx) {
-  const DistanceExperimentConfig cfg = ctx.spec.to_distance_config();
-  print_bench_header(
-      "Figure 5", "flow-pair strategies that merely discard bad alternatives",
-      ctx.spec.universe_summary());
-  const auto samples = run_distance_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-  std::cout << "samples: " << samples.size() << " ISP pairs\n";
-
-  util::Cdf pareto, both_better, negotiated, optimal;
-  for (const auto& s : samples) {
-    pareto.add(s.total_gain_pct(s.pareto_km));
-    both_better.add(s.total_gain_pct(s.bothbetter_km));
-    negotiated.add(s.total_gain_pct(s.negotiated_km));
-    optimal.add(s.total_gain_pct(s.optimal_km));
-  }
-
-  print_cdf_figure("Fig 5", "total gain of the flow-pair strategies",
-                   "% reduction in total flow km vs default routing",
-                   {"flow-both-better", "flow-Pareto", "negotiated", "optimal"},
-                   {&both_better, &pareto, &negotiated, &optimal});
-
-  const double med_pareto = pareto.value_at(0.5);
-  const double med_both = both_better.value_at(0.5);
-  const double med_neg = negotiated.value_at(0.5);
-  std::cout << "\n";
-  paper_check(
-      "flow-pair strategies capture little of the negotiated gain",
-      "medians: flow-Pareto " + std::to_string(med_pareto) +
-          "%, flow-both-better " + std::to_string(med_both) + "%, negotiated " +
-          std::to_string(med_neg) + "%",
-      med_pareto < med_neg * 0.5 + 0.5 && med_both < med_neg * 0.75 + 0.5);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric_cdf("total_gain_pct.pareto", pareto);
-  ctx.record.metric_cdf("total_gain_pct.both_better", both_better);
-  ctx.record.metric_cdf("total_gain_pct.negotiated", negotiated);
-  ctx.record.metric_cdf("total_gain_pct.optimal", optimal);
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// fig6: flow-level view
-// ------------------------------------------------------------------------
-
-int run_fig6(ScenarioContext& ctx) {
-  const DistanceExperimentConfig cfg = ctx.spec.to_distance_config();
-  print_bench_header("Figure 6",
-                     "flow-level gains of optimal and negotiated routing",
-                     ctx.spec.universe_summary());
+  };
+  Measured<S> m;
+  m.arm_pair = arm_pair;
   const auto t0 = Clock::now();
-  const auto samples = run_distance_experiment(cfg);
-  const double wall_ms = ms_since(t0);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
+  m.samples = run(spec);
+  if (arm_pair) {
+    ExperimentSpec cheating = spec;
+    cheating.objective[0].cheat = true;
+    m.cheating = run(cheating);
+  }
+  m.wall_ms = Clock::ms_since(t0);
+  return m;
+}
 
-  util::Cdf flow_opt, flow_neg;
-  std::size_t flows = 0, moved = 0;
-  double neg20 = 0, neg50 = 0, opt20 = 0;
-  for (const auto& s : samples) {
-    for (double g : s.flow_gain_pct_optimal) {
-      flow_opt.add(g);
-      if (g > 20.0) ++opt20;
+template <typename S>
+void collect(Measured<S>& m, const std::vector<Column<S>>& columns,
+             const ExperimentSpec& spec) {
+  for (const Column<S>& c : columns) {
+    if (c.add == nullptr || (c.when != nullptr && !c.when(spec))) continue;
+    std::vector<double>& out = m.values[c.name];
+    for (std::size_t i = 0; i < m.pairs(); ++i)
+      c.add(out, m.samples[i], m.arm_pair ? m.cheating[i] : m.samples[i]);
+    m.cdfs.emplace(c.name, util::Cdf(out));
+  }
+}
+
+/// Prints the figure, one row per CDF percentile and one column per
+/// collected series; false when a series it prints is empty.
+template <typename S>
+bool print_figure(const Figure<S>& f, const Measured<S>& m) {
+  std::vector<std::string> labels;
+  std::vector<const util::Cdf*> cdfs;
+  for (const Column<S>* column : f.series) {
+    if (m.cdfs.count(column->name) == 0) continue;
+    labels.emplace_back(column->label);
+    cdfs.push_back(&m.cdf(*column));
+  }
+  if (cdfs.empty()) return true;
+  std::cout << "\n--- " << f.id << ": " << f.title << " ---\n"
+            << "x = " << f.x_label << "; rows are CDF percentiles";
+  if (!cdfs[0]->empty()) std::cout << " (n = " << cdfs[0]->size() << ")";
+  std::cout << "\n"
+            << util::format_cdf_table(labels, cdfs,
+                                      {5, 10, 20, 25, 30, 40, 50, 60, 70, 75,
+                                       80, 90, 95, 99});
+  return std::none_of(cdfs.begin(), cdfs.end(),
+                      [](const util::Cdf* c) { return c->empty(); });
+}
+
+/// Prints the claims after one blank line (none: nothing).
+void print_claims(const Claims& claims) {
+  if (!claims.empty()) std::cout << "\n";
+  for (const Claim& c : claims) paper_check(c.text, c.measured, c.holds);
+}
+
+using Overrides = std::vector<std::pair<std::string, std::string>>;
+std::optional<ExperimentSpec> spec_at_point(const ExperimentSpec& base,
+                                            const char* keep,
+                                            const Overrides& overrides);
+
+/// One table row per value of the preset's own axis. Every point is built
+/// and validated before any engine runs, so a bad value at the end of the
+/// axis fails up front. A variant's row is labelled by its variant label,
+/// a key value by its spelling in the spec.
+template <typename S>
+int run_table(ScenarioContext& ctx, const char* axis, const Rows<S>& rows) {
+  struct Point {
+    std::string key, label;
+    ExperimentSpec spec;
+  };
+  const SpecKeyInfo* info = find_spec_key(axis);
+  const SweepAxis* declared = ctx.spec.axis(axis);
+  std::vector<Point> points;
+  for (const std::string& value :
+       declared != nullptr ? declared->values : std::vector<std::string>{}) {
+    Point p{value, value, {}};
+    Overrides keys = {{axis, value}};
+    for (const AxisVariant& v : info->variants) {
+      if (v.name != value) continue;
+      keys = v.keys;
+      p.label = v.label;
     }
-    for (double g : s.flow_gain_pct_negotiated) {
-      flow_neg.add(g);
-      if (g > 20.0) ++neg20;
-      if (g > 50.0) ++neg50;
+    std::optional<ExperimentSpec> spec = spec_at_point(ctx.spec, axis, keys);
+    if (!spec) return 2;
+    p.spec = std::move(*spec);
+    if (!info->sweep_only) p.key = p.label = p.spec.value_of(axis);
+    points.push_back(std::move(p));
+  }
+
+  print_bench_header(rows.figure, rows.title, ctx.spec.universe_summary());
+  std::cout << rows.heading;
+  Table<S> table;
+  for (const Point& p : points) {
+    Measured<S> m = measure<S>(p.spec, false);
+    if (m.samples.empty()) return no_samples();
+    ctx.mix(m.samples);
+    collect(m, rows.hidden, p.spec);
+    rows.row(p.label, m);
+    table.emplace_back(p.key, std::move(m));
+  }
+  print_claims(rows.check_table(ctx.record, table));
+  return 0;
+}
+
+/// Collects the rows' series from a measured run, prints the samples
+/// line, the figures, the table, the claims and the note, then records the
+/// columns in order.
+template <typename S>
+int report(ScenarioContext& ctx, const Rows<S>& rows, Measured<S>& m) {
+  collect(m, rows.columns, ctx.spec);
+  collect(m, rows.hidden, ctx.spec);
+  if (rows.unit != nullptr) {
+    std::cout << "samples: " << m.samples.size() << " " << rows.unit
+              << (m.arm_pair ? " (x2 runs)" : "")
+              << (rows.detail != nullptr ? rows.detail(m) : "") << "\n";
+  }
+  for (const Figure<S>& figure : rows.figures)
+    if (!print_figure(figure, m)) return no_samples();
+  if (rows.table != nullptr) rows.table(m);
+  if (rows.claims != nullptr) print_claims(rows.claims(m));
+  if (rows.note != nullptr) std::cout << rows.note(m);
+
+  for (const Column<S>& c : rows.columns) {
+    if (c.put != nullptr) {
+      c.put(ctx.record, m);
+    } else if (m.cdfs.count(c.name) > 0) {
+      ctx.record.metric_cdf(c.name, m.cdf(c));
     }
-    flows += s.flow_count;
-    moved += s.flows_moved;
   }
-  std::cout << "samples: " << samples.size() << " ISP pairs, " << flows
-            << " flows\n";
-
-  print_cdf_figure("Fig 6", "per-flow gain",
-                   "% reduction of the flow's end-to-end km vs default",
-                   {"negotiated", "optimal"}, {&flow_neg, &flow_opt});
-
-  std::cout << "\n";
-  paper_check(
-      "a heavy tail of flows gains substantially (paper: 7% >20%, 1% >50%)",
-      std::to_string(100.0 * neg20 / flows) + "% of flows gain >20%, " +
-          std::to_string(100.0 * neg50 / flows) + "% gain >50% (negotiated)",
-      neg20 > 0 && neg50 > 0 && neg20 >= neg50);
-  paper_check(
-      "negotiation catches almost all flows that optimal improves >20%",
-      std::to_string(neg20) + " vs " + std::to_string(opt20) +
-          " flows improved >20% (negotiated vs optimal)",
-      neg20 >= 0.6 * opt20);
-  paper_check(
-      "only a minority of flows needs non-default routing (paper ~20%)",
-      std::to_string(100.0 * moved / flows) + "% of flows moved off default",
-      moved < flows / 2);
-
-  const EvalTotals totals = sum_eval_telemetry(samples);
-  std::printf(
-      "\nwall-clock %.1f ms; evaluate calls %zu full + %zu incremental; "
-      "preference rows %zu of %zu full-equivalent\n",
-      wall_ms, totals.calls_full, totals.calls_incremental, totals.rows,
-      totals.rows_full_equivalent);
-
-  ctx.record.metric("wall_ms", wall_ms);
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric("flows", static_cast<std::int64_t>(flows));
-  ctx.record.metric("flows_moved", static_cast<std::int64_t>(moved));
-  record_eval_telemetry(ctx, totals);
-  ctx.record.metric_cdf("flow_gain_pct.negotiated", flow_neg);
-  ctx.record.metric_cdf("flow_gain_pct.optimal", flow_opt);
   return 0;
 }
 
-// ------------------------------------------------------------------------
-// fig7: MEL after failures (bandwidth oracles)
-// ------------------------------------------------------------------------
-
-int run_fig7(ScenarioContext& ctx) {
-  const BandwidthExperimentConfig cfg = ctx.spec.to_bandwidth_config();
-  print_bench_header("Figure 7",
-                     "MEL after failures: default and negotiated vs optimal",
-                     ctx.spec.universe_summary());
-  const auto t0 = Clock::now();
-  const auto samples = run_bandwidth_experiment(cfg);
-  const double wall_ms = ms_since(t0);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-  std::cout << "samples: " << samples.size() << " failed interconnections\n";
-
-  util::Cdf def_up, neg_up, def_down, neg_down;
-  std::size_t def_up_gt2 = 0, def_up_gt5 = 0, neg_up_near1 = 0;
-  for (const auto& s : samples) {
-    const double du = s.ratio(s.mel_default, 0);
-    const double nu = s.ratio(s.mel_negotiated, 0);
-    def_up.add(du);
-    neg_up.add(nu);
-    def_down.add(s.ratio(s.mel_default, 1));
-    neg_down.add(s.ratio(s.mel_negotiated, 1));
-    if (du > 2.0) ++def_up_gt2;
-    if (du > 5.0) ++def_up_gt5;
-    if (nu < 1.25) ++neg_up_near1;
+template <typename S>
+int run_rows(ScenarioContext& ctx, const ScenarioPreset& preset,
+             const Rows<S>& rows) {
+  if (preset.axis != nullptr) return run_table(ctx, preset.axis, rows);
+  std::string title = rows.title;
+  if (rows.title_objectives) {
+    title += ", A=" + ctx.spec.resolved_objective(0).to_string() +
+             ", B=" + ctx.spec.resolved_objective(1).to_string();
   }
-
-  print_cdf_figure("Fig 7 (left)", "upstream ISP",
-                   "MEL relative to MEL of optimal routing",
-                   {"negotiated", "default"}, {&neg_up, &def_up});
-  print_cdf_figure("Fig 7 (right)", "downstream ISP",
-                   "MEL relative to MEL of optimal routing",
-                   {"negotiated", "default"}, {&neg_down, &def_down});
-
-  const std::size_t n = samples.size();
-  std::cout << "\n";
-  paper_check(
-      "default routing often overloads the upstream (paper: ratio >2 for half)",
-      std::to_string(100.0 * def_up_gt2 / n) + "% of samples >2x optimal, " +
-          std::to_string(100.0 * def_up_gt5 / n) + "% >5x",
-      def_up_gt2 > n / 10);
-  paper_check(
-      "negotiated routing is close to optimal (most MEL ratios ~1)",
-      std::to_string(100.0 * neg_up_near1 / n) +
-          "% of upstream samples within 1.25x of optimal; median " +
-          std::to_string(neg_up.value_at(0.5)),
-      neg_up.value_at(0.5) < 1.3);
-  paper_check("negotiated stochastically dominates default (upstream)",
-              "median default " + std::to_string(def_up.value_at(0.5)) +
-                  " vs negotiated " + std::to_string(neg_up.value_at(0.5)),
-              neg_up.value_at(0.5) <= def_up.value_at(0.5) + 1e-9);
-
-  // Evaluate-call work: how much of the naive full-recompute row work the
-  // negotiations actually performed (1.0 with --incremental=false).
-  const EvalTotals totals = sum_eval_telemetry(samples);
-  const double row_fraction =
-      totals.rows_full_equivalent > 0
-          ? static_cast<double>(totals.rows) /
-                static_cast<double>(totals.rows_full_equivalent)
-          : 1.0;
-  std::printf(
-      "\nwall-clock %.1f ms; evaluate calls %zu full + %zu incremental; "
-      "preference rows %zu of %zu full-equivalent (%.1f%%)\n",
-      wall_ms, totals.calls_full, totals.calls_incremental, totals.rows,
-      totals.rows_full_equivalent, 100.0 * row_fraction);
-
-  ctx.record.metric("wall_ms", wall_ms);
-  record_eval_telemetry(ctx, totals);
-  ctx.record.metric("eval_row_fraction", row_fraction);
-  ctx.record.metric("samples", static_cast<std::int64_t>(n));
-  ctx.record.metric_cdf("mel_ratio.upstream.default", def_up);
-  ctx.record.metric_cdf("mel_ratio.upstream.negotiated", neg_up);
-  ctx.record.metric_cdf("mel_ratio.downstream.default", def_down);
-  ctx.record.metric_cdf("mel_ratio.downstream.negotiated", neg_down);
-  return 0;
+  print_bench_header(rows.figure, title, ctx.spec.universe_summary());
+  Measured<S> m = measure<S>(ctx.spec, preset.owns_cheat);
+  if (m.samples.empty()) return no_samples();
+  ctx.mix(m.samples);
+  if (m.arm_pair) ctx.mix(m.cheating);
+  return report(ctx, rows, m);
 }
 
 // ------------------------------------------------------------------------
-// fig8: unilateral upstream optimisation
+// Shared series and metrics
 // ------------------------------------------------------------------------
 
-int run_fig8(ScenarioContext& ctx) {
-  const BandwidthExperimentConfig cfg = ctx.spec.to_bandwidth_config();
-  print_bench_header("Figure 8",
-                     "unilateral upstream optimisation, impact on the downstream",
-                     ctx.spec.universe_summary());
-  const auto samples = run_bandwidth_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-  std::cout << "samples: " << samples.size() << " failed interconnections\n";
+using D = DistanceSample;
+using B = BandwidthSample;
 
-  util::Cdf down_ratio;  // unilateral vs default, downstream links
-  std::size_t helped = 0, hurt = 0, hurt2x = 0;
-  for (const auto& s : samples) {
-    if (s.mel_default[1] <= 0.0 || s.mel_unilateral[1] <= 0.0) continue;
-    const double r = s.mel_unilateral[1] / s.mel_default[1];
-    down_ratio.add(r);
-    if (r < 0.99) ++helped;
-    if (r > 1.01) ++hurt;
-    if (r > 2.0) ++hurt2x;
+std::string str(const std::string& text) { return text; }
+std::string str(double v) { return std::to_string(v); }
+std::string str(std::size_t v) { return std::to_string(v); }
+/// Text and numbers concatenated, each number through std::to_string.
+template <typename... T>
+std::string cat(const T&... parts) {
+  return (std::string() + ... + str(parts));
+}
+
+// Series extractors over arm A of a pair (0: both truthful, 1: A cheats).
+template <double D::*km, int A = 0>
+void total_gain(std::vector<double>& v, const D& s, const D& c) {
+  v.push_back((A == 0 ? s : c).total_gain_pct((A == 0 ? s : c).*km));
+}
+template <double (D::*km)[2], int side, int A = 0>
+void side_gain(std::vector<double>& v, const D& s, const D& c) {
+  v.push_back((A == 0 ? s : c).side_gain_pct((A == 0 ? s : c).*km, side));
+}
+template <double (D::*km)[2]>
+void side_gains(std::vector<double>& v, const D& s, const D& c) {
+  side_gain<km, 0>(v, s, c);
+  side_gain<km, 1>(v, s, c);
+}
+template <double (B::*mel)[2], int side, int A = 0>
+void mel_ratio(std::vector<double>& v, const B& s, const B& c) {
+  v.push_back((A == 0 ? s : c).ratio((A == 0 ? s : c).*mel, side));
+}
+
+void put_count(util::JsonReport& record, const char* name, std::size_t n) {
+  record.metric(name, static_cast<std::int64_t>(n));
+}
+
+template <typename S>
+std::size_t total(const std::vector<S>& samples, std::size_t S::*field) {
+  std::size_t sum = 0;
+  for (const S& s : samples) sum += s.*field;
+  return sum;
+}
+std::size_t flows(const Measured<D>& m) {
+  return total(m.samples, &D::flow_count);
+}
+std::size_t moved(const Measured<D>& m) {
+  return total(m.samples, &D::flows_moved);
+}
+
+template <typename S>
+constexpr Column<S> kSamples{.put = [](auto& r, auto& m) {
+  put_count(r, "samples", m.pairs());
+}};
+constexpr Column<D> kFlowCounts{.put = [](auto& r, auto& m) {
+  put_count(r, "flows", flows(m));
+  put_count(r, "flows_moved", moved(m));
+}};
+/// Run-dependent by design: outside the digest, and dropped by every
+/// record comparison.
+template <typename S>
+constexpr Column<S> kWallMs{
+    .put = [](auto& r, auto& m) { r.metric("wall_ms", m.wall_ms); }};
+/// The oracle-evaluation work summed over the samples.
+template <typename S>
+constexpr Column<S> kEvalWork{.put = [](auto& r, auto& m) {
+  put_count(r, "eval_calls_full", total(m.samples, &S::eval_calls_full));
+  put_count(r, "eval_calls_incremental",
+            total(m.samples, &S::eval_calls_incremental));
+  put_count(r, "eval_rows_computed", total(m.samples, &S::eval_rows_computed));
+  put_count(r, "eval_rows_full_equivalent",
+            total(m.samples, &S::eval_rows_full_equivalent));
+}};
+
+/// The share of the naive full-recompute row work the negotiations
+/// performed (1.0 with --incremental=false).
+template <typename S>
+double row_fraction(const Measured<S>& m) {
+  const std::size_t full = total(m.samples, &S::eval_rows_full_equivalent);
+  const std::size_t rows = total(m.samples, &S::eval_rows_computed);
+  return full > 0 ? static_cast<double>(rows) / static_cast<double>(full)
+                  : 1.0;
+}
+
+/// The wall-clock line after fig6/fig7's claims, with the oracle work.
+template <typename S>
+std::string eval_note(const Measured<S>& m) {
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "\nwall-clock %.1f ms; evaluate calls %zu full + %zu "
+                "incremental; preference rows %zu of %zu full-equivalent "
+                "(%.1f%%)\n",
+                m.wall_ms, total(m.samples, &S::eval_calls_full),
+                total(m.samples, &S::eval_calls_incremental),
+                total(m.samples, &S::eval_rows_computed),
+                total(m.samples, &S::eval_rows_full_equivalent),
+                100.0 * row_fraction(m));
+  return line;
+}
+
+constexpr Column<D> kTotalNeg{"total_gain_pct.negotiated", "negotiated",
+                              total_gain<&D::negotiated_km>};
+constexpr Column<D> kTotalOpt{"total_gain_pct.optimal", "optimal",
+                              total_gain<&D::optimal_km>};
+constexpr Column<D> kIndivNeg{"individual_gain_pct.negotiated", "negotiated",
+                              side_gains<&D::negotiated_side_km>};
+constexpr Column<D> kIndivOpt{"individual_gain_pct.optimal", "optimal",
+                              side_gains<&D::optimal_side_km>};
+
+constexpr Column<B> kUpDefault{"mel_ratio.upstream.default", "default",
+                               mel_ratio<&B::mel_default, 0>};
+constexpr Column<B> kUpNeg{"mel_ratio.upstream.negotiated", "negotiated",
+                           mel_ratio<&B::mel_negotiated, 0>};
+constexpr Column<B> kDownDefault{"mel_ratio.downstream.default", "default",
+                                 mel_ratio<&B::mel_default, 1>};
+constexpr Column<B> kDownNeg{"mel_ratio.downstream.negotiated", "negotiated",
+                             mel_ratio<&B::mel_negotiated, 1>};
+constexpr Column<B> kDownGain{"downstream_distance_gain_pct", "negotiated",
+                              [](auto& v, auto& s, auto&) {
+                                v.push_back(s.downstream_distance_gain_pct);
+                              }};
+
+constexpr const char* kTotalKm =
+    "% reduction in total flow km vs default routing";
+constexpr const char* kOwnKm = "% reduction in own-network flow km vs default";
+constexpr const char* kMelRatio = "MEL relative to MEL of optimal routing";
+constexpr const char* kDownKm =
+    "% reduction of affected flows' km inside downstream vs default";
+
+bool loses(double gain_pct) { return gain_pct < -0.5; }
+bool over_20(double gain_pct) { return gain_pct > 20.0; }
+bool over_2(double ratio) { return ratio > 2.0; }
+
+// ------------------------------------------------------------------------
+// Figures 4-11 (paper §5-§6)
+// ------------------------------------------------------------------------
+
+const Rows<D> kFig4{
+    .figure = "Figure 4",
+    .title = "distance gain of optimal vs negotiated routing",
+    .unit = "ISP pairs",
+    .columns = {kSamples<D>, kTotalNeg, kTotalOpt, kIndivNeg, kIndivOpt,
+                {.put = [](auto& r, auto& m) {
+                  put_count(r, "isps_losing.optimal",
+                            m.count(kIndivOpt, loses));
+                  put_count(r, "isps_losing.negotiated",
+                            m.count(kIndivNeg, loses));
+                }}},
+    .figures = {{"Fig 4a", "total gain across both ISPs", kTotalKm,
+                 {&kTotalNeg, &kTotalOpt}},
+                {"Fig 4b", "individual ISP gain", kOwnKm,
+                 {&kIndivNeg, &kIndivOpt}}},
+    .claims = [](auto& m) -> Claims {
+      const double opt = m.median(kTotalOpt), neg = m.median(kTotalNeg);
+      const std::size_t isps = m.values.at(kIndivOpt.name).size();
+      const std::size_t opt_losers = m.count(kIndivOpt, loses);
+      const std::size_t neg_losers = m.count(kIndivNeg, loses);
+      return {
+          {"negotiated total gain is close to globally optimal (within ~1/3)",
+           cat("median optimal ", opt, "%, negotiated ", neg, "%"),
+           neg >= opt * 0.5},
+          {"median total gain is modest (paper ~4%; price of anarchy low)",
+           cat("median total optimal gain ", opt, "%"), opt < 25.0},
+          {"a sizable fraction of ISPs lose under GLOBAL optimisation (paper "
+           "~1/3)",
+           cat(opt_losers, "/", isps, " ISPs lose >0.5% of own distance"),
+           opt_losers > isps / 20},
+          {"no ISP loses under NEGOTIATION",
+           cat(neg_losers, "/", isps, " ISPs lose >0.5%"), neg_losers == 0}};
+    }};
+
+constexpr Column<D> kPareto{"total_gain_pct.pareto", "flow-Pareto",
+                            total_gain<&D::pareto_km>};
+constexpr Column<D> kBothBetter{"total_gain_pct.both_better",
+                                "flow-both-better",
+                                total_gain<&D::bothbetter_km>};
+
+const Rows<D> kFig5{
+    .figure = "Figure 5",
+    .title = "flow-pair strategies that merely discard bad alternatives",
+    .unit = "ISP pairs",
+    .columns = {kSamples<D>, kPareto, kBothBetter, kTotalNeg, kTotalOpt},
+    .figures = {{"Fig 5", "total gain of the flow-pair strategies", kTotalKm,
+                 {&kBothBetter, &kPareto, &kTotalNeg, &kTotalOpt}}},
+    .claims = [](auto& m) -> Claims {
+      const double pareto = m.median(kPareto), both = m.median(kBothBetter);
+      const double neg = m.median(kTotalNeg);
+      return {{"flow-pair strategies capture little of the negotiated gain",
+               cat("medians: flow-Pareto ", pareto, "%, flow-both-better ",
+                   both, "%, negotiated ", neg, "%"),
+               pareto < neg * 0.5 + 0.5 && both < neg * 0.75 + 0.5}};
+    }};
+
+constexpr Column<D> kFlowNeg{
+    "flow_gain_pct.negotiated", "negotiated", [](auto& v, auto& s, auto&) {
+      v.insert(v.end(), s.flow_gain_pct_negotiated.begin(),
+               s.flow_gain_pct_negotiated.end());
+    }};
+constexpr Column<D> kFlowOpt{
+    "flow_gain_pct.optimal", "optimal", [](auto& v, auto& s, auto&) {
+      v.insert(v.end(), s.flow_gain_pct_optimal.begin(),
+               s.flow_gain_pct_optimal.end());
+    }};
+
+const Rows<D> kFig6{
+    .figure = "Figure 6",
+    .title = "flow-level gains of optimal and negotiated routing",
+    .unit = "ISP pairs",
+    .detail = [](auto& m) { return cat(", ", flows(m), " flows"); },
+    .columns = {kWallMs<D>, kSamples<D>, kFlowCounts, kEvalWork<D>, kFlowNeg,
+                kFlowOpt},
+    .figures = {{"Fig 6", "per-flow gain",
+                 "% reduction of the flow's end-to-end km vs default",
+                 {&kFlowNeg, &kFlowOpt}}},
+    .claims = [](auto& m) -> Claims {
+      const std::size_t n = flows(m), neg20 = m.count(kFlowNeg, over_20);
+      const std::size_t neg50 =
+          m.count(kFlowNeg, [](double g) { return g > 50.0; });
+      const std::size_t opt20 = m.count(kFlowOpt, over_20);
+      return {
+          {"a heavy tail of flows gains substantially (paper: 7% >20%, 1% "
+           ">50%)",
+           cat(100.0 * neg20 / n, "% of flows gain >20%, ", 100.0 * neg50 / n,
+               "% gain >50% (negotiated)"),
+           neg20 > 0 && neg50 > 0 && neg20 >= neg50},
+          {"negotiation catches almost all flows that optimal improves >20%",
+           cat(static_cast<double>(neg20), " vs ", static_cast<double>(opt20),
+               " flows improved >20% (negotiated vs optimal)"),
+           neg20 >= 0.6 * opt20},
+          {"only a minority of flows needs non-default routing (paper ~20%)",
+           cat(100.0 * moved(m) / n, "% of flows moved off default"),
+           moved(m) < n / 2}};
+    },
+    .note = eval_note<D>};
+
+const Rows<B> kFig7{
+    .figure = "Figure 7",
+    .title = "MEL after failures: default and negotiated vs optimal",
+    .unit = "failed interconnections",
+    .columns = {kWallMs<B>, kEvalWork<B>, {.put = [](auto& r, auto& m) {
+                  r.metric("eval_row_fraction", row_fraction(m));
+                }},
+                kSamples<B>, kUpDefault, kUpNeg, kDownDefault, kDownNeg},
+    .figures = {{"Fig 7 (left)", "upstream ISP", kMelRatio,
+                 {&kUpNeg, &kUpDefault}},
+                {"Fig 7 (right)", "downstream ISP", kMelRatio,
+                 {&kDownNeg, &kDownDefault}}},
+    .claims = [](auto& m) -> Claims {
+      const std::size_t n = m.samples.size();
+      const std::size_t gt2 = m.count(kUpDefault, over_2);
+      const std::size_t gt5 =
+          m.count(kUpDefault, [](double r) { return r > 5.0; });
+      const std::size_t near1 =
+          m.count(kUpNeg, [](double r) { return r < 1.25; });
+      const double def = m.median(kUpDefault), neg = m.median(kUpNeg);
+      return {
+          {"default routing often overloads the upstream (paper: ratio >2 for "
+           "half)",
+           cat(100.0 * gt2 / n, "% of samples >2x optimal, ", 100.0 * gt5 / n,
+               "% >5x"),
+           gt2 > n / 10},
+          {"negotiated routing is close to optimal (most MEL ratios ~1)",
+           cat(100.0 * near1 / n,
+               "% of upstream samples within 1.25x of optimal; median ", neg),
+           neg < 1.3},
+          {"negotiated stochastically dominates default (upstream)",
+           cat("median default ", def, " vs negotiated ", neg),
+           neg <= def + 1e-9}};
+    },
+    .note = eval_note<B>};
+
+constexpr Column<B> kUnilateralRatio{
+    "downstream_unilateral_ratio", "upstream-optimized/default",
+    [](auto& v, auto& s, auto&) {
+      if (s.mel_default[1] > 0.0 && s.mel_unilateral[1] > 0.0)
+        v.push_back(s.mel_unilateral[1] / s.mel_default[1]);
+    }};
+
+const Rows<B> kFig8{
+    .figure = "Figure 8",
+    .title = "unilateral upstream optimisation, impact on the downstream",
+    .unit = "failed interconnections",
+    .columns = {kSamples<B>, kUnilateralRatio},
+    .figures = {{"Fig 8", "downstream impact of upstream-centric optimisation",
+                 "downstream MEL, upstream-optimized / default (>1 means "
+                 "harmed)",
+                 {&kUnilateralRatio}}},
+    .claims = [](auto& m) -> Claims {
+      const std::size_t n = m.values.at(kUnilateralRatio.name).size();
+      const std::size_t helped =
+          m.count(kUnilateralRatio, [](double r) { return r < 0.99; });
+      const std::size_t hurt =
+          m.count(kUnilateralRatio, [](double r) { return r > 1.01; });
+      const std::size_t hurt2x = m.count(kUnilateralRatio, over_2);
+      return {
+          {"the downstream outcome is unpredictable: both helped and hurt "
+           "occur",
+           cat(100.0 * helped / n, "% helped, ", 100.0 * hurt / n, "% hurt, ",
+               100.0 * hurt2x / n, "% hurt >2x"),
+           helped > 0 && hurt > 0},
+          {"a noticeable share of samples is harmed badly (paper ~10% >2x)",
+           cat(100.0 * hurt2x / n, "% over 2x default MEL"), hurt2x > 0}};
+    }};
+
+const Rows<B> kFig9{
+    .figure = "Figure 9",
+    .title = "diverse criteria: upstream=bandwidth, downstream=distance",
+    .unit = "failed interconnections",
+    .columns = {kSamples<B>, kUpDefault, kUpNeg, kDownGain},
+    .figures = {{"Fig 9 (left)", "upstream ISP controls overload", kMelRatio,
+                 {&kUpNeg, &kUpDefault}},
+                {"Fig 9 (right)", "downstream ISP reduces distance", kDownKm,
+                 {&kDownGain}}},
+    .claims = [](auto& m) -> Claims {
+      const double neg = m.median(kUpNeg), def = m.median(kUpDefault);
+      const util::Cdf& gain = m.cdf(kDownGain);
+      return {{"upstream effectively controls overload despite diverse "
+               "criteria",
+               cat("median upstream MEL ratio: negotiated ", neg,
+                   " vs default ", def),
+               neg <= def + 1e-9},
+              {"downstream significantly reduces its distance",
+               cat("median downstream distance gain ", gain.value_at(0.5),
+                   "%, p90 ", gain.value_at(0.9), "%"),
+               gain.value_at(0.9) > 5.0 && gain.min() > -1.0}};
+    }};
+
+// fig10/fig11 compare each pair's both-truthful outcome with the one where
+// side A cheats (arm 1 of the extractors).
+
+constexpr Column<D> kTotalHonest{"total_gain_pct.honest", "both-truthful",
+                                 total_gain<&D::negotiated_km>};
+constexpr Column<D> kTotalCheating{"total_gain_pct.cheating", "one-cheater",
+                                   total_gain<&D::negotiated_km, 1>};
+constexpr Column<D> kIndivHonest{"individual_gain_pct.honest",
+                                 "both-truthful",
+                                 side_gains<&D::negotiated_side_km>};
+constexpr Column<D> kCheaterGain{"cheater_gain_pct", "cheater",
+                                 side_gain<&D::negotiated_side_km, 0, 1>};
+constexpr Column<D> kTruthfulGain{"truthful_gain_pct", "truthful",
+                                  side_gain<&D::negotiated_side_km, 1, 1>};
+constexpr Column<D> kCheaterHonestGain{"cheater_gain_pct.honest", nullptr,
+                                       side_gain<&D::negotiated_side_km, 0>};
+
+const Rows<D> kFig10{
+    .figure = "Figure 10", .title = "impact of cheating, distance experiment",
+    .unit = "ISP pairs",
+    .columns = {kSamples<D>, kTotalHonest, kTotalCheating, kCheaterGain,
+                kTruthfulGain},
+    .hidden = {kIndivHonest, kCheaterHonestGain},
+    .figures = {{"Fig 10a", "total gain across both ISPs",
+                 "% reduction in total flow km vs default",
+                 {&kTotalHonest, &kTotalCheating}},
+                {"Fig 10b", "individual gains",
+                 "% reduction in own-network km vs default",
+                 {&kIndivHonest, &kCheaterGain, &kTruthfulGain}}},
+    .claims = [](auto& m) -> Claims {
+      const double honest = m.median(kTotalHonest);
+      const double cheating = m.median(kTotalCheating);
+      const double cheater = m.mean(kCheaterGain);
+      const double cheater_honest = m.mean(kCheaterHonestGain);
+      const std::size_t losses = m.count(kTruthfulGain, loses);
+      return {{"cheating reduces the total gain",
+               cat("median total: honest ", honest, "% vs one-cheater ",
+                   cheating, "%"),
+               cheating <= honest + 1e-9},
+              {"cheating is self-defeating: the cheater gains LESS than when "
+               "truthful",
+               cat("cheater mean gain ", cheater, "% vs its gain when honest ",
+                   cheater_honest, "%"),
+               cheater <= cheater_honest + 1e-9},
+              {"the truthful ISP never ends below its default",
+               cat(losses, " losses >0.5%"), losses == 0}};
+    }};
+
+constexpr Column<B> kUpHonest{"mel_ratio.upstream.honest", "both-truthful",
+                              mel_ratio<&B::mel_negotiated, 0>};
+constexpr Column<B> kUpCheating{"mel_ratio.upstream.cheating", "one-cheater",
+                                mel_ratio<&B::mel_negotiated, 0, 1>};
+constexpr Column<B> kDownHonest{"mel_ratio.downstream.honest",
+                                "both-truthful",
+                                mel_ratio<&B::mel_negotiated, 1>};
+constexpr Column<B> kDownCheating{"mel_ratio.downstream.cheating",
+                                  "one-cheater",
+                                  mel_ratio<&B::mel_negotiated, 1, 1>};
+
+const Rows<B> kFig11{
+    .figure = "Figure 11", .title = "impact of cheating, bandwidth experiment",
+    .unit = "failed interconnections",
+    .columns = {kSamples<B>, kUpHonest, kUpCheating, kDownHonest,
+                kDownCheating},
+    .hidden = {kUpDefault, kDownDefault},
+    .figures = {{"Fig 11 (left)", "upstream ISP (the cheater)", kMelRatio,
+                 {&kUpHonest, &kUpCheating, &kUpDefault}},
+                {"Fig 11 (right)", "downstream ISP (truthful)", kMelRatio,
+                 {&kDownHonest, &kDownCheating, &kDownDefault}}},
+    .claims = [](auto& m) -> Claims {
+      const double up = m.median(kUpHonest), up_cheat = m.median(kUpCheating);
+      const double down = m.median(kDownCheating);
+      const double down_default = m.median(kDownDefault);
+      return {{"cheating does not help the cheating upstream (median MEL "
+               "ratio)",
+               cat("truthful ", up, " vs cheating ", up_cheat),
+               up_cheat >= up - 0.05},
+              {"negotiation with a cheater is still no worse than default "
+               "(median)",
+               cat("cheater-run downstream ", down, " vs default ",
+                   down_default),
+               down <= down_default + 0.05}};
+    }};
+
+// ------------------------------------------------------------------------
+// Ablations (paper §4-§5)
+// ------------------------------------------------------------------------
+
+double moved_pct(const Measured<D>& m) {
+  return 100.0 * static_cast<double>(moved(m)) /
+         static_cast<double>(flows(m));
+}
+
+/// Share (%) of the km saved by negotiated moves that the top `pct`% of
+/// the moved flows carry.
+double top_share(const Measured<D>& m, double pct) {
+  std::vector<double> savings;  // km saved by each moved flow
+  for (const D& s : m.samples)
+    for (double km : s.flow_saving_km_negotiated)
+      if (km > 1e-9) savings.push_back(km);
+  std::sort(savings.rbegin(), savings.rend());
+  const auto k = std::min(
+      savings.size(), static_cast<std::size_t>(savings.size() * pct / 100.0));
+  const double top = util::sum(std::vector<double>(
+      savings.begin(), savings.begin() + static_cast<std::ptrdiff_t>(k)));
+  const double all = util::sum(savings);
+  return all > 0 ? 100.0 * top / all : 0.0;
+}
+
+const Rows<D> kFlowFraction{
+    .figure = "Ablation: fraction of flows moved",
+    .title = "how many non-default routes are needed for the gain",
+    .unit = "pairs",
+    .detail = [](auto& m) {
+      std::ostringstream os;  // the percentage as a stream prints it
+      os << ", " << flows(m) << " flows; moved " << moved(m) << " ("
+         << moved_pct(m) << "%)";
+      return os.str();
+    },
+    .columns = {kFlowCounts, {.put = [](auto& r, auto& m) {
+                  std::vector<double> gains;
+                  for (const D& s : m.samples)
+                    gains.push_back(s.default_km - s.negotiated_km);
+                  r.metric("total_gain_km", util::sum(gains));
+                  r.metric("gain_share_top20pct", top_share(m, 20.0));
+                }}},
+    .table = [](auto& m) {
+      std::cout << "\n  top-moved-flows%   share-of-total-gain%\n";
+      for (double pct : {1.0, 5.0, 10.0, 20.0, 50.0, 100.0})
+        std::printf("  %15.1f   %20.2f\n", pct, top_share(m, pct));
+    },
+    .claims = [](auto& m) -> Claims {
+      const double share = top_share(m, 20.0);
+      return {{"a minority of flows moved off default suffices (paper ~20%)",
+               cat(moved_pct(m), "% of all flows were re-routed"),
+               moved_pct(m) < 50.0},
+              {"the top 20% of improved flows carries most of the gain",
+               cat(share, "% of the gain from the top 20% of flows"),
+               share > 50.0}};
+    }};
+
+/// Negotiated total gains bucketed by interconnection count (6+ pooled).
+std::map<std::size_t, std::vector<double>> ix_buckets(const Measured<D>& m) {
+  std::map<std::size_t, std::vector<double>> buckets;
+  for (const D& s : m.samples) {
+    buckets[std::min<std::size_t>(s.interconnections, 6)].push_back(
+        s.total_gain_pct(s.negotiated_km));
   }
-
-  print_cdf_figure(
-      "Fig 8", "downstream impact of upstream-centric optimisation",
-      "downstream MEL, upstream-optimized / default (>1 means harmed)",
-      {"upstream-optimized/default"}, {&down_ratio});
-
-  const std::size_t n = down_ratio.sorted_samples().size();
-  if (n == 0) return no_samples();
-  std::cout << "\n";
-  paper_check(
-      "the downstream outcome is unpredictable: both helped and hurt occur",
-      std::to_string(100.0 * helped / n) + "% helped, " +
-          std::to_string(100.0 * hurt / n) + "% hurt, " +
-          std::to_string(100.0 * hurt2x / n) + "% hurt >2x",
-      helped > 0 && hurt > 0);
-  paper_check("a noticeable share of samples is harmed badly (paper ~10% >2x)",
-              std::to_string(100.0 * hurt2x / n) + "% over 2x default MEL",
-              hurt2x > 0);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric_cdf("downstream_unilateral_ratio", down_ratio);
-  return 0;
+  return buckets;
+}
+/// Mean gain of the fewest- or of the most-interconnection bucket.
+double ix_mean(const Measured<D>& m, bool most) {
+  const auto buckets = ix_buckets(m);
+  return util::mean(most ? buckets.rbegin()->second : buckets.begin()->second);
 }
 
-// ------------------------------------------------------------------------
-// fig9: diverse criteria (upstream bandwidth, downstream distance)
-// ------------------------------------------------------------------------
+const Rows<D> kIxCount{
+    .figure = "Ablation: interconnection count",
+    .title = "negotiated gain bucketed by number of interconnections",
+    .columns = {kSamples<D>, {.put = [](auto& r, auto& m) {
+                  r.metric("mean_gain_pct.fewest_ix", ix_mean(m, false));
+                  r.metric("mean_gain_pct.most_ix", ix_mean(m, true));
+                }}},
+    .table = [](auto& m) {
+      std::cout << "\n  interconnections   pairs   mean-gain%   median-gain%\n";
+      for (const auto& [b, gains] : ix_buckets(m)) {
+        std::printf("  %10zu%s   %5zu   %10.3f   %12.3f\n", b,
+                    b == 6 ? "+" : " ", gains.size(), util::mean(gains),
+                    util::median(gains));
+      }
+    },
+    .claims = [](auto& m) -> Claims {
+      const double low = ix_mean(m, false), high = ix_mean(m, true);
+      return {{"pairs with more interconnections gain more from negotiation",
+               cat("mean gain, fewest-ix bucket ", low, "% vs most-ix bucket ",
+                   high, "%"),
+               high >= low}};
+    }};
 
-int run_fig9(ScenarioContext& ctx) {
-  const BandwidthExperimentConfig cfg = ctx.spec.to_bandwidth_config();
-  print_bench_header("Figure 9",
-                     "diverse criteria: upstream=bandwidth, downstream=distance",
-                     ctx.spec.universe_summary());
-  const auto samples = run_bandwidth_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-  std::cout << "samples: " << samples.size() << " failed interconnections\n";
+// The owned-axis ablations: one table row per value of the axis. A claim
+// or metric comparing two values is left out unless both ran.
 
-  util::Cdf up_def, up_neg, down_gain;
-  for (const auto& s : samples) {
-    up_def.add(s.ratio(s.mel_default, 0));
-    up_neg.add(s.ratio(s.mel_negotiated, 0));
-    down_gain.add(s.downstream_distance_gain_pct);
-  }
+const Rows<D> kGroupNegotiation{
+    .figure = "Ablation: group negotiation",
+    .title = "negotiating in k separate groups vs the whole set",
+    .hidden = {kTotalNeg},
+    .heading = "\n  groups   mean-total-gain%   median-total-gain%\n",
+    .row = [](auto& label, auto& m) {
+      std::printf("  %6s   %16.3f   %18.3f\n", label.c_str(),
+                  m.mean(kTotalNeg), m.median(kTotalNeg));
+    },
+    .check_table = [](auto& r, auto& t) -> Claims {
+      const auto *one = row_of(t, "1"), *many = row_of(t, "64");
+      if (one == nullptr || many == nullptr) return {};
+      const double whole = one->mean(kTotalNeg), split = many->mean(kTotalNeg);
+      r.metric("mean_gain_pct.groups_1", whole);
+      r.metric("mean_gain_pct.groups_64", split);
+      return {{"negotiating over the entire flow set beats many separate "
+               "groups",
+               cat("mean gain whole-set ", whole, "% vs 64 groups ", split,
+                   "%"),
+               split <= whole + 1e-9}};
+    }};
 
-  print_cdf_figure("Fig 9 (left)", "upstream ISP controls overload",
-                   "MEL relative to MEL of optimal routing",
-                   {"negotiated", "default"}, {&up_neg, &up_def});
-  print_cdf_figure("Fig 9 (right)", "downstream ISP reduces distance",
-                   "% reduction of affected flows' km inside downstream "
-                   "vs default",
-                   {"negotiated"}, {&down_gain});
-
-  std::cout << "\n";
-  paper_check(
-      "upstream effectively controls overload despite diverse criteria",
-      "median upstream MEL ratio: negotiated " +
-          std::to_string(up_neg.value_at(0.5)) + " vs default " +
-          std::to_string(up_def.value_at(0.5)),
-      up_neg.value_at(0.5) <= up_def.value_at(0.5) + 1e-9);
-  paper_check(
-      "downstream significantly reduces its distance",
-      "median downstream distance gain " +
-          std::to_string(down_gain.value_at(0.5)) + "%, p90 " +
-          std::to_string(down_gain.value_at(0.9)) + "%",
-      down_gain.value_at(0.9) > 5.0 && down_gain.min() > -1.0);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric_cdf("mel_ratio.upstream.default", up_def);
-  ctx.record.metric_cdf("mel_ratio.upstream.negotiated", up_neg);
-  ctx.record.metric_cdf("downstream_distance_gain_pct", down_gain);
-  return 0;
+/// Whether negotiated <= default at the median for every model variant.
+bool shapes_hold(const Table<B>& t) {
+  return std::all_of(t.begin(), t.end(), [](const auto& row) {
+    return row.second.median(kUpNeg) <= row.second.median(kUpDefault) + 1e-9;
+  });
 }
 
+const Rows<B> kModels{
+    .figure = "Ablation: alternate models (§5.2)",
+    .title = "workload / capacity / metric sensitivity of Fig. 7",
+    .hidden = {kUpDefault, kUpNeg},
+    .heading = "\n  variant                              samples   "
+               "default-med   negotiated-med   neg<=def%\n",
+    .row = [](auto& label, auto& m) {
+      const auto dominated =
+          std::count_if(m.samples.begin(), m.samples.end(), [](const B& s) {
+            return s.ratio(s.mel_negotiated, 0) <=
+                   s.ratio(s.mel_default, 0) + 1e-9;
+          });
+      std::printf("  %-36s   %6zu   %11.3f   %14.3f   %8.1f\n", label.c_str(),
+                  m.samples.size(), m.median(kUpDefault), m.median(kUpNeg),
+                  100.0 * static_cast<double>(dominated) /
+                      static_cast<double>(m.samples.size()));
+    },
+    // The paper-model medians only exist when the axis kept "paper":
+    // recording a variant that never ran would fabricate data.
+    .check_table = [](auto& r, auto& t) -> Claims {
+      const auto* paper = row_of(t, "paper");
+      Claims claims;
+      if (paper != nullptr) {
+        const double def = paper->median(kUpDefault);
+        const double neg = paper->median(kUpNeg);
+        r.metric("paper_model.default_median", def);
+        r.metric("paper_model.negotiated_median", neg);
+        claims.push_back(
+            {"results are qualitatively similar across alternate models "
+             "(negotiated <= default at the median everywhere)",
+             cat("paper-model medians: default ", def, ", negotiated ", neg),
+             shapes_hold(t)});
+      }
+      put_count(r, "all_shapes_hold", shapes_hold(t) ? 1 : 0);
+      return claims;
+    }};
+
+constexpr Column<D> kGainGap{
+    "gain_gap_km", nullptr, [](auto& v, auto& s, auto&) {
+      const double ga = s.default_side_km[0] - s.negotiated_side_km[0];
+      const double gb = s.default_side_km[1] - s.negotiated_side_km[1];
+      v.push_back(std::abs(ga - gb));
+    }};
+
+const Rows<D> kPolicies{
+    .figure = "Ablation: protocol policies",
+    .title = "turn / termination / proposal policy comparison",
+    .hidden = {kTotalNeg, kGainGap},
+    .heading = "\n  variant                                   mean-gain%   "
+               "median-gain%   mean|gainA-gainB| (km)\n",
+    .row = [](auto& label, auto& m) {
+      std::printf("  %-40s   %9.3f   %11.3f   %18.1f\n", label.c_str(),
+                  m.mean(kTotalNeg), m.median(kTotalNeg), m.mean(kGainGap));
+    },
+    .check_table = [](auto& r, auto& t) -> Claims {
+      const auto *lower = row_of(t, "lower-gain"), *paper = row_of(t, "paper");
+      if (lower == nullptr || paper == nullptr) return {};
+      const double fair = lower->mean(kGainGap), alt = paper->mean(kGainGap);
+      r.metric("imbalance_km.lower_gain", fair);
+      r.metric("imbalance_km.alternate", alt);
+      return {{"lower-cumulative-gain turns approximate max-min fairness "
+               "(smaller gain imbalance than alternate turns)",
+               cat("mean |gainA-gainB|: lower-gain ", fair,
+                   " km vs alternate ", alt, " km"),
+               fair <= alt * 1.25}};
+    }};
+
+const Rows<D> kPrefRange{
+    .figure = "Ablation: preference range P",
+    .title = "negotiated gain as a function of the class range",
+    .hidden = {kTotalNeg, kTotalOpt},
+    .heading = "\n   P   median-total-gain%   mean-total-gain%   "
+               "optimal-median%\n",
+    .row = [](auto& label, auto& m) {
+      std::printf("  %2s   %18.3f   %16.3f   %15.3f\n", label.c_str(),
+                  m.median(kTotalNeg), m.mean(kTotalNeg), m.median(kTotalOpt));
+    },
+    .check_table = [](auto& r, auto& t) -> Claims {
+      for (const char* p : {"1", "10", "50"}) {
+        if (const auto* row = row_of(t, p))
+          r.metric(std::string("median_gain_pct.p") + p,
+                   row->median(kTotalNeg));
+      }
+      const auto *p1 = row_of(t, "1"), *p10 = row_of(t, "10");
+      const auto* p50 = row_of(t, "50");
+      Claims claims;
+      if (p10 != nullptr && p50 != nullptr) {
+        const double m10 = p10->median(kTotalNeg), m50 = p50->median(kTotalNeg);
+        claims.push_back(
+            {"increasing the range beyond P=10 does not noticeably help",
+             cat("median gain at P=10: ", m10, "%, at P=50: ", m50, "%"),
+             m50 - m10 < 1.0});
+      }
+      if (p1 != nullptr && p10 != nullptr) {
+        const double m1 = p1->median(kTotalNeg), m10 = p10->median(kTotalNeg);
+        claims.push_back(
+            {"a tiny range (P=1) leaves gain on the table",
+             cat("median gain at P=1: ", m1, "% vs P=10: ", m10, "%"),
+             m1 <= m10 + 1e-9});
+      }
+      return claims;
+    }};
+
 // ------------------------------------------------------------------------
-// fig10: cheating, distance experiment
+// custom: any composed distance or bandwidth spec, on the figures' series
 // ------------------------------------------------------------------------
 
-/// fig10/fig11 own the cheat axis (they compare both-truthful against
-/// one-cheater), so an explicit cheat: objective cannot mean anything —
-/// silently stripping or honouring it would mislabel one arm. The preset
-/// never sets cheat, so any cheat=true here came from the user.
-bool reject_explicit_cheat(const ScenarioContext& ctx, const char* name) {
-  if (!ctx.spec.objective[0].cheat && !ctx.spec.objective[1].cheat)
-    return false;
-  std::cerr << "error: scenario '" << name
-            << "' controls the cheat: axis itself (it runs both-truthful "
-               "and one-cheater arms); give the base oracle only\n";
-  return true;
-}
+const Rows<D> kCustomDistance{
+    .figure = "Custom scenario", .title = "distance experiment",
+    .title_objectives = true,
+    .unit = "ISP pairs",
+    .detail = [](auto& m) {
+      return cat(", ", flows(m), " flows, ", moved(m), " moved off default");
+    },
+    .columns = {kSamples<D>, kFlowCounts, kTotalNeg, kTotalOpt, kIndivNeg},
+    .figures = {{"custom", "total gain across both ISPs", kTotalKm,
+                 {&kTotalNeg, &kTotalOpt}},
+                {"custom", "individual ISP gain", kOwnKm, {&kIndivNeg}}}};
 
-int run_fig10(ScenarioContext& ctx) {
-  if (reject_explicit_cheat(ctx, "fig10")) return 2;
-  const DistanceExperimentConfig honest = ctx.spec.to_distance_config();
-  DistanceExperimentConfig cheating = honest;
-  cheating.objective[0].cheat = true;
+/// fig9's downstream distance series, when side B minimises distance.
+constexpr Column<B> kCustomDownGain{
+    .name = kDownGain.name,
+    .label = kDownGain.label,
+    .add = kDownGain.add,
+    .when = [](const ExperimentSpec& spec) {
+      return spec.resolved_objective(1).name == "distance";
+    }};
 
-  print_bench_header("Figure 10", "impact of cheating, distance experiment",
-                     ctx.spec.universe_summary());
-  const auto hs = run_distance_experiment(honest);
-  const auto cs = run_distance_experiment(cheating);
-  if (hs.empty()) return no_samples();
-  ctx.mix(hs);
-  ctx.mix(cs);
-  std::cout << "samples: " << hs.size() << " ISP pairs (x2 runs)\n";
-
-  util::Cdf total_honest, total_cheat, indiv_honest, cheater_gain, truthful_gain;
-  std::vector<double> cheater_pcts, cheater_honest_pcts;
-  std::size_t truthful_losses = 0;
-  // Today both runs yield one sample per pair so the sizes always match;
-  // the min() keeps this loop safe (like fig11's) if the distance engine
-  // ever filters samples per run.
-  const std::size_t n10 = std::min(hs.size(), cs.size());
-  for (std::size_t i = 0; i < n10; ++i) {
-    total_honest.add(hs[i].total_gain_pct(hs[i].negotiated_km));
-    total_cheat.add(cs[i].total_gain_pct(cs[i].negotiated_km));
-    for (int side = 0; side < 2; ++side)
-      indiv_honest.add(hs[i].side_gain_pct(hs[i].negotiated_side_km, side));
-    cheater_gain.add(cs[i].side_gain_pct(cs[i].negotiated_side_km, 0));
-    truthful_gain.add(cs[i].side_gain_pct(cs[i].negotiated_side_km, 1));
-    cheater_pcts.push_back(cs[i].side_gain_pct(cs[i].negotiated_side_km, 0));
-    cheater_honest_pcts.push_back(
-        hs[i].side_gain_pct(hs[i].negotiated_side_km, 0));
-    if (cs[i].side_gain_pct(cs[i].negotiated_side_km, 1) < -0.5)
-      ++truthful_losses;
-  }
-  const double mean_cheater = util::mean(cheater_pcts);
-  const double mean_cheater_honest = util::mean(cheater_honest_pcts);
-
-  print_cdf_figure("Fig 10a", "total gain across both ISPs",
-                   "% reduction in total flow km vs default",
-                   {"both-truthful", "one-cheater"},
-                   {&total_honest, &total_cheat});
-  print_cdf_figure("Fig 10b", "individual gains",
-                   "% reduction in own-network km vs default",
-                   {"both-truthful", "cheater", "truthful"},
-                   {&indiv_honest, &cheater_gain, &truthful_gain});
-
-  std::cout << "\n";
-  paper_check("cheating reduces the total gain",
-              "median total: honest " +
-                  std::to_string(total_honest.value_at(0.5)) +
-                  "% vs one-cheater " +
-                  std::to_string(total_cheat.value_at(0.5)) + "%",
-              total_cheat.value_at(0.5) <= total_honest.value_at(0.5) + 1e-9);
-  paper_check(
-      "cheating is self-defeating: the cheater gains LESS than when truthful",
-      "cheater mean gain " + std::to_string(mean_cheater) +
-          "% vs its gain when honest " + std::to_string(mean_cheater_honest) +
-          "%",
-      mean_cheater <= mean_cheater_honest + 1e-9);
-  paper_check("the truthful ISP never ends below its default",
-              std::to_string(truthful_losses) + " losses >0.5%",
-              truthful_losses == 0);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(hs.size()));
-  ctx.record.metric_cdf("total_gain_pct.honest", total_honest);
-  ctx.record.metric_cdf("total_gain_pct.cheating", total_cheat);
-  ctx.record.metric_cdf("cheater_gain_pct", cheater_gain);
-  ctx.record.metric_cdf("truthful_gain_pct", truthful_gain);
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// fig11: cheating, bandwidth experiment
-// ------------------------------------------------------------------------
-
-int run_fig11(ScenarioContext& ctx) {
-  if (reject_explicit_cheat(ctx, "fig11")) return 2;
-  const BandwidthExperimentConfig honest = ctx.spec.to_bandwidth_config();
-  BandwidthExperimentConfig cheating = honest;
-  cheating.objective[0].cheat = true;
-
-  print_bench_header("Figure 11", "impact of cheating, bandwidth experiment",
-                     ctx.spec.universe_summary());
-  const auto hs = run_bandwidth_experiment(honest);
-  const auto cs = run_bandwidth_experiment(cheating);
-  if (hs.empty()) return no_samples();
-  ctx.mix(hs);
-  ctx.mix(cs);
-  std::cout << "samples: " << hs.size() << " failed interconnections (x2 runs)\n";
-
-  util::Cdf up_honest, up_cheat, up_default, down_honest, down_cheat,
-      down_default;
-  const std::size_t n = std::min(hs.size(), cs.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    up_honest.add(hs[i].ratio(hs[i].mel_negotiated, 0));
-    up_cheat.add(cs[i].ratio(cs[i].mel_negotiated, 0));
-    up_default.add(hs[i].ratio(hs[i].mel_default, 0));
-    down_honest.add(hs[i].ratio(hs[i].mel_negotiated, 1));
-    down_cheat.add(cs[i].ratio(cs[i].mel_negotiated, 1));
-    down_default.add(hs[i].ratio(hs[i].mel_default, 1));
-  }
-
-  print_cdf_figure("Fig 11 (left)", "upstream ISP (the cheater)",
-                   "MEL relative to MEL of optimal routing",
-                   {"both-truthful", "one-cheater", "default"},
-                   {&up_honest, &up_cheat, &up_default});
-  print_cdf_figure("Fig 11 (right)", "downstream ISP (truthful)",
-                   "MEL relative to MEL of optimal routing",
-                   {"both-truthful", "one-cheater", "default"},
-                   {&down_honest, &down_cheat, &down_default});
-
-  std::cout << "\n";
-  paper_check(
-      "cheating does not help the cheating upstream (median MEL ratio)",
-      "truthful " + std::to_string(up_honest.value_at(0.5)) + " vs cheating " +
-          std::to_string(up_cheat.value_at(0.5)),
-      up_cheat.value_at(0.5) >= up_honest.value_at(0.5) - 0.05);
-  paper_check(
-      "negotiation with a cheater is still no worse than default (median)",
-      "cheater-run downstream " + std::to_string(down_cheat.value_at(0.5)) +
-          " vs default " + std::to_string(down_default.value_at(0.5)),
-      down_cheat.value_at(0.5) <= down_default.value_at(0.5) + 0.05);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(n));
-  ctx.record.metric_cdf("mel_ratio.upstream.honest", up_honest);
-  ctx.record.metric_cdf("mel_ratio.upstream.cheating", up_cheat);
-  ctx.record.metric_cdf("mel_ratio.downstream.honest", down_honest);
-  ctx.record.metric_cdf("mel_ratio.downstream.cheating", down_cheat);
-  return 0;
-}
+const Rows<B> kCustomBandwidth{
+    .figure = "Custom scenario", .title = "bandwidth (failure) experiment",
+    .title_objectives = true,
+    .unit = "failed interconnections",
+    .columns = {kCustomDownGain, kSamples<B>, kUpDefault, kUpNeg, kDownDefault,
+                kDownNeg},
+    .figures = {{"custom", "upstream ISP", kMelRatio, {&kUpNeg, &kUpDefault}},
+                {"custom", "downstream ISP", kMelRatio,
+                 {&kDownNeg, &kDownDefault}},
+                {"custom", "downstream ISP reduces distance", kDownKm,
+                 {&kCustomDownGain}}}};
 
 // ------------------------------------------------------------------------
 // table3: the worked Fig. 2/3 example
@@ -745,7 +1145,6 @@ core::PreferenceList table_rows(const std::vector<std::vector<int>>& r) {
 }
 
 int run_table3(ScenarioContext& ctx) {
-  const std::uint64_t seed_flag = ctx.spec.seed;
   print_bench_header("Figure 3 (table)",
                      "worked preference-list example of Fig. 2",
                      "two flows (f2, f3), candidates {top, bottom}, P=1");
@@ -788,10 +1187,7 @@ int run_table3(ScenarioContext& ctx) {
   problem.candidates = {0, 1};  // 0 = "top", 1 = "bottom"
   problem.default_assignment.ix_of_flow = {1, 1};
 
-  int reached_paper_outcome = 0;
-  const int runs = 100;
-  std::uint64_t shown_seed = seed_flag;
-  for (std::uint64_t seed = 1; seed <= runs; ++seed) {
+  const auto negotiate = [&](std::uint64_t seed) {
     TableOracle a({table_rows({{-1, 0}, {0, 0}})}, false);
     TableOracle b({table_rows({{0, 0}, {0, 0}}),
                    table_rows({{0, 0}, {1, 0}})}, true);
@@ -799,25 +1195,23 @@ int run_table3(ScenarioContext& ctx) {
     cfg.seed = seed;
     cfg.reassign_traffic_fraction = 0.5;
     cfg.record_trace = true;
-    core::NegotiationEngine engine(problem, a, b, cfg);
-    auto out = engine.run();
-    const bool paper_outcome = out.assignment.ix_of_flow[1] == 0;  // f3 on top
+    return core::NegotiationEngine(problem, a, b, cfg).run();
+  };
+  int reached_paper_outcome = 0;
+  const int runs = 100;
+  std::uint64_t shown_seed = ctx.spec.seed;
+  for (std::uint64_t seed = 1; seed <= runs; ++seed) {
+    // f3 on top
+    const bool paper_outcome = negotiate(seed).assignment.ix_of_flow[1] == 0;
     if (paper_outcome && shown_seed == 0) shown_seed = seed;
     reached_paper_outcome += paper_outcome ? 1 : 0;
   }
 
   // Re-run the chosen seed with a printed trace.
-  TableOracle a({table_rows({{-1, 0}, {0, 0}})}, false);
-  TableOracle b({table_rows({{0, 0}, {0, 0}}),
-                 table_rows({{0, 0}, {1, 0}})}, true);
-  core::NegotiationConfig cfg;
-  cfg.seed = shown_seed == 0 ? 1 : shown_seed;
-  cfg.reassign_traffic_fraction = 0.5;
-  cfg.record_trace = true;
-  core::NegotiationEngine engine(problem, a, b, cfg);
-  auto out = engine.run();
+  if (shown_seed == 0) shown_seed = 1;
+  const core::NegotiationOutcome out = negotiate(shown_seed);
 
-  std::cout << "\nNegotiation trace (seed " << cfg.seed << "):\n";
+  std::cout << "\nNegotiation trace (seed " << shown_seed << "):\n";
   const char* names[] = {"f2", "f3"};
   const char* sides[] = {"ISP-A", "ISP-B"};
   const char* links[] = {"top", "bottom"};
@@ -843,13 +1237,13 @@ int run_table3(ScenarioContext& ctx) {
       reached_paper_outcome > runs / 3);
 
   ctx.mix(static_cast<std::uint64_t>(reached_paper_outcome));
-  ctx.mix(cfg.seed);
+  ctx.mix(shown_seed);
   for (std::size_t ix : out.assignment.ix_of_flow) ctx.mix(ix);
   ctx.mix_double(out.true_gain_a);
   ctx.mix_double(out.true_gain_b);
   ctx.record.metric("paper_outcome_runs",
                     static_cast<std::int64_t>(reached_paper_outcome));
-  ctx.record.metric("shown_seed", static_cast<std::int64_t>(cfg.seed));
+  ctx.record.metric("shown_seed", static_cast<std::int64_t>(shown_seed));
   return 0;
 }
 
@@ -865,13 +1259,49 @@ struct DestinationPairResult {
   double db_gain = 0.0;
   double db_side_gain[2] = {0.0, 0.0};
 };
+using P = DestinationPairResult;
+
+constexpr Column<P> kSourceDest{
+    "gain_pct.source_dest", "source-dest",
+    [](auto& v, auto& r, auto&) { v.push_back(r.sd_gain); }};
+constexpr Column<P> kDestBased{
+    "gain_pct.destination_based", "destination-based",
+    [](auto& v, auto& r, auto&) { v.push_back(r.db_gain); }};
+constexpr Column<P> kDestBasedSides{
+    "individual_gain_pct.destination_based", nullptr,
+    [](auto& v, auto& r, auto&) {
+      v.insert(v.end(), std::begin(r.db_side_gain), std::end(r.db_side_gain));
+    }};
+
+const Rows<P> kDestinationBased{
+    .figure = "Ablation: destination-based routing (footnote 2)",
+    .title = "source-destination vs destination-based negotiation",
+    .columns = {{.put = [](auto& r, auto& m) {
+                  put_count(r, "pairs", m.samples.size());
+                }},
+                kSourceDest, kDestBased},
+    .hidden = {kDestBasedSides},
+    .figures = {{"footnote 2", "total gain vs the mode's own default",
+                 "% reduction in total flow km", {&kSourceDest, &kDestBased}}},
+    .claims = [](auto& m) -> Claims {
+      const double sd = m.median(kSourceDest), db = m.median(kDestBased);
+      const std::size_t losers = m.count(kDestBasedSides, loses);
+      return {{"destination-based negotiation yields results similar to "
+               "source-destination (same order of magnitude, same sign)",
+               cat("median gain: source-dest ", sd, "% vs destination-based ",
+                   db, "%"),
+               db > 0.0 && db > 0.25 * sd},
+              {"no ISP loses under destination-based negotiation either",
+               cat(losers, "/", m.values.at(kDestBasedSides.name).size(),
+                   " ISPs lose >0.5%"),
+               losers == 0}};
+    }};
 
 int run_abl_destination_based(ScenarioContext& ctx) {
   const UniverseConfig ucfg = ctx.spec.universe();
   const DistanceExperimentConfig base = ctx.spec.to_distance_config();
   const core::NegotiationConfig ncfg_base = base.negotiation;
-  print_bench_header("Ablation: destination-based routing (footnote 2)",
-                     "source-destination vs destination-based negotiation",
+  print_bench_header(kDestinationBased.figure, kDestinationBased.title,
                      ctx.spec.universe_summary());
 
   const auto pairs = build_pair_universe(ucfg, 2);
@@ -884,7 +1314,7 @@ int run_abl_destination_based(ScenarioContext& ctx) {
   std::vector<std::vector<util::Rng>> streams =
       util::fork_streams(rng, pairs.size(), 2);
 
-  std::vector<DestinationPairResult> results(pairs.size());
+  std::vector<P> results(pairs.size());
   const auto run_pair = [&](std::size_t pair_index) {
     const auto& pair = pairs[pair_index];
     routing::PairRouting routing(pair);
@@ -895,7 +1325,7 @@ int run_abl_destination_based(ScenarioContext& ctx) {
     std::vector<std::size_t> cands(pair.interconnection_count());
     for (std::size_t i = 0; i < cands.size(); ++i) cands[i] = i;
 
-    DestinationPairResult& res = results[pair_index];
+    P& res = results[pair_index];
     auto run_mode = [&](const core::NegotiationProblem& problem,
                         double& total_out, double* side_out) {
       const core::OracleRegistry& registry = core::OracleRegistry::global();
@@ -932,543 +1362,14 @@ int run_abl_destination_based(ScenarioContext& ctx) {
   util::ThreadPool pool(util::workers_for_threads(ctx.spec.threads));
   util::parallel_for(pool, pairs.size(), run_pair);
 
-  util::Cdf sd_gain, db_gain, db_indiv;
-  std::size_t db_losers = 0, db_isps = 0;
-  for (const DestinationPairResult& res : results) {
-    sd_gain.add(res.sd_gain);
-    db_gain.add(res.db_gain);
-    ctx.mix_double(res.sd_gain);
-    ctx.mix_double(res.db_gain);
-    for (int side = 0; side < 2; ++side) {
-      db_indiv.add(res.db_side_gain[side]);
-      ctx.mix_double(res.db_side_gain[side]);
-      ++db_isps;
-      if (res.db_side_gain[side] < -0.5) ++db_losers;
-    }
+  for (const P& r : results) {
+    ctx.mix_double(r.sd_gain);
+    ctx.mix_double(r.db_gain);
+    for (double side : r.db_side_gain) ctx.mix_double(side);
   }
-
-  print_cdf_figure("footnote 2", "total gain vs the mode's own default",
-                   "% reduction in total flow km",
-                   {"source-dest", "destination-based"},
-                   {&sd_gain, &db_gain});
-
-  std::cout << "\n";
-  paper_check(
-      "destination-based negotiation yields results similar to "
-      "source-destination (same order of magnitude, same sign)",
-      "median gain: source-dest " + std::to_string(sd_gain.value_at(0.5)) +
-          "% vs destination-based " + std::to_string(db_gain.value_at(0.5)) +
-          "%",
-      db_gain.value_at(0.5) > 0.0 &&
-          db_gain.value_at(0.5) > 0.25 * sd_gain.value_at(0.5));
-  paper_check("no ISP loses under destination-based negotiation either",
-              std::to_string(db_losers) + "/" + std::to_string(db_isps) +
-                  " ISPs lose >0.5%",
-              db_losers == 0);
-
-  ctx.record.metric("pairs", static_cast<std::int64_t>(pairs.size()));
-  ctx.record.metric_cdf("gain_pct.source_dest", sd_gain);
-  ctx.record.metric_cdf("gain_pct.destination_based", db_gain);
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// abl_flow_fraction: how many moved flows carry the gain
-// ------------------------------------------------------------------------
-
-int run_abl_flow_fraction(ScenarioContext& ctx) {
-  const DistanceExperimentConfig cfg = ctx.spec.to_distance_config();
-  print_bench_header("Ablation: fraction of flows moved",
-                     "how many non-default routes are needed for the gain",
-                     ctx.spec.universe_summary());
-  const auto samples = run_distance_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-
-  // Aggregate per-flow savings of negotiated moves across all pairs.
-  std::vector<double> savings;  // km saved by each moved flow
-  double total_gain_km = 0.0;
-  std::size_t total_flows = 0, moved_flows = 0;
-  for (const auto& s : samples) {
-    total_flows += s.flow_count;
-    moved_flows += s.flows_moved;
-    // nexit-lint: allow(float-accumulate): summed in sample order, the
-    // canonical order of run_distance_experiment's output
-    total_gain_km += s.default_km - s.negotiated_km;
-    for (double km : s.flow_saving_km_negotiated)
-      if (km > 1e-9) savings.push_back(km);
-  }
-  std::sort(savings.rbegin(), savings.rend());
-
-  const double frac_moved = 100.0 * static_cast<double>(moved_flows) /
-                            static_cast<double>(total_flows);
-  std::cout << "samples: " << samples.size() << " pairs, " << total_flows
-            << " flows; moved " << moved_flows << " (" << frac_moved << "%)\n";
-
-  const double total_saved = util::sum(savings);
-  std::cout << "\n  top-moved-flows%   share-of-total-gain%\n";
-  double share_at_20 = 0.0;
-  for (double pct : {1.0, 5.0, 10.0, 20.0, 50.0, 100.0}) {
-    const auto k = static_cast<std::size_t>(savings.size() * pct / 100.0);
-    double acc = 0.0;
-    // nexit-lint: allow(float-accumulate): prefix sum of the descending
-    // sort — the top-k share is defined by exactly this order
-    for (std::size_t i = 0; i < k && i < savings.size(); ++i) acc += savings[i];
-    const double share = total_saved > 0 ? 100.0 * acc / total_saved : 0.0;
-    std::printf("  %15.1f   %20.2f\n", pct, share);
-    if (pct == 20.0) share_at_20 = share;
-  }
-
-  std::cout << "\n";
-  paper_check(
-      "a minority of flows moved off default suffices (paper ~20%)",
-      std::to_string(frac_moved) + "% of all flows were re-routed",
-      frac_moved < 50.0);
-  paper_check(
-      "the top 20% of improved flows carries most of the gain",
-      std::to_string(share_at_20) + "% of the gain from the top 20% of flows",
-      share_at_20 > 50.0);
-
-  ctx.record.metric("flows", static_cast<std::int64_t>(total_flows));
-  ctx.record.metric("flows_moved", static_cast<std::int64_t>(moved_flows));
-  ctx.record.metric("total_gain_km", total_gain_km);
-  ctx.record.metric("gain_share_top20pct", share_at_20);
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// abl_group_negotiation: k separate groups vs the whole set
-// ------------------------------------------------------------------------
-
-int run_abl_group_negotiation(ScenarioContext& ctx) {
-  print_bench_header("Ablation: group negotiation",
-                     "negotiating in k separate groups vs the whole set",
-                     ctx.spec.universe_summary());
-
-  // The group counts are a declared axis (tune installs the paper's
-  // 1,2,4,...,64; --sweep.groups re-declares it), not a hard-coded array.
-  double gain_at_1 = 0.0, gain_at_64 = 0.0;
-  bool have_1 = false, have_64 = false;
-  std::cout << "\n  groups   mean-total-gain%   median-total-gain%\n";
-  for (const std::string& value : ctx.axis_values("groups")) {
-    const ExperimentSpec point = ctx.spec_with("groups", value);
-    const std::size_t k = point.groups;
-    const auto samples = run_distance_experiment(point.to_distance_config());
-    if (samples.empty()) return no_samples();
-    ctx.mix(samples);
-    util::Cdf neg;
-    std::vector<double> gains;
-    for (const auto& s : samples) {
-      neg.add(s.total_gain_pct(s.negotiated_km));
-      gains.push_back(s.total_gain_pct(s.negotiated_km));
-    }
-    const double mean = util::mean(gains);
-    std::printf("  %6zu   %16.3f   %18.3f\n", k, mean, neg.value_at(0.5));
-    if (k == 1) gain_at_1 = mean, have_1 = true;
-    if (k == 64) gain_at_64 = mean, have_64 = true;
-  }
-
-  if (have_1 && have_64) {
-    std::cout << "\n";
-    paper_check(
-        "negotiating over the entire flow set beats many separate groups",
-        "mean gain whole-set " + std::to_string(gain_at_1) + "% vs 64 groups " +
-            std::to_string(gain_at_64) + "%",
-        gain_at_64 <= gain_at_1 + 1e-9);
-    ctx.record.metric("mean_gain_pct.groups_1", gain_at_1);
-    ctx.record.metric("mean_gain_pct.groups_64", gain_at_64);
-  }
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// abl_ix_count: gain bucketed by interconnection count
-// ------------------------------------------------------------------------
-
-int run_abl_ix_count(ScenarioContext& ctx) {
-  const DistanceExperimentConfig cfg = ctx.spec.to_distance_config();
-  print_bench_header("Ablation: interconnection count",
-                     "negotiated gain bucketed by number of interconnections",
-                     ctx.spec.universe_summary());
-  const auto samples = run_distance_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-
-  std::map<std::size_t, std::vector<double>> buckets;  // capped bucket -> gains
-  for (const auto& s : samples) {
-    const std::size_t bucket = std::min<std::size_t>(s.interconnections, 6);
-    buckets[bucket].push_back(s.total_gain_pct(s.negotiated_km));
-  }
-
-  std::cout << "\n  interconnections   pairs   mean-gain%   median-gain%\n";
-  double low_bucket = -1.0, high_bucket = -1.0;
-  for (const auto& [b, gains] : buckets) {
-    const double mean = util::mean(gains);
-    std::printf("  %10zu%s   %5zu   %10.3f   %12.3f\n", b, b == 6 ? "+" : " ",
-                gains.size(), mean, util::median(gains));
-    if (low_bucket < 0) low_bucket = mean;
-    high_bucket = mean;
-  }
-
-  std::cout << "\n";
-  paper_check(
-      "pairs with more interconnections gain more from negotiation",
-      "mean gain, fewest-ix bucket " + std::to_string(low_bucket) +
-          "% vs most-ix bucket " + std::to_string(high_bucket) + "%",
-      high_bucket >= low_bucket);
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric("mean_gain_pct.fewest_ix", low_bucket);
-  ctx.record.metric("mean_gain_pct.most_ix", high_bucket);
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// abl_models: workload / capacity / metric sensitivity of Fig. 7
-// ------------------------------------------------------------------------
-
-/// The §5.2 model variants behind the declared `model` axis: each value is
-/// one deviation from the paper's gravity + median-capacity baseline. The
-/// axis (which variants run, in what order) is spec data; the mapping from
-/// variant name to config tweak is figure semantics and stays here.
-struct ModelVariant {
-  const char* name = nullptr;   // the sweep.model axis value
-  const char* label = nullptr;  // the printed table row
-  void (*tweak)(BandwidthExperimentConfig&) = nullptr;
-};
-
-constexpr ModelVariant kModelVariants[] = {
-    {"paper", "gravity + median-capacity (paper)",
-     [](BandwidthExperimentConfig&) {}},
-    {"identical", "identical PoP weights",
-     [](BandwidthExperimentConfig& c) {
-       c.traffic.model = traffic::WorkloadModel::kIdentical;
-     }},
-    {"uniform", "uniform-random PoP weights",
-     [](BandwidthExperimentConfig& c) {
-       c.traffic.model = traffic::WorkloadModel::kUniformRandom;
-     }},
-    {"pow2", "power-of-two capacities",
-     [](BandwidthExperimentConfig& c) {
-       c.capacity.round_up_power_of_two = true;
-     }},
-    {"unused-max", "unused links get max load",
-     [](BandwidthExperimentConfig& c) {
-       c.capacity.unused_rule = capacity::UnusedLinkRule::kMax;
-     }},
-    {"piecewise", "piecewise-linear cost metric",
-     [](BandwidthExperimentConfig& c) {
-       c.objective[0] = {"piecewise", c.objective[0].cheat};
-       c.objective[1] = {"piecewise", c.objective[1].cheat};
-     }},
-};
-
-int run_abl_models(ScenarioContext& ctx) {
-  const BandwidthExperimentConfig base = ctx.spec.to_bandwidth_config();
-  print_bench_header("Ablation: alternate models (§5.2)",
-                     "workload / capacity / metric sensitivity of Fig. 7",
-                     ctx.spec.universe_summary());
-
-  std::cout << "\n  variant                              samples   "
-               "default-med   negotiated-med   neg<=def%\n";
-  double paper_def = 0.0, paper_neg = 0.0;
-  bool all_shapes_hold = true, have_paper = false;
-  for (const std::string& value : ctx.axis_values("model")) {
-    const ModelVariant* v = nullptr;
-    for (const ModelVariant& candidate : kModelVariants)
-      if (value == candidate.name) v = &candidate;
-    if (v == nullptr) {
-      std::cerr << "error: sweep.model: unknown variant \"" << value
-                << "\"; valid values:";
-      for (const ModelVariant& candidate : kModelVariants)
-        std::cerr << " " << candidate.name;
-      std::cerr << "\n";
-      return 2;
-    }
-    BandwidthExperimentConfig cfg = base;
-    v->tweak(cfg);
-    const auto samples = run_bandwidth_experiment(cfg);
-    if (samples.empty()) return no_samples();
-    ctx.mix(samples);
-    util::Cdf def_up, neg_up;
-    std::size_t dominated = 0;
-    for (const auto& s : samples) {
-      def_up.add(s.ratio(s.mel_default, 0));
-      neg_up.add(s.ratio(s.mel_negotiated, 0));
-      if (s.ratio(s.mel_negotiated, 0) <= s.ratio(s.mel_default, 0) + 1e-9)
-        ++dominated;
-    }
-    const double dm = def_up.value_at(0.5);
-    const double nm = neg_up.value_at(0.5);
-    const double dom_pct =
-        samples.empty() ? 0.0
-                        : 100.0 * static_cast<double>(dominated) /
-                              static_cast<double>(samples.size());
-    std::printf("  %-36s   %6zu   %11.3f   %14.3f   %8.1f\n", v->label,
-                samples.size(), dm, nm, dom_pct);
-    if (value == "paper") {
-      paper_def = dm;
-      paper_neg = nm;
-      have_paper = true;
-    }
-    // Qualitative shape: negotiated at or below default at the median.
-    all_shapes_hold &= nm <= dm + 1e-9;
-  }
-
-  // The paper-model medians only exist when the re-declarable axis kept
-  // the "paper" variant; recording 0.0 for a variant that never ran would
-  // fabricate data.
-  if (have_paper) {
-    std::cout << "\n";
-    paper_check(
-        "results are qualitatively similar across alternate models "
-        "(negotiated <= default at the median everywhere)",
-        "paper-model medians: default " + std::to_string(paper_def) +
-            ", negotiated " + std::to_string(paper_neg),
-        all_shapes_hold);
-    ctx.record.metric("paper_model.default_median", paper_def);
-    ctx.record.metric("paper_model.negotiated_median", paper_neg);
-  }
-  ctx.record.metric("all_shapes_hold",
-                    static_cast<std::int64_t>(all_shapes_hold ? 1 : 0));
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// abl_policies: turn / termination / proposal policy comparison
-// ------------------------------------------------------------------------
-
-/// The §4 protocol variants behind the declared `policy` axis — like the
-/// model axis, the names/order are spec data, the name -> policy-tuple
-/// mapping is figure semantics.
-struct PolicyVariant {
-  const char* name = nullptr;   // the sweep.policy axis value
-  const char* label = nullptr;  // the printed table row
-  core::TurnPolicy turn = core::TurnPolicy::kAlternate;
-  core::TerminationPolicy termination = core::TerminationPolicy::kEarly;
-  core::ProposalPolicy proposal = core::ProposalPolicy::kMaxCombinedGain;
-};
-
-constexpr PolicyVariant kPolicyVariants[] = {
-    {"paper", "alternate+early+max-combined (paper)",
-     core::TurnPolicy::kAlternate, core::TerminationPolicy::kEarly,
-     core::ProposalPolicy::kMaxCombinedGain},
-    {"lower-gain", "lower-gain turns (max-min-fair)",
-     core::TurnPolicy::kLowerGain, core::TerminationPolicy::kEarly,
-     core::ProposalPolicy::kMaxCombinedGain},
-    {"coin-toss", "coin-toss turns", core::TurnPolicy::kCoinToss,
-     core::TerminationPolicy::kEarly, core::ProposalPolicy::kMaxCombinedGain},
-    {"full", "full termination", core::TurnPolicy::kAlternate,
-     core::TerminationPolicy::kFull, core::ProposalPolicy::kMaxCombinedGain},
-    {"negotiate-all", "negotiate-all (social)", core::TurnPolicy::kAlternate,
-     core::TerminationPolicy::kNegotiateAll,
-     core::ProposalPolicy::kMaxCombinedGain},
-    {"best-local", "best-local-min-impact proposals",
-     core::TurnPolicy::kAlternate, core::TerminationPolicy::kEarly,
-     core::ProposalPolicy::kBestLocalMinImpact},
-};
-
-int run_abl_policies(ScenarioContext& ctx) {
-  const DistanceExperimentConfig base = ctx.spec.to_distance_config();
-  print_bench_header("Ablation: protocol policies",
-                     "turn / termination / proposal policy comparison",
-                     ctx.spec.universe_summary());
-
-  double fair_imbalance = -1.0, alt_imbalance = -1.0;
-  std::cout << "\n  variant                                   mean-gain%   "
-               "median-gain%   mean|gainA-gainB| (km)\n";
-  for (const std::string& value : ctx.axis_values("policy")) {
-    const PolicyVariant* v = nullptr;
-    for (const PolicyVariant& candidate : kPolicyVariants)
-      if (value == candidate.name) v = &candidate;
-    if (v == nullptr) {
-      std::cerr << "error: sweep.policy: unknown variant \"" << value
-                << "\"; valid values:";
-      for (const PolicyVariant& candidate : kPolicyVariants)
-        std::cerr << " " << candidate.name;
-      std::cerr << "\n";
-      return 2;
-    }
-    DistanceExperimentConfig cfg = base;
-    cfg.negotiation.turn = v->turn;
-    cfg.negotiation.termination = v->termination;
-    cfg.negotiation.proposal = v->proposal;
-    const auto samples = run_distance_experiment(cfg);
-    if (samples.empty()) return no_samples();
-    ctx.mix(samples);
-    util::Cdf gain;
-    std::vector<double> gains, gaps;
-    for (const auto& s : samples) {
-      gain.add(s.total_gain_pct(s.negotiated_km));
-      gains.push_back(s.total_gain_pct(s.negotiated_km));
-      const double ga = s.default_side_km[0] - s.negotiated_side_km[0];
-      const double gb = s.default_side_km[1] - s.negotiated_side_km[1];
-      gaps.push_back(std::abs(ga - gb));
-    }
-    const double mean = util::mean(gains);
-    const double imbalance = util::mean(gaps);
-    std::printf("  %-40s   %9.3f   %11.3f   %18.1f\n", v->label, mean,
-                gain.value_at(0.5), imbalance);
-    if (value == "lower-gain") fair_imbalance = imbalance;
-    if (value == "paper") alt_imbalance = imbalance;
-  }
-
-  if (fair_imbalance >= 0.0 && alt_imbalance >= 0.0) {
-    std::cout << "\n";
-    paper_check(
-        "lower-cumulative-gain turns approximate max-min fairness "
-        "(smaller gain imbalance than alternate turns)",
-        "mean |gainA-gainB|: lower-gain " + std::to_string(fair_imbalance) +
-            " km vs alternate " + std::to_string(alt_imbalance) + " km",
-        fair_imbalance <= alt_imbalance * 1.25);
-    ctx.record.metric("imbalance_km.lower_gain", fair_imbalance);
-    ctx.record.metric("imbalance_km.alternate", alt_imbalance);
-  }
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// abl_pref_range: negotiated gain as a function of P
-// ------------------------------------------------------------------------
-
-int run_abl_pref_range(ScenarioContext& ctx) {
-  print_bench_header("Ablation: preference range P",
-                     "negotiated gain as a function of the class range",
-                     ctx.spec.universe_summary());
-
-  // The P values are a declared axis (tune installs the paper's
-  // 1,2,3,5,10,20,50; --sweep.pref-range re-declares it).
-  double median_at_10 = 0.0, median_at_1 = 0.0, median_at_50 = 0.0;
-  bool have_1 = false, have_10 = false, have_50 = false;
-  std::cout << "\n   P   median-total-gain%   mean-total-gain%   optimal-median%\n";
-  for (const std::string& value : ctx.axis_values("pref-range")) {
-    const ExperimentSpec point = ctx.spec_with("pref-range", value);
-    const int p = point.pref_range;
-    const auto samples = run_distance_experiment(point.to_distance_config());
-    if (samples.empty()) return no_samples();
-    ctx.mix(samples);
-    util::Cdf neg, opt;
-    std::vector<double> gains;
-    for (const auto& s : samples) {
-      neg.add(s.total_gain_pct(s.negotiated_km));
-      opt.add(s.total_gain_pct(s.optimal_km));
-      gains.push_back(s.total_gain_pct(s.negotiated_km));
-    }
-    const double mean = util::mean(gains);
-    std::printf("  %2d   %18.3f   %16.3f   %15.3f\n", p, neg.value_at(0.5),
-                mean, opt.value_at(0.5));
-    if (p == 10) median_at_10 = neg.value_at(0.5), have_10 = true;
-    if (p == 1) median_at_1 = neg.value_at(0.5), have_1 = true;
-    if (p == 50) median_at_50 = neg.value_at(0.5), have_50 = true;
-  }
-
-  if (have_10 && (have_1 || have_50)) std::cout << "\n";
-  if (have_10 && have_50) {
-    paper_check(
-        "increasing the range beyond P=10 does not noticeably help",
-        "median gain at P=10: " + std::to_string(median_at_10) + "%, at P=50: " +
-            std::to_string(median_at_50) + "%",
-        median_at_50 - median_at_10 < 1.0);
-  }
-  if (have_1 && have_10) {
-    paper_check("a tiny range (P=1) leaves gain on the table",
-                "median gain at P=1: " + std::to_string(median_at_1) +
-                    "% vs P=10: " + std::to_string(median_at_10) + "%",
-                median_at_1 <= median_at_10 + 1e-9);
-  }
-
-  if (have_1) ctx.record.metric("median_gain_pct.p1", median_at_1);
-  if (have_10) ctx.record.metric("median_gain_pct.p10", median_at_10);
-  if (have_50) ctx.record.metric("median_gain_pct.p50", median_at_50);
-  return 0;
-}
-
-// ------------------------------------------------------------------------
-// custom: generic runner for arbitrary composed specs
-// ------------------------------------------------------------------------
-
-int run_runtime(ScenarioContext& ctx);
-
-int run_custom(ScenarioContext& ctx) {
-  const ExperimentSpec& spec = ctx.spec;
-  if (spec.experiment == ExperimentKind::kRuntime) return run_runtime(ctx);
-  const std::string objectives = "A=" + spec.resolved_objective(0).to_string() +
-                                 ", B=" + spec.resolved_objective(1).to_string();
-
-  if (spec.experiment == ExperimentKind::kDistance) {
-    const DistanceExperimentConfig cfg = spec.to_distance_config();
-    print_bench_header("Custom scenario",
-                       "distance experiment, " + objectives,
-                       spec.universe_summary());
-    const auto samples = run_distance_experiment(cfg);
-    if (samples.empty()) return no_samples();
-    ctx.mix(samples);
-
-    util::Cdf total_neg, total_opt, indiv_neg;
-    std::size_t flows = 0, moved = 0;
-    for (const auto& s : samples) {
-      total_neg.add(s.total_gain_pct(s.negotiated_km));
-      total_opt.add(s.total_gain_pct(s.optimal_km));
-      for (int side = 0; side < 2; ++side)
-        indiv_neg.add(s.side_gain_pct(s.negotiated_side_km, side));
-      flows += s.flow_count;
-      moved += s.flows_moved;
-    }
-    std::cout << "samples: " << samples.size() << " ISP pairs, " << flows
-              << " flows, " << moved << " moved off default\n";
-    print_cdf_figure("custom", "total gain across both ISPs",
-                     "% reduction in total flow km vs default routing",
-                     {"negotiated", "optimal"}, {&total_neg, &total_opt});
-    print_cdf_figure("custom", "individual ISP gain",
-                     "% reduction in own-network flow km vs default",
-                     {"negotiated"}, {&indiv_neg});
-
-    ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-    ctx.record.metric("flows", static_cast<std::int64_t>(flows));
-    ctx.record.metric("flows_moved", static_cast<std::int64_t>(moved));
-    ctx.record.metric_cdf("total_gain_pct.negotiated", total_neg);
-    ctx.record.metric_cdf("total_gain_pct.optimal", total_opt);
-    ctx.record.metric_cdf("individual_gain_pct.negotiated", indiv_neg);
-    return 0;
-  }
-
-  const BandwidthExperimentConfig cfg = spec.to_bandwidth_config();
-  print_bench_header("Custom scenario",
-                     "bandwidth (failure) experiment, " + objectives,
-                     spec.universe_summary());
-  const auto samples = run_bandwidth_experiment(cfg);
-  if (samples.empty()) return no_samples();
-  ctx.mix(samples);
-  std::cout << "samples: " << samples.size() << " failed interconnections\n";
-
-  util::Cdf def_up, neg_up, def_down, neg_down, down_gain;
-  for (const auto& s : samples) {
-    def_up.add(s.ratio(s.mel_default, 0));
-    neg_up.add(s.ratio(s.mel_negotiated, 0));
-    def_down.add(s.ratio(s.mel_default, 1));
-    neg_down.add(s.ratio(s.mel_negotiated, 1));
-    down_gain.add(s.downstream_distance_gain_pct);
-  }
-  print_cdf_figure("custom", "upstream ISP",
-                   "MEL relative to MEL of optimal routing",
-                   {"negotiated", "default"}, {&neg_up, &def_up});
-  print_cdf_figure("custom", "downstream ISP",
-                   "MEL relative to MEL of optimal routing",
-                   {"negotiated", "default"}, {&neg_down, &def_down});
-  if (spec.resolved_objective(1).name == "distance") {
-    print_cdf_figure("custom", "downstream ISP reduces distance",
-                     "% reduction of affected flows' km inside downstream "
-                     "vs default",
-                     {"negotiated"}, {&down_gain});
-    ctx.record.metric_cdf("downstream_distance_gain_pct", down_gain);
-  }
-
-  ctx.record.metric("samples", static_cast<std::int64_t>(samples.size()));
-  ctx.record.metric_cdf("mel_ratio.upstream.default", def_up);
-  ctx.record.metric_cdf("mel_ratio.upstream.negotiated", neg_up);
-  ctx.record.metric_cdf("mel_ratio.downstream.default", def_down);
-  ctx.record.metric_cdf("mel_ratio.downstream.negotiated", neg_down);
-  return 0;
+  Measured<P> m;
+  m.samples = std::move(results);
+  return report(ctx, kDestinationBased, m);
 }
 
 // ------------------------------------------------------------------------
@@ -1588,187 +1489,138 @@ int run_runtime(ScenarioContext& ctx) {
     }
   }
 
-  ctx.record.metric("sessions", static_cast<std::int64_t>(st.sessions));
-  ctx.record.metric("sessions_done", static_cast<std::int64_t>(st.done));
-  ctx.record.metric("sessions_failed", static_cast<std::int64_t>(st.failed));
-  ctx.record.metric("sessions_cancelled",
-                    static_cast<std::int64_t>(st.cancelled));
-  ctx.record.metric("churn_renegotiations",
-                    static_cast<std::int64_t>(churn_renegos));
-  ctx.record.metric("failure_renegotiations",
-                    static_cast<std::int64_t>(failure_renegos));
-  ctx.record.metric("sessions_killed", static_cast<std::int64_t>(st.killed));
+  put_count(ctx.record, "sessions", st.sessions);
+  put_count(ctx.record, "sessions_done", st.done);
+  put_count(ctx.record, "sessions_failed", st.failed);
+  put_count(ctx.record, "sessions_cancelled", st.cancelled);
+  put_count(ctx.record, "churn_renegotiations", churn_renegos);
+  put_count(ctx.record, "failure_renegotiations", failure_renegos);
+  put_count(ctx.record, "sessions_killed", st.killed);
   // Scheduling geometry (rounds, peak_ready, final_tick) stays on stdout
   // only: it depends on where kill/resume events land on the virtual clock,
   // and the durability contract is that a crash-resumed run's RECORD is
   // byte-identical to an uninterrupted one (CI cmp-s the two files).
-  ctx.record.metric("steps", static_cast<std::int64_t>(st.total_steps));
-  ctx.record.metric("messages", static_cast<std::int64_t>(st.messages));
+  put_count(ctx.record, "steps", st.total_steps);
+  put_count(ctx.record, "messages", st.messages);
   return 0;
 }
 
 // ------------------------------------------------------------------------
-// preset tunes + registry
+// The registry: one row per preset
 // ------------------------------------------------------------------------
 
-void tune_nothing(ExperimentSpec&) {}
-
-void tune_bandwidth_base(ExperimentSpec& s) {
-  s.experiment = ExperimentKind::kBandwidth;
-  s.pairs = 60;
-}
-
-void tune_fig5(ExperimentSpec& s) { s.flow_baselines = true; }
-
-void tune_fig7(ExperimentSpec& s) {
-  tune_bandwidth_base(s);
-  // Keep wall_ms an honest measurement in every build type; the ctest
-  // suites own the debug cross-check.
-  s.verify_incremental = -1;
-}
-
-void tune_fig8(ExperimentSpec& s) {
-  tune_bandwidth_base(s);
-  s.unilateral = true;
-}
-
-void tune_fig9(ExperimentSpec& s) {
-  tune_bandwidth_base(s);
-  s.objective[1] = {"distance", false};
-}
-
-void tune_table3(ExperimentSpec& s) {
-  // Seed 0 means "auto-pick a seed that reaches the paper outcome".
-  s.seed = 0;
-}
-
-void tune_abl_destination_based(ExperimentSpec& s) { s.pairs = 60; }
-void tune_abl_flow_fraction(ExperimentSpec& s) { s.pairs = 80; }
-
-void tune_abl_group_negotiation(ExperimentSpec& s) {
-  s.pairs = 60;
-  s.sweeps = {{"groups", {"1", "2", "4", "8", "16", "64"}}};
-}
-
-void tune_abl_ix_count(ExperimentSpec& s) { s.pairs = 150; }
-
-void tune_abl_models(ExperimentSpec& s) {
-  s.experiment = ExperimentKind::kBandwidth;
-  s.pairs = 30;
-  s.sweeps = {{"model",
-               {"paper", "identical", "uniform", "pow2", "unused-max",
-                "piecewise"}}};
-}
-
-void tune_abl_policies(ExperimentSpec& s) {
-  s.pairs = 60;
-  s.sweeps = {{"policy",
-               {"paper", "lower-gain", "coin-toss", "full", "negotiate-all",
-                "best-local"}}};
-}
-
-void tune_abl_pref_range(ExperimentSpec& s) {
-  s.pairs = 60;
-  s.sweeps = {{"pref-range", {"1", "2", "3", "5", "10", "20", "50"}}};
-}
-
-void tune_fig4_sweep(ExperimentSpec& s) {
-  // Fig. 4's gain distributions as a function of universe size: the ISP
-  // axis is declared data, so `--sweep.isps=...` re-scales the figure.
-  s.sweeps = {{"isps", {"20", "35", "50", "65"}}};
-}
-
-void tune_fig7_sweep(ExperimentSpec& s) {
-  // Fig. 7's MEL distributions as a function of how many failed pairs are
-  // sampled (the paper's 247-instance axis, scaled down).
-  tune_fig7(s);
-  s.sweeps = {{"pairs", {"15", "30", "45", "60"}}};
-}
-
-void tune_runtime(ExperimentSpec& s) { s.experiment = ExperimentKind::kRuntime; }
-
-void tune_runtime_churn(ExperimentSpec& s) {
-  // The many_sessions example's population and timeline, as a preset: a
-  // small universe negotiating concurrently with staggered starts, a
-  // mid-session link failure, a peer restart, a traffic churn, and one
-  // session stuck behind a black-hole transport.
-  s.experiment = ExperimentKind::kRuntime;
-  s.isps = 30;
-  s.seed = 11;
-  s.pairs = 12;
-  s.traffic_model = traffic::WorkloadModel::kIdentical;
-  s.runtime.min_links = 3;  // failures need surviving interconnections
-  s.runtime.stagger = 2;
-  s.runtime.burst = 8;
-  s.runtime.handshake_deadline = 16;
-  s.runtime.max_attempts = 2;
-  s.runtime.drop = 1.0;
-  s.runtime.fault_targets = {3};
-  s.runtime.events = {
-      {1, runtime::EventKind::kLinkFailure, 0, runtime::kBusiestIx},
-      {3, runtime::EventKind::kPeerRestart, 1, 0},
-      {5, runtime::EventKind::kFlowChurn, 2, 4242},
-  };
-}
+/// Every preset but custom pins its engine.
+const std::vector<std::string> kEngine = {"experiment"};
 
 const std::vector<ScenarioPreset> kScenarios = {
-    {"fig4", "Fig. 4: distance gain of optimal vs negotiated routing",
-     tune_nothing, run_fig4, "experiment"},
-    {"fig4_sweep", "Fig. 4 swept over universe size (declared sweep.isps axis)",
-     tune_fig4_sweep, run_fig4, "experiment"},
-    {"fig5", "Fig. 5: flow-pair strawman strategies vs negotiation", tune_fig5,
-     run_fig5, "experiment,flow-baselines"},
-    {"fig6", "Fig. 6: per-flow gains of optimal and negotiated routing",
-     tune_nothing, run_fig6, "experiment"},
-    {"fig7", "Fig. 7: post-failure MEL, default and negotiated vs optimal",
-     tune_fig7, run_fig7, "experiment"},
-    {"fig7_sweep",
-     "Fig. 7 swept over sampled pair count (declared sweep.pairs axis)",
-     tune_fig7_sweep, run_fig7, "experiment"},
-    {"fig8", "Fig. 8: unilateral upstream optimisation hurts the downstream",
-     tune_fig8, run_fig8, "experiment,unilateral"},
-    {"fig9",
-     "Fig. 9: diverse criteria (upstream bandwidth, downstream distance)",
-     tune_fig9, run_fig9, "experiment"},
-    {"fig10", "Fig. 10: impact of cheating on the distance experiment",
-     tune_nothing, run_fig10, "experiment"},
-    {"fig11", "Fig. 11: impact of cheating on the bandwidth experiment",
-     tune_bandwidth_base, run_fig11, "experiment"},
-    {"table3", "Fig. 3 table: the worked preference-list example of Fig. 2",
-     tune_table3, run_table3, "!seed"},
-    {"abl_destination_based",
-     "footnote 2: destination-based vs source-destination negotiation",
-     tune_abl_destination_based, run_abl_destination_based,
-     "experiment,flow-baselines,groups"},
-    {"abl_flow_fraction",
-     "§5.1: fraction of flows that must move to capture the gain",
-     tune_abl_flow_fraction, run_abl_flow_fraction, "experiment"},
-    {"abl_group_negotiation",
-     "§5.1: negotiating in k separate groups vs the whole set",
-     tune_abl_group_negotiation, run_abl_group_negotiation, "experiment,groups",
-     "groups"},
-    {"abl_ix_count", "§5.1: negotiated gain bucketed by interconnection count",
-     tune_abl_ix_count, run_abl_ix_count, "experiment"},
-    {"abl_models", "§5.2: workload / capacity / metric sensitivity of Fig. 7",
-     tune_abl_models, run_abl_models,
-     "experiment,traffic,capacity-pow2,capacity-unused,oracle-a,oracle-b",
-     "model"},
-    {"abl_policies", "§4: turn / termination / proposal policy comparison",
-     tune_abl_policies, run_abl_policies,
-     "experiment,turn,termination,proposal", "policy"},
-    {"abl_pref_range",
-     "§5: negotiated gain as a function of the class range P",
-     tune_abl_pref_range, run_abl_pref_range, "experiment,pref-range",
-     "pref-range"},
-    {"runtime",
-     "concurrent-runtime scenario: sessions + a declared runtime.* timeline",
-     tune_runtime, run_runtime, "experiment"},
-    {"runtime_churn",
-     "runtime timeline demo: staggered starts, link failure, restart, churn",
-     tune_runtime_churn, run_runtime, "experiment"},
-    {"custom",
-     "generic runner for an arbitrary spec (use --spec=<file> or flags)",
-     tune_nothing, run_custom},
+    {.name = "fig4",
+     .description = "Fig. 4: distance gain of optimal vs negotiated routing",
+     .locked = kEngine, .distance = &kFig4},
+    {.name = "fig4_sweep",
+     .description = "Fig. 4 swept over universe size (declared sweep.isps "
+                    "axis)",
+     .defaults = "sweep.isps=20,35,50,65", .locked = kEngine,
+     .distance = &kFig4},
+    {.name = "fig5",
+     .description = "Fig. 5: flow-pair strawman strategies vs negotiation",
+     .defaults = "flow-baselines=true",
+     .locked = {"experiment", "flow-baselines"}, .distance = &kFig5},
+    {.name = "fig6",
+     .description = "Fig. 6: per-flow gains of optimal and negotiated routing",
+     .locked = kEngine, .distance = &kFig6},
+    // verify-incremental=-1 keeps wall_ms an honest measurement in every
+    // build type; the ctest suites own the debug cross-check.
+    {.name = "fig7",
+     .description = "Fig. 7: post-failure MEL, default and negotiated vs "
+                    "optimal",
+     .defaults = "experiment=bandwidth pairs=60 verify-incremental=-1",
+     .locked = kEngine, .bandwidth = &kFig7},
+    // The sweep.pairs axis is the paper's 247-instance axis, scaled down.
+    {.name = "fig7_sweep",
+     .description = "Fig. 7 swept over sampled pair count (declared "
+                    "sweep.pairs axis)",
+     .defaults = "experiment=bandwidth pairs=60 verify-incremental=-1 "
+                 "sweep.pairs=15,30,45,60",
+     .locked = kEngine, .bandwidth = &kFig7},
+    {.name = "fig8",
+     .description = "Fig. 8: unilateral upstream optimisation hurts the "
+                    "downstream",
+     .defaults = "experiment=bandwidth pairs=60 unilateral=true",
+     .locked = {"experiment", "unilateral"}, .bandwidth = &kFig8},
+    {.name = "fig9",
+     .description = "Fig. 9: diverse criteria (upstream bandwidth, "
+                    "downstream distance)",
+     .defaults = "experiment=bandwidth pairs=60 oracle-b=distance",
+     .locked = kEngine, .bandwidth = &kFig9},
+    {.name = "fig10",
+     .description = "Fig. 10: impact of cheating on the distance experiment",
+     .locked = kEngine, .owns_cheat = true, .distance = &kFig10},
+    {.name = "fig11",
+     .description = "Fig. 11: impact of cheating on the bandwidth experiment",
+     .defaults = "experiment=bandwidth pairs=60", .locked = kEngine,
+     .owns_cheat = true, .bandwidth = &kFig11},
+    // Seed 0 means "auto-pick a seed that reaches the paper outcome".
+    {.name = "table3",
+     .description = "Fig. 3 table: the worked preference-list example of "
+                    "Fig. 2",
+     .defaults = "seed=0", .reads_only = {"seed"}, .run = run_table3},
+    {.name = "abl_destination_based",
+     .description = "footnote 2: destination-based vs source-destination "
+                    "negotiation",
+     .defaults = "pairs=60",
+     .locked = {"experiment", "flow-baselines", "groups"},
+     .run = run_abl_destination_based},
+    {.name = "abl_flow_fraction",
+     .description = "§5.1: fraction of flows that must move to capture the "
+                    "gain",
+     .defaults = "pairs=80", .locked = kEngine, .distance = &kFlowFraction},
+    {.name = "abl_group_negotiation",
+     .description = "§5.1: negotiating in k separate groups vs the whole set",
+     .defaults = "pairs=60 sweep.groups=1,2,4,8,16,64",
+     .locked = {"experiment", "groups"}, .axis = "groups",
+     .distance = &kGroupNegotiation},
+    {.name = "abl_ix_count",
+     .description = "§5.1: negotiated gain bucketed by interconnection count",
+     .defaults = "pairs=150", .locked = kEngine, .distance = &kIxCount},
+    {.name = "abl_models",
+     .description = "§5.2: workload / capacity / metric sensitivity of Fig. 7",
+     .defaults = "experiment=bandwidth pairs=30",
+     .locked = {"experiment", "traffic", "capacity-pow2", "capacity-unused",
+                "oracle-a", "oracle-b"},
+     .axis = "model", .bandwidth = &kModels},
+    {.name = "abl_policies",
+     .description = "§4: turn / termination / proposal policy comparison",
+     .defaults = "pairs=60",
+     .locked = {"experiment", "turn", "termination", "proposal"},
+     .axis = "policy", .distance = &kPolicies},
+    {.name = "abl_pref_range",
+     .description = "§5: negotiated gain as a function of the class range P",
+     .defaults = "pairs=60 sweep.pref-range=1,2,3,5,10,20,50",
+     .locked = {"experiment", "pref-range"}, .axis = "pref-range",
+     .distance = &kPrefRange},
+    {.name = "runtime",
+     .description = "concurrent-runtime scenario: sessions + a declared "
+                    "runtime.* timeline",
+     .defaults = "experiment=runtime", .locked = kEngine, .run = run_runtime},
+    // The many_sessions example as a preset: staggered starts, a
+    // mid-session link failure (which needs surviving interconnections), a
+    // peer restart, a traffic churn, and one session stuck behind a
+    // black-hole transport.
+    {.name = "runtime_churn",
+     .description = "runtime timeline demo: staggered starts, link failure, "
+                    "restart, churn",
+     .defaults = "experiment=runtime isps=30 seed=11 pairs=12 "
+                 "traffic=identical runtime.stagger=2 runtime.min-links=3 "
+                 "runtime.burst=8 runtime.handshake-deadline=16 "
+                 "runtime.max-attempts=2 runtime.drop=1 "
+                 "runtime.fault-targets=3 "
+                 "runtime.events=fail@1/0/busiest,restart@3/1,churn@5/2/4242",
+     .locked = kEngine, .run = run_runtime},
+    {.name = "custom",
+     .description = "generic runner for an arbitrary spec (use --spec=<file> "
+                    "or flags)",
+     .distance = &kCustomDistance, .bandwidth = &kCustomBandwidth,
+     .run = run_runtime},
 };
 
 }  // namespace
@@ -1810,112 +1662,89 @@ void print_scenario_tsv(std::ostream& os) {
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= csv.size()) {
-    const std::size_t comma = csv.find(',', begin);
-    out.push_back(csv.substr(
-        begin, comma == std::string::npos ? comma : comma - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
+bool contains(const std::vector<std::string>& keys, const std::string& key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+/// Checks `spec` against the preset's input rules: locked keys, the cheat:
+/// axis, and which axes it may declare. A `point` is one unit of work and
+/// carries no axis but the preset's own. Returns the broken rule ("" when
+/// every rule holds).
+std::string broken_rule(const ScenarioPreset& preset,
+                        const ExperimentSpec& spec, bool point) {
+  const std::string name = preset.name;
+  const auto locked = [&](const std::string& key) {
+    return preset.reads_only.empty() ? contains(preset.locked, key)
+                                     : !contains(preset.reads_only, key);
+  };
+  for (const auto& [key, value] : preset_spec(preset).to_key_values()) {
+    if (locked(key) && spec.overridden.count(key) > 0 &&
+        spec.value_of(key) != value) {
+      return "--" + key + " is ignored by scenario '" + name +
+             "' (its run controls this itself)";
+    }
   }
-  return out;
-}
-
-/// Expands ScenarioPreset::ignored_keys against the full spec key list.
-std::vector<std::string> expand_ignored_keys(const ScenarioPreset& preset,
-                                             const ExperimentSpec& spec) {
-  const std::string raw = preset.ignored_keys;
-  if (raw.empty()) return {};
-  if (raw[0] != '!') return split_csv(raw);
-  const std::vector<std::string> consumed = split_csv(raw.substr(1));
-  std::vector<std::string> ignored;
-  for (const auto& [key, value] : spec.to_key_values()) {
-    if (std::find(consumed.begin(), consumed.end(), key) == consumed.end())
-      ignored.push_back(key);
+  if (preset.owns_cheat && (spec.objective[0].cheat || spec.objective[1].cheat))
+    return "scenario '" + name +
+           "' controls the cheat: axis itself (it runs both-truthful and "
+           "one-cheater arms); give the base oracle only";
+  // Any axis but the preset's own must be an orthogonal, unlocked key:
+  // sweeping a key the preset controls (or another preset's variant axis)
+  // would decorate every point with a value that never takes effect.
+  for (const SweepAxis& axis : spec.sweeps) {
+    if (preset.axis != nullptr && axis.key == preset.axis) continue;
+    const SpecKeyInfo* info = find_spec_key(axis.key);
+    if (info != nullptr && info->sweep_only)
+      return "--sweep." + axis.key + " is an axis of scenario '" +
+             info->owner_scenario + "', not of '" + name + "'";
+    if (locked(axis.key))
+      return "--sweep." + axis.key + " is locked by scenario '" + name +
+             "' (its run controls this key itself)";
+    if (point)
+      return "sweep." + axis.key + ": a point of scenario '" + name +
+             "' carries no axis but its own";
   }
-  return ignored;
+  return "";
 }
 
-/// Comma-list of ScenarioPreset::own_axes as a set.
-std::set<std::string> own_axis_set(const ScenarioPreset& preset) {
-  std::set<std::string> own;
-  if (preset.own_axes[0] == '\0') return own;
-  for (std::string& key : split_csv(preset.own_axes)) own.insert(std::move(key));
-  return own;
-}
-
-/// The valid values of a sweep-only variant axis ({} for key axes) — the
-/// names of the variant table the owning run function dispatches on, so
-/// run_scenario can fail a bad trailing value before any engine runs.
-std::vector<std::string> variant_axis_values(const std::string& axis) {
-  std::vector<std::string> names;
-  if (axis == "model") {
-    for (const ModelVariant& v : kModelVariants) names.emplace_back(v.name);
-  } else if (axis == "policy") {
-    for (const PolicyVariant& v : kPolicyVariants) names.emplace_back(v.name);
-  }
-  return names;
-}
-
-std::string point_label(
-    const std::vector<std::pair<std::string, std::string>>& overrides) {
+std::string point_label(const Overrides& overrides) {
   std::string label;
   for (const auto& [key, value] : overrides)
     label += (label.empty() ? "" : " ") + key + "=" + value;
   return label;
 }
 
-/// One expanded sweep point: the base spec with the point's overrides
-/// applied through the normal key parsers (exit 2 naming the axis on a
-/// malformed value) and the expanded axes dropped from the copy.
-ExperimentSpec spec_at_point(
-    const ExperimentSpec& base, const std::set<std::string>& own,
-    const std::vector<std::pair<std::string, std::string>>& overrides) {
+/// One point of a sweep: the base spec with `overrides` applied through
+/// the normal key parsers (exit 2 naming the axis on a malformed value),
+/// every axis but `keep` dropped, and dist.* reset: a point is one unit of
+/// work — the sweep is what gets distributed, never the point itself (and
+/// validate() would reject dist.* on a spec with no axes left). An invalid
+/// point prints why and yields nothing.
+std::optional<ExperimentSpec> spec_at_point(const ExperimentSpec& base,
+                                            const char* keep,
+                                            const Overrides& overrides) {
   ExperimentSpec point = base;
-  std::vector<SweepAxis> kept;
-  for (const SweepAxis& axis : point.sweeps)
-    if (own.count(axis.key) > 0) kept.push_back(axis);
-  point.sweeps = std::move(kept);
-  // A point is one unit of work: the sweep is what gets distributed, never
-  // the point itself (and validate() would reject dist.* on a spec with no
-  // axes left).
+  std::erase_if(point.sweeps, [&](const SweepAxis& axis) {
+    return keep == nullptr || axis.key != keep;
+  });
   point.dist = DistSpec{};
   for (const auto& [key, value] : overrides) {
     const util::FlagErrorContext context("sweep axis --sweep." + key);
     point.merge_from_flags(util::Flags({key + "=" + value}));
   }
-  return point;
+  std::string error;
+  if (point.validate(&error)) return point;
+  std::cerr << "error: sweep point (" << point_label(overrides)
+            << "): " << error << "\n";
+  return std::nullopt;
 }
 
-/// The deterministic registry snapshot as "obs" entries (routed to the
-/// active point's sub-section during a sweep). Counters verbatim;
-/// histograms as <name>.count/.sum plus one .b<k> entry per non-empty
-/// magnitude bucket, so the key set stays compact and canonical.
-/// The wall-clock phase profile as the digest-excluded "timing" section
-/// (reported once per run, never per sweep point).
-void record_timing_section(util::JsonReport& record) {
-  for (const obs::PhaseSnapshot& p : obs::Registry::global().timing_snapshot()) {
-    record.timing_entry(std::string("phase.") + p.name + ".calls",
-                        static_cast<std::int64_t>(p.calls));
-    record.timing_entry(std::string("phase.") + p.name + ".ms",
-                        static_cast<double>(p.ns) / 1e6);
-  }
-}
-
-/// Dispatches already-validated point specs to dist workers (spawn-local or
-/// dist.connect daemons) and folds the results exactly as the in-process
-/// loop would: metric entries spliced verbatim, obs sections re-emitted
-/// from the shipped snapshots, per-point digests folded in odometer order.
-/// `labels` is {""} for the single-shard (whole-run) case — no points
-/// section, entries land at the top level, as in-process.
-int run_distributed(const ScenarioPreset& preset, const ExperimentSpec& spec,
-                    const std::vector<ExperimentSpec>& point_specs,
-                    const std::vector<std::string>& labels,
-                    util::JsonReport& record) {
-  const bool sweep = !(labels.size() == 1 && labels[0].empty());
-
+/// Ships the point specs to dist workers (spawn-local or dist.connect
+/// daemons) and collects their results in point order.
+int run_jobs(const ScenarioPreset& preset, const ExperimentSpec& spec,
+             const std::vector<ExperimentSpec>& points,
+             const std::vector<std::string>& labels,
+             std::vector<dist::JobResult>* results) {
   dist::CoordinatorConfig cfg;
   cfg.workers = spec.dist.workers;
   cfg.connect = spec.dist.connect;
@@ -1924,59 +1753,26 @@ int run_distributed(const ScenarioPreset& preset, const ExperimentSpec& spec,
   cfg.retries = spec.dist.retries;
 
   std::vector<dist::Job> jobs;
-  jobs.reserve(point_specs.size());
-  for (std::size_t i = 0; i < point_specs.size(); ++i) {
+  jobs.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
     // Workers must never recursively distribute: the shard they receive is
     // the point spec with the dist.* namespace reset to defaults.
-    ExperimentSpec shard = point_specs[i];
+    ExperimentSpec shard = points[i];
     shard.dist = DistSpec{};
     jobs.push_back(dist::Job{preset.name, labels[i], shard.to_text()});
   }
-
-  std::vector<dist::JobResult> results;
   try {
     dist::Coordinator coordinator(cfg);
-    const int rc = coordinator.run(jobs, &results);
-    if (rc != 0) return rc;
+    return coordinator.run(jobs, results);
   } catch (const std::exception& e) {
     std::cerr << "error: dist: " << e.what() << "\n";
     return 2;
   }
-
-  std::uint64_t sweep_digest = util::kFnvOffsetBasis;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const dist::JobResult& result = results[i];
-    if (result.rc != 0) {
-      std::cerr << "error: dist job " << i
-                << (labels[i].empty() ? "" : " (" + labels[i] + ")") << ": "
-                << result.error << "\n";
-      return result.rc;
-    }
-    if (sweep) record.begin_point(labels[i]);
-    for (const auto& [name, value] : result.metrics)
-      record.metric_serialized(name, value);
-    record_obs_section(record, result.obs);
-    if (sweep) {
-      record.metric("digest", util::digest_hex(result.digest));
-      std::printf("sweep point %zu/%zu: %s — digest %s\n", i + 1,
-                  results.size(), labels[i].c_str(),
-                  util::digest_hex(result.digest).c_str());
-    }
-    sweep_digest = util::fnv1a_mix(sweep_digest, result.digest);
-  }
-  if (sweep) record.end_points();
-
-  const std::uint64_t digest = sweep ? sweep_digest : results[0].digest;
-  std::printf("\noutcome digest: %s\n", util::digest_hex(digest).c_str());
-  if (sweep)
-    record.metric("sweep_points", static_cast<std::int64_t>(results.size()));
-  record.metric("digest", util::digest_hex(digest));
-  record.write();
-  return 0;
 }
 
-}  // namespace
-
+/// A snapshot as JSON "obs" entries (counters, then histogram
+/// count/sum/non-empty buckets) in `record`'s active obs sink, whether it
+/// was taken here or shipped from a worker.
 void record_obs_section(util::JsonReport& record, const obs::Snapshot& snap) {
   for (const obs::CounterSnapshot& c : snap.counters)
     record.obs_entry(c.name, static_cast<std::int64_t>(c.value));
@@ -1991,23 +1787,55 @@ void record_obs_section(util::JsonReport& record, const obs::Snapshot& snap) {
   }
 }
 
+int run_preset(const ScenarioPreset& preset, ScenarioContext& ctx) {
+  if (ctx.spec.experiment == ExperimentKind::kDistance &&
+      preset.distance != nullptr)
+    return run_rows(ctx, preset, *preset.distance);
+  if (ctx.spec.experiment == ExperimentKind::kBandwidth &&
+      preset.bandwidth != nullptr)
+    return run_rows(ctx, preset, *preset.bandwidth);
+  return preset.run(ctx);
+}
+
+}  // namespace
+
+ExperimentSpec preset_spec(const ScenarioPreset& preset) {
+  std::vector<std::string> words;
+  std::istringstream in(preset.defaults);
+  for (std::string word; in >> word;) words.push_back(word);
+  const SpecKeyInfo* axis =
+      preset.axis != nullptr ? find_spec_key(preset.axis) : nullptr;
+  if (axis != nullptr && axis->sweep_only)
+    words.push_back("sweep." + axis->key + "=" + axis->default_value);
+  const util::Flags flags(words);
+  ExperimentSpec spec;
+  spec.merge_from_flags(flags);
+  util::reject_unknown(flags);
+  spec.overridden.clear();  // preset defaults, not explicit overrides
+  return spec;
+}
+
+
 PointOutcome run_point(const ScenarioPreset& preset,
                        const ExperimentSpec& point, util::JsonReport& record,
                        obs::Trace* trace) {
   PointOutcome out;
+  out.error = broken_rule(preset, point, true);
+  if (!out.error.empty()) {
+    out.rc = 2;
+    return out;
+  }
   obs::Registry::global().reset_counters();
   ScenarioContext ctx{point, record};
   ctx.trace = trace;
-  out.rc = preset.run(ctx);
+  out.rc = run_preset(preset, ctx);
   out.digest = ctx.digest;
   if (out.rc == 0) out.obs = obs::Registry::global().snapshot();
   return out;
 }
 
 int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
-  ExperimentSpec spec;
-  preset.tune(spec);
-  const ExperimentSpec tuned = spec;
+  ExperimentSpec spec = preset_spec(preset);
   const std::string spec_path = flags.get_string("spec", "");
   if (!spec_path.empty()) spec.merge_from_file(spec_path);
   spec.merge_from_flags(flags);
@@ -2029,72 +1857,10 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
     std::cerr << "error: " << error << "\n";
     return 2;
   }
-  // Keys this preset's run function controls itself: an explicit override
-  // away from the preset's own value would silently vanish, so it exits 2.
-  // (Re-stating the preset's value is harmless, so serialized specs reload
-  // cleanly.)
-  const std::vector<std::string> ignored = expand_ignored_keys(preset, tuned);
-  for (const std::string& key : ignored) {
-    if (spec.overridden.count(key) > 0 &&
-        spec.value_of(key) != tuned.value_of(key)) {
-      std::cerr << "error: --" << key << " is ignored by scenario '"
-                << preset.name << "' (its run controls this itself)\n";
-      return 2;
-    }
-  }
-
-  // Axis checks. An axis the preset owns is iterated inside its run
-  // function; any other axis must be an orthogonal, unlocked key — sweeping
-  // a key the preset controls (or another preset's variant axis) would
-  // silently decorate every point with a value that never takes effect.
-  const std::set<std::string> own = own_axis_set(preset);
-  std::vector<SweepAxis> outer;
-  for (const SweepAxis& axis : spec.sweeps) {
-    if (own.count(axis.key) > 0) continue;
-    const SpecKeyInfo* info = find_spec_key(axis.key);
-    if (info != nullptr && info->sweep_only) {
-      std::cerr << "error: --sweep." << axis.key << " is an axis of scenario '"
-                << info->owner_scenario << "', not of '" << preset.name
-                << "'\n";
-      return 2;
-    }
-    if (std::find(ignored.begin(), ignored.end(), axis.key) != ignored.end()) {
-      std::cerr << "error: --sweep." << axis.key << " is locked by scenario '"
-                << preset.name << "' (its run controls this key itself)\n";
-      return 2;
-    }
-    outer.push_back(axis);
-  }
-
-  // Pre-validate every value of every owned axis before any engine runs: a
-  // bad value at the end of an axis must fail the run up front, not after
-  // minutes of compute. Key axes re-validate the spec per value; variant
-  // axes check against the owning run function's variant table.
-  for (const SweepAxis& axis : spec.sweeps) {
-    const SpecKeyInfo* info = find_spec_key(axis.key);
-    if (own.count(axis.key) == 0 || info == nullptr)
-      continue;  // outer axes are validated per point below
-    if (info->sweep_only) {
-      const std::vector<std::string> valid = variant_axis_values(axis.key);
-      for (const std::string& value : axis.values) {
-        if (std::find(valid.begin(), valid.end(), value) == valid.end()) {
-          std::cerr << "error: sweep." << axis.key << ": unknown variant \""
-                    << value << "\"; valid values:";
-          for (const std::string& name : valid) std::cerr << " " << name;
-          std::cerr << "\n";
-          return 2;
-        }
-      }
-      continue;
-    }
-    for (const std::string& value : axis.values) {
-      const ExperimentSpec point = spec_at_point(spec, own, {{axis.key, value}});
-      if (!point.validate(&error)) {
-        std::cerr << "error: sweep." << axis.key << "=" << value << ": "
-                  << error << "\n";
-        return 2;
-      }
-    }
+  error = broken_rule(preset, spec, false);
+  if (!error.empty()) {
+    std::cerr << "error: " << error << "\n";
+    return 2;
   }
 
   // --spec-out: archive the fully merged spec (defaults + preset + file +
@@ -2163,94 +1929,122 @@ int run_scenario(const ScenarioPreset& preset, const util::Flags& flags) {
   obs::Registry::global().set_timing_enabled(spec.obs.timing);
   obs::Registry::global().reset_timing();
 
-  if (outer.empty()) {
-    // A whole runtime timeline can be offloaded as a single shard —
-    // validate() guarantees dist.* never reaches a non-sweep
-    // distance/bandwidth run.
-    if (spec.dist.enabled())
-      return run_distributed(preset, spec, {spec}, {""}, record);
-
-    const PointOutcome out = run_point(preset, spec, record, trace.get());
-    if (out.rc != 0) return out.rc;
-
-    record_obs_section(record, out.obs);
-    if (spec.obs.timing) {
-      record_timing_section(record);
-      obs::Registry::global().set_timing_enabled(false);
+  // The points: the whole spec, or — when it declares axes the preset does
+  // not own — their cross product in canonical order, each point running
+  // the preset's full pipeline with its own JSON section and digest. The
+  // per-axis value cap composes multiplicatively, so bound the *total*
+  // before materializing anything — two 10000-value axes must not allocate
+  // 10^8 points.
+  std::vector<SweepAxis> outer;
+  for (const SweepAxis& axis : spec.sweeps) {
+    if (preset.axis == nullptr || axis.key != preset.axis)
+      outer.push_back(axis);
+  }
+  const bool sweep = !outer.empty();
+  std::vector<ExperimentSpec> points = {spec};
+  std::vector<std::string> labels = {""};
+  if (sweep) {
+    std::size_t total_points = 1;
+    for (const SweepAxis& axis : outer) {
+      total_points *= axis.values.size();
+      if (total_points > 4096) {
+        std::cerr << "error: sweep cross product exceeds 4096 points (";
+        for (const SweepAxis& a : outer)
+          std::cerr << a.key << "[" << a.values.size() << "]";
+        std::cerr << ") — shrink an axis\n";
+        return 2;
+      }
     }
-    if (trace != nullptr) trace->write(spec.obs.trace);
-    std::printf("\noutcome digest: %s\n", util::digest_hex(out.digest).c_str());
-    record.metric("digest", util::digest_hex(out.digest));
-    record.write();
-    return 0;
+    points.clear();
+    labels.clear();
+    for (const Overrides& overrides : expand_sweep(outer)) {
+      std::optional<ExperimentSpec> point =
+          spec_at_point(spec, preset.axis, overrides);
+      if (!point) return 2;
+      points.push_back(std::move(*point));
+      labels.push_back(point_label(overrides));
+    }
+    std::printf("declared sweep: %zu points over", points.size());
+    for (const SweepAxis& axis : outer)
+      std::printf(" %s[%zu]", axis.key.c_str(), axis.values.size());
+    std::printf("\n");
   }
 
-  // Generic sweep: expand the cross product of the non-owned axes in
-  // canonical order and run the preset's full pipeline per point. Each
-  // point gets its own JSON section and digest; the printed outcome digest
-  // folds the per-point digests in expansion order, so it is bit-identical
-  // across --threads like every single-point run. The per-axis value cap
-  // composes multiplicatively, so bound the *total* before materializing
-  // anything — two 10000-value axes must not allocate 10^8 points.
-  std::size_t total_points = 1;
-  for (const SweepAxis& axis : outer) {
-    total_points *= axis.values.size();
-    if (total_points > 4096) {
-      std::cerr << "error: sweep cross product exceeds 4096 points (";
-      for (const SweepAxis& a : outer)
-        std::cerr << a.key << "[" << a.values.size() << "]";
-      std::cerr << ") — shrink an axis\n";
-      return 2;
-    }
-  }
-  const auto points = expand_sweep(outer);
-  std::vector<ExperimentSpec> point_specs;
-  point_specs.reserve(points.size());
-  for (const auto& overrides : points) {
-    ExperimentSpec point = spec_at_point(spec, own, overrides);
-    if (!point.validate(&error)) {
-      std::cerr << "error: sweep point (" << point_label(overrides)
-                << "): " << error << "\n";
-      return 2;
-    }
-    point_specs.push_back(std::move(point));
+  // Points run here, or across dist.* workers (a whole runtime timeline
+  // can go as one shard — validate() guarantees dist.* never reaches a
+  // non-sweep distance/bandwidth run).
+  const bool distributed = spec.dist.enabled();
+  std::vector<dist::JobResult> shipped;
+  if (distributed) {
+    const int rc = run_jobs(preset, spec, points, labels, &shipped);
+    if (rc != 0) return rc;
   }
 
-  std::printf("declared sweep: %zu points over", points.size());
-  for (const SweepAxis& axis : outer)
-    std::printf(" %s[%zu]", axis.key.c_str(), axis.values.size());
-  std::printf("\n");
-
-  std::vector<std::string> labels;
-  labels.reserve(points.size());
-  for (const auto& overrides : points) labels.push_back(point_label(overrides));
-
-  if (spec.dist.enabled())
-    return run_distributed(preset, spec, point_specs, labels, record);
-
+  // One fold over the per-point results, wherever they ran: metrics, the
+  // obs section and (in a sweep) the point digest go to the point's
+  // section, and the point digests fold into the sweep digest in odometer
+  // order — what makes a distributed record byte-identical to this one.
+  std::uint64_t digest = 0;
   std::uint64_t sweep_digest = util::kFnvOffsetBasis;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    std::printf("\n===== sweep point %zu/%zu: %s =====\n\n", i + 1,
-                points.size(), labels[i].c_str());
-    record.begin_point(labels[i]);
-    const PointOutcome out = run_point(preset, point_specs[i], record,
-                                       trace.get());
-    if (out.rc != 0) return out.rc;
+    if (sweep) record.begin_point(labels[i]);
+    PointOutcome out;
+    if (distributed) {
+      const dist::JobResult& result = shipped[i];
+      out = {result.rc, result.error, result.digest, result.obs};
+      if (out.rc != 0) {
+        std::cerr << "error: dist job " << i
+                  << (labels[i].empty() ? "" : " (" + labels[i] + ")") << ": "
+                  << out.error << "\n";
+        return out.rc;
+      }
+      for (const auto& [name, value] : result.metrics)
+        record.metric_serialized(name, value);
+      if (sweep) {
+        std::printf("sweep point %zu/%zu: %s — digest %s\n", i + 1,
+                    points.size(), labels[i].c_str(),
+                    util::digest_hex(out.digest).c_str());
+      }
+    } else {
+      if (sweep) {
+        std::printf("\n===== sweep point %zu/%zu: %s =====\n\n", i + 1,
+                    points.size(), labels[i].c_str());
+      }
+      out = run_point(preset, points[i], record, trace.get());
+      if (out.rc != 0) {
+        if (!out.error.empty()) std::cerr << "error: " << out.error << "\n";
+        return out.rc;
+      }
+      if (sweep)
+        std::printf("\npoint digest: %s\n", util::digest_hex(out.digest).c_str());
+    }
     record_obs_section(record, out.obs);
-    record.metric("digest", util::digest_hex(out.digest));
-    std::printf("\npoint digest: %s\n", util::digest_hex(out.digest).c_str());
+    if (sweep) record.metric("digest", util::digest_hex(out.digest));
+    digest = out.digest;
     sweep_digest = util::fnv1a_mix(sweep_digest, out.digest);
   }
-  record.end_points();
+  if (sweep) {
+    record.end_points();
+    digest = sweep_digest;
+  }
 
   if (spec.obs.timing) {
-    record_timing_section(record);
+    // The wall-clock phase profile as the digest-excluded "timing"
+    // section, reported once per run, never per sweep point.
+    for (const obs::PhaseSnapshot& p :
+         obs::Registry::global().timing_snapshot()) {
+      record.timing_entry(std::string("phase.") + p.name + ".calls",
+                          static_cast<std::int64_t>(p.calls));
+      record.timing_entry(std::string("phase.") + p.name + ".ms",
+                          static_cast<double>(p.ns) / 1e6);
+    }
     obs::Registry::global().set_timing_enabled(false);
   }
   if (trace != nullptr) trace->write(spec.obs.trace);
-  std::printf("\noutcome digest: %s\n", util::digest_hex(sweep_digest).c_str());
-  record.metric("sweep_points", static_cast<std::int64_t>(points.size()));
-  record.metric("digest", util::digest_hex(sweep_digest));
+  std::printf("\noutcome digest: %s\n", util::digest_hex(digest).c_str());
+  if (sweep)
+    record.metric("sweep_points", static_cast<std::int64_t>(points.size()));
+  record.metric("digest", util::digest_hex(digest));
   record.write();
   return 0;
 }

@@ -1,18 +1,21 @@
 #pragma once
 
 // The scenario-preset registry and the shared parse/run/report pipeline
-// behind the `nexit_run` driver. A ScenarioPreset is a named spec transform
-// (its per-figure defaults) plus the analysis that turns engine samples
-// into the printed figure, the paper checks, and the JSON record.
+// behind the `nexit_run` driver. A ScenarioPreset is one data row: its
+// spec defaults as `key=value` text, its input rules (locked keys, the one
+// axis it owns, whether it owns the cheat: axis), and the analysis rows
+// that turn engine samples into the printed figure, the paper claims and
+// the JSON record. One generic runner executes every row; only table3,
+// abl_destination_based and the runtime timelines keep a run function.
 // `nexit_run --scenario=<name>` runs one; tests/golden pins each preset's
-// outcome digest and JSON record.
+// outcome digest and JSON record and fails on a missed paper claim.
 //
-// Sweeps: a spec may declare axes (`sweep.<key>=...`). Axes a preset owns
-// (ScenarioPreset::own_axes — the ablation sweeps the paper hard-coded) are
-// iterated inside its run function so its single-table output stays
-// byte-identical; every other axis is expanded here as a cross product,
-// each point running the preset's full pipeline with a per-point JSON
-// section and a per-point digest folded into one sweep digest.
+// Sweeps: a spec may declare axes (`sweep.<key>=...`). The axis a preset
+// owns (ScenarioPreset::axis, the ablation sweeps the paper hard-coded)
+// becomes the rows of its single table; every other axis is expanded here
+// as a cross product, each point running the preset's full pipeline with a
+// per-point JSON section and a per-point digest folded into one sweep
+// digest.
 
 #include <cstdint>
 #include <iosfwd>
@@ -28,10 +31,10 @@
 
 namespace nexit::sim {
 
-/// What a preset's run function gets: the fully merged+validated spec, the
-/// JSON record (spec section already filled), and the outcome digest it
-/// should fold its deterministic sample data into (helpers below). The
-/// pipeline prints the digest and writes the record after run returns.
+/// What a run gets: the fully merged+validated spec, the JSON record (spec
+/// section already filled), and the outcome digest it folds its
+/// deterministic sample data into. The pipeline prints the digest and
+/// writes the record after the run returns.
 struct ScenarioContext {
   const ExperimentSpec& spec;
   util::JsonReport& record;
@@ -45,40 +48,40 @@ struct ScenarioContext {
   void mix_double(double v) { mix(util::double_bits(v)); }
   void mix(const std::vector<DistanceSample>& samples);
   void mix(const std::vector<BandwidthSample>& samples);
-
-  /// The declared values of a preset-owned axis (tune() installs the
-  /// paper's defaults; `--sweep.<key>=...` overrides them). Empty when the
-  /// axis is undeclared.
-  [[nodiscard]] std::vector<std::string> axis_values(
-      const std::string& key) const;
-  /// This point's spec: the base spec with one owned-axis value applied
-  /// through the normal key parser and re-validated. Exits 2 naming the
-  /// axis on a malformed or invalid value (run_scenario pre-validates, so
-  /// a run function normally never trips this).
-  [[nodiscard]] ExperimentSpec spec_with(const std::string& key,
-                                         const std::string& value) const;
 };
+
+/// The analysis rows of one experiment kind (scenarios.cpp): what to
+/// collect from each sample, which figures to print, which paper claims to
+/// check and what to record.
+template <typename Sample>
+struct Rows;
 
 struct ScenarioPreset {
   const char* name = nullptr;         // "fig9", "abl_models", "custom", ...
   const char* description = nullptr;  // one line for --list-scenarios
-  /// Figure-specific spec defaults, applied before --spec/flag overrides.
-  void (*tune)(ExperimentSpec&);
-  /// Runs the engines and reports; returns the process exit code.
-  int (*run)(ScenarioContext&);
-  /// Spec keys this preset's run function controls itself (sweep axes, the
-  /// fixed worked-example parameters): "" = none, a comma-separated list,
-  /// or "!k1,k2" = every key EXCEPT the listed ones. An explicit override
-  /// of an ignored key to a value other than the preset's own exits 2: a
-  /// knob that silently vanishes is the misconfiguration mode this API
-  /// must not allow.
-  const char* ignored_keys = "";
-  /// Comma-separated axes the run function iterates itself (via
-  /// axis_values) instead of the generic cross-product expansion:
-  /// `pref-range` for abl_pref_range, the virtual `model`/`policy` variant
-  /// axes for abl_models/abl_policies. tune() declares their default
-  /// values; `--sweep.<axis>=...` re-declares them.
-  const char* own_axes = "";
+  /// Figure-specific spec defaults as space-separated `key=value` words,
+  /// parsed by the spec's own key rows before --spec/flag overrides.
+  const char* defaults = "";
+  /// Keys the preset fixes: an explicit override to a value other than
+  /// the preset's own exits 2, because a knob that silently vanishes is
+  /// the misconfiguration this API must not allow. (Re-stating the
+  /// preset's value is harmless, so serialized specs reload cleanly.)
+  std::vector<std::string> locked{};
+  /// When non-empty, the only keys the preset reads: every other key is
+  /// locked (table3 reads just `seed`).
+  std::vector<std::string> reads_only{};
+  /// The one axis the preset iterates itself as the rows of its table
+  /// (`groups`, `pref-range`, or a sweep-only variant axis whose values
+  /// come from its spec key row). nullptr = none.
+  const char* axis = nullptr;
+  /// The preset compares a both-truthful arm with a one-cheater arm (side
+  /// A cheats), so an explicit cheat: objective cannot mean anything.
+  bool owns_cheat = false;
+  /// The analysis for experiment=distance / experiment=bandwidth specs.
+  const Rows<DistanceSample>* distance = nullptr;
+  const Rows<BandwidthSample>* bandwidth = nullptr;
+  /// Runs every spec the rows above do not cover; returns the exit code.
+  int (*run)(ScenarioContext&) = nullptr;
 };
 
 /// All registered presets: fig4..fig11 (plus the fig4_sweep/fig7_sweep
@@ -93,36 +96,38 @@ std::vector<std::string> scenario_names();
 void print_scenario_list(std::ostream& os);
 void print_scenario_tsv(std::ostream& os);
 
+/// The preset's defaults row parsed into a spec (with its owned variant
+/// axis declared at the axis row's default values).
+ExperimentSpec preset_spec(const ScenarioPreset& preset);
+
 /// The shared pipeline: preset defaults -> optional --spec file -> flag
-/// overrides -> reject_unknown -> validate -> lock/axis checks -> optional
+/// overrides -> reject_unknown -> validate -> input rules -> optional
 /// --spec-out archive -> record spec -> run (expanding non-owned sweep
 /// axes, in-process or sharded across dist.* workers) -> digest print +
 /// JSON write. The record's `binary` field is the preset name.
 int run_scenario(const ScenarioPreset& preset, const util::Flags& flags);
 
-/// What one executed point produced: the run function's exit code, the
-/// outcome digest, and the obs::Registry work-counter snapshot.
+/// What one executed point produced: the exit code (with the broken input
+/// rule on rc 2 before anything ran), the outcome digest, and the
+/// obs::Registry work-counter snapshot.
 struct PointOutcome {
   int rc = 0;
+  std::string error;
   std::uint64_t digest = 0;
   obs::Snapshot obs;
 };
 
-/// Runs one fully merged+validated spec through `preset`'s run function
-/// with the obs counters reset first: metric entries land in `record`'s
-/// active sink, the snapshot is taken after the run. This is the unit of
-/// work both the in-process sweep loop and the nexit_workerd job loop
-/// execute — sharing it is what makes a distributed record byte-identical
-/// to the in-process one.
+/// Runs one fully merged+validated spec through `preset` with the obs
+/// counters reset first: metric entries land in `record`'s active sink,
+/// the snapshot is taken after the run. A point carries no axis but the
+/// preset's own and must pass the preset's input rules, else rc 2. This
+/// is the unit of work both the in-process sweep loop and the
+/// nexit_workerd job loop execute — sharing it is what makes a
+/// distributed record byte-identical to the in-process one and holds a
+/// worker to the same rules as nexit_run.
 PointOutcome run_point(const ScenarioPreset& preset,
                        const ExperimentSpec& point, util::JsonReport& record,
                        obs::Trace* trace);
-
-/// Emits a snapshot as JSON "obs" entries (counters, then histogram
-/// count/sum/non-empty buckets) into `record`'s active obs sink — the one
-/// serialization of an obs section, whether the snapshot was taken in this
-/// process or shipped from a worker.
-void record_obs_section(util::JsonReport& record, const obs::Snapshot& snap);
 
 /// FNV digests over the deterministic per-sample fields; equal digests
 /// across --threads / --incremental / worker counts demonstrate

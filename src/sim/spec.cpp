@@ -15,7 +15,6 @@
 #include <type_traits>
 
 #include "geo/city_db.hpp"
-#include "sim/report.hpp"
 
 namespace nexit::sim {
 
@@ -481,16 +480,22 @@ KeyRow list_row(const char* key, unsigned kinds, const char* type,
   return bound_row(key, kinds, type, grammar, doc, field, read, print);
 }
 
-/// A sweep-only axis: a virtual key whose values a preset's run function
-/// maps to config variants; `sweep.<key>=...` is its only spelling and
-/// `values` (comma-separated) its default.
-KeyRow axis_row(const char* key, const char* owner, const std::string& values,
-                const char* doc) {
+/// A sweep-only axis: a virtual key whose values are `variants`;
+/// `sweep.<key>=...` is its only spelling and every variant its default.
+KeyRow axis_row(const char* key, const char* owner,
+                std::vector<AxisVariant> variants, const char* doc) {
+  std::vector<std::string> names;
+  std::string values;
+  for (const AxisVariant& v : variants) {
+    names.push_back(v.name);
+    values += (values.empty() ? "" : ",") + v.name;
+  }
   KeyRow row = make_row(key, kForDistance | kForBandwidth, "choice",
-                        one_of(split(values, ',')), doc);
+                        one_of(names), doc);
   row.info.default_value = values;
   row.info.sweep_only = true;
   row.info.owner_scenario = owner;
+  row.info.variants = std::move(variants);
   return row;
 }
 
@@ -719,12 +724,30 @@ std::vector<KeyRow> build_key_rows() {
                  "Directory for spawn-local worker logs (worker<i>.log); "
                  "empty = /dev/null."),
       axis_row("model", "abl_models",
-               "paper,identical,uniform,pow2,unused-max,piecewise",
+               {{"paper", "gravity + median-capacity (paper)", {}},
+                {"identical", "identical PoP weights",
+                 {{"traffic", "identical"}}},
+                {"uniform", "uniform-random PoP weights",
+                 {{"traffic", "uniform"}}},
+                {"pow2", "power-of-two capacities",
+                 {{"capacity-pow2", "true"}}},
+                {"unused-max", "unused links get max load",
+                 {{"capacity-unused", "max"}}},
+                {"piecewise", "piecewise-linear cost metric",
+                 {{"oracle-a", "piecewise"}, {"oracle-b", "piecewise"}}}},
                "abl_models variant axis: §5.2 alternate workload / capacity / "
                "metric models, one deviation from the paper model per "
                "value."),
       axis_row("policy", "abl_policies",
-               "paper,lower-gain,coin-toss,full,negotiate-all,best-local",
+               {{"paper", "alternate+early+max-combined (paper)", {}},
+                {"lower-gain", "lower-gain turns (max-min-fair)",
+                 {{"turn", "lower-gain"}}},
+                {"coin-toss", "coin-toss turns", {{"turn", "coin-toss"}}},
+                {"full", "full termination", {{"termination", "full"}}},
+                {"negotiate-all", "negotiate-all (social)",
+                 {{"termination", "negotiate-all"}}},
+                {"best-local", "best-local-min-impact proposals",
+                 {{"proposal", "best-local"}}}},
                "abl_policies variant axis: §4 turn / termination / proposal "
                "policy combinations, one deviation from the paper protocol "
                "per value."),
@@ -925,7 +948,7 @@ bool ExperimentSpec::validate(std::string* error) const {
     return false;
   };
   // Single-key bounds, read from the same rows the parser checks, so a
-  // field set directly (a preset tune, a test) is held to them too.
+  // field set directly (a test, a library caller) is held to them too.
   for (const KeyRow& row : key_rows()) {
     if (!row.info.range) continue;
     const std::string value = row.text(*this);
@@ -1107,10 +1130,19 @@ bool ExperimentSpec::validate(std::string* error) const {
                   kinds_label(info->kinds) +
                   " — every point of this sweep would silently ignore it");
     }
-    // Swept numbers are held to the key's bounds before the first point
-    // runs, so a bad value at the end of an axis cannot fail a sweep
-    // halfway. (A malformed value dies when its point parses it.)
+    // Swept numbers are held to the key's bounds and variant values to the
+    // axis's variants before the first point runs, so a bad value at the
+    // end of an axis cannot fail a sweep halfway. (A malformed number dies
+    // when its point parses it.)
     for (const std::string& value : a.values) {
+      if (info->sweep_only &&
+          std::none_of(info->variants.begin(), info->variants.end(),
+                       [&](const AxisVariant& v) { return v.name == value; })) {
+        std::string msg = "sweep." + a.key + ": unknown variant \"" + value +
+                          "\"; valid values:";
+        for (const AxisVariant& v : info->variants) msg += " " + v.name;
+        return fail(msg);
+      }
       double v = 0;
       if (parse_finite_double(value, &v) && !in_range(info->range, v)) {
         return fail("sweep." + a.key + ": expects " + info->constraints +
@@ -1132,7 +1164,10 @@ UniverseConfig ExperimentSpec::universe() const {
 }
 
 std::string ExperimentSpec::universe_summary() const {
-  return sim::universe_summary(universe());
+  std::ostringstream os;
+  os << isps << " synthetic ISPs, seed " << seed << ", <= " << pairs
+     << " pairs, PoPs " << pop_min << "-" << pop_max;
+  return os.str();
 }
 
 core::NegotiationConfig ExperimentSpec::to_negotiation_config() const {

@@ -9,7 +9,7 @@
 // population and a declared timeline — plus any number of declared sweep
 // axes. Specs layer:
 //
-//   struct defaults  ->  ScenarioPreset tune()  ->  --spec=<file>  ->  flags
+//   struct defaults  ->  preset defaults row  ->  --spec=<file>  ->  flags
 //
 // Each later layer only overrides the keys it mentions (every merge reads a
 // key with the current value as fallback). A spec file is `key=value` lines
@@ -154,6 +154,16 @@ struct ObsSpec {
   friend bool operator==(const ObsSpec&, const ObsSpec&) = default;
 };
 
+/// One value of a sweep-only variant axis: a named deviation from the
+/// paper's setup, spelled as the spec keys it sets.
+struct AxisVariant {
+  std::string name;   // the `sweep.<axis>` value
+  std::string label;  // its row in the owning scenario's table
+  /// (key, value) overrides applied through the key rows; empty = the
+  /// paper's own setup.
+  std::vector<std::pair<std::string, std::string>> keys;
+};
+
 /// Everything --help-spec and the generated reference know about one key
 /// (or sweep-only axis). Each key is one row of the key table in spec.cpp,
 /// and that row also parses, serializes and bounds it: `default_value` is
@@ -174,11 +184,14 @@ struct SpecKeyInfo {
   std::string default_value;
   unsigned kinds = kForAllKinds;
   std::optional<Range> range;
-  /// True for virtual axes that exist only as `sweep.<key>` (a preset maps
-  /// their values to config variants); they have no scalar value.
+  /// True for virtual axes that exist only as `sweep.<key>` (each value is
+  /// one of `variants`); they have no scalar value.
   bool sweep_only = false;
-  /// For sweep-only axes: the scenario whose run function consumes them.
+  /// For sweep-only axes: the scenario that owns them.
   std::string owner_scenario;
+  /// For sweep-only axes: every value, in default order (the default
+  /// declares them all; validate() rejects any other value).
+  std::vector<AxisVariant> variants;
 };
 
 /// Every registered spec key and sweep-only axis, in canonical (serialized)
@@ -243,12 +256,12 @@ struct ExperimentSpec {
 
   // --- declared sweep axes ----------------------------------------------
   /// Sorted by key (canonical order). run_scenario expands the cross
-  /// product; presets may own an axis and iterate it inside their run
-  /// function instead (abl_pref_range owns `pref-range`, ...).
+  /// product; a preset may own one axis and make it the rows of its table
+  /// instead (abl_pref_range owns `pref-range`, ...).
   std::vector<SweepAxis> sweeps;
 
   /// Bookkeeping, not state: the keys an explicit source (flags or a spec
-  /// file) set, as opposed to defaults and preset tunes. validate() uses it
+  /// file) set, as opposed to defaults and preset rows. validate() uses it
   /// to reject a key the chosen experiment kind would silently ignore —
   /// `--unilateral=true` on a distance scenario must error like any other
   /// misconfiguration, not record itself as if it took effect. Excluded
@@ -284,7 +297,8 @@ struct ExperimentSpec {
 
   /// Semantic checks beyond syntax: every numeric key, and every value of a
   /// sweep axis over one, must lie within its row's bounds (the same ones
-  /// the parser enforces, so a field set directly is held to them too);
+  /// the parser enforces, so a field set directly is held to them too); a
+  /// variant axis takes only its row's variants;
   /// oracle names must be registered (or "default"), the distance engine
   /// only takes capacity-free oracles, pop-min must not exceed pop-max,
   /// explicitly overridden keys must be meaningful for the chosen

@@ -62,9 +62,9 @@ constexpr const char* kSweepSyntax =
     "rightmost varying fastest); each point runs the full scenario "
     "pipeline, gets its own JSON section and digest, and the printed "
     "outcome digest folds the per-point digests in expansion order — "
-    "bit-identical for every --threads value. Axes a preset owns (the "
-    "paper's own ablation sweeps) are iterated inside its run function "
-    "instead, keeping the single-table output byte-identical.";
+    "bit-identical for every --threads value. The axis a preset owns (the "
+    "paper's own ablation sweeps) is iterated as the rows of its single "
+    "table instead.";
 
 void print_one_key(std::ostream& os, const SpecKeyInfo& info) {
   os << "  " << pad(info.sweep_only ? "sweep." + info.key : info.key, 27)
@@ -118,7 +118,7 @@ void print_spec_reference_markdown(std::ostream& os) {
         "     (tools/regen_docs.sh does this; CI fails on drift). -->\n\n"
         "Every experiment in this repository is described by a flat,\n"
         "serializable `sim::ExperimentSpec`. Specs layer — struct defaults,\n"
-        "then the scenario preset's `tune()`, then a `--spec=<file>` of\n"
+        "then the scenario preset's defaults row, then a `--spec=<file>` of\n"
         "`key=value` lines (`#` comments), then individual `--key=value`\n"
         "flags — and each layer only overrides the keys it mentions.\n"
         "Unknown keys and malformed values exit 2 with the same diagnostics\n"
@@ -149,12 +149,12 @@ void print_spec_reference_markdown(std::ostream& os) {
   }
 
   os << "\n## Sweep axes\n\n" << kSweepSyntax << "\n\n"
-        "Scenarios that own axes (iterated inside their run function, so\n"
+        "Scenarios that own an axis (one row of their table per value, so\n"
         "`--sweep.<axis>=...` re-declares the paper's own sweep):\n\n"
         "| scenario | owned axes |\n|---|---|\n";
   for (const ScenarioPreset& preset : scenario_registry()) {
-    if (preset.own_axes[0] == '\0') continue;
-    os << "| `" << preset.name << "` | `" << preset.own_axes << "` |\n";
+    if (preset.axis == nullptr) continue;
+    os << "| `" << preset.name << "` | `" << preset.axis << "` |\n";
   }
 
   os << "\n## Runtime timelines\n\n"

@@ -328,6 +328,38 @@ TEST(DistWorker, ServeRunsJobsAndRejectsBadOnesWithoutDying) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(std::get<proto::DistResult>(*reply).rc, 2);
 
+  // A job is held to its preset's input rules, like nexit_run: another
+  // preset's variant axis, an axis the preset does not own (a point carries
+  // none), and a locked key each come back rc 2 instead of running as a
+  // plain fig4/fig8.
+  const auto rejected = [&](std::uint32_t id, const char* scenario,
+                            const std::vector<std::string>& keys) {
+    sim::ExperimentSpec job_spec;
+    job_spec.merge_from_flags(kv_flags(keys));
+    EXPECT_TRUE(coord_side.send(
+        proto::DistJob{id, scenario, "", job_spec.to_text()}, 30000));
+    const auto result = coord_side.receive(30000);
+    EXPECT_TRUE(result.has_value());
+    if (!result.has_value()) return std::string();
+    EXPECT_EQ(std::get<proto::DistResult>(*result).rc, 2) << scenario;
+    return std::get<proto::DistResult>(*result).error;
+  };
+  const std::vector<std::string> small = {"isps=12", "pairs=2"};
+  auto with = [&](const std::string& key) {
+    std::vector<std::string> keys = small;
+    keys.push_back(key);
+    return keys;
+  };
+  EXPECT_NE(rejected(10, "fig4", with("sweep.model=paper")).find("abl_models"),
+            std::string::npos);
+  EXPECT_NE(rejected(11, "fig4", with("sweep.isps=12,16")).find("sweep.isps"),
+            std::string::npos);
+  EXPECT_NE(rejected(12, "fig8",
+                     {"experiment=bandwidth", "isps=12", "pairs=2",
+                      "unilateral=false"})
+                .find("unilateral"),
+            std::string::npos);
+
   // A real shard produces a digest, serialized metrics, and obs counters.
   sim::ExperimentSpec spec;
   spec.merge_from_flags(kv_flags({"isps=12", "pairs=2"}));

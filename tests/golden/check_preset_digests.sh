@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Golden outcomes of every registered preset, run through nexit_run:
 #
-#   1. Digests. Each row of the digest table is `preset<TAB>digest` with an
-#      optional third column of flags; the printed outcome digest must
-#      equal the recorded one. Rows without flags run with
-#      --threads=<threads>; a `-` in the flags column means no flags at all.
+#   1. Digests and paper claims. Each row of the digest table is
+#      `preset<TAB>digest` with an optional third column of flags; the
+#      printed outcome digest must equal the recorded one, and the run must
+#      print no `[MISS]` line (every paper claim the preset checks holds at
+#      this scale). Rows without flags run with --threads=<threads>; a `-`
+#      in the flags column means no flags at all.
 #   2. Records. Every registered preset except `custom` must have a digest
 #      row and a JSON record in records/ next to the table. The preset is
 #      rerun at small scale (--isps=12 --pairs=4 --threads=2; table3, which
@@ -14,9 +16,9 @@
 #
 #   tests/golden/check_preset_digests.sh <nexit_run> <preset_digests.tsv> [threads]
 #
-# Exits 1 listing every preset whose digest or record drifted, or that has
-# no golden entry. After an intended change of outcomes, regenerate the
-# table and the records from the new binary, e.g.
+# Exits 1 listing every preset whose digest or record drifted, that missed
+# a paper claim, or that has no golden entry. After an intended change of
+# outcomes, regenerate the table and the records from the new binary, e.g.
 #
 #   nexit_run --scenario=fig4 --isps=12 --pairs=4 --threads=2 \
 #     --json=tests/golden/records/fig4.json
@@ -35,12 +37,17 @@ while IFS=$'\t' read -r preset expected flags; do
   flags=${flags:---threads=$threads}
   [ "$flags" = "-" ] && flags=""
   # shellcheck disable=SC2086  # flags is a word list
-  actual=$("$bin" --scenario="$preset" $flags |
-           sed -n 's/^outcome digest: //p')
+  "$bin" --scenario="$preset" $flags > "$tmp/$preset.out" || true
+  actual=$(sed -n 's/^outcome digest: //p' "$tmp/$preset.out")
   if [ "$actual" = "$expected" ]; then
     echo "ok    $preset $actual"
   else
     echo "DRIFT $preset expected $expected got ${actual:-<none>}"
+    status=1
+  fi
+  if grep -q '^\[MISS\]' "$tmp/$preset.out"; then
+    echo "MISS  $preset:"
+    grep -A1 '^\[MISS\]' "$tmp/$preset.out"
     status=1
   fi
 done < "$table"

@@ -140,20 +140,30 @@ TEST(SpecKeyTable, EveryKeyParsesIntoItsOwnFieldAndRoundTrips) {
   // read back through value_of, mark the key overridden, move no other key,
   // and survive a to_text() round trip. A row bound to the wrong field, two
   // rows sharing one, or a key nothing parses all fail here. A sweep-only
-  // axis has no field; the preset whose run function iterates it must own
-  // it instead.
+  // axis has no field; the preset whose table iterates it must own it, and
+  // its default, its variant table and the owner's declared axis must list
+  // the same variants in the same order.
   const ExperimentSpec defaults;
   std::vector<std::string> every_key;
   for (const SpecKeyInfo& info : spec_key_registry()) {
     if (info.sweep_only) {
       const ScenarioPreset* owner = find_scenario(info.owner_scenario);
       ASSERT_NE(owner, nullptr) << info.key;
-      std::istringstream axes(owner->own_axes);
-      bool listed = false;
-      for (std::string axis; std::getline(axes, axis, ',');)
-        listed = listed || axis == info.key;
-      EXPECT_TRUE(listed) << info.key << " is missing from " << owner->name
-                          << "'s own_axes";
+      ASSERT_NE(owner->axis, nullptr) << info.key;
+      EXPECT_EQ(owner->axis, info.key) << owner->name << " must own it";
+      std::vector<std::string> names;
+      for (const AxisVariant& variant : info.variants) {
+        names.push_back(variant.name);
+        EXPECT_FALSE(variant.label.empty()) << variant.name;
+      }
+      std::string joined;
+      for (const std::string& name : names)
+        joined += (joined.empty() ? "" : ",") + name;
+      EXPECT_EQ(info.default_value, joined) << info.key;
+      const ExperimentSpec owned = preset_spec(*owner);
+      const SweepAxis* declared = owned.axis(info.key);
+      ASSERT_NE(declared, nullptr) << info.key;
+      EXPECT_EQ(declared->values, names) << info.key;
       continue;
     }
     const std::string value = non_default_value(info);
@@ -508,8 +518,7 @@ TEST(SpecDeathTest, OutOfSetChoiceExitsListingTheChoices) {
 
 TEST(ScenarioRegistry, EveryPresetSpecValidatesAndRoundTrips) {
   for (const ScenarioPreset& preset : scenario_registry()) {
-    ExperimentSpec spec;
-    preset.tune(spec);
+    const ExperimentSpec spec = preset_spec(preset);
     std::string error;
     EXPECT_TRUE(spec.validate(&error)) << preset.name << ": " << error;
 
@@ -562,8 +571,7 @@ TEST(ScenarioRegistry, PresetIgnoredKeysAreRejectedNotSwallowed) {
   // run the wrong experiment under the figure's name.
   for (const ScenarioPreset& preset : scenario_registry()) {
     if (std::string(preset.name) == "custom") continue;
-    ExperimentSpec tuned;
-    preset.tune(tuned);
+    const ExperimentSpec tuned = preset_spec(preset);
     const std::string other =
         tuned.experiment == ExperimentKind::kDistance ? "bandwidth"
                                                       : "distance";

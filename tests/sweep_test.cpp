@@ -376,9 +376,8 @@ TEST(SpecRegistry, MetadataCoversEverySerializedKeyExactly) {
       // Virtual axes belong to a registered scenario that owns them.
       const ScenarioPreset* owner = find_scenario(info.owner_scenario);
       ASSERT_NE(owner, nullptr) << info.key;
-      EXPECT_NE(std::string(owner->own_axes).find(info.key),
-                std::string::npos)
-          << info.key;
+      ASSERT_NE(owner->axis, nullptr) << info.key;
+      EXPECT_EQ(owner->axis, info.key);
     }
   }
   // Same keys, same canonical order: the registry cannot drift from the
@@ -400,7 +399,7 @@ TEST(SpecRegistry, GeneratedReferenceMentionsEveryKeyAndIsMarkedGenerated) {
   }
   // Every axis-owning scenario is listed.
   for (const ScenarioPreset& preset : scenario_registry()) {
-    if (preset.own_axes[0] == '\0') continue;
+    if (preset.axis == nullptr) continue;
     EXPECT_NE(text.find("| `" + std::string(preset.name) + "` |"),
               std::string::npos)
         << preset.name;
