@@ -15,6 +15,8 @@ LpProblem::LpProblem(int num_vars)
 }
 
 void LpProblem::set_objective_coeff(int var, double coeff) {
+  if (!std::isfinite(coeff))
+    throw std::invalid_argument("LpProblem::set_objective_coeff: non-finite coefficient");
   objective_.at(static_cast<std::size_t>(var)) = coeff;
 }
 
@@ -22,14 +24,59 @@ void LpProblem::add_constraint(Constraint c) {
   for (const auto& [var, coeff] : c.terms) {
     if (var < 0 || var >= num_vars_)
       throw std::out_of_range("LpProblem::add_constraint: bad variable index");
-    (void)coeff;
+    if (!std::isfinite(coeff))
+      throw std::invalid_argument("LpProblem::add_constraint: non-finite coefficient");
   }
+  if (!std::isfinite(c.rhs))
+    throw std::invalid_argument("LpProblem::add_constraint: non-finite rhs");
   constraints_.push_back(std::move(c));
 }
 
 void LpProblem::add_constraint(std::vector<std::pair<int, double>> terms,
                                Relation rel, double rhs) {
   add_constraint(Constraint{std::move(terms), rel, rhs});
+}
+
+namespace {
+
+// One source loop per kernel, compiled once per clone. GCC contracts
+// `a - b * c` into a fused multiply-add wherever the target has one (C++
+// defaults to -ffp-contract=fast), which changes the bits. Neither the
+// baseline x86-64 target nor GCC's avx2 target has FMA, so neither clone
+// can; an avx512f clone would (in GCC avx512f implies FMA, and the loop
+// compiles to vfnmadd213pd), so none is declared. The clones have internal
+// linkage so that their only declaration carries the attribute.
+//
+// ThreadSanitizer instruments the clones' ifunc resolver, which the dynamic
+// loader runs before the TSan runtime exists, so a TSan binary would crash
+// at load; a TSan build compiles the baseline loop alone.
+#if defined(__SANITIZE_THREAD__)
+#define NEXIT_ROW_KERNEL
+#else
+#define NEXIT_ROW_KERNEL [[gnu::target_clones("avx2", "default")]]
+#endif
+
+NEXIT_ROW_KERNEL void eliminate(double* __restrict row,
+                                const double* __restrict prow, double factor,
+                                std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) row[j] -= factor * prow[j];
+}
+
+NEXIT_ROW_KERNEL void divide(double* row, double divisor, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) row[j] /= divisor;
+}
+
+#undef NEXIT_ROW_KERNEL
+
+}  // namespace
+
+void eliminate_row(double* row, const double* prow, double factor,
+                   std::size_t n) {
+  eliminate(row, prow, factor, n);
+}
+
+void divide_row(double* row, double divisor, std::size_t n) {
+  divide(row, divisor, n);
 }
 
 std::string to_string(SolveStatus s) {
@@ -85,13 +132,13 @@ class Tableau {
     a_ = artificials;
     cols_ = n_ + s_ + a_ + 1;
 
-    // One block from a cache-line boundary, each row padded to an even
-    // length so every row starts 16-byte aligned (the pivot loop's SSE2
-    // width). With a heap vector per row, the pivot's speed depended on
-    // where earlier allocations had left room: an unrelated 32-byte
+    // One block from a cache-line boundary, each row padded to a multiple
+    // of 4 doubles so every row starts 32-byte aligned (the row kernels'
+    // AVX2 width). With a heap vector per row, the pivot's speed depended
+    // on where earlier allocations had left room: an unrelated 32-byte
     // allocation elsewhere made the same LP 20-35% slower (Xeon, 4 vCPUs).
     const auto cols = static_cast<std::size_t>(cols_);
-    const std::size_t stride = (cols + 1) / 2 * 2;
+    const std::size_t stride = (cols + 3) / 4 * 4;
     const std::size_t used = (static_cast<std::size_t>(m_) + 1) * stride;
     constexpr std::size_t kLine = 64;
     cells_.assign(used + kLine / sizeof(double), 0.0);
@@ -249,10 +296,9 @@ class Tableau {
 
  private:
   void subtract_row(int row, double factor) {
-    auto& obj = rows_[static_cast<std::size_t>(m_)];
-    const auto& r = rows_[static_cast<std::size_t>(row)];
-    for (int j = 0; j < cols_; ++j)
-      obj[static_cast<std::size_t>(j)] -= factor * r[static_cast<std::size_t>(j)];
+    eliminate(rows_[static_cast<std::size_t>(m_)].data(),
+              rows_[static_cast<std::size_t>(row)].data(), factor,
+              rows_[static_cast<std::size_t>(row)].size());
   }
 
   // Out of line and cache-line aligned, so code added elsewhere cannot
@@ -261,15 +307,13 @@ class Tableau {
                                                  int entering_col) {
     auto& prow = rows_[static_cast<std::size_t>(leaving_row)];
     const double pval = prow[static_cast<std::size_t>(entering_col)];
-    for (double& v : prow) v /= pval;
+    divide(prow.data(), pval, prow.size());
     for (int i = 0; i <= m_; ++i) {
       if (i == leaving_row) continue;
       auto& row = rows_[static_cast<std::size_t>(i)];
       const double factor = row[static_cast<std::size_t>(entering_col)];
       if (std::abs(factor) <= 0.0) continue;
-      for (int j = 0; j < cols_; ++j)
-        row[static_cast<std::size_t>(j)] -=
-            factor * prow[static_cast<std::size_t>(j)];
+      eliminate(row.data(), prow.data(), factor, prow.size());
       row[static_cast<std::size_t>(entering_col)] = 0.0;  // cancel exactly
     }
     prow[static_cast<std::size_t>(entering_col)] = 1.0;
@@ -287,6 +331,48 @@ class Tableau {
   std::vector<std::span<double>> rows_;
   std::vector<int> basis_;
 };
+
+/// The primal half of an optimality certificate: `sol` (from a tableau whose
+/// own objective value is `tableau_objective`, in the problem's sense) must
+/// satisfy every original constraint within a relative 1e-7, keep x >= -eps,
+/// and carry an objective equal to c^T x. Throws std::logic_error otherwise.
+void check_primal(const LpProblem& problem, const Solution& sol,
+                  double tableau_objective, double eps) {
+  constexpr double kRelTol = 1e-7;
+  const auto& cons = problem.constraints();
+  for (std::size_t i = 0; i < cons.size(); ++i) {
+    double lhs = 0.0;
+    double magnitude = 0.0;
+    for (const auto& [var, coeff] : cons[i].terms) {
+      const double term = coeff * sol.x[static_cast<std::size_t>(var)];
+      // nexit-lint: allow(float-accumulate): row dot-product in the
+      // constraint's own term order, a tolerance check, not an output
+      lhs += term;
+      // nexit-lint: allow(float-accumulate): same order, tolerance scale
+      magnitude += std::abs(term);
+    }
+    const double tol = kRelTol * (1.0 + std::abs(cons[i].rhs) + magnitude);
+    const double gap = lhs - cons[i].rhs;
+    const bool ok = cons[i].rel == Relation::kLe   ? gap <= tol
+                    : cons[i].rel == Relation::kGe ? gap >= -tol
+                                                   : std::abs(gap) <= tol;
+    if (!ok)
+      throw std::logic_error("SimplexSolver: optimal x violates constraint row " +
+                             std::to_string(i));
+  }
+  double magnitude = 0.0;
+  for (std::size_t j = 0; j < sol.x.size(); ++j) {
+    if (!(sol.x[j] >= -eps))
+      throw std::logic_error("SimplexSolver: optimal x is negative at variable " +
+                             std::to_string(j));
+    // nexit-lint: allow(float-accumulate): tolerance scale in LP column order
+    magnitude += std::abs(problem.objective()[j] * sol.x[j]);
+  }
+  if (!(std::abs(tableau_objective - sol.objective) <=
+        kRelTol * (1.0 + magnitude)))
+    throw std::logic_error(
+        "SimplexSolver: tableau objective differs from c^T x (objective row)");
+}
 
 }  // namespace
 
@@ -344,6 +430,9 @@ Solution SimplexSolver::solve(const LpProblem& problem) const {
     obj += problem.objective()[static_cast<std::size_t>(j)] *
            sol.x[static_cast<std::size_t>(j)];
   sol.objective = obj;
+  check_primal(problem, sol,
+               problem.minimize() ? t.objective_value() : -t.objective_value(),
+               options_.eps);
   return sol;
 }
 

@@ -31,10 +31,13 @@ class LpProblem {
     return constraints_;
   }
 
-  /// Sets the objective coefficient of one variable (default 0).
+  /// Sets the objective coefficient of one variable (default 0). Throws
+  /// std::invalid_argument on a NaN or infinite coefficient.
   void set_objective_coeff(int var, double coeff);
   void set_minimize(bool minimize) { minimize_ = minimize; }
 
+  /// Throws std::out_of_range on a bad variable index and
+  /// std::invalid_argument on a NaN or infinite coefficient or rhs.
   void add_constraint(Constraint c);
   /// Convenience: sum(terms) REL rhs.
   void add_constraint(std::vector<std::pair<int, double>> terms, Relation rel,
@@ -57,10 +60,23 @@ struct Solution {
   std::vector<double> x;  // values of the structural variables
 };
 
+/// The tableau's dense row kernels. Each is compiled twice, for AVX2 and for
+/// the baseline ISA, and the loader picks the clone the CPU supports (a
+/// ThreadSanitizer build compiles the baseline alone). Every element costs
+/// one IEEE multiply then one subtract (or one divide), never a fused
+/// multiply-add, so the result's bits do not depend on the clone.
+/// row[j] -= factor * prow[j] for j in [0, n); the two rows must not overlap.
+void eliminate_row(double* row, const double* prow, double factor, std::size_t n);
+/// row[j] /= divisor for j in [0, n).
+void divide_row(double* row, double divisor, std::size_t n);
+
 /// Dense two-phase primal simplex. Pivot selection uses Dantzig's rule
 /// (most-negative reduced cost) and falls back to Bland's rule after a stall
 /// is detected, which guarantees termination on degenerate problems.
-/// Deterministic: ties always break toward the lowest index.
+/// Deterministic: ties always break toward the lowest index. Every kOptimal
+/// result is checked against the original problem (each constraint within a
+/// relative 1e-7, x >= -eps, the tableau's objective equal to c^T x); a
+/// failed check throws std::logic_error naming the row.
 class SimplexSolver {
  public:
   struct Options {

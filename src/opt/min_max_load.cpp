@@ -82,13 +82,13 @@ MinMaxLoadResult solve_min_max_load(const routing::PairRouting& routing,
     const double cap =
         capacities.per_side[static_cast<std::size_t>(side)].at(
             static_cast<std::size_t>(edge));
-    if (cap <= 0.0)
-      throw std::invalid_argument("solve_min_max_load: non-positive capacity");
+    if (!(cap > 0.0))  // also rejects NaN
+      throw std::invalid_argument(
+          "solve_min_max_load: non-positive or NaN capacity");
     const double bg = background.per_side[static_cast<std::size_t>(side)].at(
         static_cast<std::size_t>(edge));
-    auto cons = terms;  // copy: keep map intact for potential reuse
-    cons.emplace_back(t_var, -cap);
-    problem.add_constraint(std::move(cons), lp::Relation::kLe, -bg);
+    terms.emplace_back(t_var, -cap);
+    problem.add_constraint(std::move(terms), lp::Relation::kLe, -bg);
   }
 
   const lp::Solution sol = lp::SimplexSolver{}.solve(problem);

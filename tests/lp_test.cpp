@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "lp/simplex.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 
 namespace nexit::lp {
@@ -133,11 +138,119 @@ TEST(Simplex, BadVariableIndexThrows) {
   EXPECT_THROW(LpProblem(0), std::invalid_argument);
 }
 
+TEST(Simplex, NonFiniteInputThrows) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LpProblem p(2);
+  EXPECT_THROW(p.set_objective_coeff(0, kNan), std::invalid_argument);
+  EXPECT_THROW(p.set_objective_coeff(1, -kInf), std::invalid_argument);
+  EXPECT_THROW(p.add_constraint({{0, kNan}}, Relation::kLe, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(p.add_constraint({{1, kInf}}, Relation::kEq, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(p.add_constraint({{0, 1.0}}, Relation::kGe, kNan),
+               std::invalid_argument);
+  EXPECT_THROW(p.add_constraint({{0, 1.0}}, Relation::kLe, -kInf),
+               std::invalid_argument);
+  EXPECT_TRUE(p.constraints().empty());
+  EXPECT_EQ(p.objective(), (std::vector<double>{0.0, 0.0}));
+}
+
 TEST(Simplex, StatusToString) {
   EXPECT_EQ(to_string(SolveStatus::kOptimal), "optimal");
   EXPECT_EQ(to_string(SolveStatus::kInfeasible), "infeasible");
   EXPECT_EQ(to_string(SolveStatus::kUnbounded), "unbounded");
   EXPECT_EQ(to_string(SolveStatus::kIterationLimit), "iteration-limit");
+}
+
+// ---------------------------------------------------------------------------
+// Row kernels: whichever clone the host resolves must produce the unfused
+// IEEE bits. With f = p = 1 + 2^-30 the product rounds to 1 + 2^-29 (the
+// exact product carries a further 2^-60), so r - round(f * p) and the fused
+// fma(-f, p, r) differ in the last bits for every r near 1 + 2^-29.
+// ---------------------------------------------------------------------------
+
+TEST(RowKernels, EliminateIsUnfusedOnEveryTailLength) {
+  const double f = 1.0 + std::ldexp(1.0, -30);
+  for (std::size_t n = 0; n <= 37; ++n) {
+    std::vector<double> row(n), prow(n), want(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const int k = static_cast<int>(j % 5);  // a different value per lane
+      prow[j] = std::ldexp(f, k);
+      row[j] = std::ldexp(1.0 + std::ldexp(1.0, -29) + std::ldexp(1.0, -20), k);
+      want[j] = std::ldexp(1.0, k - 20);  // exact: r - round(f * p)
+      ASSERT_NE(std::fma(-f, prow[j], row[j]), want[j]) << "input cannot tell";
+    }
+    eliminate_row(row.data(), prow.data(), f, n);
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row[j]),
+                std::bit_cast<std::uint64_t>(want[j]))
+          << "n=" << n << " j=" << j;
+  }
+}
+
+TEST(RowKernels, DivideIsCorrectlyRoundedOnEveryTailLength) {
+  for (std::size_t n = 0; n <= 37; ++n) {
+    std::vector<double> row(n);
+    for (std::size_t j = 0; j < n; ++j) row[j] = static_cast<double>(j) + 0.1;
+    divide_row(row.data(), 3.0, n);
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(row[j], (static_cast<double>(j) + 0.1) / 3.0)
+          << "n=" << n << " j=" << j;
+  }
+}
+
+// A fixed-seed LP shaped like one §5.2 min-max-load problem: 40 negotiable
+// flows x 4 candidate interconnections (one convex-combination equality
+// row per flow) plus 30 link rows `sum(size * x) - cap * t <= -background`.
+// Links with background load have a negative rhs, so the tableau flips them
+// to >= rows; every fifth link has none and stays a <= row.
+LpProblem fig7_shaped_lp() {
+  constexpr int kFlows = 40, kCandidates = 4, kLinks = 30;
+  util::Rng rng(20051);
+  const int t_var = kFlows * kCandidates;
+  LpProblem p(t_var + 1);
+  p.set_objective_coeff(t_var, 1.0);
+  std::vector<std::vector<std::pair<int, double>>> link_terms(kLinks);
+  for (int f = 0; f < kFlows; ++f) {
+    const double size = rng.next_double(0.5, 20.0);
+    std::vector<std::pair<int, double>> one;
+    for (int c = 0; c < kCandidates; ++c) {
+      const int var = f * kCandidates + c;
+      one.emplace_back(var, 1.0);
+      const auto l1 = static_cast<std::size_t>(rng.next_below(kLinks));
+      auto l2 = static_cast<std::size_t>(rng.next_below(kLinks - 1));
+      if (l2 >= l1) ++l2;
+      link_terms[l1].emplace_back(var, size);
+      link_terms[l2].emplace_back(var, size);
+    }
+    p.add_constraint(std::move(one), Relation::kEq, 1.0);
+  }
+  for (int l = 0; l < kLinks; ++l) {
+    const double cap = rng.next_double(50.0, 150.0);
+    const double background = l % 5 == 0 ? 0.0 : rng.next_double(1.0, 40.0);
+    auto& terms = link_terms[static_cast<std::size_t>(l)];
+    terms.emplace_back(t_var, -cap);
+    p.add_constraint(std::move(terms), Relation::kLe, -background);
+  }
+  return p;
+}
+
+std::uint64_t solution_digest(const Solution& sol) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (double v : sol.x) h = util::fnv1a_mix(h, util::double_bits(v));
+  return util::fnv1a_mix(h, util::double_bits(sol.objective));
+}
+
+TEST(Simplex, Fig7ShapedLpBitsArePinned) {
+  const LpProblem p = fig7_shaped_lp();
+  const auto sol = SimplexSolver{}.solve(p);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  // Recorded with the baseline-ISA (SSE2) elimination loop; a change to the
+  // pivot's arithmetic (operation order, a fused multiply-add) moves it.
+  EXPECT_EQ(solution_digest(sol), 0x9f006cc3b2e7ea8bull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.objective),
+            std::bit_cast<std::uint64_t>(0.69508968358737611));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "capacity/capacity.hpp"
 #include "metrics/metrics.hpp"
 #include "opt/min_max_load.hpp"
@@ -115,6 +118,24 @@ TEST(MinMaxLoad, InputValidation) {
   EXPECT_THROW(
       solve_min_max_load(r, flows, {1}, routing::Assignment{{0}}, {}, caps),
       std::invalid_argument);
+}
+
+TEST(MinMaxLoad, NanCapacityThrows) {
+  auto pair = figure1_pair();
+  routing::PairRouting r(pair);
+  std::vector<traffic::Flow> flows{make_flow(0, Direction::kAtoB, 0, 2)};
+  routing::LoadMap caps;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  caps.per_side[0] = {kNan, kNan};
+  caps.per_side[1] = {kNan, kNan};
+  // Rejected by the capacity check itself, before any NaN reaches the LP.
+  try {
+    (void)solve_min_max_load(r, flows, {1}, routing::Assignment{{0}}, kAll, caps);
+    FAIL() << "a NaN capacity was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RoundToIntegral, PicksLargestShare) {
