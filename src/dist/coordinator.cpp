@@ -73,6 +73,33 @@ void reap(pid_t pid, int grace_ms) {
   }
 }
 
+/// Why a worker's result cannot be accepted, or "" when it can. A worker
+/// answers only the job it holds (a retired worker's channel is closed, so
+/// no late answer arrives), and a histogram bucket outside the registry's
+/// range would fold into a quietly wrong record.
+std::string reply_fault(const proto::DistResult& r, std::size_t job_count,
+                        bool busy, std::size_t job) {
+  if (r.job >= job_count) {
+    return "result for job " + std::to_string(r.job) + ", out of range (" +
+           std::to_string(job_count) + " jobs)";
+  }
+  if (!busy)
+    return "result for job " + std::to_string(r.job) + " while holding none";
+  if (r.job != job) {
+    return "result for job " + std::to_string(r.job) +
+           ", not its in-flight job " + std::to_string(job);
+  }
+  for (const proto::DistObsHistogram& h : r.histograms) {
+    for (const auto& [bucket, count] : h.buckets) {
+      if (bucket >= obs::kHistogramBuckets) {
+        return "histogram " + h.name + " bucket " + std::to_string(bucket) +
+               " out of range";
+      }
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 struct Coordinator::Worker {
@@ -216,7 +243,6 @@ std::size_t Coordinator::live_workers() const {
 int Coordinator::run(const std::vector<Job>& jobs,
                      std::vector<JobResult>* results) {
   results->assign(jobs.size(), JobResult{});
-  std::vector<char> done(jobs.size(), 0);
   std::vector<std::size_t> attempts(jobs.size(), 0);
   std::vector<std::size_t> queue;
   queue.reserve(jobs.size());
@@ -302,34 +328,32 @@ int Coordinator::run(const std::vector<Job>& jobs,
           break;
         }
         auto& r = std::get<proto::DistResult>(*message);
-        const std::size_t j = r.job;
-        // A result for a job already completed elsewhere (a worker that was
-        // slow, declared dead, then answered anyway) is dropped — exactly
-        // one result per job reaches the record.
-        if (j < jobs.size() && !done[j]) {
-          JobResult& out = (*results)[j];
-          out.rc = r.rc;
-          out.digest = r.digest;
-          out.error = std::move(r.error);
-          out.metrics = std::move(r.metrics);
-          out.obs.counters.reserve(r.counters.size());
-          for (const auto& [name, value] : r.counters)
-            out.obs.counters.push_back(obs::CounterSnapshot{name, value});
-          out.obs.histograms.reserve(r.histograms.size());
-          for (const proto::DistObsHistogram& h : r.histograms) {
-            obs::HistogramSnapshot hs;
-            hs.name = h.name;
-            hs.count = h.count;
-            hs.sum = h.sum;
-            hs.buckets.assign(obs::kHistogramBuckets, 0);
-            for (const auto& [bucket, count] : h.buckets)
-              if (bucket < obs::kHistogramBuckets) hs.buckets[bucket] = count;
-            out.obs.histograms.push_back(std::move(hs));
-          }
-          done[j] = 1;
-          ++completed;
+        const std::string fault = reply_fault(r, jobs.size(), w.busy, w.job);
+        if (!fault.empty()) {
+          retire(w, fault, &queue, &attempts);
+          break;
         }
-        if (w.busy && w.job == j) w.busy = false;
+        JobResult& out = (*results)[r.job];
+        out.rc = r.rc;
+        out.digest = r.digest;
+        out.error = std::move(r.error);
+        out.metrics = std::move(r.metrics);
+        out.obs.counters.reserve(r.counters.size());
+        for (const auto& [name, value] : r.counters)
+          out.obs.counters.push_back(obs::CounterSnapshot{name, value});
+        out.obs.histograms.reserve(r.histograms.size());
+        for (const proto::DistObsHistogram& h : r.histograms) {
+          obs::HistogramSnapshot hs;
+          hs.name = h.name;
+          hs.count = h.count;
+          hs.sum = h.sum;
+          hs.buckets.assign(obs::kHistogramBuckets, 0);
+          for (const auto& [bucket, count] : h.buckets)
+            hs.buckets[bucket] = count;
+          out.obs.histograms.push_back(std::move(hs));
+        }
+        ++completed;
+        w.busy = false;
       }
       if (!w.alive) continue;
       if (w.channel->failed()) {

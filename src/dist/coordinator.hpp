@@ -8,8 +8,10 @@
 // digests in declaration order regardless of completion order — the
 // property that makes any worker count bit-identical to in-process.
 //
-// Fault handling: a worker that dies (EOF, send failure, CRC poison) or
-// blows its per-job deadline has its in-flight job requeued; a job is
+// Fault handling: a worker that dies (EOF, send failure, CRC poison),
+// blows its per-job deadline, or sends a result it cannot have produced (a
+// job index out of range or other than the job it holds, a histogram
+// bucket out of range) is retired and its in-flight job requeued; a job is
 // retried at most `retries` times before the run fails. Worker death is
 // expected (the tests kill one mid-shard on purpose), so SIGPIPE is
 // ignored for the coordinator's lifetime and children are reaped.

@@ -184,8 +184,6 @@ class Tableau {
   Tableau& operator=(const Tableau&) = delete;
 
   [[nodiscard]] int num_artificials() const { return a_; }
-  [[nodiscard]] int first_artificial() const { return first_artificial_; }
-  [[nodiscard]] int structural_vars() const { return n_; }
   [[nodiscard]] double rhs(int row) const {
     return rows_[static_cast<std::size_t>(row)][static_cast<std::size_t>(cols_ - 1)];
   }

@@ -52,13 +52,6 @@ class IncrementalLoads {
   /// Used by the kExcluded open-flow model when a flow settles.
   void count_flow(std::size_t flow);
 
-  [[nodiscard]] std::size_t ix_of(std::size_t flow) const {
-    return ix_of_.at(flow);
-  }
-  [[nodiscard]] bool is_counted(std::size_t flow) const {
-    return counted_.at(flow) != 0;
-  }
-
   /// Current loads; recomputes only the links touched since the last call.
   /// Bit-identical to compute_loads() over the counted flows at their
   /// current interconnections (untracked sides read as all-zero).

@@ -1,61 +1,53 @@
 #include "sim/bandwidth_experiment.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
-#include "core/oracle_registry.hpp"
+#include "capacity/capacity.hpp"
 #include "metrics/metrics.hpp"
 #include "opt/min_max_load.hpp"
 #include "routing/loads.hpp"
+#include "sim/spec.hpp"
+#include "traffic/traffic.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nexit::sim {
 
 namespace {
 
-// Indices into each pair's util::fork_streams slot: the traffic matrix and
-// a dedicated source for the per-failure engine seeds. The seed stream
-// replaces the serial code's draws from the shared Rng (whose position
-// depended on earlier pairs), decoupling pairs from each other.
+// Indices into each pair's streams: the traffic matrix, and the source of
+// the per-failure engine seeds.
 constexpr std::size_t kTrafficStream = 0;
 constexpr std::size_t kEngineSeedStream = 1;
 
 }  // namespace
 
 std::vector<BandwidthSample> run_bandwidth_experiment(
-    const BandwidthExperimentConfig& config) {
-  // Reject unknown oracle names before the worker pool: a throw inside a
-  // pool worker would terminate the process instead of propagating.
-  for (const core::OracleSpec& objective : config.objective) {
-    if (core::OracleRegistry::global().find(objective.name) == nullptr) {
-      // build() throws the unknown-name error before touching capacities.
-      (void)core::OracleRegistry::global().build(
-          objective, {0, config.negotiation.preferences, nullptr});
-    }
-  }
+    const ExperimentSpec& spec) {
+  assert(spec.experiment == ExperimentKind::kBandwidth);
+  std::string error;
+  if (!spec.validate(&error)) throw std::invalid_argument(error);
 
-  // Failure experiments need >= 3 interconnections (>= 2 survivors).
-  const std::vector<topology::IspPair> pairs =
-      build_pair_universe(config.universe, 3);
+  traffic::TrafficConfig traffic_config;
+  traffic_config.model = spec.traffic_model;
+  capacity::CapacityConfig capacity_config;
+  capacity_config.round_up_power_of_two = spec.capacity_pow2;
+  capacity_config.unused_rule = spec.capacity_unused;
+  // Fig. 9's right-hand series is only meaningful when the downstream's
+  // objective is distance (possibly behind the cheating decorator).
+  const bool downstream_distance =
+      spec.resolved_objective(1).name == "distance";
 
-  util::Rng rng(config.universe.seed ^ 0xba5eba11ull);
-  std::vector<std::vector<util::Rng>> streams =
-      util::fork_streams(rng, pairs.size(), 2);
-
-  // Index-addressed slots: each pair yields a variable number of samples
-  // (one per usable failure), so workers fill their own per-pair vector and
-  // the coordinator concatenates them in pair order afterwards.
-  std::vector<std::vector<BandwidthSample>> per_pair(pairs.size());
-
-  const auto run_pair = [&pairs, &streams, &per_pair,
-                         &config](std::size_t pair_index) {
-    const topology::IspPair& pair = pairs[pair_index];
+  // Each pair yields one sample per usable failure.
+  const auto run_pair = [&](const topology::IspPair& pair,
+                            std::vector<util::Rng>& streams,
+                            std::vector<BandwidthSample>& pair_samples) {
     const routing::PairRouting routing(pair);
 
     // One direction of traffic at a time (paper §5.2); A is the upstream.
-    util::Rng traffic_rng = streams[pair_index][kTrafficStream];
+    util::Rng traffic_rng = streams[kTrafficStream];
     const traffic::TrafficMatrix tm = traffic::TrafficMatrix::build(
-        pair, traffic::Direction::kAtoB, config.traffic, traffic_rng);
+        pair, traffic::Direction::kAtoB, traffic_config, traffic_rng);
 
     std::vector<std::size_t> all_ix(pair.interconnection_count());
     for (std::size_t i = 0; i < all_ix.size(); ++i) all_ix[i] = i;
@@ -66,11 +58,10 @@ std::vector<BandwidthSample> run_bandwidth_experiment(
     const routing::LoadMap baseline =
         routing::compute_loads(routing, tm.flows(), pre_failure);
     const routing::LoadMap caps =
-        capacity::assign_capacities(baseline, config.capacity);
+        capacity::assign_capacities(baseline, capacity_config);
 
-    std::vector<BandwidthSample>& pair_samples = per_pair[pair_index];
     const std::size_t failures =
-        std::min(config.max_failures_per_pair, pair.interconnection_count());
+        std::min(spec.max_failures, pair.interconnection_count());
     for (std::size_t failed = 0; failed < failures; ++failed) {
       core::NegotiationProblem problem;
       try {
@@ -110,35 +101,16 @@ std::vector<BandwidthSample> run_bandwidth_experiment(
       s.mel_optimal[0] = metrics::side_mel(optimal_loads, caps, 0);
       s.mel_optimal[1] = metrics::side_mel(optimal_loads, caps, 1);
 
-      // Negotiated: Nexit with the configured per-side objectives, built
-      // fresh per failure (oracle incremental state must not leak between
-      // independent negotiations).
-      const core::PreferenceConfig pc = config.negotiation.preferences;
-      const core::OracleRegistry& registry = core::OracleRegistry::global();
-      const core::BuiltOracle oracle_a =
-          registry.build(config.objective[0], {0, pc, &caps});
-      const core::BuiltOracle oracle_b =
-          registry.build(config.objective[1], {1, pc, &caps});
-
-      core::NegotiationConfig ncfg = config.negotiation;
-      ncfg.seed = streams[pair_index][kEngineSeedStream].next_u64();
-      core::NegotiationEngine engine(problem, oracle_a.get(), oracle_b.get(),
-                                     ncfg);
-      const core::NegotiationOutcome outcome = engine.run();
-      s.flows_moved = outcome.flows_moved;
-      s.eval_calls_full = outcome.evaluate_calls_full;
-      s.eval_calls_incremental = outcome.evaluate_calls_incremental;
-      s.eval_rows_computed = outcome.evaluate_rows_computed;
-      s.eval_rows_full_equivalent = outcome.evaluate_rows_full_equivalent;
-      if (ncfg.record_trace) s.rounds = outcome.trace;
+      // Negotiated: Nexit with the spec's per-side objectives.
+      const core::NegotiationOutcome outcome = negotiate(
+          spec, problem, &caps, streams[kEngineSeedStream].next_u64(), s);
       const routing::LoadMap negotiated_loads =
           routing::compute_loads(routing, tm.flows(), outcome.assignment);
       s.mel_negotiated[0] = metrics::side_mel(negotiated_loads, caps, 0);
       s.mel_negotiated[1] = metrics::side_mel(negotiated_loads, caps, 1);
 
-      // Fig. 9 right-hand series: only meaningful when the downstream's
-      // objective is distance (possibly behind the cheating decorator).
-      if (config.objective[1].name == "distance") {
+      // Fig. 9 right-hand series.
+      if (downstream_distance) {
         double def_km = 0.0, neg_km = 0.0;
         for (std::size_t idx : problem.negotiable) {
           const traffic::Flow& f = tm.flows()[idx];
@@ -156,7 +128,7 @@ std::vector<BandwidthSample> run_bandwidth_experiment(
 
       // Fig. 8: upstream optimises its own network unilaterally (fractional
       // LP over upstream links only, then implemented integrally).
-      if (config.include_unilateral) {
+      if (spec.unilateral) {
         opt::MinMaxConfig up_only;
         up_only.constrain_side_a = true;
         up_only.constrain_side_b = false;
@@ -177,13 +149,9 @@ std::vector<BandwidthSample> run_bandwidth_experiment(
     }
   };
 
-  util::ThreadPool pool(util::workers_for_threads(config.threads));
-  util::parallel_for(pool, pairs.size(), run_pair);
-
-  std::vector<BandwidthSample> samples;
-  for (std::vector<BandwidthSample>& pair_samples : per_pair)
-    for (BandwidthSample& s : pair_samples) samples.push_back(std::move(s));
-  return samples;
+  // Failure experiments need >= 3 interconnections (>= 2 survivors).
+  return run_per_pair<BandwidthSample>(spec.universe(), 3, 0xba5eba11ull, 2,
+                                       spec.threads, run_pair);
 }
 
 }  // namespace nexit::sim

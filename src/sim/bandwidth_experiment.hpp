@@ -3,67 +3,18 @@
 #include <string>
 #include <vector>
 
-#include "capacity/capacity.hpp"
-#include "core/engine.hpp"
-#include "core/oracle_registry.hpp"
 #include "sim/pair_universe.hpp"
-#include "traffic/traffic.hpp"
 
 namespace nexit::sim {
 
-/// §5.2/§5.3/§5.4 experiment: an interconnection fails, the affected flows
-/// are re-routed by default (early-exit), globally optimal (fractional LP),
-/// negotiated (Nexit with bandwidth oracles), and optionally by unilateral
-/// upstream optimisation (Fig. 8). One direction of traffic at a time.
-struct BandwidthExperimentConfig {
-  UniverseConfig universe;
-  /// Paper setting: always-accept; the settlement rollback keeps it no-loss.
-  /// Callers set reassign_traffic_fraction (the paper uses 0.05).
-  core::NegotiationConfig negotiation = [] {
-    core::NegotiationConfig c;
-    c.acceptance = core::AcceptancePolicy::kProtective;
-    return c;
-  }();
-  traffic::TrafficConfig traffic;       // gravity model by default
-  capacity::CapacityConfig capacity;
-  /// Per-side objectives (0 = upstream ISP A, 1 = downstream ISP B), built
-  /// through core::OracleRegistry for every failure negotiation. The paper's
-  /// scenarios compose from here: `{"bandwidth", cheat=true}` upstream is
-  /// §5.4 / Fig. 11, `{"distance"}` downstream is §5.3 / Fig. 9, and
-  /// `{"piecewise"}` both sides is the §5.2 alternate-metric check — any
-  /// other combination is equally spellable without touching this file.
-  core::OracleSpec objective[2] = {{"bandwidth", false}, {"bandwidth", false}};
-  /// Also compute the Fig. 8 unilateral upstream optimisation series.
-  bool include_unilateral = true;
-  /// Cap on failures simulated per pair (one sample per failed link).
-  std::size_t max_failures_per_pair = 4;
-  /// Worker threads for the per-pair sweep: 1 = serial, 0 = auto-detect.
-  /// Results are bit-identical for every value (per-pair Rng streams are
-  /// forked sequentially before dispatch).
-  std::size_t threads = 1;
-};
-
-struct BandwidthSample {
+/// One failure of the §5.2 experiment; the engine totals are its
+/// negotiation's (flows_moved counts flows negotiated away from the
+/// post-failure default).
+struct BandwidthSample : EngineTotals {
   std::string pair_label;
   std::size_t failed_ix = 0;
   std::size_t affected_flows = 0;
   double affected_volume_fraction = 0.0;
-  std::size_t flows_moved = 0;  // negotiated away from post-failure default
-
-  // Oracle-evaluation telemetry from the negotiation engine: full calls
-  // recompute every preference row, incremental calls only the affected
-  // ones. rows_full_equivalent is what the same number of calls would have
-  // cost under full recomputation — the denominator for "fraction of the
-  // naive work actually done".
-  std::size_t eval_calls_full = 0;
-  std::size_t eval_calls_incremental = 0;
-  std::size_t eval_rows_computed = 0;
-  std::size_t eval_rows_full_equivalent = 0;
-
-  /// Per-round negotiation history; filled only when
-  /// negotiation.record_trace is set (the --trace pipeline). Excluded from
-  /// digest_samples like the telemetry.
-  std::vector<core::RoundTrace> rounds;
 
   // Per-side MELs (0 = upstream ISP A, 1 = downstream ISP B) after failure.
   double mel_default[2] = {0.0, 0.0};
@@ -80,7 +31,14 @@ struct BandwidthSample {
   }
 };
 
+/// §5.2/§5.3/§5.4 experiment (spec experiment=bandwidth): an
+/// interconnection fails, and the affected flows are re-routed by default
+/// (early-exit), globally optimal (fractional LP), negotiated (Nexit with
+/// the spec's objectives: a cheating upstream is §5.4 / Fig. 11, a distance
+/// downstream §5.3 / Fig. 9), and with `unilateral` by upstream-only
+/// optimisation (Fig. 8). One direction of traffic at a time. Throws
+/// std::invalid_argument with validate()'s message for an invalid spec.
 std::vector<BandwidthSample> run_bandwidth_experiment(
-    const BandwidthExperimentConfig& config);
+    const ExperimentSpec& spec);
 
 }  // namespace nexit::sim

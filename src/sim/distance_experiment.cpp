@@ -1,41 +1,62 @@
 #include "sim/distance_experiment.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "core/baselines.hpp"
-#include "core/oracle_registry.hpp"
 #include "metrics/metrics.hpp"
+#include "sim/spec.hpp"
 #include "traffic/traffic.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nexit::sim {
 
 namespace {
 
-// Indices into each pair's util::fork_streams slot. The order matches the
-// original serial loop's fork order (traffic, then negotiation, then — only
-// when baselines are enabled — baseline), so serial output is unchanged.
+// Indices into each pair's streams: traffic, negotiation, and — only with
+// the flow baselines — baseline.
 constexpr std::size_t kTrafficStream = 0;
 constexpr std::size_t kNegotiationStream = 1;
 constexpr std::size_t kBaselineStream = 2;
 
-/// Runs negotiation over `groups` random partitions of the flows (1 = the
-/// whole set, the paper's default). Returns the combined assignment and
-/// accumulates flows_moved.
-routing::Assignment negotiate_in_groups(
-    const routing::PairRouting& routing,
-    const std::vector<traffic::Flow>& flows,
-    const std::vector<std::size_t>& candidates,
-    const core::NegotiationProblem& whole, const DistanceExperimentConfig& cfg,
-    util::Rng& rng, DistanceSample& sample) {
-  core::PreferenceConfig pc = cfg.negotiation.preferences;
+void require_valid(const ExperimentSpec& spec) {
+  assert(spec.experiment == ExperimentKind::kDistance);
+  std::string error;
+  if (!spec.validate(&error)) throw std::invalid_argument(error);
+}
+
+/// One pair's §5.1 workload: unit-size flows in both directions (the
+/// paper's distance metric counts every PoP-pair flow equally), drawn from
+/// the pair's traffic stream, with every interconnection a candidate.
+struct Workload {
+  routing::PairRouting routing;
+  traffic::TrafficMatrix tm;
+  std::vector<std::size_t> candidates;
+};
+
+Workload distance_workload(const topology::IspPair& pair,
+                           util::Rng traffic_rng) {
+  traffic::TrafficConfig tcfg;
+  tcfg.model = traffic::WorkloadModel::kIdentical;
+  std::vector<std::size_t> candidates(pair.interconnection_count());
+  for (std::size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
+  return {routing::PairRouting(pair),
+          traffic::TrafficMatrix::build_bidirectional(pair, tcfg, traffic_rng),
+          std::move(candidates)};
+}
+
+/// Runs negotiation over `spec.groups` random partitions of the flows (1 =
+/// the whole set, the paper's default) and returns the combined assignment.
+routing::Assignment negotiate_in_groups(const core::NegotiationProblem& whole,
+                                        const ExperimentSpec& spec,
+                                        util::Rng& rng,
+                                        DistanceSample& sample) {
   routing::Assignment result = whole.default_assignment;
 
   std::vector<std::size_t> order = whole.negotiable;
-  if (cfg.groups > 1) rng.shuffle(order);
-  const std::size_t group_size = (order.size() + cfg.groups - 1) / cfg.groups;
+  if (spec.groups > 1) rng.shuffle(order);
+  const std::size_t group_size = (order.size() + spec.groups - 1) / spec.groups;
 
-  for (std::size_t g = 0; g < cfg.groups; ++g) {
+  for (std::size_t g = 0; g < spec.groups; ++g) {
     const std::size_t begin = g * group_size;
     if (begin >= order.size()) break;
     const std::size_t end = std::min(order.size(), begin + group_size);
@@ -43,125 +64,71 @@ routing::Assignment negotiate_in_groups(
     core::NegotiationProblem problem = whole;
     problem.negotiable.assign(order.begin() + static_cast<std::ptrdiff_t>(begin),
                               order.begin() + static_cast<std::ptrdiff_t>(end));
-
-    // Fresh oracles per group, like the serial code always had: an oracle's
-    // incremental state must not leak between independent negotiations.
-    const core::OracleRegistry& registry = core::OracleRegistry::global();
-    const core::BuiltOracle oracle_a =
-        registry.build(cfg.objective[0], {0, pc, nullptr});
-    const core::BuiltOracle oracle_b =
-        registry.build(cfg.objective[1], {1, pc, nullptr});
-
-    core::NegotiationConfig ncfg = cfg.negotiation;
-    ncfg.seed = rng.next_u64();
-    core::NegotiationEngine engine(problem, oracle_a.get(), oracle_b.get(),
-                                   ncfg);
-    const core::NegotiationOutcome outcome = engine.run();
-    sample.flows_moved += outcome.flows_moved;
-    sample.eval_calls_full += outcome.evaluate_calls_full;
-    sample.eval_calls_incremental += outcome.evaluate_calls_incremental;
-    sample.eval_rows_computed += outcome.evaluate_rows_computed;
-    sample.eval_rows_full_equivalent += outcome.evaluate_rows_full_equivalent;
-    if (ncfg.record_trace)
-      sample.rounds.insert(sample.rounds.end(), outcome.trace.begin(),
-                           outcome.trace.end());
+    const core::NegotiationOutcome outcome =
+        negotiate(spec, problem, nullptr, rng.next_u64(), sample);
     for (std::size_t idx : problem.negotiable)
       result.ix_of_flow[idx] = outcome.assignment.ix_of_flow[idx];
   }
-  (void)flows;
-  (void)routing;
-  (void)candidates;
   return result;
 }
 
 }  // namespace
 
 std::vector<DistanceSample> run_distance_experiment(
-    const DistanceExperimentConfig& config) {
-  // Probe-build both objectives before the worker pool: build() throws
-  // std::invalid_argument for unknown names and for load-dependent oracles
-  // (no capacity model here); a throw inside a pool worker would terminate
-  // the process instead of propagating to the caller.
-  for (const core::OracleSpec& objective : config.objective) {
-    (void)core::OracleRegistry::global().build(
-        objective, {0, config.negotiation.preferences, nullptr});
-  }
+    const ExperimentSpec& spec) {
+  require_valid(spec);
 
-  // The paper's distance experiment needs pairs with >= 2 interconnections.
-  const std::vector<topology::IspPair> pairs =
-      build_pair_universe(config.universe, 2);
-
-  // Pre-fork every pair's Rng streams (see util::fork_streams for why this
-  // makes an N-thread run bit-identical to a serial one).
-  util::Rng rng(config.universe.seed ^ 0x5eedf00dull);
-  std::vector<std::vector<util::Rng>> streams = util::fork_streams(
-      rng, pairs.size(), config.run_flow_pair_baselines ? 3 : 2);
-
-  // Index-addressed result slots: worker i writes only samples[i], so the
-  // hot path needs no locks and the output order matches the serial run.
-  std::vector<DistanceSample> samples(pairs.size());
-
-  const auto run_pair = [&pairs, &streams, &samples,
-                         &config](std::size_t pair_index) {
-    const topology::IspPair& pair = pairs[pair_index];
-    const routing::PairRouting routing(pair);
-
-    // Unit-size flows in both directions (the paper's distance metric counts
-    // every PoP-pair flow equally).
-    traffic::TrafficConfig tcfg;
-    tcfg.model = traffic::WorkloadModel::kIdentical;
-    util::Rng traffic_rng = streams[pair_index][kTrafficStream];
-    const traffic::TrafficMatrix tm =
-        traffic::TrafficMatrix::build_bidirectional(pair, tcfg, traffic_rng);
-
-    std::vector<std::size_t> candidates(pair.interconnection_count());
-    for (std::size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
+  const auto run_pair = [&spec](const topology::IspPair& pair,
+                                std::vector<util::Rng>& streams,
+                                std::vector<DistanceSample>& out) {
+    const Workload w = distance_workload(pair, streams[kTrafficStream]);
+    const routing::PairRouting& routing = w.routing;
+    const std::vector<traffic::Flow>& flows = w.tm.flows();
 
     const core::NegotiationProblem problem =
-        core::make_distance_problem(routing, tm.flows(), candidates);
+        core::make_distance_problem(routing, flows, w.candidates);
     const routing::Assignment optimal =
-        routing::assign_min_total_km(routing, tm.flows(), candidates);
+        routing::assign_min_total_km(routing, flows, w.candidates);
 
     DistanceSample s;
     s.pair_label = pair.label();
     s.interconnections = pair.interconnection_count();
-    s.flow_count = tm.size();
+    s.flow_count = w.tm.size();
 
-    util::Rng pair_rng = streams[pair_index][kNegotiationStream];
+    util::Rng pair_rng = streams[kNegotiationStream];
     const routing::Assignment negotiated =
-        negotiate_in_groups(routing, tm.flows(), candidates, problem, config,
-                            pair_rng, s);
+        negotiate_in_groups(problem, spec, pair_rng, s);
 
     s.default_km =
-        metrics::total_flow_km(routing, tm.flows(), problem.default_assignment);
-    s.optimal_km = metrics::total_flow_km(routing, tm.flows(), optimal);
-    s.negotiated_km = metrics::total_flow_km(routing, tm.flows(), negotiated);
+        metrics::total_flow_km(routing, flows, problem.default_assignment);
+    s.optimal_km = metrics::total_flow_km(routing, flows, optimal);
+    s.negotiated_km = metrics::total_flow_km(routing, flows, negotiated);
     for (int side = 0; side < 2; ++side) {
       s.default_side_km[side] = metrics::side_flow_km(
-          routing, tm.flows(), problem.default_assignment, side);
+          routing, flows, problem.default_assignment, side);
       s.optimal_side_km[side] =
-          metrics::side_flow_km(routing, tm.flows(), optimal, side);
+          metrics::side_flow_km(routing, flows, optimal, side);
       s.negotiated_side_km[side] =
-          metrics::side_flow_km(routing, tm.flows(), negotiated, side);
+          metrics::side_flow_km(routing, flows, negotiated, side);
     }
 
-    if (config.run_flow_pair_baselines) {
-      util::Rng baseline_rng = streams[pair_index][kBaselineStream];
+    if (spec.flow_baselines) {
+      util::Rng baseline_rng = streams[kBaselineStream];
       const routing::Assignment pareto = core::flow_pair_strategy(
-          routing, tm.flows(), candidates, problem.default_assignment,
+          routing, flows, w.candidates, problem.default_assignment,
           core::FlowPairStrategy::kFlowPareto, baseline_rng);
       const routing::Assignment both = core::flow_pair_strategy(
-          routing, tm.flows(), candidates, problem.default_assignment,
+          routing, flows, w.candidates, problem.default_assignment,
           core::FlowPairStrategy::kFlowBothBetter, baseline_rng);
-      s.pareto_km = metrics::total_flow_km(routing, tm.flows(), pareto);
-      s.bothbetter_km = metrics::total_flow_km(routing, tm.flows(), both);
+      s.pareto_km = metrics::total_flow_km(routing, flows, pareto);
+      s.bothbetter_km = metrics::total_flow_km(routing, flows, both);
     }
 
     // Flow-level view (Fig. 6).
-    s.flow_gain_pct_optimal.reserve(tm.size());
-    s.flow_gain_pct_negotiated.reserve(tm.size());
-    for (std::size_t i = 0; i < tm.size(); ++i) {
-      const traffic::Flow& f = tm.flows()[i];
+    s.flow_gain_pct_optimal.reserve(flows.size());
+    s.flow_gain_pct_negotiated.reserve(flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const traffic::Flow& f = flows[i];
       const double def =
           routing.total_km(f, problem.default_assignment.ix_of_flow[i]);
       const double opt = routing.total_km(f, optimal.ix_of_flow[i]);
@@ -169,15 +136,56 @@ std::vector<DistanceSample> run_distance_experiment(
       const double denom = def > 0.0 ? def : 1.0;
       s.flow_gain_pct_optimal.push_back((def - opt) / denom * 100.0);
       s.flow_gain_pct_negotiated.push_back((def - neg) / denom * 100.0);
-      s.flow_saving_km_negotiated.push_back((def - neg) * tm.flows()[i].size);
+      s.flow_saving_km_negotiated.push_back((def - neg) * f.size);
     }
-
-    samples[pair_index] = std::move(s);
+    out.push_back(std::move(s));
   };
+  // The paper's distance experiment needs pairs with >= 2 interconnections.
+  return run_per_pair<DistanceSample>(spec.universe(), 2, 0x5eedf00dull,
+                                      spec.flow_baselines ? 3 : 2,
+                                      spec.threads, run_pair);
+}
 
-  util::ThreadPool pool(util::workers_for_threads(config.threads));
-  util::parallel_for(pool, pairs.size(), run_pair);
-  return samples;
+std::vector<DestinationSample> run_destination_experiment(
+    const ExperimentSpec& spec) {
+  require_valid(spec);
+
+  // Streams: traffic, then one engine-seed source for both modes.
+  const auto run_pair = [&spec](const topology::IspPair& pair,
+                                std::vector<util::Rng>& streams,
+                                std::vector<DestinationSample>& out) {
+    const Workload w = distance_workload(pair, streams[0]);
+    const std::vector<traffic::Flow>& flows = w.tm.flows();
+    const auto gain = [](double def, double neg) {
+      return def > 0 ? (def - neg) / def * 100.0 : 0.0;
+    };
+    const auto run_mode = [&](const core::NegotiationProblem& problem,
+                              double& total_out, double* side_out) {
+      EngineTotals unused;  // the ablation records gains only
+      const core::NegotiationOutcome outcome =
+          negotiate(spec, problem, nullptr, streams[1].next_u64(), unused);
+      total_out = gain(
+          metrics::total_flow_km(w.routing, flows, problem.default_assignment),
+          metrics::total_flow_km(w.routing, flows, outcome.assignment));
+      if (side_out == nullptr) return;
+      for (int side = 0; side < 2; ++side) {
+        side_out[side] =
+            gain(metrics::side_flow_km(w.routing, flows,
+                                       problem.default_assignment, side),
+                 metrics::side_flow_km(w.routing, flows, outcome.assignment,
+                                       side));
+      }
+    };
+
+    DestinationSample s;
+    run_mode(core::make_distance_problem(w.routing, flows, w.candidates),
+             s.sd_gain, nullptr);
+    run_mode(core::make_destination_problem(w.routing, flows, w.candidates),
+             s.db_gain, s.db_side_gain);
+    out.push_back(s);
+  };
+  return run_per_pair<DestinationSample>(spec.universe(), 2, 0xddddull, 2,
+                                         spec.threads, run_pair);
 }
 
 }  // namespace nexit::sim

@@ -3,60 +3,16 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/oracle_registry.hpp"
 #include "sim/pair_universe.hpp"
 
 namespace nexit::sim {
 
-/// §5.1 experiment: steady-state distance/cost, flows in both directions,
-/// early-exit default, per-flow optimal, and Nexit negotiation with distance
-/// oracles. Optionally one ISP cheats (§5.4, Fig. 10) and the Fig. 5
-/// flow-pair strategies are evaluated alongside.
-struct DistanceExperimentConfig {
-  UniverseConfig universe;
-  /// Matches the paper's experimental setting: proposals always accepted
-  /// ("our goal is to evaluate the benefit of negotiation when ISPs
-  /// cooperate fully"); the §6 settlement rollback still guarantees that no
-  /// ISP ends below its default.
-  core::NegotiationConfig negotiation = [] {
-    core::NegotiationConfig c;
-    c.acceptance = core::AcceptancePolicy::kProtective;
-    return c;
-  }();
-  /// Per-side objectives (0 = ISP A, 1 = ISP B), built through
-  /// core::OracleRegistry for every group negotiation. The distance
-  /// experiment computes no capacity model, so only capacity-free oracles
-  /// are usable here; `cheat` on a side reproduces §5.4 / Fig. 10.
-  core::OracleSpec objective[2] = {{"distance", false}, {"distance", false}};
-  /// Also run the Fig. 5 baselines (flow-Pareto / flow-both-better).
-  bool run_flow_pair_baselines = true;
-  /// Negotiate in `groups` random partitions instead of the whole set
-  /// (1 = whole set; >1 reproduces the §5.1 group-negotiation ablation).
-  std::size_t groups = 1;
-  /// Worker threads for the per-pair sweep: 1 = serial, 0 = auto-detect.
-  /// Results are bit-identical for every value (per-pair Rng streams are
-  /// forked sequentially before dispatch).
-  std::size_t threads = 1;
-};
-
-struct DistanceSample {
+/// One pair of the §5.1 experiment; the engine totals sum over its group
+/// negotiations.
+struct DistanceSample : EngineTotals {
   std::string pair_label;
   std::size_t interconnections = 0;
   std::size_t flow_count = 0;
-  std::size_t flows_moved = 0;
-
-  // Oracle-evaluation telemetry summed over the negotiation runs (one per
-  // group); see BandwidthSample for field semantics.
-  std::size_t eval_calls_full = 0;
-  std::size_t eval_calls_incremental = 0;
-  std::size_t eval_rows_computed = 0;
-  std::size_t eval_rows_full_equivalent = 0;
-
-  /// Per-round negotiation history, concatenated over the group
-  /// negotiations; filled only when negotiation.record_trace is set (the
-  /// --trace pipeline). Excluded from digest_samples like the telemetry.
-  std::vector<core::RoundTrace> rounds;
 
   // Total km across both ISPs, all flows.
   double default_km = 0.0;
@@ -87,7 +43,28 @@ struct DistanceSample {
   }
 };
 
-std::vector<DistanceSample> run_distance_experiment(
-    const DistanceExperimentConfig& config);
+/// §5.1 experiment (spec experiment=distance): steady-state distance/cost,
+/// unit flows in both directions, early-exit default, per-flow optimal, and
+/// Nexit negotiation with the spec's objectives (one cheating side is §5.4 /
+/// Fig. 10). `flow-baselines` adds the Fig. 5 flow-pair strategies, and
+/// `groups` > 1 negotiates in random partitions (the §5.1 group ablation).
+/// Throws std::invalid_argument with validate()'s message for an invalid
+/// spec.
+std::vector<DistanceSample> run_distance_experiment(const ExperimentSpec& spec);
+
+/// One pair of the footnote-2 ablation: total gain of source-destination
+/// and of destination-based negotiation, each versus its own default, and
+/// each ISP's gain under destination-based negotiation.
+struct DestinationSample {
+  double sd_gain = 0.0;
+  double db_gain = 0.0;
+  double db_side_gain[2] = {0.0, 0.0};
+};
+
+/// Footnote 2 on the §5.1 workload: every pair negotiated once per flow
+/// model (source-destination, then destination-based). Throws like
+/// run_distance_experiment.
+std::vector<DestinationSample> run_destination_experiment(
+    const ExperimentSpec& spec);
 
 }  // namespace nexit::sim

@@ -1,7 +1,8 @@
 #include "sim/pair_universe.hpp"
 
+#include "core/oracle_registry.hpp"
 #include "geo/city_db.hpp"
-#include "util/rng.hpp"
+#include "sim/spec.hpp"
 
 namespace nexit::sim {
 
@@ -28,6 +29,30 @@ std::vector<topology::IspPair> build_pair_universe(const UniverseConfig& config,
                 pairs.end());
   }
   return pairs;
+}
+
+core::NegotiationOutcome negotiate(const ExperimentSpec& spec,
+                                   const core::NegotiationProblem& problem,
+                                   const routing::LoadMap* capacities,
+                                   std::uint64_t seed, EngineTotals& totals) {
+  core::NegotiationConfig config = spec.to_negotiation_config();
+  config.seed = seed;
+  const core::OracleRegistry& registry = core::OracleRegistry::global();
+  const core::BuiltOracle a = registry.build(
+      spec.resolved_objective(0), {0, config.preferences, capacities});
+  const core::BuiltOracle b = registry.build(
+      spec.resolved_objective(1), {1, config.preferences, capacities});
+  core::NegotiationEngine engine(problem, a.get(), b.get(), config);
+  core::NegotiationOutcome outcome = engine.run();
+
+  totals.flows_moved += outcome.flows_moved;
+  totals.eval_calls_full += outcome.evaluate_calls_full;
+  totals.eval_calls_incremental += outcome.evaluate_calls_incremental;
+  totals.eval_rows_computed += outcome.evaluate_rows_computed;
+  totals.eval_rows_full_equivalent += outcome.evaluate_rows_full_equivalent;
+  totals.rounds.insert(totals.rounds.end(), outcome.trace.begin(),
+                       outcome.trace.end());
+  return outcome;
 }
 
 }  // namespace nexit::sim

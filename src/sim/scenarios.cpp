@@ -13,20 +13,16 @@
 #include <type_traits>
 
 #include "core/engine.hpp"
-#include "core/oracle_registry.hpp"
 #include "dist/coordinator.hpp"
 #include "core/problem.hpp"
 #include "geo/coord.hpp"
 #include "graph/graph.hpp"
-#include "metrics/metrics.hpp"
 #include "obs/registry.hpp"
 #include "obs/wall_clock.hpp"
 #include "routing/pair_routing.hpp"
 #include "topology/isp_topology.hpp"
 #include "traffic/traffic.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nexit::sim {
 
@@ -277,9 +273,9 @@ template <typename S>
 Measured<S> measure(const ExperimentSpec& spec, bool arm_pair) {
   const auto run = [](const ExperimentSpec& s) {
     if constexpr (std::is_same_v<S, DistanceSample>) {
-      return run_distance_experiment(s.to_distance_config());
+      return run_distance_experiment(s);
     } else {
-      return run_bandwidth_experiment(s.to_bandwidth_config());
+      return run_bandwidth_experiment(s);
     }
   };
   Measured<S> m;
@@ -469,8 +465,8 @@ void put_count(util::JsonReport& record, const char* name, std::size_t n) {
   record.metric(name, static_cast<std::int64_t>(n));
 }
 
-template <typename S>
-std::size_t total(const std::vector<S>& samples, std::size_t S::*field) {
+template <typename S, typename Field>
+std::size_t total(const std::vector<S>& samples, Field field) {
   std::size_t sum = 0;
   for (const S& s : samples) sum += s.*field;
   return sum;
@@ -1251,15 +1247,7 @@ int run_table3(ScenarioContext& ctx) {
 // abl_destination_based: footnote-2 destination-based routing
 // ------------------------------------------------------------------------
 
-/// Everything one pair contributes to the aggregates, filled by a worker
-/// into its own index-addressed slot (same scheme as the experiment
-/// engines: bit-identical results for any thread count).
-struct DestinationPairResult {
-  double sd_gain = 0.0;
-  double db_gain = 0.0;
-  double db_side_gain[2] = {0.0, 0.0};
-};
-using P = DestinationPairResult;
+using P = DestinationSample;
 
 constexpr Column<P> kSourceDest{
     "gain_pct.source_dest", "source-dest",
@@ -1298,77 +1286,16 @@ const Rows<P> kDestinationBased{
     }};
 
 int run_abl_destination_based(ScenarioContext& ctx) {
-  const UniverseConfig ucfg = ctx.spec.universe();
-  const DistanceExperimentConfig base = ctx.spec.to_distance_config();
-  const core::NegotiationConfig ncfg_base = base.negotiation;
   print_bench_header(kDestinationBased.figure, kDestinationBased.title,
                      ctx.spec.universe_summary());
-
-  const auto pairs = build_pair_universe(ucfg, 2);
-  if (pairs.empty()) return no_samples();
-
-  // Pre-fork per-pair streams (traffic, then one seed source for both
-  // modes) so the sweep shards across workers deterministically; see
-  // util::fork_streams.
-  util::Rng rng(ucfg.seed ^ 0xdddd);
-  std::vector<std::vector<util::Rng>> streams =
-      util::fork_streams(rng, pairs.size(), 2);
-
-  std::vector<P> results(pairs.size());
-  const auto run_pair = [&](std::size_t pair_index) {
-    const auto& pair = pairs[pair_index];
-    routing::PairRouting routing(pair);
-    traffic::TrafficConfig tcfg;
-    tcfg.model = traffic::WorkloadModel::kIdentical;
-    util::Rng trng = streams[pair_index][0];  // traffic stream
-    auto tm = traffic::TrafficMatrix::build_bidirectional(pair, tcfg, trng);
-    std::vector<std::size_t> cands(pair.interconnection_count());
-    for (std::size_t i = 0; i < cands.size(); ++i) cands[i] = i;
-
-    P& res = results[pair_index];
-    auto run_mode = [&](const core::NegotiationProblem& problem,
-                        double& total_out, double* side_out) {
-      const core::OracleRegistry& registry = core::OracleRegistry::global();
-      const core::BuiltOracle a =
-          registry.build(base.objective[0], {0, ncfg_base.preferences, nullptr});
-      const core::BuiltOracle b =
-          registry.build(base.objective[1], {1, ncfg_base.preferences, nullptr});
-      core::NegotiationConfig ncfg = ncfg_base;
-      ncfg.seed = streams[pair_index][1].next_u64();  // engine-seed stream
-      core::NegotiationEngine engine(problem, a.get(), b.get(), ncfg);
-      auto out = engine.run();
-      const double def = metrics::total_flow_km(routing, tm.flows(),
-                                                problem.default_assignment);
-      const double neg =
-          metrics::total_flow_km(routing, tm.flows(), out.assignment);
-      total_out = def > 0 ? (def - neg) / def * 100.0 : 0.0;
-      if (side_out != nullptr) {
-        for (int side = 0; side < 2; ++side) {
-          const double dside = metrics::side_flow_km(
-              routing, tm.flows(), problem.default_assignment, side);
-          const double nside =
-              metrics::side_flow_km(routing, tm.flows(), out.assignment, side);
-          side_out[side] = dside > 0 ? (dside - nside) / dside * 100.0 : 0.0;
-        }
-      }
-    };
-
-    run_mode(core::make_distance_problem(routing, tm.flows(), cands),
-             res.sd_gain, nullptr);
-    run_mode(core::make_destination_problem(routing, tm.flows(), cands),
-             res.db_gain, res.db_side_gain);
-  };
-
-  util::ThreadPool pool(util::workers_for_threads(ctx.spec.threads));
-  util::parallel_for(pool, pairs.size(), run_pair);
-
-  for (const P& r : results) {
+  Measured<P> m;
+  m.samples = run_destination_experiment(ctx.spec);
+  if (m.samples.empty()) return no_samples();
+  for (const P& r : m.samples) {
     ctx.mix_double(r.sd_gain);
     ctx.mix_double(r.db_gain);
     for (double side : r.db_side_gain) ctx.mix_double(side);
   }
-  Measured<P> m;
-  m.samples = std::move(results);
   return report(ctx, kDestinationBased, m);
 }
 

@@ -25,6 +25,8 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/scenario.hpp"
+#include "sim/bandwidth_experiment.hpp"
+#include "sim/distance_experiment.hpp"
 #include "sim/spec.hpp"
 #include "util/digest.hpp"
 #include "util/json_report.hpp"

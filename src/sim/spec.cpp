@@ -1189,35 +1189,6 @@ core::NegotiationConfig ExperimentSpec::to_negotiation_config() const {
   return c;
 }
 
-DistanceExperimentConfig ExperimentSpec::to_distance_config() const {
-  assert(experiment == ExperimentKind::kDistance);
-  DistanceExperimentConfig cfg;
-  cfg.universe = universe();
-  cfg.negotiation = to_negotiation_config();
-  cfg.objective[0] = resolved_objective(0);
-  cfg.objective[1] = resolved_objective(1);
-  cfg.run_flow_pair_baselines = flow_baselines;
-  cfg.groups = groups;
-  cfg.threads = threads;
-  return cfg;
-}
-
-BandwidthExperimentConfig ExperimentSpec::to_bandwidth_config() const {
-  assert(experiment == ExperimentKind::kBandwidth);
-  BandwidthExperimentConfig cfg;
-  cfg.universe = universe();
-  cfg.negotiation = to_negotiation_config();
-  cfg.objective[0] = resolved_objective(0);
-  cfg.objective[1] = resolved_objective(1);
-  cfg.traffic.model = traffic_model;
-  cfg.capacity.round_up_power_of_two = capacity_pow2;
-  cfg.capacity.unused_rule = capacity_unused;
-  cfg.include_unilateral = unilateral;
-  cfg.max_failures_per_pair = max_failures;
-  cfg.threads = threads;
-  return cfg;
-}
-
 runtime::ScenarioConfig ExperimentSpec::to_runtime_config() const {
   assert(experiment == ExperimentKind::kRuntime);
   runtime::ScenarioConfig c;

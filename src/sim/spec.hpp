@@ -35,10 +35,11 @@
 #include <utility>
 #include <vector>
 
+#include "capacity/capacity.hpp"
 #include "core/oracle_registry.hpp"
 #include "runtime/scenario.hpp"
-#include "sim/bandwidth_experiment.hpp"
-#include "sim/distance_experiment.hpp"
+#include "sim/pair_universe.hpp"
+#include "traffic/traffic.hpp"
 #include "util/flags.hpp"
 
 namespace nexit::sim {
@@ -215,7 +216,7 @@ struct ExperimentSpec {
 
   // --- per-side objectives ---------------------------------------------
   /// "default" resolves per experiment kind (distance -> "distance",
-  /// bandwidth -> "bandwidth") at config-build time; any OracleRegistry
+  /// bandwidth -> "bandwidth") when an engine builds it; any OracleRegistry
   /// name or "cheat:<name>" is valid.
   core::OracleSpec objective[2] = {{"default", false}, {"default", false}};
 
@@ -310,14 +311,12 @@ struct ExperimentSpec {
   /// (runtime sessions negotiate distance, like the initial sessions do).
   [[nodiscard]] core::OracleSpec resolved_objective(int side) const;
 
-  /// Engine configs. Each requires validate() to have passed and asserts
-  /// the experiment kind matches.
-  [[nodiscard]] DistanceExperimentConfig to_distance_config() const;
-  [[nodiscard]] BandwidthExperimentConfig to_bandwidth_config() const;
+  /// The runtime scenario's config. Requires validate() to have passed and
+  /// asserts experiment=runtime.
   [[nodiscard]] runtime::ScenarioConfig to_runtime_config() const;
 
-  /// The shared §4 negotiation-policy block of both engine configs and the
-  /// runtime scenario.
+  /// The §4 negotiation-policy block the experiment engines and the runtime
+  /// sessions negotiate under.
   [[nodiscard]] core::NegotiationConfig to_negotiation_config() const;
 
   /// One-line human summary of the universe ("65 synthetic ISPs, seed 42,

@@ -93,11 +93,6 @@ double Cdf::max() const {
   return samples_.back();
 }
 
-const std::vector<double>& Cdf::sorted_samples() const {
-  ensure_sorted();
-  return samples_;
-}
-
 std::string format_cdf_table(const std::vector<std::string>& names,
                              const std::vector<const Cdf*>& cdfs,
                              const std::vector<double>& percentiles_wanted,

@@ -52,9 +52,6 @@ class Cdf {
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
-  /// Sorted copy of the sample.
-  [[nodiscard]] const std::vector<double>& sorted_samples() const;
-
  private:
   void ensure_sorted() const;
 

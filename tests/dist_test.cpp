@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -445,6 +446,136 @@ TEST(DistRun, RuntimeTimelineShardsAsASingleJob) {
   EXPECT_EQ(read_file(sharded), read_file(inproc));
   std::remove(inproc.c_str());
   std::remove(sharded.c_str());
+}
+
+// --- bad worker replies ----------------------------------------------------
+
+/// A worker behind a loopback TcpListener: `serve` runs on its own thread
+/// over the one connection the coordinator opens.
+class LoopbackWorker {
+ public:
+  explicit LoopbackWorker(std::function<void(dist::FramedChannel&)> serve)
+      : listener_("127.0.0.1", 0), thread_([this, serve] {
+          std::unique_ptr<agent::Channel> channel = listener_.accept(30000);
+          if (channel == nullptr) return;
+          dist::FramedChannel framed(std::move(channel));
+          serve(framed);
+        }) {}
+  ~LoopbackWorker() { thread_.join(); }
+  LoopbackWorker(const LoopbackWorker&) = delete;
+  LoopbackWorker& operator=(const LoopbackWorker&) = delete;
+
+  [[nodiscard]] std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(listener_.port());
+  }
+
+ private:
+  dist::TcpListener listener_;
+  std::thread thread_;
+};
+
+using Reply = std::function<proto::DistResult(const proto::DistJob&)>;
+
+/// A scripted stand-in for nexit_workerd: says hello and answers every job
+/// with `reply(job)` until the coordinator hangs up.
+void scripted_worker(dist::FramedChannel& channel, const Reply& reply) {
+  if (!channel.send(proto::DistHello{}, 30000)) return;
+  while (auto message = channel.receive(30000)) {
+    if (!std::holds_alternative<proto::DistJob>(*message)) return;
+    if (!channel.send(reply(std::get<proto::DistJob>(*message)), 30000))
+      return;
+  }
+}
+
+TEST(DistRun, BadWorkerRepliesRetireTheWorker) {
+  // Three points: the fake worker (first endpoint) holds job 0, the real
+  // one job 1, and job 2 waits in the queue.
+  const std::vector<std::string> sweep = {"isps=12", "pairs=2",
+                                          "sweep.isps=12,13,14"};
+  const auto run = [&](const std::string& connect, const std::string& json) {
+    std::vector<std::string> flags = sweep;
+    flags.push_back("json=" + json);
+    flags.push_back("dist.connect=" + connect);
+    return sim::run_scenario(*sim::find_scenario("custom"), kv_flags(flags));
+  };
+  const std::string base = temp_path("_inproc.json");
+  {
+    std::vector<std::string> flags = sweep;
+    flags.push_back("json=" + base);
+    ASSERT_EQ(
+        sim::run_scenario(*sim::find_scenario("custom"), kv_flags(flags)), 0);
+  }
+  const std::string reference = read_file(base);
+  std::remove(base.c_str());
+
+  /// A plausible success for `job` (a digest no run produces) that a
+  /// coordinator accepting it would fold into a different record.
+  const auto forged = [](std::uint32_t job) {
+    proto::DistResult r;
+    r.job = job;
+    r.digest = 0x0badull;
+    return r;
+  };
+  struct Case {
+    const char* name;
+    Reply reply;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {"a job still in the queue", [&](auto&) { return forged(2); },
+       "result for job 2, not its in-flight job 0"},
+      {"a job index out of range", [&](auto&) { return forged(99); },
+       "result for job 99, out of range (3 jobs)"},
+      {"a histogram bucket out of range",
+       [&](const proto::DistJob& job) {
+         proto::DistResult r = forged(job.job);
+         proto::DistObsHistogram h;
+         h.name = "engine.rounds";
+         h.count = 1;
+         h.buckets = {{static_cast<std::uint32_t>(obs::kHistogramBuckets), 1}};
+         r.histograms = {h};
+         return r;
+       },
+       "histogram engine.rounds bucket 65 out of range"}};
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string json = temp_path("_bad.json");
+    std::remove(json.c_str());
+
+    // Beside a real worker: the fake is retired, its job requeued, and the
+    // record is the in-process one byte for byte.
+    {
+      LoopbackWorker fake(
+          [&](dist::FramedChannel& ch) { scripted_worker(ch, c.reply); });
+      LoopbackWorker real(
+          [](dist::FramedChannel& ch) { (void)dist::serve(ch); });
+      ::testing::internal::CaptureStderr();
+      const int rc = run(fake.endpoint() + "," + real.endpoint(), json);
+      const std::string err = ::testing::internal::GetCapturedStderr();
+      EXPECT_EQ(rc, 0) << err;
+      EXPECT_EQ(read_file(json), reference);
+      EXPECT_NE(err.find(fake.endpoint() + " lost (" + c.reason + ")"),
+                std::string::npos)
+          << err;
+    }
+    std::remove(json.c_str());
+
+    // Alone: the run fails naming the worker and writes no record.
+    {
+      LoopbackWorker fake(
+          [&](dist::FramedChannel& ch) { scripted_worker(ch, c.reply); });
+      ::testing::internal::CaptureStderr();
+      const int rc = run(fake.endpoint(), json);
+      const std::string err = ::testing::internal::GetCapturedStderr();
+      EXPECT_NE(rc, 0);
+      EXPECT_NE(err.find(fake.endpoint() + " lost (" + c.reason + ")"),
+                std::string::npos)
+          << err;
+      EXPECT_TRUE(read_file(json).empty());
+    }
+    std::remove(json.c_str());
+  }
 }
 
 TEST(DistRun, CoordinatorFailsCleanlyWhenWorkerCannotBeSpawned) {

@@ -20,6 +20,7 @@
 #include "routing/incremental_loads.hpp"
 #include "sim/bandwidth_experiment.hpp"
 #include "sim/pair_universe.hpp"
+#include "sim/spec.hpp"
 #include "util/rng.hpp"
 
 namespace nexit {
@@ -392,23 +393,22 @@ bool same_sample_bits(const sim::BandwidthSample& a,
 }
 
 TEST(BandwidthExperiment, BitIdenticalAcrossThreadsAndIncrementalKnob) {
-  sim::BandwidthExperimentConfig cfg;
-  cfg.universe.isp_count = 18;
-  cfg.universe.seed = 12;
-  cfg.universe.max_pairs = 4;
-  cfg.negotiation.reassign_traffic_fraction = 0.05;
-  cfg.include_unilateral = false;
+  sim::ExperimentSpec spec;
+  spec.experiment = sim::ExperimentKind::kBandwidth;
+  spec.isps = 18;
+  spec.seed = 12;
+  spec.pairs = 4;
+  spec.pop_max = 24;  // the topology generator's default
 
-  cfg.threads = 1;
-  const auto serial = run_bandwidth_experiment(cfg);
+  spec.threads = 1;
+  const auto serial = run_bandwidth_experiment(spec);
   ASSERT_FALSE(serial.empty());
-  cfg.threads = 2;
-  const auto threaded = run_bandwidth_experiment(cfg);
+  spec.threads = 2;
+  const auto threaded = run_bandwidth_experiment(spec);
 
-  sim::BandwidthExperimentConfig full_cfg = cfg;
-  full_cfg.threads = 2;
-  full_cfg.negotiation.incremental_evaluation = false;
-  const auto full = run_bandwidth_experiment(full_cfg);
+  sim::ExperimentSpec full_spec = spec;
+  full_spec.incremental = false;
+  const auto full = run_bandwidth_experiment(full_spec);
 
   ASSERT_EQ(serial.size(), threaded.size());
   ASSERT_EQ(serial.size(), full.size());

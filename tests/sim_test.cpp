@@ -5,6 +5,7 @@
 #include "sim/bandwidth_experiment.hpp"
 #include "sim/distance_experiment.hpp"
 #include "sim/pair_universe.hpp"
+#include "sim/spec.hpp"
 #include "util/stats.hpp"
 
 namespace nexit::sim {
@@ -16,6 +17,21 @@ UniverseConfig small_universe(std::uint64_t seed) {
   u.seed = seed;
   u.max_pairs = 12;
   return u;
+}
+
+/// small_universe() as a spec, with the series these tests read switched
+/// on: the Fig. 5 flow baselines (distance) or the Fig. 8 unilateral LP
+/// (bandwidth).
+ExperimentSpec small_spec(std::uint64_t seed, ExperimentKind kind) {
+  ExperimentSpec spec;
+  spec.experiment = kind;
+  spec.isps = 18;
+  spec.seed = seed;
+  spec.pairs = 12;
+  spec.pop_max = 24;  // the generator's default, as in small_universe()
+  spec.flow_baselines = kind == ExperimentKind::kDistance;
+  spec.unilateral = kind == ExperimentKind::kBandwidth;
+  return spec;
 }
 
 TEST(PairUniverse, DeterministicAndCapped) {
@@ -38,9 +54,8 @@ TEST(PairUniverse, MinLinksRespected) {
 class DistanceInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DistanceInvariants, HoldOnSmallUniverse) {
-  DistanceExperimentConfig cfg;
-  cfg.universe = small_universe(GetParam());
-  auto samples = run_distance_experiment(cfg);
+  auto samples = run_distance_experiment(
+      small_spec(GetParam(), ExperimentKind::kDistance));
   ASSERT_FALSE(samples.empty());
   for (const auto& s : samples) {
     // Optimal is per-flow argmin: no method can beat it.
@@ -65,9 +80,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistanceInvariants,
                          ::testing::Values(11, 22, 33));
 
 TEST(DistanceExperiment, NegotiationTracksOptimalClosely) {
-  DistanceExperimentConfig cfg;
-  cfg.universe = small_universe(5);
-  auto samples = run_distance_experiment(cfg);
+  auto samples =
+      run_distance_experiment(small_spec(5, ExperimentKind::kDistance));
   ASSERT_FALSE(samples.empty());
   std::vector<double> opt_gain, neg_gain;
   for (const auto& s : samples) {
@@ -85,9 +99,8 @@ TEST(DistanceExperiment, NegotiationTracksOptimalClosely) {
 }
 
 TEST(DistanceExperiment, CheatingReducesBothGains) {
-  DistanceExperimentConfig honest;
-  honest.universe = small_universe(77);
-  DistanceExperimentConfig cheat = honest;
+  const ExperimentSpec honest = small_spec(77, ExperimentKind::kDistance);
+  ExperimentSpec cheat = honest;
   cheat.objective[0].cheat = true;
   auto hs = run_distance_experiment(honest);
   auto cs = run_distance_experiment(cheat);
@@ -107,9 +120,8 @@ TEST(DistanceExperiment, CheatingReducesBothGains) {
 }
 
 TEST(DistanceExperiment, GroupNegotiationLosesGain) {
-  DistanceExperimentConfig whole;
-  whole.universe = small_universe(31);
-  DistanceExperimentConfig grouped = whole;
+  const ExperimentSpec whole = small_spec(31, ExperimentKind::kDistance);
+  ExperimentSpec grouped = whole;
   grouped.groups = 8;
   auto ws = run_distance_experiment(whole);
   auto gs = run_distance_experiment(grouped);
@@ -127,11 +139,10 @@ TEST(DistanceExperiment, GroupNegotiationLosesGain) {
 class BandwidthInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BandwidthInvariants, HoldOnSmallUniverse) {
-  BandwidthExperimentConfig cfg;
-  cfg.universe = small_universe(GetParam());
-  cfg.universe.max_pairs = 4;
-  cfg.negotiation.reassign_traffic_fraction = 0.05;
-  auto samples = run_bandwidth_experiment(cfg);
+  ExperimentSpec spec = small_spec(GetParam(), ExperimentKind::kBandwidth);
+  spec.pairs = 4;
+  spec.reassign = 0.05;
+  auto samples = run_bandwidth_experiment(spec);
   ASSERT_FALSE(samples.empty());
   for (const auto& s : samples) {
     // The fractional LP lower-bounds every integral routing, side-wise max.
@@ -149,12 +160,11 @@ TEST_P(BandwidthInvariants, HoldOnSmallUniverse) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BandwidthInvariants, ::testing::Values(3, 13));
 
 TEST(BandwidthExperiment, NegotiationControlsOverload) {
-  BandwidthExperimentConfig cfg;
-  cfg.universe = small_universe(101);
-  cfg.universe.isp_count = 24;
-  cfg.universe.max_pairs = 8;
-  cfg.negotiation.reassign_traffic_fraction = 0.05;
-  auto samples = run_bandwidth_experiment(cfg);
+  ExperimentSpec spec = small_spec(101, ExperimentKind::kBandwidth);
+  spec.isps = 24;
+  spec.pairs = 8;
+  spec.reassign = 0.05;
+  auto samples = run_bandwidth_experiment(spec);
   ASSERT_GE(samples.size(), 4u);
   std::vector<double> def_ratio_up, neg_ratio_up;
   for (const auto& s : samples) {
@@ -172,13 +182,12 @@ TEST(BandwidthExperiment, NegotiationControlsOverload) {
 }
 
 TEST(BandwidthExperiment, DiverseCriteriaFillsDistanceGain) {
-  BandwidthExperimentConfig cfg;
-  cfg.universe = small_universe(55);
-  cfg.universe.max_pairs = 4;
-  cfg.objective[1] = {"distance", false};
-  cfg.include_unilateral = false;
-  cfg.negotiation.reassign_traffic_fraction = 0.05;
-  auto samples = run_bandwidth_experiment(cfg);
+  ExperimentSpec spec = small_spec(55, ExperimentKind::kBandwidth);
+  spec.pairs = 4;
+  spec.objective[1] = {"distance", false};
+  spec.unilateral = false;
+  spec.reassign = 0.05;
+  auto samples = run_bandwidth_experiment(spec);
   ASSERT_FALSE(samples.empty());
   bool any_distance_gain = false;
   for (const auto& s : samples) {
@@ -189,12 +198,11 @@ TEST(BandwidthExperiment, DiverseCriteriaFillsDistanceGain) {
 }
 
 TEST(BandwidthExperiment, DeterministicGivenSeed) {
-  BandwidthExperimentConfig cfg;
-  cfg.universe = small_universe(8);
-  cfg.universe.max_pairs = 3;
-  cfg.negotiation.reassign_traffic_fraction = 0.05;
-  auto a = run_bandwidth_experiment(cfg);
-  auto b = run_bandwidth_experiment(cfg);
+  ExperimentSpec spec = small_spec(8, ExperimentKind::kBandwidth);
+  spec.pairs = 3;
+  spec.reassign = 0.05;
+  auto a = run_bandwidth_experiment(spec);
+  auto b = run_bandwidth_experiment(spec);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].pair_label, b[i].pair_label);

@@ -651,12 +651,10 @@ TEST(ScenarioRegistry, NamesAreUniqueAndFindable) {
   }
 }
 
-// --- preset <-> legacy-config digest equivalence -------------------------
-// The engines used to be configured by hand-built config structs (a bool
-// per paper figure). These tests pin that a spec-built config reproduces
-// the hand-built one bit-for-bit, and that a serialize/parse round trip
-// does not perturb the engine outcome — the library-level half of the
-// migration guard (CI diffs the binaries for the other half).
+// --- spec round trips through the engines ---------------------------------
+// A serialize/parse round trip must not perturb an engine outcome. The
+// outcomes themselves are pinned by tests/golden (fig4, fig7, fig9, fig10,
+// abl_models).
 
 ExperimentSpec small(ExperimentSpec spec) {
   spec.isps = 14;
@@ -673,130 +671,70 @@ ExperimentSpec round_tripped(const ExperimentSpec& spec) {
   return reparsed;
 }
 
-TEST(SpecDigest, DistanceSpecMatchesHandBuiltLegacyConfig) {
-  ExperimentSpec spec = small(ExperimentSpec{});
+template <typename Run>
+void expect_round_trip_keeps_digest(const ExperimentSpec& spec, Run run) {
   ASSERT_TRUE(spec.validate(nullptr));
-
-  DistanceExperimentConfig legacy;  // what fig4's main used to build
-  legacy.universe.isp_count = 14;
-  legacy.universe.seed = 42;
-  legacy.universe.max_pairs = 4;
-  legacy.universe.generator.min_pops = 6;   // the legacy --pop-min default
-  legacy.universe.generator.max_pops = 20;  // the legacy --pop-max default
-  legacy.negotiation.acceptance = core::AcceptancePolicy::kProtective;
-  legacy.negotiation.preferences.range = 10;
-  // The legacy distance benches left reassign at 0.0; the spec default is
-  // the paper's 0.05. Distance oracles never request reassignment, so the
-  // two must still be bit-identical — this pins that equivalence.
-  legacy.run_flow_pair_baselines = false;
-
-  const auto from_spec = run_distance_experiment(spec.to_distance_config());
-  const auto from_legacy = run_distance_experiment(legacy);
-  EXPECT_EQ(digest_samples(from_spec), digest_samples(from_legacy));
-
-  const auto from_round_trip =
-      run_distance_experiment(round_tripped(spec).to_distance_config());
-  EXPECT_EQ(digest_samples(from_spec), digest_samples(from_round_trip));
+  const auto samples = run(spec);
+  ASSERT_FALSE(samples.empty());
+  EXPECT_EQ(digest_samples(samples), digest_samples(run(round_tripped(spec))));
 }
 
-TEST(SpecDigest, CheatingSpecMatchesHandBuiltLegacyConfig) {
+TEST(SpecDigest, DistanceSpecRoundTripKeepsDigest) {
+  expect_round_trip_keeps_digest(small(ExperimentSpec{}),
+                                 run_distance_experiment);
+}
+
+TEST(SpecDigest, CheatingSpecRoundTripKeepsDigest) {
   ExperimentSpec spec = small(ExperimentSpec{});
   spec.objective[0] = {"default", true};  // fig10's cheating arm
-  ASSERT_TRUE(spec.validate(nullptr));
-
-  DistanceExperimentConfig legacy;
-  legacy.universe.isp_count = 14;
-  legacy.universe.seed = 42;
-  legacy.universe.max_pairs = 4;
-  legacy.universe.generator.min_pops = 6;   // the legacy --pop-min default
-  legacy.universe.generator.max_pops = 20;  // the legacy --pop-max default
-  legacy.run_flow_pair_baselines = false;
-  legacy.objective[0].cheat = true;
-
-  EXPECT_EQ(digest_samples(run_distance_experiment(spec.to_distance_config())),
-            digest_samples(run_distance_experiment(legacy)));
+  expect_round_trip_keeps_digest(spec, run_distance_experiment);
 }
 
-TEST(SpecDigest, BandwidthSpecMatchesHandBuiltLegacyConfig) {
+TEST(SpecDigest, BandwidthSpecRoundTripKeepsDigest) {
   ExperimentSpec spec = small(ExperimentSpec{});
   spec.experiment = ExperimentKind::kBandwidth;
-  ASSERT_TRUE(spec.validate(nullptr));
-
-  BandwidthExperimentConfig legacy;  // what fig7's main used to build
-  legacy.universe.isp_count = 14;
-  legacy.universe.seed = 42;
-  legacy.universe.max_pairs = 4;
-  legacy.universe.generator.min_pops = 6;   // the legacy --pop-min default
-  legacy.universe.generator.max_pops = 20;  // the legacy --pop-max default
-  legacy.negotiation.preferences.range = 10;
-  legacy.negotiation.reassign_traffic_fraction = 0.05;
-  legacy.include_unilateral = false;
-
-  const auto from_spec = run_bandwidth_experiment(spec.to_bandwidth_config());
-  const auto from_legacy = run_bandwidth_experiment(legacy);
-  EXPECT_EQ(digest_samples(from_spec), digest_samples(from_legacy));
-
-  const auto from_round_trip =
-      run_bandwidth_experiment(round_tripped(spec).to_bandwidth_config());
-  EXPECT_EQ(digest_samples(from_spec), digest_samples(from_round_trip));
+  expect_round_trip_keeps_digest(spec, run_bandwidth_experiment);
 }
 
-TEST(SpecDigest, DiverseAndPiecewiseSpecsMatchHandBuiltConfigs) {
+TEST(SpecDigest, DiverseAndPiecewiseSpecsRoundTripKeepDigest) {
   // fig9's diverse-criteria arm.
   ExperimentSpec diverse = small(ExperimentSpec{});
   diverse.experiment = ExperimentKind::kBandwidth;
   diverse.objective[1] = {"distance", false};
-  ASSERT_TRUE(diverse.validate(nullptr));
-  BandwidthExperimentConfig legacy_diverse;
-  legacy_diverse.universe.isp_count = 14;
-  legacy_diverse.universe.seed = 42;
-  legacy_diverse.universe.max_pairs = 4;
-  legacy_diverse.universe.generator.min_pops = 6;
-  legacy_diverse.universe.generator.max_pops = 20;
-  legacy_diverse.negotiation.reassign_traffic_fraction = 0.05;
-  legacy_diverse.include_unilateral = false;
-  legacy_diverse.objective[1] = {"distance", false};
-  EXPECT_EQ(
-      digest_samples(run_bandwidth_experiment(diverse.to_bandwidth_config())),
-      digest_samples(run_bandwidth_experiment(legacy_diverse)));
+  expect_round_trip_keeps_digest(diverse, run_bandwidth_experiment);
 
   // abl_models' piecewise arm, composed with a cheating upstream — the
-  // "cheating + piecewise + diverse criteria" composition the acceptance
-  // criteria call for, driven purely from a (parsed) spec.
-  ExperimentSpec composed = small(ExperimentSpec{});
-  composed.experiment = ExperimentKind::kBandwidth;
+  // "cheating + piecewise + diverse criteria" composition, driven purely
+  // from a (parsed) spec.
+  ExperimentSpec composed = diverse;
   composed.objective[0] = {"piecewise", true};
-  composed.objective[1] = {"distance", false};
-  ASSERT_TRUE(composed.validate(nullptr));
-  BandwidthExperimentConfig legacy_composed;
-  legacy_composed.universe.isp_count = 14;
-  legacy_composed.universe.seed = 42;
-  legacy_composed.universe.max_pairs = 4;
-  legacy_composed.universe.generator.min_pops = 6;
-  legacy_composed.universe.generator.max_pops = 20;
-  legacy_composed.negotiation.reassign_traffic_fraction = 0.05;
-  legacy_composed.include_unilateral = false;
-  legacy_composed.objective[0] = {"piecewise", true};
-  legacy_composed.objective[1] = {"distance", false};
-  EXPECT_EQ(
-      digest_samples(
-          run_bandwidth_experiment(round_tripped(composed).to_bandwidth_config())),
-      digest_samples(run_bandwidth_experiment(legacy_composed)));
+  expect_round_trip_keeps_digest(composed, run_bandwidth_experiment);
 }
 
 TEST(SpecDigest, ExperimentEnginesRejectUnknownOracles) {
-  DistanceExperimentConfig distance;
-  distance.universe.isp_count = 10;
-  distance.universe.max_pairs = 1;
-  distance.objective[0] = {"bandwidth", false};  // needs capacities
-  EXPECT_THROW((void)run_distance_experiment(distance), std::invalid_argument);
+  // Fields set directly: the engines' own validate() call must throw, with
+  // validate()'s message.
+  const auto expect_rejected = [](const ExperimentSpec& spec, auto run) {
+    std::string error;
+    ASSERT_FALSE(spec.validate(&error));
+    try {
+      (void)run(spec);
+      ADD_FAILURE() << "no throw for: " << error;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), error);
+    }
+  };
 
-  BandwidthExperimentConfig bandwidth;
-  bandwidth.universe.isp_count = 10;
-  bandwidth.universe.max_pairs = 1;
+  ExperimentSpec distance;
+  distance.isps = 10;
+  distance.pairs = 1;
+  distance.objective[0] = {"bandwidth", false};  // needs capacities
+  expect_rejected(distance, run_distance_experiment);
+
+  ExperimentSpec bandwidth = distance;
+  bandwidth.experiment = ExperimentKind::kBandwidth;
   bandwidth.objective[1] = {"no-such", false};
-  EXPECT_THROW((void)run_bandwidth_experiment(bandwidth),
-               std::invalid_argument);
+  expect_rejected(bandwidth, run_bandwidth_experiment);
 }
 
 }  // namespace

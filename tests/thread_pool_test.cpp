@@ -8,6 +8,7 @@
 
 #include "sim/bandwidth_experiment.hpp"
 #include "sim/distance_experiment.hpp"
+#include "sim/spec.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nexit::util {
@@ -113,12 +114,14 @@ TEST(WorkersForThreads, RejectsImplausibleCounts) {
 // every thread count (the per-pair Rng streams are pre-forked serially).
 // ---------------------------------------------------------------------------
 
-sim::UniverseConfig small_universe(std::uint64_t seed) {
-  sim::UniverseConfig u;
-  u.isp_count = 18;
-  u.seed = seed;
-  u.max_pairs = 10;
-  return u;
+sim::ExperimentSpec small_spec(std::uint64_t seed, sim::ExperimentKind kind) {
+  sim::ExperimentSpec spec;
+  spec.experiment = kind;
+  spec.isps = 18;
+  spec.seed = seed;
+  spec.pairs = 10;
+  spec.pop_max = 24;  // the topology generator's default
+  return spec;
 }
 
 void expect_identical(const std::vector<sim::DistanceSample>& a,
@@ -147,32 +150,30 @@ void expect_identical(const std::vector<sim::DistanceSample>& a,
 }
 
 TEST(ExperimentDeterminism, DistanceSamplesIdenticalAcrossThreadCounts) {
-  sim::DistanceExperimentConfig cfg;
-  cfg.universe = small_universe(21);
-  cfg.run_flow_pair_baselines = true;
+  sim::ExperimentSpec spec = small_spec(21, sim::ExperimentKind::kDistance);
+  spec.flow_baselines = true;
 
-  cfg.threads = 1;
-  const auto serial = sim::run_distance_experiment(cfg);
+  spec.threads = 1;
+  const auto serial = sim::run_distance_experiment(spec);
   ASSERT_FALSE(serial.empty());
 
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    cfg.threads = threads;
-    expect_identical(serial, sim::run_distance_experiment(cfg));
+    spec.threads = threads;
+    expect_identical(serial, sim::run_distance_experiment(spec));
   }
 }
 
 TEST(ExperimentDeterminism, BandwidthSamplesIdenticalAcrossThreadCounts) {
-  sim::BandwidthExperimentConfig cfg;
-  cfg.universe = small_universe(5);
-  cfg.universe.max_pairs = 6;
-  cfg.include_unilateral = true;
+  sim::ExperimentSpec spec = small_spec(5, sim::ExperimentKind::kBandwidth);
+  spec.pairs = 6;
+  spec.unilateral = true;
 
-  cfg.threads = 1;
-  const auto serial = sim::run_bandwidth_experiment(cfg);
+  spec.threads = 1;
+  const auto serial = sim::run_bandwidth_experiment(spec);
   ASSERT_FALSE(serial.empty());
 
-  cfg.threads = 4;
-  const auto parallel = sim::run_bandwidth_experiment(cfg);
+  spec.threads = 4;
+  const auto parallel = sim::run_bandwidth_experiment(spec);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("sample " + std::to_string(i));
