@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -108,8 +109,8 @@ void NegotiationAgent::send_pref_advert(bool reassignment) {
   for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos) {
     proto::PrefAdvert::Item item;
     item.flow_id = flow_id(pos);
-    for (core::PrefClass p : side_.disclosed().flows[pos].pref_of_candidate)
-      item.pref_of_candidate.push_back(p);
+    const std::span<const core::PrefClass> row = side_.disclosed()[pos];
+    item.pref_of_candidate.assign(row.begin(), row.end());
     advert.flows.push_back(std::move(item));
   }
   send_message(advert);
@@ -121,7 +122,8 @@ bool NegotiationAgent::receive_pref_advert(const proto::PrefAdvert& advert) {
     return false;
   }
   const int range = config_.negotiation.preferences.range;
-  core::PreferenceList list;
+  core::PreferenceList list(problem_.negotiable.size(),
+                            problem_.candidates.size());
   for (std::size_t pos = 0; pos < advert.flows.size(); ++pos) {
     const auto& item = advert.flows[pos];
     if (item.flow_id != flow_id(pos) ||
@@ -129,16 +131,15 @@ bool NegotiationAgent::receive_pref_advert(const proto::PrefAdvert& advert) {
       fail("preference list shape mismatch");
       return false;
     }
-    core::FlowPreferences fp;
-    fp.flow = problem_.negotiable_flow(pos).id;
-    for (std::int32_t p : item.pref_of_candidate) {
+    const std::span<core::PrefClass> row = list[pos];
+    for (std::size_t ci = 0; ci < row.size(); ++ci) {
+      const std::int32_t p = item.pref_of_candidate[ci];
       if (p < -range || p > range) {
         fail("preference class out of agreed range");
         return false;
       }
-      fp.pref_of_candidate.push_back(p);
+      row[ci] = p;
     }
-    list.flows.push_back(std::move(fp));
   }
   side_.set_remote_disclosed(std::move(list));
   return true;

@@ -23,13 +23,13 @@ bool CheatingOracle::wants_reassignment() const {
   return inner_->wants_reassignment();
 }
 
-std::vector<PrefClass> CheatingOracle::transform_flow(
-    const std::vector<PrefClass>& own, const std::vector<PrefClass>& remote,
-    int range) {
-  if (own.size() != remote.size())
+void CheatingOracle::transform_flow(std::span<const PrefClass> own,
+                                   std::span<const PrefClass> remote,
+                                   int range, std::span<PrefClass> disclosed) {
+  if (own.size() != remote.size() || own.size() != disclosed.size())
     throw std::invalid_argument("CheatingOracle: size mismatch");
-  std::vector<PrefClass> disclosed = own;
-  if (own.empty()) return disclosed;
+  std::copy(own.begin(), own.end(), disclosed.begin());
+  if (own.empty()) return;
 
   // The cheater's favourite alternative (ties toward the lowest index).
   std::size_t best = 0;
@@ -53,23 +53,18 @@ std::vector<PrefClass> CheatingOracle::transform_flow(
     const int cap = best_sum - remote[c];  // keep sum(c) <= sum(best)
     disclosed[c] = std::clamp(std::min(disclosed[c], cap), -range, range);
   }
-  return disclosed;
 }
 
 PreferenceList CheatingOracle::disclose(const OracleContext& ctx,
                                         const PreferenceList& own_truth,
                                         const PreferenceList& remote_truth) {
   (void)ctx;
-  if (own_truth.flows.size() != remote_truth.flows.size())
-    throw std::invalid_argument("CheatingOracle: list size mismatch");
-  PreferenceList lie;
-  lie.flows.reserve(own_truth.flows.size());
-  for (std::size_t i = 0; i < own_truth.flows.size(); ++i) {
-    lie.flows.push_back(FlowPreferences{
-        own_truth.flows[i].flow,
-        transform_flow(own_truth.flows[i].pref_of_candidate,
-                       remote_truth.flows[i].pref_of_candidate, range_)});
-  }
+  if (own_truth.rows() != remote_truth.rows() ||
+      own_truth.cols() != remote_truth.cols())
+    throw std::invalid_argument("CheatingOracle: list shape mismatch");
+  PreferenceList lie(own_truth.rows(), own_truth.cols());
+  for (std::size_t pos = 0; pos < own_truth.rows(); ++pos)
+    transform_flow(own_truth[pos], remote_truth[pos], range_, lie[pos]);
   return lie;
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <memory>
+#include <span>
 
 #include "core/oracle.hpp"
 
@@ -33,11 +33,13 @@ class CheatingOracle : public PreferenceOracle {
                           const PreferenceList& remote_truth) override;
   [[nodiscard]] bool wants_reassignment() const override;
 
-  /// The lie itself, exposed for tests: transforms one flow's preference
-  /// vector given the remote's vector for the same flow.
-  static std::vector<PrefClass> transform_flow(
-      const std::vector<PrefClass>& own, const std::vector<PrefClass>& remote,
-      int range);
+  /// The lie itself, exposed for tests: writes into `disclosed` what the
+  /// cheater advertises for one flow, given its own true classes and the
+  /// remote's for the same flow. Throws std::invalid_argument unless the
+  /// three rows have the same length.
+  static void transform_flow(std::span<const PrefClass> own,
+                             std::span<const PrefClass> remote, int range,
+                             std::span<PrefClass> disclosed);
 
  private:
   PreferenceOracle* inner_;

@@ -72,8 +72,8 @@ NegotiationOutcome NegotiationEngine::run() {
     tr.proposer = proposer;
     tr.flow = problem_.negotiable_flow(sel.pos).id;
     tr.interconnection = problem_.candidates[sel.ci];
-    tr.pref_a = sides_[0].disclosed().flows[sel.pos].pref_of_candidate[sel.ci];
-    tr.pref_b = sides_[1].disclosed().flows[sel.pos].pref_of_candidate[sel.ci];
+    tr.pref_a = sides_[0].disclosed()[sel.pos][sel.ci];
+    tr.pref_b = sides_[1].disclosed()[sel.pos][sel.ci];
     tr.accepted = sides_[1 - proposer].accepts(sel.pos, sel.ci);
     if (tr.accepted) {
       bool due = false;

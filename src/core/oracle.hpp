@@ -54,7 +54,7 @@ struct EvaluationDelta {
 struct Evaluation {
   /// true_value[pos][ci]: metric improvement versus the default alternative
   /// (positive = better for this ISP), full precision.
-  std::vector<std::vector<double>> true_value;
+  Matrix<double> true_value;
   /// The corresponding opaque preference classes.
   PreferenceList classes;
   /// Telemetry, not semantics: how many preference rows the oracle actually

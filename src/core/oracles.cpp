@@ -1,7 +1,9 @@
 #include "core/oracles.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "metrics/metrics.hpp"
 
@@ -84,6 +86,7 @@ void rebuild_incremental_state(detail::IncrementalOracleState& inc,
     inc.loads = std::make_unique<routing::IncrementalLoads>(*p.routing,
                                                             *p.flows, side);
   inc.loads->rebuild(*ctx.tentative, counted);
+  inc.without = inc.loads->loads().per_side[static_cast<std::size_t>(side)];
   if (!inc.footprint_matches(p)) {
     inc.positions_of_link = build_footprints(p, side);
     inc.routing = p.routing;
@@ -101,26 +104,38 @@ void rebuild_incremental_state(detail::IncrementalOracleState& inc,
 bool state_matches(const detail::IncrementalOracleState& inc,
                    const NegotiationProblem& p) {
   return inc.problem == &p && inc.loads != nullptr &&
-         inc.deltas.size() == p.negotiable.size() && inc.footprint_matches(p);
+         inc.deltas.rows() == p.negotiable.size() && inc.footprint_matches(p);
+}
+
+/// Undoes a row computation's edits of `inc.without`: every entry on a
+/// member's tentative path is copied back from the maintained loads. A copy,
+/// not adding the sizes back, so the scratch stays bit-equal to the loads.
+void restore_loads(detail::IncrementalOracleState& inc,
+                   const OracleContext& ctx,
+                   std::span<const std::size_t> members, int side) {
+  const NegotiationProblem& p = *ctx.problem;
+  const auto& my_loads =
+      inc.loads->loads().per_side[static_cast<std::size_t>(side)];
+  for (std::size_t m : members) {
+    for (graph::EdgeIndex e : own_path(*p.routing, (*p.flows)[m],
+                                       ctx.tentative->ix_of_flow[m], side)) {
+      const auto idx = static_cast<std::size_t>(e);
+      inc.without[idx] = my_loads[idx];
+    }
+  }
 }
 
 /// Assembles an Evaluation from the state's (partially reused) delta matrix:
 /// quantisation scale and classes are always recomputed over the full
 /// matrix, which is what keeps incremental results bit-identical.
-Evaluation assemble_evaluation(const detail::IncrementalOracleState& inc,
-                               const NegotiationProblem& p,
+Evaluation assemble_evaluation(Matrix<double> deltas,
                                const PreferenceConfig& config,
                                std::size_t rows_recomputed) {
-  const double scale = quantization_scale(inc.deltas, config);
   Evaluation eval;
   eval.rows_recomputed = rows_recomputed;
-  eval.classes.flows.reserve(p.negotiable.size());
-  for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos) {
-    eval.classes.flows.push_back(FlowPreferences{
-        p.negotiable_flow(pos).id,
-        quantize_deltas(inc.deltas[pos], config, scale)});
-  }
-  eval.true_value = inc.deltas;
+  eval.classes =
+      quantize_deltas(deltas, config, quantization_scale(deltas, config));
+  eval.true_value = std::move(deltas);
   return eval;
 }
 
@@ -142,8 +157,7 @@ Evaluation reevaluate_incremental(detail::IncrementalOracleState& inc,
     inc.loads->move_flow(mv.flow, mv.to_ix);
   settle();
 
-  const auto& my_loads =
-      inc.loads->loads().per_side[static_cast<std::size_t>(side)];
+  inc.without = inc.loads->loads().per_side[static_cast<std::size_t>(side)];
   const auto touched = inc.loads->take_touched();
   const std::vector<char> affected = affected_positions(
       inc, touched[static_cast<std::size_t>(side)], delta.settled_positions,
@@ -151,10 +165,10 @@ Evaluation reevaluate_incremental(detail::IncrementalOracleState& inc,
   std::size_t rows = 0;
   for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos) {
     if (!affected[pos]) continue;
-    inc.deltas[pos] = row(my_loads, pos);
+    row(pos, inc.deltas[pos]);
     ++rows;
   }
-  return assemble_evaluation(inc, p, config, rows);
+  return assemble_evaluation(inc.deltas, config, rows);
 }
 
 }  // namespace
@@ -172,28 +186,21 @@ Evaluation DistanceOracle::evaluate(const OracleContext& ctx) {
   // Delta = traffic-km saved inside my network versus the default
   // alternative (size-weighted: carrying a bigger flow one km costs more).
   // Destination-based groups move together, so their members' deltas sum.
-  std::vector<std::vector<double>> deltas(p.negotiable.size());
+  Matrix<double> deltas(p.negotiable.size(), p.candidates.size());
   for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos) {
-    deltas[pos].assign(p.candidates.size(), 0.0);
+    const std::span<double> row = deltas[pos];
     for (std::size_t m : p.members_of(pos)) {
       const traffic::Flow& f = (*p.flows)[m];
       const double default_km =
           p.routing->km_in_side(f, p.default_ix(pos), side_);
       for (std::size_t ci = 0; ci < p.candidates.size(); ++ci)
-        deltas[pos][ci] += f.size * (default_km - p.routing->km_in_side(
-                                                      f, p.candidates[ci], side_));
+        row[ci] += f.size * (default_km - p.routing->km_in_side(
+                                              f, p.candidates[ci], side_));
     }
   }
 
-  const double scale = quantization_scale(deltas, config_);
-  Evaluation eval;
-  eval.rows_recomputed = p.negotiable.size();
-  eval.classes.flows.reserve(p.negotiable.size());
-  for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos) {
-    eval.classes.flows.push_back(FlowPreferences{
-        p.negotiable_flow(pos).id, quantize_deltas(deltas[pos], config_, scale)});
-  }
-  eval.true_value = std::move(deltas);
+  Evaluation eval =
+      assemble_evaluation(std::move(deltas), config_, p.negotiable.size());
   cached_ = eval;
   cached_problem_ = &p;
   cached_routing_ = p.routing;
@@ -256,16 +263,17 @@ std::vector<char> BandwidthOracle::open_mask(const OracleContext& ctx) const {
 /// judged against a background that excludes the whole group (when
 /// counted). Shared verbatim by the full and incremental paths, which is
 /// what makes their results bit-identical by construction.
-std::vector<double> BandwidthOracle::compute_row(
-    const OracleContext& ctx, const std::vector<char>& open,
-    const std::vector<double>& my_loads, std::size_t pos) const {
+void BandwidthOracle::compute_row(const OracleContext& ctx,
+                                  const std::vector<char>& open,
+                                  std::size_t pos, std::span<double> row) {
   const NegotiationProblem& p = *ctx.problem;
   const routing::PairRouting& routing = *p.routing;
   const auto& caps = capacities_->per_side[static_cast<std::size_t>(side_)];
+  std::vector<double>& without = inc_.without;
 
-  std::vector<double> row(p.candidates.size(), 0.0);
-  std::vector<double> without = my_loads;
-  for (std::size_t m : p.members_of(pos)) {
+  std::fill(row.begin(), row.end(), 0.0);
+  const std::span<const std::size_t> members = p.members_of(pos);
+  for (std::size_t m : members) {
     if (!open[m] || open_model_ == OpenFlowModel::kAtTentative) {
       const traffic::Flow& f = (*p.flows)[m];
       for (graph::EdgeIndex e :
@@ -273,7 +281,7 @@ std::vector<double> BandwidthOracle::compute_row(
         without[static_cast<std::size_t>(e)] -= f.size;
     }
   }
-  for (std::size_t m : p.members_of(pos)) {
+  for (std::size_t m : members) {
     const traffic::Flow& f = (*p.flows)[m];
     const double default_mel = metrics::path_mel(
         own_path(routing, f, p.default_ix(pos), side_), without, caps, f.size);
@@ -283,7 +291,7 @@ std::vector<double> BandwidthOracle::compute_row(
       row[ci] += default_mel - alt_mel;
     }
   }
-  return row;
+  restore_loads(inc_, ctx, members, side_);
 }
 
 Evaluation BandwidthOracle::evaluate(const OracleContext& ctx) {
@@ -299,12 +307,10 @@ Evaluation BandwidthOracle::evaluate(const OracleContext& ctx) {
     for (std::size_t i = 0; i < open.size(); ++i) counted[i] = !open[i];
     rebuild_incremental_state(inc_, ctx, side_, &counted);
   }
-  const auto& my_loads =
-      inc_.loads->loads().per_side[static_cast<std::size_t>(side_)];
-  inc_.deltas.resize(p.negotiable.size());
+  inc_.deltas = Matrix<double>(p.negotiable.size(), p.candidates.size());
   for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos)
-    inc_.deltas[pos] = compute_row(ctx, open, my_loads, pos);
-  return assemble_evaluation(inc_, p, config_, p.negotiable.size());
+    compute_row(ctx, open, pos, inc_.deltas[pos]);
+  return assemble_evaluation(inc_.deltas, config_, p.negotiable.size());
 }
 
 Evaluation BandwidthOracle::evaluate_incremental(const OracleContext& ctx,
@@ -321,8 +327,8 @@ Evaluation BandwidthOracle::evaluate_incremental(const OracleContext& ctx,
             for (std::size_t m : p.members_of(pos)) inc_.loads->count_flow(m);
         }
       },
-      [&](const std::vector<double>& my_loads, std::size_t pos) {
-        return compute_row(ctx, open, my_loads, pos);
+      [&](std::size_t pos, std::span<double> row) {
+        compute_row(ctx, open, pos, row);
       });
 }
 
@@ -338,12 +344,12 @@ PiecewiseCostOracle::PiecewiseCostOracle(int side, PreferenceConfig config,
 /// values, so the cost difference is evaluated link-by-link — the same
 /// per-link bookkeeping the incremental path uses to decide which rows a
 /// load change can affect.
-std::vector<double> PiecewiseCostOracle::compute_row(
-    const OracleContext& ctx, const std::vector<double>& my_loads,
-    std::size_t pos) const {
+void PiecewiseCostOracle::compute_row(const OracleContext& ctx,
+                                      std::size_t pos, std::span<double> row) {
   const NegotiationProblem& p = *ctx.problem;
   const routing::PairRouting& routing = *p.routing;
   const auto& caps = capacities_->per_side[static_cast<std::size_t>(side_)];
+  std::vector<double>& without = inc_.without;
 
   const auto placement_cost = [&](const std::vector<graph::EdgeIndex>& path,
                                   const std::vector<double>& without,
@@ -359,15 +365,15 @@ std::vector<double> PiecewiseCostOracle::compute_row(
     return cost;
   };
 
-  std::vector<double> row(p.candidates.size(), 0.0);
-  std::vector<double> without = my_loads;
-  for (std::size_t m : p.members_of(pos)) {
+  std::fill(row.begin(), row.end(), 0.0);
+  const std::span<const std::size_t> members = p.members_of(pos);
+  for (std::size_t m : members) {
     const traffic::Flow& f = (*p.flows)[m];
     for (graph::EdgeIndex e :
          own_path(routing, f, ctx.tentative->ix_of_flow[m], side_))
       without[static_cast<std::size_t>(e)] -= f.size;
   }
-  for (std::size_t m : p.members_of(pos)) {
+  for (std::size_t m : members) {
     const traffic::Flow& f = (*p.flows)[m];
     const double default_cost = placement_cost(
         own_path(routing, f, p.default_ix(pos), side_), without, f.size);
@@ -377,7 +383,7 @@ std::vector<double> PiecewiseCostOracle::compute_row(
       row[ci] += default_cost - alt_cost;
     }
   }
-  return row;
+  restore_loads(inc_, ctx, members, side_);
 }
 
 Evaluation PiecewiseCostOracle::evaluate(const OracleContext& ctx) {
@@ -385,12 +391,10 @@ Evaluation PiecewiseCostOracle::evaluate(const OracleContext& ctx) {
   const NegotiationProblem& p = *ctx.problem;
   // Expected-state loads (every flow at its tentative position).
   rebuild_incremental_state(inc_, ctx, side_, nullptr);
-  const auto& my_loads =
-      inc_.loads->loads().per_side[static_cast<std::size_t>(side_)];
-  inc_.deltas.resize(p.negotiable.size());
+  inc_.deltas = Matrix<double>(p.negotiable.size(), p.candidates.size());
   for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos)
-    inc_.deltas[pos] = compute_row(ctx, my_loads, pos);
-  return assemble_evaluation(inc_, p, config_, p.negotiable.size());
+    compute_row(ctx, pos, inc_.deltas[pos]);
+  return assemble_evaluation(inc_.deltas, config_, p.negotiable.size());
 }
 
 Evaluation PiecewiseCostOracle::evaluate_incremental(
@@ -400,8 +404,8 @@ Evaluation PiecewiseCostOracle::evaluate_incremental(
   if (!state_matches(inc_, p)) return evaluate(ctx);
   return reevaluate_incremental(
       inc_, ctx, side_, config_, delta, [] {},
-      [&](const std::vector<double>& my_loads, std::size_t pos) {
-        return compute_row(ctx, my_loads, pos);
+      [&](std::size_t pos, std::span<double> row) {
+        compute_row(ctx, pos, row);
       });
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/oracle.hpp"
@@ -18,7 +19,11 @@ namespace detail {
 ///    does this link feed"), built over every member's path to every
 ///    candidate — the tentative interconnection is always a candidate, so a
 ///    position's row can only change when one of its footprint links does,
-///  - the previously computed delta matrix, reused for unaffected rows.
+///  - the previously computed delta matrix, reused for unaffected rows,
+///  - one scratch copy of this side's link loads that a row computation
+///    edits in place (its members' tentative paths taken out) and then
+///    restores entry by entry from the maintained loads, so no row copies
+///    the whole load vector.
 /// `problem` identifies the context the state was built for; a mismatch
 /// forces a full rebuild (the engine's first refresh always takes the full
 /// path, so reusing one oracle across negotiations is safe). The footprint
@@ -28,7 +33,8 @@ namespace detail {
 struct IncrementalOracleState {
   std::unique_ptr<routing::IncrementalLoads> loads;
   std::vector<std::vector<std::uint32_t>> positions_of_link;
-  std::vector<std::vector<double>> deltas;
+  Matrix<double> deltas;
+  std::vector<double> without;
   const NegotiationProblem* problem = nullptr;
   /// Copies of the inputs the footprint index depends on, compared before
   /// reusing it: a fresh problem at a recycled address (same stack slot in
@@ -117,9 +123,9 @@ class BandwidthOracle : public PreferenceOracle {
 
  private:
   [[nodiscard]] std::vector<char> open_mask(const OracleContext& ctx) const;
-  [[nodiscard]] std::vector<double> compute_row(
-      const OracleContext& ctx, const std::vector<char>& open,
-      const std::vector<double>& my_loads, std::size_t pos) const;
+  /// Writes position `pos`'s deltas into `row`.
+  void compute_row(const OracleContext& ctx, const std::vector<char>& open,
+                   std::size_t pos, std::span<double> row);
 
   int side_;
   PreferenceConfig config_;
@@ -146,9 +152,9 @@ class PiecewiseCostOracle : public PreferenceOracle {
   [[nodiscard]] bool wants_reassignment() const override { return true; }
 
  private:
-  [[nodiscard]] std::vector<double> compute_row(
-      const OracleContext& ctx, const std::vector<double>& my_loads,
-      std::size_t pos) const;
+  /// Writes position `pos`'s deltas into `row`.
+  void compute_row(const OracleContext& ctx, std::size_t pos,
+                   std::span<double> row);
 
   int side_;
   PreferenceConfig config_;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "routing/pair_routing.hpp"
@@ -30,11 +31,12 @@ struct NegotiationProblem {
   [[nodiscard]] const traffic::Flow& negotiable_flow(std::size_t pos) const {
     return (*flows)[negotiable[pos]];
   }
-  /// Flow indices moved together when position `pos` is negotiated.
-  [[nodiscard]] std::vector<std::size_t> members_of(std::size_t pos) const {
+  /// Flow indices moved together when position `pos` is negotiated (a view
+  /// into the problem, valid while it is unchanged).
+  [[nodiscard]] std::span<const std::size_t> members_of(std::size_t pos) const {
     if (pos < group_members.size() && !group_members[pos].empty())
       return group_members[pos];
-    return {negotiable[pos]};
+    return std::span<const std::size_t>(negotiable).subspan(pos, 1);
   }
   [[nodiscard]] std::size_t default_ix(std::size_t pos) const {
     return default_assignment.ix_of_flow[negotiable[pos]];

@@ -1,8 +1,10 @@
 #include "core/side.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -14,22 +16,13 @@ namespace {
 /// Bit-level equality of two evaluations (telemetry fields excluded): the
 /// contract evaluate_incremental() must honour versus a full recompute.
 bool same_evaluation_bits(const Evaluation& a, const Evaluation& b) {
-  if (a.true_value.size() != b.true_value.size()) return false;
-  for (std::size_t i = 0; i < a.true_value.size(); ++i) {
-    if (a.true_value[i].size() != b.true_value[i].size()) return false;
-    if (!a.true_value[i].empty() &&
-        std::memcmp(a.true_value[i].data(), b.true_value[i].data(),
-                    a.true_value[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  if (a.classes.flows.size() != b.classes.flows.size()) return false;
-  for (std::size_t i = 0; i < a.classes.flows.size(); ++i) {
-    if (a.classes.flows[i].flow != b.classes.flows[i].flow ||
-        a.classes.flows[i].pref_of_candidate !=
-            b.classes.flows[i].pref_of_candidate)
-      return false;
-  }
-  return true;
+  const std::span<const double> x = a.true_value.values();
+  const std::span<const double> y = b.true_value.values();
+  return a.true_value.rows() == b.true_value.rows() &&
+         a.true_value.cols() == b.true_value.cols() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size_bytes()) == 0) &&
+         a.classes == b.classes;
 }
 
 #ifdef NDEBUG
@@ -38,12 +31,17 @@ constexpr bool kAuditByDefault = false;
 constexpr bool kAuditByDefault = true;  // debug builds audit every refresh
 #endif
 
+/// A list must have one row per negotiable position and one column per
+/// candidate, and every class must lie in [-kMaxPrefRange, kMaxPrefRange]
+/// (what the packed selection keys can hold).
 void check_shape(const PreferenceList& list, const NegotiationProblem& p) {
-  if (list.flows.size() != p.negotiable.size())
+  if (list.rows() != p.negotiable.size())
     throw std::logic_error("preference list has wrong number of flows");
-  for (const auto& fp : list.flows)
-    if (fp.pref_of_candidate.size() != p.candidates.size())
-      throw std::logic_error("preference list has wrong number of candidates");
+  if (list.rows() > 0 && list.cols() != p.candidates.size())
+    throw std::logic_error("preference list has wrong number of candidates");
+  for (PrefClass c : list.values())
+    if (c < -kMaxPrefRange || c > kMaxPrefRange)
+      throw std::logic_error("preference class out of range");
 }
 
 /// Stable sort of `items` by `digit_of(item)` in [0, span): LSD radix sort
@@ -90,8 +88,8 @@ NegotiationSide::NegotiationSide(const NegotiationProblem& problem,
   problem_.validate();
   tentative_ = problem_.default_assignment;
   remaining_.assign(problem_.negotiable.size(), 1);
-  banned_.assign(problem_.negotiable.size(),
-                 std::vector<char>(problem_.candidates.size(), 0));
+  banned_ = Matrix<char>(problem_.negotiable.size(),
+                         problem_.candidates.size());
   default_ci_.reserve(problem_.negotiable.size());
   for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
     default_ci_.push_back(problem_.default_candidate(pos));
@@ -138,11 +136,10 @@ void NegotiationSide::evaluate() {
   pending_delta_.clear();
   evaluated_once_ = true;
   check_shape(truth_.classes, problem_);
-  if (truth_.true_value.size() != problem_.negotiable.size())
+  if (truth_.true_value.rows() != problem_.negotiable.size() ||
+      (truth_.true_value.rows() > 0 &&
+       truth_.true_value.cols() != problem_.candidates.size()))
     throw std::logic_error("oracle returned wrong true_value shape");
-  for (const auto& row : truth_.true_value)
-    if (row.size() != problem_.candidates.size())
-      throw std::logic_error("oracle returned wrong true_value shape");
   rebuild_index();
 }
 
@@ -159,28 +156,27 @@ void NegotiationSide::set_remote_disclosed(PreferenceList list) {
   rebuild_index();
 }
 
-NegotiationSide::RankKey NegotiationSide::proposal_key(int own, int remote,
-                                                       bool is_default) const {
+NegotiationSide::Key NegotiationSide::proposal_key(int own, int remote,
+                                                   bool is_default) const {
   switch (config_.proposal) {
     case ProposalPolicy::kMaxCombinedGain:
-      return RankKey{own + remote, own, is_default};
+      return pack(own + remote, own, is_default);
     case ProposalPolicy::kBestLocalMinImpact:
-      return RankKey{own, remote, is_default};
+      return pack(own, remote, is_default);
   }
   throw std::logic_error("proposal_key: bad policy");
 }
 
 NegotiationSide::PositionSummary NegotiationSide::summarize(
     std::size_t pos) const {
-  const auto& mine = disclosed_.flows[pos].pref_of_candidate;
-  const auto& theirs = remote_disclosed_.flows[pos].pref_of_candidate;
-  const auto& truth = truth_.true_value[pos];
-  const auto& banned = banned_[pos];
+  const std::span<const PrefClass> mine = disclosed_[pos];
+  const std::span<const PrefClass> theirs = remote_disclosed_[pos];
+  const std::span<const double> truth = truth_.true_value[pos];
+  const std::span<const char> banned = banned_[pos];
   // Each proposer maximises the combined class, breaks ties by its own
   // disclosed class, then prefers the default; on a residual tie the owner
   // assumes the worst of the tied alternatives.
-  const auto track = [](RankKey& best, double& own, const RankKey& key,
-                        double value) {
+  const auto track = [](Key& best, double& own, Key key, double value) {
     if (best < key) {
       best = key;
       own = value;
@@ -189,50 +185,56 @@ NegotiationSide::PositionSummary NegotiationSide::summarize(
     }
   };
   PositionSummary s;
-  RankKey as_mine, as_remote;
+  Key as_mine = 0, as_remote = 0;
   for (std::size_t ci = 0; ci < mine.size(); ++ci) {
     if (banned[ci]) continue;
     const int combined = mine[ci] + theirs[ci];
     const bool is_default = ci == default_ci_[pos];
-    const RankKey mine_key{combined, mine[ci], is_default};
-    const RankKey remote_key{combined, theirs[ci], is_default};
-    const RankKey key = proposal_key(mine[ci], theirs[ci], is_default);
+    const Key mine_key = pack(combined, mine[ci], is_default);
+    const Key remote_key = pack(combined, theirs[ci], is_default);
+    const Key key = proposal_key(mine[ci], theirs[ci], is_default);
+    const std::uint64_t bit = ci < kMaskBits ? std::uint64_t{1} << ci : 0;
     if (!s.open) {
       s.open = true;
+      s.combined = combined;
       as_mine = mine_key;
       as_remote = remote_key;
       s.own_if_mine = s.own_if_remote = truth[ci];
       s.best = key;
       s.best_ci = ci;
+      s.tie_mask = bit;
       continue;
     }
+    s.combined = std::max(s.combined, combined);
     track(as_mine, s.own_if_mine, mine_key, truth[ci]);
     track(as_remote, s.own_if_remote, remote_key, truth[ci]);
     if (s.best < key) {
       s.best = key;
       s.best_ci = ci;
+      s.tie_mask = bit;
+    } else if (key == s.best) {
+      s.tie_mask |= bit;
     }
   }
-  s.combined = as_mine.primary;
   return s;
 }
 
 void NegotiationSide::rebuild_index() {
   const std::size_t n = problem_.negotiable.size();
   summary_.clear();
-  best_primary_.clear();
+  best_key_.clear();
   order_.clear();
-  if (truth_.true_value.size() != n || disclosed_.flows.size() != n ||
-      remote_disclosed_.flows.size() != n)
+  if (truth_.true_value.rows() != n || disclosed_.rows() != n ||
+      remote_disclosed_.rows() != n)
     return;  // not every list has arrived yet
   summary_.reserve(n);
-  best_primary_.reserve(n);
+  best_key_.reserve(n);
   int lo = 0, hi = 0;
   for (std::size_t pos = 0; pos < n; ++pos) {
     // Settled positions stay out of the index for good.
     summary_.push_back(remaining_[pos] ? summarize(pos) : PositionSummary{});
     const PositionSummary& s = summary_.back();
-    best_primary_.push_back(s.open ? s.best.primary : kClosedKey);
+    best_key_.push_back(s.open ? s.best : kClosedKey);
     if (!s.open) continue;
     if (order_.empty() || s.combined < lo) lo = s.combined;
     if (order_.empty() || s.combined > hi) hi = s.combined;
@@ -266,46 +268,56 @@ bool NegotiationSide::select_proposal(util::Rng* rng,
                                       ProposalChoice& out) const {
   const obs::PhaseTimer timer(obs::Phase::kSelectProposal);
   bool found = false;
-  RankKey best;
+  // The running best key; before the first find it sits just above the
+  // sentinel, so closed and settled positions never pass.
+  Key bar = kClosedKey + 1;
   std::size_t num_tied = 0;
-  // The running best's primary key; it starts just above the sentinel, so
-  // closed and settled positions never pass.
-  int bar = kClosedKey + 1;
-  const int* primary = best_primary_.data();
-  for (std::size_t pos = 0; pos < best_primary_.size(); ++pos) {
+  const bool masks = problem_.candidates.size() <= kMaskBits;
+  const Key* key = best_key_.data();
+  for (std::size_t pos = 0; pos < best_key_.size(); ++pos) {
     // Below the running best, no candidate here can win or tie.
-    if (primary[pos] < bar) continue;
+    if (key[pos] < bar) continue;
     const PositionSummary& s = summary_[pos];
-    if (found && s.best < best) continue;
+    const bool raises = !found || key[pos] > bar;
     if (rng == nullptr) {
       // Ties keep the first pair in scan order: the position's own first
       // best candidate, unless an earlier position already holds the key.
-      if (!found || best < s.best) {
+      if (raises) {
         found = true;
-        best = s.best;
-        bar = best.primary;
+        bar = key[pos];
         out = ProposalChoice{pos, s.best_ci};
       }
       continue;
     }
-    const auto& mine = disclosed_.flows[pos].pref_of_candidate;
-    const auto& theirs = remote_disclosed_.flows[pos].pref_of_candidate;
+    if (!raises && masks) {
+      // Ties the running best: each tied candidate, in candidate order, is
+      // one more residual tie — uniform via reservoir sampling.
+      for (std::uint64_t m = s.tie_mask; m != 0; m &= m - 1) {
+        ++num_tied;
+        if (rng->next_below(num_tied) == 0)
+          out = ProposalChoice{pos,
+                               static_cast<std::size_t>(std::countr_zero(m))};
+      }
+      continue;
+    }
+    // Raises the running best (or the row is wider than a mask): the exact
+    // candidate loop, whose intermediate bests restart the reservoir.
+    const std::span<const PrefClass> mine = disclosed_[pos];
+    const std::span<const PrefClass> theirs = remote_disclosed_[pos];
+    const std::span<const char> banned = banned_[pos];
     for (std::size_t ci = 0; ci < mine.size(); ++ci) {
-      if (banned_[pos][ci]) continue;
-      const RankKey key =
-          proposal_key(mine[ci], theirs[ci], ci == default_ci_[pos]);
-      if (!found || best < key) {
+      if (banned[ci]) continue;
+      const Key k = proposal_key(mine[ci], theirs[ci], ci == default_ci_[pos]);
+      if (!found || bar < k) {
         found = true;
-        best = key;
+        bar = k;
         num_tied = 1;
         out = ProposalChoice{pos, ci};
-      } else if (key == best) {
-        // Residual tie: uniform via reservoir sampling.
+      } else if (k == bar) {
         ++num_tied;
         if (rng->next_below(num_tied) == 0) out = ProposalChoice{pos, ci};
       }
     }
-    bar = best.primary;
   }
   return found;
 }
@@ -385,11 +397,10 @@ bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
     ++tally_.flows_moved;
   }
   true_gain_ += value;
-  disclosed_gain_[side_] += disclosed_.flows[pos].pref_of_candidate[ci];
-  disclosed_gain_[1 - side_] +=
-      remote_disclosed_.flows[pos].pref_of_candidate[ci];
+  disclosed_gain_[side_] += disclosed_[pos][ci];
+  disclosed_gain_[1 - side_] += remote_disclosed_[pos][ci];
   remaining_[pos] = 0;
-  if (!best_primary_.empty()) best_primary_[pos] = kClosedKey;
+  if (!best_key_.empty()) best_key_[pos] = kClosedKey;
   --remaining_count_;
   ++tally_.flows_negotiated;
   ++round_;
@@ -408,7 +419,7 @@ void NegotiationSide::ban(std::size_t pos, std::size_t ci) {
   const PositionSummary now =
       remaining_[pos] ? summarize(pos) : PositionSummary{};
   PositionSummary& was = summary_[pos];
-  best_primary_[pos] = now.open ? now.best.primary : kClosedKey;
+  best_key_[pos] = now.open ? now.best : kClosedKey;
   if (now.open == was.open && now.combined == was.combined) {
     was = now;  // same slot in the order
     return;

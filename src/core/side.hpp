@@ -1,6 +1,5 @@
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -180,9 +179,10 @@ struct Projection {
 /// remote disclosed), the owner's true value of the alternative each
 /// proposer would pick (ties by its own disclosed class, then the default;
 /// residual ties pessimistic for the owner), and the configured proposal
-/// policy's key of the best candidate. Alongside it, the open positions in
-/// decreasing combined class, ties in position order (a stable counting
-/// sort over the observed class span). Invalidation:
+/// policy's key of the best candidate, with a bitmask of the candidates
+/// that tie that key. Alongside it, the open positions in decreasing
+/// combined class, ties in position order (a stable counting sort over the
+/// observed class span). Invalidation:
 ///   - evaluate(), disclose() and set_remote_disclosed() rebuild every
 ///     summary and the order (once all three lists exist);
 ///   - ban(pos, ci) recomputes position `pos` and moves it in the order;
@@ -190,12 +190,21 @@ struct Projection {
 ///     settlement rollbacks leave the rest alone: the walk skips settled
 ///     positions.
 /// The projection is then one walk over the order, which the stop test and
-/// protective acceptance end as soon as the running peak decides them. The
-/// selection scans a contiguous array of each position's best primary key
-/// (kClosedKey for closed or settled positions) and reads a summary only
-/// where that key reaches the running best's: every other position can
-/// neither win nor tie, so the random tie-break draws exactly what a scan of
-/// every pair would draw.
+/// protective acceptance end as soon as the running peak decides them.
+///
+/// Selection keys are packed: (primary, secondary, is_default) in one int64
+/// whose integer order is the lexicographic order of the triple. The
+/// selection scans a contiguous array of each position's best packed key
+/// (kClosedKey for closed or settled positions) and skips every position
+/// below the running best, which can neither win nor tie. A position that
+/// ties the running best draws once per candidate in its tie mask, in
+/// candidate order; one that raises it replays the exact candidate loop, so
+/// the intermediate draws are those of a scan of every pair, and the random
+/// tie-break consumes the same draws. With more than 64 candidates the masks
+/// cannot hold a row, and the exact loop runs for ties too.
+///
+/// All per-(position, candidate) tables — true values, both disclosed
+/// lists, the veto table — are row-major Matrix blocks (core/preference.hpp).
 class NegotiationSide {
  public:
   static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
@@ -217,7 +226,7 @@ class NegotiationSide {
   /// reads it).
   void disclose(const PreferenceList& remote_hint);
   /// Takes the remote's disclosed list (throws std::logic_error on a shape
-  /// mismatch).
+  /// mismatch or a class outside [-kMaxPrefRange, kMaxPrefRange]).
   void set_remote_disclosed(PreferenceList list);
   /// Forgets the pending delta at a quantum this side does not evaluate
   /// (its own oracle does not want reassignment).
@@ -302,15 +311,18 @@ class NegotiationSide {
     bool rolled_back = false;
   };
 
-  /// A proposal ranking key, compared in member order: primary, secondary,
-  /// then the default alternative wins.
-  struct RankKey {
-    int primary = 0;
-    int secondary = 0;
-    bool is_default = false;
-
-    friend auto operator<=>(const RankKey&, const RankKey&) = default;
-  };
+  /// A proposal ranking key: (primary, secondary, is_default) packed so
+  /// that integer order is lexicographic order — primary in the high 32
+  /// bits, then secondary, then the default alternative winning the last
+  /// bit. Exact for every class in [-kMaxPrefRange, kMaxPrefRange], which
+  /// check_shape enforces.
+  using Key = std::int64_t;
+  static constexpr Key pack(int primary, int secondary, bool is_default) {
+    return std::int64_t{primary} * (std::int64_t{1} << 32) +
+           std::int64_t{secondary} * 2 + (is_default ? 1 : 0);
+  }
+  /// Tie masks hold one bit per candidate.
+  static constexpr std::size_t kMaskBits = 64;
 
   /// What the index remembers of one position's unvetoed candidates.
   struct PositionSummary {
@@ -318,13 +330,14 @@ class NegotiationSide {
     int combined = 0;   // best own + remote disclosed class
     double own_if_mine = 0.0;    // own true value if this side proposes
     double own_if_remote = 0.0;  // ... if the remote proposes
-    RankKey best;                // best proposal key under the policy
+    Key best = 0;                // best proposal key under the policy
     std::size_t best_ci = 0;     // first candidate (in ci order) holding it
+    /// Bit ci set when candidate ci holds `best` (only for ci < kMaskBits).
+    std::uint64_t tie_mask = 0;
   };
 
   void roll_back(AcceptedMove& m);
-  [[nodiscard]] RankKey proposal_key(int own, int remote,
-                                     bool is_default) const;
+  [[nodiscard]] Key proposal_key(int own, int remote, bool is_default) const;
   [[nodiscard]] PositionSummary summarize(std::size_t pos) const;
   /// project_future(), cut short once `settled(peak)` holds: the peak only
   /// grows along the walk, so a decision waiting for it to clear a bar is
@@ -340,8 +353,8 @@ class NegotiationSide {
   NegotiationConfig config_;
 
   routing::Assignment tentative_;
-  std::vector<char> remaining_;            // per negotiable position
-  std::vector<std::vector<char>> banned_;  // vetoed (pos, ci) pairs
+  std::vector<char> remaining_;  // per negotiable position
+  Matrix<char> banned_;          // vetoed (pos, ci) pairs
   std::vector<std::size_t> default_ci_;    // default candidate per position
   Evaluation truth_;
   PreferenceList disclosed_;
@@ -365,11 +378,11 @@ class NegotiationSide {
   /// The position index (see the class comment). Empty until evaluate(),
   /// disclose() and set_remote_disclosed() have all run once.
   std::vector<PositionSummary> summary_;
-  /// summary_[pos].best.primary, or kClosedKey once the position is closed
-  /// or settled: the selection's skip loop reads only this array. Real
-  /// primaries stay within +-2 * kMaxPrefRange, far above the sentinel.
-  static constexpr int kClosedKey = std::numeric_limits<int>::min();
-  std::vector<int> best_primary_;
+  /// summary_[pos].best, or kClosedKey once the position is closed or
+  /// settled: the selection's skip loop reads only this array. Real keys
+  /// have primaries within +-2 * kMaxPrefRange, far above the sentinel.
+  static constexpr Key kClosedKey = std::numeric_limits<Key>::min();
+  std::vector<Key> best_key_;
   /// Open positions with an unvetoed candidate at the last rebuild (minus
   /// those vetoed out since), by decreasing combined class, ties by
   /// position.

@@ -8,7 +8,26 @@ namespace nexit::routing {
 PairRouting::PairRouting(const topology::IspPair& pair)
     : pair_(&pair),
       paths_a_(pair.a().backbone()),
-      paths_b_(pair.b().backbone()) {}
+      paths_b_(pair.b().backbone()),
+      n_ix_(pair.interconnection_count()) {
+  for (int side = 0; side < 2; ++side) {
+    const std::size_t pops = side == 0 ? pair.a().backbone().node_count()
+                                       : pair.b().backbone().node_count();
+    auto& km = km_[static_cast<std::size_t>(side)];
+    km.reserve(pops * n_ix_);
+    for (std::size_t pop = 0; pop < pops; ++pop) {
+      const graph::ShortestPathTree& t =
+          tree(side, topology::PopId{static_cast<std::int32_t>(pop)});
+      for (std::size_t ix = 0; ix < n_ix_; ++ix)
+        km.push_back(t.path_length_km(
+            static_cast<graph::NodeIndex>(ix_pop(side, ix).value())));
+    }
+  }
+}
+
+void PairRouting::throw_bad_side() {
+  throw std::invalid_argument("PairRouting::km_in_side: bad side");
+}
 
 /// Precomputes every (PoP, interconnection) path of one side. Oracles walk
 /// these paths per flow per candidate on every evaluation, so handing out
@@ -55,30 +74,6 @@ topology::PopId PairRouting::ix_pop(int side, std::size_t ix) const {
 double PairRouting::igp_to_ix(int side, topology::PopId pop, std::size_t ix) const {
   return tree(side, pop).distance(
       static_cast<graph::NodeIndex>(ix_pop(side, ix).value()));
-}
-
-double PairRouting::km_to_ix(int side, topology::PopId pop, std::size_t ix) const {
-  return tree(side, pop).path_length_km(
-      static_cast<graph::NodeIndex>(ix_pop(side, ix).value()));
-}
-
-double PairRouting::upstream_km(const traffic::Flow& f, std::size_t ix) const {
-  return km_to_ix(traffic::upstream_side(f.direction), f.src, ix);
-}
-
-double PairRouting::downstream_km(const traffic::Flow& f, std::size_t ix) const {
-  return km_to_ix(traffic::downstream_side(f.direction), f.dst, ix);
-}
-
-double PairRouting::total_km(const traffic::Flow& f, std::size_t ix) const {
-  return upstream_km(f, ix) + downstream_km(f, ix);
-}
-
-double PairRouting::km_in_side(const traffic::Flow& f, std::size_t ix,
-                               int side) const {
-  if (side == traffic::upstream_side(f.direction)) return upstream_km(f, ix);
-  if (side == traffic::downstream_side(f.direction)) return downstream_km(f, ix);
-  throw std::invalid_argument("PairRouting::km_in_side: bad side");
 }
 
 double PairRouting::upstream_igp(const traffic::Flow& f, std::size_t ix) const {

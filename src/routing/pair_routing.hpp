@@ -31,19 +31,36 @@ class PairRouting {
   /// given side (0 = ISP A, 1 = ISP B).
   [[nodiscard]] double igp_to_ix(int side, topology::PopId pop, std::size_t ix) const;
 
-  /// Geographic km along the IGP shortest path from `pop` to `ix`'s PoP.
-  [[nodiscard]] double km_to_ix(int side, topology::PopId pop, std::size_t ix) const;
+  /// Geographic km along the IGP shortest path from `pop` to `ix`'s PoP
+  /// (a load from the table the constructor fills).
+  [[nodiscard]] double km_to_ix(int side, topology::PopId pop,
+                                std::size_t ix) const {
+    return km_[static_cast<std::size_t>(side)]
+              [static_cast<std::size_t>(pop.value()) * n_ix_ + ix];
+  }
 
   /// Distance the flow travels inside its upstream / downstream ISP when
   /// routed via interconnection `ix` (km along IGP shortest paths).
-  [[nodiscard]] double upstream_km(const traffic::Flow& f, std::size_t ix) const;
-  [[nodiscard]] double downstream_km(const traffic::Flow& f, std::size_t ix) const;
-  [[nodiscard]] double total_km(const traffic::Flow& f, std::size_t ix) const;
+  [[nodiscard]] double upstream_km(const traffic::Flow& f, std::size_t ix) const {
+    return km_to_ix(traffic::upstream_side(f.direction), f.src, ix);
+  }
+  [[nodiscard]] double downstream_km(const traffic::Flow& f,
+                                     std::size_t ix) const {
+    return km_to_ix(traffic::downstream_side(f.direction), f.dst, ix);
+  }
+  [[nodiscard]] double total_km(const traffic::Flow& f, std::size_t ix) const {
+    return upstream_km(f, ix) + downstream_km(f, ix);
+  }
 
   /// Distance inside a specific side (side must be the flow's upstream or
-  /// downstream ISP).
+  /// downstream ISP; throws std::invalid_argument otherwise).
   [[nodiscard]] double km_in_side(const traffic::Flow& f, std::size_t ix,
-                                  int side) const;
+                                  int side) const {
+    if (side == traffic::upstream_side(f.direction)) return upstream_km(f, ix);
+    if (side == traffic::downstream_side(f.direction))
+      return downstream_km(f, ix);
+    throw_bad_side();
+  }
 
   /// IGP weight inside the upstream network.
   [[nodiscard]] double upstream_igp(const traffic::Flow& f, std::size_t ix) const;
@@ -80,10 +97,15 @@ class PairRouting {
   [[nodiscard]] const std::vector<graph::EdgeIndex>& cached_path(
       int side, topology::PopId pop, std::size_t ix) const;
   void build_path_cache(int side) const;
+  [[noreturn]] static void throw_bad_side();
 
   const topology::IspPair* pair_;
   graph::AllPairsShortestPaths paths_a_;
   graph::AllPairsShortestPaths paths_b_;
+  std::size_t n_ix_ = 0;
+  /// km_[side][pop * n_ix_ + ix]: km_to_ix(side, pop, ix), read off the
+  /// shortest-path trees once at construction.
+  std::array<std::vector<double>, 2> km_;
   /// path_cache_[side][pop * ix_count + ix]: edges of the IGP shortest path
   /// from `pop` to interconnection `ix`'s PoP inside `side`'s backbone.
   /// Built lazily per side under path_cache_once_, immutable afterwards.

@@ -160,10 +160,10 @@ std::vector<DestinationSample> run_destination_experiment(
       return def > 0 ? (def - neg) / def * 100.0 : 0.0;
     };
     const auto run_mode = [&](const core::NegotiationProblem& problem,
-                              double& total_out, double* side_out) {
-      EngineTotals unused;  // the ablation records gains only
+                              EngineTotals& totals, double& total_out,
+                              double* side_out) {
       const core::NegotiationOutcome outcome =
-          negotiate(spec, problem, nullptr, streams[1].next_u64(), unused);
+          negotiate(spec, problem, nullptr, streams[1].next_u64(), totals);
       total_out = gain(
           metrics::total_flow_km(w.routing, flows, problem.default_assignment),
           metrics::total_flow_km(w.routing, flows, outcome.assignment));
@@ -178,11 +178,12 @@ std::vector<DestinationSample> run_destination_experiment(
     };
 
     DestinationSample s;
+    s.pair_label = pair.label();
     run_mode(core::make_distance_problem(w.routing, flows, w.candidates),
-             s.sd_gain, nullptr);
+             s.source_dest, s.sd_gain, nullptr);
     run_mode(core::make_destination_problem(w.routing, flows, w.candidates),
-             s.db_gain, s.db_side_gain);
-    out.push_back(s);
+             s.destination_based, s.db_gain, s.db_side_gain);
+    out.push_back(std::move(s));
   };
   return run_per_pair<DestinationSample>(spec.universe(), 2, 0xddddull, 2,
                                          spec.threads, run_pair);

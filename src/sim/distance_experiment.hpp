@@ -54,8 +54,12 @@ std::vector<DistanceSample> run_distance_experiment(const ExperimentSpec& spec);
 
 /// One pair of the footnote-2 ablation: total gain of source-destination
 /// and of destination-based negotiation, each versus its own default, and
-/// each ISP's gain under destination-based negotiation.
+/// each ISP's gain under destination-based negotiation; the engine totals
+/// of each mode's negotiation (its rounds feed the --trace tracks).
 struct DestinationSample {
+  std::string pair_label;
+  EngineTotals source_dest;
+  EngineTotals destination_based;
   double sd_gain = 0.0;
   double db_gain = 0.0;
   double db_side_gain[2] = {0.0, 0.0};

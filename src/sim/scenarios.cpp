@@ -79,6 +79,23 @@ void ScenarioContext::mix(const std::vector<BandwidthSample>& samples) {
   }
 }
 
+void ScenarioContext::mix(const std::vector<DestinationSample>& samples) {
+  for (const DestinationSample& s : samples) {
+    mix_double(s.sd_gain);
+    mix_double(s.db_gain);
+    for (double side : s.db_side_gain) mix_double(side);
+  }
+  if (trace != nullptr) {
+    for (const DestinationSample& s : samples) {
+      emit_round_track(trace, s.pair_label + " source-dest",
+                       s.source_dest.rounds, s.source_dest.flows_moved);
+      emit_round_track(trace, s.pair_label + " destination-based",
+                       s.destination_based.rounds,
+                       s.destination_based.flows_moved);
+    }
+  }
+}
+
 std::uint64_t digest_samples(const std::vector<DistanceSample>& samples) {
   using util::double_bits;
   using util::fnv1a_mix;
@@ -1120,9 +1137,9 @@ class TableOracle : public core::PreferenceOracle {
     const std::size_t i = std::min(calls_++, phases_.size() - 1);
     core::Evaluation e;
     e.classes = phases_[i];
-    for (const auto& fp : e.classes.flows)
-      e.true_value.emplace_back(fp.pref_of_candidate.begin(),
-                                fp.pref_of_candidate.end());
+    e.true_value = core::Matrix<double>(e.classes.rows(), e.classes.cols());
+    std::copy(e.classes.values().begin(), e.classes.values().end(),
+              e.true_value.values().begin());
     return e;
   }
   [[nodiscard]] bool wants_reassignment() const override { return reassign_; }
@@ -1133,12 +1150,6 @@ class TableOracle : public core::PreferenceOracle {
   std::size_t calls_ = 0;
 };
 
-core::PreferenceList table_rows(const std::vector<std::vector<int>>& r) {
-  core::PreferenceList l;
-  for (std::size_t i = 0; i < r.size(); ++i)
-    l.flows.push_back({traffic::FlowId{static_cast<std::int32_t>(i)}, r[i]});
-  return l;
-}
 
 int run_table3(ScenarioContext& ctx) {
   print_bench_header("Figure 3 (table)",
@@ -1184,9 +1195,10 @@ int run_table3(ScenarioContext& ctx) {
   problem.default_assignment.ix_of_flow = {1, 1};
 
   const auto negotiate = [&](std::uint64_t seed) {
-    TableOracle a({table_rows({{-1, 0}, {0, 0}})}, false);
-    TableOracle b({table_rows({{0, 0}, {0, 0}}),
-                   table_rows({{0, 0}, {1, 0}})}, true);
+    TableOracle a({core::PreferenceList{{-1, 0}, {0, 0}}}, false);
+    TableOracle b({core::PreferenceList{{0, 0}, {0, 0}},
+                   core::PreferenceList{{0, 0}, {1, 0}}},
+                  true);
     core::NegotiationConfig cfg;
     cfg.seed = seed;
     cfg.reassign_traffic_fraction = 0.5;
@@ -1291,11 +1303,7 @@ int run_abl_destination_based(ScenarioContext& ctx) {
   Measured<P> m;
   m.samples = run_destination_experiment(ctx.spec);
   if (m.samples.empty()) return no_samples();
-  for (const P& r : m.samples) {
-    ctx.mix_double(r.sd_gain);
-    ctx.mix_double(r.db_gain);
-    for (double side : r.db_side_gain) ctx.mix_double(side);
-  }
+  ctx.mix(m.samples);
   return report(ctx, kDestinationBased, m);
 }
 

@@ -50,6 +50,7 @@ struct ScenarioContext {
   void mix_double(double v) { mix(util::double_bits(v)); }
   void mix(const std::vector<DistanceSample>& samples);
   void mix(const std::vector<BandwidthSample>& samples);
+  void mix(const std::vector<DestinationSample>& samples);
 };
 
 /// The analysis rows of one experiment kind (scenarios.cpp): what to

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "agent/agent.hpp"
@@ -237,8 +239,7 @@ class DivergingOracle : public core::DistanceOracle {
       const core::OracleContext& ctx,
       const core::EvaluationDelta& delta) override {
     core::Evaluation e = core::DistanceOracle::evaluate_incremental(ctx, delta);
-    if (!e.true_value.empty() && !e.true_value[0].empty())
-      e.true_value[0][0] += 1.0;
+    if (!e.true_value.values().empty()) e.true_value[0][0] += 1.0;
     return e;
   }
   [[nodiscard]] bool wants_reassignment() const override { return true; }
@@ -368,6 +369,72 @@ TEST(AgentSession, ContractMismatchFails) {
   NegotiationAgent agent_b(fx.problem, ob, *cb, AgentConfig{1, 2, cfg_b});
   run_session(agent_a, agent_b, 1000);
   EXPECT_TRUE(agent_a.failed() || agent_b.failed());
+}
+
+/// Passes everything through except PREF_ADVERT frames, which it decodes,
+/// rewrites with `tamper`, and re-encodes (one frame per send()).
+class AdvertTamperingChannel : public Channel {
+ public:
+  AdvertTamperingChannel(std::unique_ptr<Channel> inner,
+                         std::function<void(proto::PrefAdvert&)> tamper)
+      : inner_(std::move(inner)), tamper_(std::move(tamper)) {}
+
+  void send(const proto::Bytes& data) override {
+    proto::FrameDecoder decoder;
+    decoder.feed(data);
+    const std::optional<proto::Frame> frame = decoder.next();
+    if (frame) {
+      util::Result<proto::Message> m = proto::decode_message(*frame);
+      if (m.ok()) {
+        if (auto* advert = std::get_if<proto::PrefAdvert>(&m.value())) {
+          tamper_(*advert);
+          inner_->send(proto::encode_frame(proto::encode_message(*advert)));
+          return;
+        }
+      }
+    }
+    inner_->send(data);
+  }
+  proto::Bytes receive() override { return inner_->receive(); }
+  [[nodiscard]] bool readable() const override { return inner_->readable(); }
+  [[nodiscard]] bool closed() const override { return inner_->closed(); }
+  void close() override { inner_->close(); }
+
+ private:
+  std::unique_ptr<Channel> inner_;
+  std::function<void(proto::PrefAdvert&)> tamper_;
+};
+
+// The receiver copies each advertised row into its own row-major list: a
+// row of the wrong length or a class outside the agreed range must fail the
+// session, never land in (or past) the table.
+TEST(AgentSession, MalformedPrefAdvertFailsTheSession) {
+  const int range = wire_config().preferences.range;
+  const std::vector<std::pair<std::string, std::function<void(proto::PrefAdvert&)>>>
+      cases = {
+          {"preference list shape mismatch",
+           [](proto::PrefAdvert& a) { a.flows.back().pref_of_candidate.pop_back(); }},
+          {"preference list shape mismatch",
+           [](proto::PrefAdvert& a) { a.flows.front().pref_of_candidate.push_back(0); }},
+          {"preference list shape mismatch",
+           [](proto::PrefAdvert& a) { a.flows.pop_back(); }},
+          {"preference class out of agreed range",
+           [range](proto::PrefAdvert& a) {
+             a.flows.back().pref_of_candidate.back() = range + 1;
+           }},
+      };
+  for (const auto& [error, tamper] : cases) {
+    SessionFixture fx;
+    auto cfg = wire_config();
+    core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
+    auto [ca, cb] = make_in_memory_channel_pair();
+    AdvertTamperingChannel bad_a(std::move(ca), tamper);
+    NegotiationAgent agent_a(fx.problem, oa, bad_a, AgentConfig{0, 1, cfg});
+    NegotiationAgent agent_b(fx.problem, ob, *cb, AgentConfig{1, 2, cfg});
+    run_session(agent_a, agent_b, 1000);
+    EXPECT_TRUE(agent_b.failed()) << error;
+    EXPECT_EQ(agent_b.error(), error);
+  }
 }
 
 TEST(AgentSession, RejectsUnsupportedConfig) {

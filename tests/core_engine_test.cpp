@@ -25,11 +25,9 @@ class ScriptedOracle : public PreferenceOracle {
     Evaluation e;
     e.classes = phases_[i];
     // Scripted oracles value alternatives exactly at their class numbers.
-    for (const auto& fp : e.classes.flows) {
-      std::vector<double> row(fp.pref_of_candidate.begin(),
-                              fp.pref_of_candidate.end());
-      e.true_value.push_back(std::move(row));
-    }
+    e.true_value = Matrix<double>(e.classes.rows(), e.classes.cols());
+    std::copy(e.classes.values().begin(), e.classes.values().end(),
+              e.true_value.values().begin());
     return e;
   }
   [[nodiscard]] bool wants_reassignment() const override { return reassign_; }
@@ -42,10 +40,9 @@ class ScriptedOracle : public PreferenceOracle {
 };
 
 PreferenceList list_for(const std::vector<std::vector<PrefClass>>& rows) {
-  PreferenceList l;
+  PreferenceList l(rows.size(), rows.empty() ? 0 : rows.front().size());
   for (std::size_t i = 0; i < rows.size(); ++i)
-    l.flows.push_back(
-        {traffic::FlowId{static_cast<std::int32_t>(i)}, rows[i]});
+    std::copy(rows[i].begin(), rows[i].end(), l[i].begin());
   return l;
 }
 

@@ -33,9 +33,9 @@ TEST(DistanceOracle, DefaultAlternativeIsClassZero) {
   Fixture fx({make_flow(0, Direction::kAtoB, 0, 2)});
   DistanceOracle a(0, PreferenceConfig{});
   auto list = a.evaluate(fx.ctx()).classes;
-  ASSERT_EQ(list.flows.size(), 1u);
+  ASSERT_EQ(list.rows(), 1u);
   const std::size_t def = fx.problem.default_candidate(0);
-  EXPECT_EQ(list.flows[0].pref_of_candidate[def], 0);
+  EXPECT_EQ(list[0][def], 0);
 }
 
 TEST(DistanceOracle, SignsFollowOwnDistance) {
@@ -46,14 +46,14 @@ TEST(DistanceOracle, SignsFollowOwnDistance) {
   auto la = a.evaluate(fx.ctx()).classes;
   auto lb = b.evaluate(fx.ctx()).classes;
   // For A (upstream): ix0 is closest (0km), others cost more -> negative.
-  EXPECT_EQ(la.flows[0].pref_of_candidate[0], 0);
-  EXPECT_LT(la.flows[0].pref_of_candidate[1], 0);
-  EXPECT_LT(la.flows[0].pref_of_candidate[2],
-            la.flows[0].pref_of_candidate[1]);
+  EXPECT_EQ(la[0][0], 0);
+  EXPECT_LT(la[0][1], 0);
+  EXPECT_LT(la[0][2],
+            la[0][1]);
   // For B (downstream): ix2 enters at the destination -> strongly positive.
-  EXPECT_EQ(lb.flows[0].pref_of_candidate[0], 0);
-  EXPECT_GT(lb.flows[0].pref_of_candidate[2], 0);
-  EXPECT_GT(lb.flows[0].pref_of_candidate[2], lb.flows[0].pref_of_candidate[1]);
+  EXPECT_EQ(lb[0][0], 0);
+  EXPECT_GT(lb[0][2], 0);
+  EXPECT_GT(lb[0][2], lb[0][1]);
 }
 
 TEST(DistanceOracle, LargestSwingMapsToExtremeClass) {
@@ -63,7 +63,7 @@ TEST(DistanceOracle, LargestSwingMapsToExtremeClass) {
   DistanceOracle b(1, pc);
   auto lb = b.evaluate(fx.ctx()).classes;
   // B's largest saving is 400km (ix2): must map to +10.
-  EXPECT_EQ(lb.flows[0].pref_of_candidate[2], 10);
+  EXPECT_EQ(lb[0][2], 10);
 }
 
 TEST(DistanceOracle, OrdinalModeCompresses) {
@@ -72,11 +72,11 @@ TEST(DistanceOracle, OrdinalModeCompresses) {
   pc.ordinal = true;
   DistanceOracle b(1, pc);
   auto lb = b.evaluate(fx.ctx()).classes;
-  for (PrefClass p : lb.flows[0].pref_of_candidate) {
+  for (PrefClass p : lb[0]) {
     EXPECT_GE(p, -1);
     EXPECT_LE(p, 1);
   }
-  EXPECT_EQ(lb.flows[0].pref_of_candidate[2], 1);
+  EXPECT_EQ(lb[0][2], 1);
 }
 
 TEST(DistanceOracle, BadSideThrows) {
@@ -97,9 +97,9 @@ TEST(BandwidthOracle, OpenFlowsContributeNoLoad) {
   // Default ix0: B path ratio (0+1)/1 = 1 for both B links; via ix1: 1;
   // via ix2: empty path -> 0. So ix2 is +P, ix0/ix1 equal 0... ix1 touches
   // only edge b1-b2: same ratio 1 -> delta 0.
-  EXPECT_EQ(list.flows[0].pref_of_candidate[0], 0);
-  EXPECT_EQ(list.flows[0].pref_of_candidate[1], 0);
-  EXPECT_GT(list.flows[0].pref_of_candidate[2], 0);
+  EXPECT_EQ(list[0][0], 0);
+  EXPECT_EQ(list[0][1], 0);
+  EXPECT_GT(list[0][2], 0);
 }
 
 TEST(BandwidthOracle, SettledFlowBecomesBackground) {
@@ -116,10 +116,10 @@ TEST(BandwidthOracle, SettledFlowBecomesBackground) {
   auto list = b.evaluate(fx.ctx()).classes;
   // Flow 1 via default ix0 now rides on loaded links: ratio (1+1)/1 = 2.
   // Via ix2: 0. Delta(ix2) = +2 -> maps to +P; delta(ix0) = 0 by definition.
-  EXPECT_EQ(list.flows[1].pref_of_candidate[0], 0);
-  EXPECT_EQ(list.flows[1].pref_of_candidate[2], PreferenceConfig{}.range);
+  EXPECT_EQ(list[1][0], 0);
+  EXPECT_EQ(list[1][2], PreferenceConfig{}.range);
   // And settled flow 0 is judged with itself removed: same shape as before.
-  EXPECT_EQ(list.flows[0].pref_of_candidate[0], 0);
+  EXPECT_EQ(list[0][0], 0);
 }
 
 TEST(BandwidthOracle, UpstreamSideSeesItsOwnLinks) {
@@ -133,8 +133,8 @@ TEST(BandwidthOracle, UpstreamSideSeesItsOwnLinks) {
   // A-internal travel -> negative for A.
   const std::size_t def = fx.problem.default_candidate(0);
   EXPECT_EQ(def, 2u);
-  EXPECT_EQ(list.flows[0].pref_of_candidate[2], 0);
-  EXPECT_LT(list.flows[0].pref_of_candidate[0], 0);
+  EXPECT_EQ(list[0][2], 0);
+  EXPECT_LT(list[0][0], 0);
 }
 
 TEST(BandwidthOracle, AtTentativeSeesOpenPileUp) {
@@ -149,13 +149,13 @@ TEST(BandwidthOracle, AtTentativeSeesOpenPileUp) {
   auto list = b.evaluate(fx.ctx()).classes;
   // Default ix0 for flow 0: the other open flow already loads both B links
   // (ratio (1+1)/1 = 2); via ix2 the B path is empty (0). Delta(ix2) = +2.
-  EXPECT_EQ(list.flows[0].pref_of_candidate[0], 0);
-  EXPECT_GT(list.flows[0].pref_of_candidate[2], 0);
+  EXPECT_EQ(list[0][0], 0);
+  EXPECT_GT(list[0][2], 0);
   // And under kExcluded the same situation shows a smaller swing (1 -> 0).
   BandwidthOracle b_excl(1, PreferenceConfig{}, caps, OpenFlowModel::kExcluded);
   auto excl = b_excl.evaluate(fx.ctx()).classes;
-  EXPECT_GT(list.flows[0].pref_of_candidate[2], 0);
-  EXPECT_GT(excl.flows[0].pref_of_candidate[2], 0);
+  EXPECT_GT(list[0][2], 0);
+  EXPECT_GT(excl[0][2], 0);
 }
 
 TEST(BandwidthOracle, NullContextThrows) {

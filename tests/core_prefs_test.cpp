@@ -10,44 +10,44 @@ TEST(Quantize, LinearMappingWithScale) {
   PreferenceConfig cfg;
   cfg.range = 10;
   // scale 100 -> +100km saved maps to +10, -50 to -5.
-  auto prefs = quantize_deltas({100.0, -50.0, 0.0, 10.0}, cfg, 100.0);
-  EXPECT_EQ(prefs, (std::vector<PrefClass>{10, -5, 0, 1}));
+  auto prefs = quantize_deltas({{100.0, -50.0, 0.0, 10.0}}, cfg, 100.0);
+  EXPECT_EQ(prefs, (PreferenceList{{10, -5, 0, 1}}));
 }
 
 TEST(Quantize, ClampsToRange) {
   PreferenceConfig cfg;
   cfg.range = 5;
-  auto prefs = quantize_deltas({1000.0, -1000.0}, cfg, 100.0);
-  EXPECT_EQ(prefs, (std::vector<PrefClass>{5, -5}));
+  auto prefs = quantize_deltas({{1000.0, -1000.0}}, cfg, 100.0);
+  EXPECT_EQ(prefs, (PreferenceList{{5, -5}}));
 }
 
 TEST(Quantize, ZeroScaleMapsEverythingToZero) {
   PreferenceConfig cfg;
-  auto prefs = quantize_deltas({3.0, -7.0}, cfg, 0.0);
-  EXPECT_EQ(prefs, (std::vector<PrefClass>{0, 0}));
+  auto prefs = quantize_deltas({{3.0, -7.0}}, cfg, 0.0);
+  EXPECT_EQ(prefs, (PreferenceList{{0, 0}}));
 }
 
 TEST(Quantize, OrdinalModeSignsOnly) {
   PreferenceConfig cfg;
   cfg.ordinal = true;
-  auto prefs = quantize_deltas({42.0, -0.5, 0.0}, cfg, 42.0);
-  EXPECT_EQ(prefs, (std::vector<PrefClass>{1, -1, 0}));
+  auto prefs = quantize_deltas({{42.0, -0.5, 0.0}}, cfg, 42.0);
+  EXPECT_EQ(prefs, (PreferenceList{{1, -1, 0}}));
 }
 
 TEST(Quantize, RoundsToNearestClass) {
   PreferenceConfig cfg;
   cfg.range = 10;
   // 14 km on scale 100: 1.4 -> 1; 16 km: 1.6 -> 2.
-  auto prefs = quantize_deltas({14.0, 16.0, -14.0, -16.0}, cfg, 100.0);
-  EXPECT_EQ(prefs, (std::vector<PrefClass>{1, 2, -1, -2}));
+  auto prefs = quantize_deltas({{14.0, 16.0, -14.0, -16.0}}, cfg, 100.0);
+  EXPECT_EQ(prefs, (PreferenceList{{1, 2, -1, -2}}));
 }
 
 TEST(Quantize, BadRangeThrows) {
   PreferenceConfig cfg;
   cfg.range = 0;
-  EXPECT_THROW(quantize_deltas({1.0}, cfg, 1.0), std::invalid_argument);
+  EXPECT_THROW(quantize_deltas({{1.0}}, cfg, 1.0), std::invalid_argument);
   cfg.range = kMaxPrefRange + 1;
-  EXPECT_THROW(quantize_deltas({1.0}, cfg, 1.0), std::invalid_argument);
+  EXPECT_THROW(quantize_deltas({{1.0}}, cfg, 1.0), std::invalid_argument);
 }
 
 TEST(Quantize, ClampsBeforeNarrowing) {
@@ -55,17 +55,26 @@ TEST(Quantize, ClampsBeforeNarrowing) {
   // once scaled; they must still land on +-P.
   PreferenceConfig cfg;
   cfg.range = kMaxPrefRange;
-  auto prefs = quantize_deltas({1e12, -1e12, 1e300, 0.5}, cfg, 1.0);
-  EXPECT_EQ(prefs, (std::vector<PrefClass>{kMaxPrefRange, -kMaxPrefRange,
-                                           kMaxPrefRange, kMaxPrefRange / 2}));
+  auto prefs = quantize_deltas({{1e12, -1e12, 1e300, 0.5}}, cfg, 1.0);
+  EXPECT_EQ(prefs, (PreferenceList{{kMaxPrefRange, -kMaxPrefRange,
+                                           kMaxPrefRange, kMaxPrefRange / 2}}));
 }
 
 // --- Cheating transform (§5.4) --------------------------------------------
 
+/// The cheater's disclosed row for one flow.
+std::vector<PrefClass> lie_for(const std::vector<PrefClass>& own,
+                               const std::vector<PrefClass>& remote,
+                               int range) {
+  std::vector<PrefClass> lie(own.size());
+  CheatingOracle::transform_flow(own, remote, range, lie);
+  return lie;
+}
+
 TEST(Cheating, InflatesBestAlternativeToMaxSum) {
   // Own truth: {2, 0}; remote: {0, 5}. Max sum is alt1 (0+5=5). The cheater's
   // best is alt0; it inflates alt0 to 5 - 0 = 5 so alt0 ties the max.
-  auto lie = CheatingOracle::transform_flow({2, 0}, {0, 5}, 10);
+  auto lie = lie_for({2, 0}, {0, 5}, 10);
   EXPECT_EQ(lie[0] + 0, 5);
   EXPECT_LE(lie[1] + 5, lie[0] + 0 + 0 + 5);  // alt0 sum is max
   EXPECT_GE(lie[0] + 0, lie[1] + 5);
@@ -73,7 +82,7 @@ TEST(Cheating, InflatesBestAlternativeToMaxSum) {
 
 TEST(Cheating, NoChangeWhenAlreadyMaxSum) {
   // Own best already attains max combined sum: disclose truthfully.
-  auto lie = CheatingOracle::transform_flow({5, 0}, {0, 0}, 10);
+  auto lie = lie_for({5, 0}, {0, 0}, 10);
   EXPECT_EQ(lie, (std::vector<PrefClass>{5, 0}));
 }
 
@@ -81,7 +90,7 @@ TEST(Cheating, DeflatesOthersWhenCapBinds) {
   // Own: {1, 0}; remote: {0, 20}. With P=10, inflating alt0 to 20 is
   // impossible (cap 10); competitors must be deflated so alt0 still wins:
   // alt1 <= 10 + 0 - 20 = -10.
-  auto lie = CheatingOracle::transform_flow({1, 0}, {0, 20}, 10);
+  auto lie = lie_for({1, 0}, {0, 20}, 10);
   EXPECT_EQ(lie[0], 10);
   EXPECT_LE(lie[1], -10);
   EXPECT_GE(lie[0] + 0, lie[1] + 20);
@@ -89,7 +98,7 @@ TEST(Cheating, DeflatesOthersWhenCapBinds) {
 
 TEST(Cheating, PreservesOrderingAmongOthers) {
   // Inflation touches only the best alternative when the cap is not binding.
-  auto lie = CheatingOracle::transform_flow({3, 2, -1}, {4, 0, 0}, 10);
+  auto lie = lie_for({3, 2, -1}, {4, 0, 0}, 10);
   // Max sum initially: alt0: 3+4=7; own best alt0 already max: unchanged.
   EXPECT_EQ(lie, (std::vector<PrefClass>{3, 2, -1}));
 }
@@ -103,7 +112,7 @@ TEST(Cheating, BestAlternativeWinsSelectionAfterLie) {
       {1, 7, -2}, {0, 0, 10}, {-5, 5, 0}, {3, 3, 3}};
   for (const auto& own : owns) {
     for (const auto& remote : remotes) {
-      auto lie = CheatingOracle::transform_flow(own, remote, 10);
+      auto lie = lie_for(own, remote, 10);
       std::size_t best = 0;
       for (std::size_t c = 1; c < own.size(); ++c)
         if (own[c] > own[best]) best = c;
@@ -121,7 +130,11 @@ TEST(Cheating, BestAlternativeWinsSelectionAfterLie) {
 }
 
 TEST(Cheating, SizeMismatchThrows) {
-  EXPECT_THROW(CheatingOracle::transform_flow({1}, {1, 2}, 10),
+  EXPECT_THROW(lie_for({1}, {1, 2}, 10), std::invalid_argument);
+  // The output row must match the inputs too.
+  const std::vector<PrefClass> own{1, 2}, remote{0, 0};
+  std::vector<PrefClass> short_out(1);
+  EXPECT_THROW(CheatingOracle::transform_flow(own, remote, 10, short_out),
                std::invalid_argument);
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "core/cheating.hpp"
 #include "core/side.hpp"
 #include "test_topologies.hpp"
 
@@ -40,11 +41,16 @@ class ScriptedOracle : public PreferenceOracle {
   Evaluation evaluate(const OracleContext&) override { return next; }
 };
 
-PreferenceList list_of(const std::vector<std::vector<PrefClass>>& rows) {
-  PreferenceList l;
+template <typename T>
+Matrix<T> matrix_of(const std::vector<std::vector<T>>& rows) {
+  Matrix<T> m(rows.size(), rows.empty() ? 0 : rows.front().size());
   for (std::size_t i = 0; i < rows.size(); ++i)
-    l.flows.push_back({traffic::FlowId{static_cast<std::int32_t>(i)}, rows[i]});
-  return l;
+    std::copy(rows[i].begin(), rows[i].end(), m[i].begin());
+  return m;
+}
+
+PreferenceList list_of(const std::vector<std::vector<PrefClass>>& rows) {
+  return matrix_of(rows);
 }
 
 /// One side over `defaults.size()` flows x `candidates` interconnections,
@@ -78,7 +84,7 @@ struct SideFixture {
                const std::vector<std::vector<double>>& my_true,
                const std::vector<std::vector<PrefClass>>& theirs) {
     oracle.next.classes = list_of(mine);
-    oracle.next.true_value = my_true;
+    oracle.next.true_value = matrix_of(my_true);
     side->evaluate();
     side->disclose(list_of(theirs));
     side->set_remote_disclosed(list_of(theirs));
@@ -273,11 +279,11 @@ struct Reference {
   std::vector<char> remaining;
   std::vector<std::vector<char>> banned;
 
-  [[nodiscard]] const std::vector<PrefClass>& mine(std::size_t pos) const {
-    return side->disclosed().flows[pos].pref_of_candidate;
+  [[nodiscard]] std::span<const PrefClass> mine(std::size_t pos) const {
+    return side->disclosed()[pos];
   }
-  [[nodiscard]] const std::vector<PrefClass>& theirs(std::size_t pos) const {
-    return side->remote_disclosed().flows[pos].pref_of_candidate;
+  [[nodiscard]] std::span<const PrefClass> theirs(std::size_t pos) const {
+    return side->remote_disclosed()[pos];
   }
 
   bool select(util::Rng* rng, ProposalChoice& out) const {
@@ -330,7 +336,7 @@ struct Reference {
   }
 
   [[nodiscard]] double own_value(std::size_t pos, bool selector_is_me) const {
-    const auto& truth = side->truth().true_value[pos];
+    const std::span<const double> truth = side->truth().true_value[pos];
     bool have = false;
     int best_combined = 0, best_secondary = 0;
     bool best_is_default = false;
@@ -507,7 +513,7 @@ void run_differential(ProposalPolicy policy, bool with_rng,
             break;
           case 1:
             fx.oracle.next.classes = list_of(mine);
-            fx.oracle.next.true_value = my_true;
+            fx.oracle.next.true_value = matrix_of(my_true);
             fx.side->evaluate();
             break;
           case 2:
@@ -550,6 +556,107 @@ TEST(PositionIndex, MatchesPairScanAtThePrefRangeBound) {
   run_differential(ProposalPolicy::kMaxCombinedGain, true, Classes::kAtBound);
   run_differential(ProposalPolicy::kBestLocalMinImpact, false,
                    Classes::kAtBound);
+}
+
+// Selection alone against the reference's scan of every (pos, ci) pair,
+// through interleaved bans and accepts, under both proposal policies and
+// both tie-breaks. Narrow classes tie everywhere, so most steps draw; rows
+// of up to 64 candidates take the tie-mask path, wider ones (65, 130) the
+// exact candidate loop.
+TEST(PositionIndex, SelectionMatchesReferenceScan) {
+  util::Rng gen(2024);
+  for (const ProposalPolicy policy :
+       {ProposalPolicy::kMaxCombinedGain, ProposalPolicy::kBestLocalMinImpact}) {
+    for (const TieBreak tie_break : {TieBreak::kRandom, TieBreak::kDeterministic}) {
+      for (const std::size_t candidates : {1, 2, 5, 63, 64, 65, 130}) {
+        for (int trial = 0; trial < 3; ++trial) {
+          SCOPED_TRACE("candidates " + std::to_string(candidates) + " trial " +
+                       std::to_string(trial));
+          const std::size_t positions = 1 + gen.next_below(20);
+          std::vector<std::size_t> defaults(positions);
+          for (auto& d : defaults) d = gen.next_below(candidates);
+          NegotiationConfig config;
+          config.proposal = policy;
+          config.tie_break = tie_break;
+          SideFixture fx(candidates, defaults, config);
+          std::vector<std::vector<PrefClass>> mine, theirs;
+          std::vector<std::vector<double>> my_true;
+          random_lists(gen, Classes::kNarrow, positions, candidates, mine,
+                       my_true, theirs);
+          fx.refresh(mine, my_true, theirs);
+          Reference ref{fx.side.get(), &fx.problem, policy,
+                        std::vector<char>(positions, 1),
+                        std::vector<std::vector<char>>(
+                            positions, std::vector<char>(candidates, 0))};
+          util::Rng side_rng(gen.next_u64());
+          util::Rng ref_rng = side_rng;
+          const bool random = tie_break == TieBreak::kRandom;
+          for (int step = 0; step < 80; ++step) {
+            ProposalChoice got{}, want{};
+            const bool got_found =
+                fx.side->select_proposal(random ? &side_rng : nullptr, got);
+            const bool want_found =
+                ref.select(random ? &ref_rng : nullptr, want);
+            ASSERT_EQ(got_found, want_found) << "step " << step;
+            util::Rng side_next = side_rng, ref_next = ref_rng;
+            ASSERT_EQ(side_next.next_u64(), ref_next.next_u64())
+                << "step " << step;
+            if (!want_found) break;
+            ASSERT_EQ(got.pos, want.pos) << "step " << step;
+            ASSERT_EQ(got.ci, want.ci) << "step " << step;
+            if (gen.next_below(3) != 0) {
+              fx.side->ban(want.pos, want.ci);
+              ref.banned[want.pos][want.ci] = 1;
+            } else {
+              fx.side->apply_accept(want.pos, want.ci);
+              ref.remaining[want.pos] = 0;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- shape checks -------------------------------------------------------
+
+TEST(ShapeChecks, OracleListsOfTheWrongShapeThrow) {
+  NegotiationConfig config;
+  SideFixture fx(2, {0, 0}, config);
+  const auto evaluate_with = [&](PreferenceList classes,
+                                 Matrix<double> truth) {
+    fx.oracle.next.classes = std::move(classes);
+    fx.oracle.next.true_value = std::move(truth);
+    fx.side->evaluate();
+  };
+  const Matrix<double> truth{{0.0, 1.0}, {0.0, 1.0}};
+  EXPECT_NO_THROW(evaluate_with({{0, 1}, {0, 1}}, truth));
+  // Classes: one row short, one column short, one column too many.
+  EXPECT_THROW(evaluate_with({{0, 1}}, truth), std::logic_error);
+  EXPECT_THROW(evaluate_with({{0}, {0}}, truth), std::logic_error);
+  EXPECT_THROW(evaluate_with({{0, 1, 2}, {0, 1, 2}}, truth), std::logic_error);
+  // True values: a row short, a column short.
+  EXPECT_THROW(evaluate_with({{0, 1}, {0, 1}}, {{0.0, 1.0}}), std::logic_error);
+  EXPECT_THROW(evaluate_with({{0, 1}, {0, 1}}, {{0.0}, {0.0}}),
+               std::logic_error);
+  // A class the packed selection keys cannot hold.
+  EXPECT_THROW(evaluate_with({{0, kMaxPrefRange + 1}, {0, 1}}, truth),
+               std::logic_error);
+  // The remote's list is checked the same way.
+  EXPECT_THROW(fx.side->set_remote_disclosed({{0, 1}}), std::logic_error);
+  EXPECT_THROW(fx.side->set_remote_disclosed({{0, 1, 2}, {0, 1, 2}}),
+               std::logic_error);
+}
+
+TEST(ShapeChecks, CheatingDiscloseOnMismatchedShapesThrows) {
+  ScriptedOracle honest;
+  CheatingOracle cheat(honest, 10);
+  const OracleContext ctx{};
+  const PreferenceList own{{1, 0}, {0, 2}};
+  EXPECT_EQ(cheat.disclose(ctx, own, {{0, 0}, {0, 0}}).rows(), 2u);
+  EXPECT_THROW((void)cheat.disclose(ctx, own, {{0, 0}}), std::invalid_argument);
+  EXPECT_THROW((void)cheat.disclose(ctx, own, {{0, 0, 0}, {0, 0, 0}}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -51,22 +51,12 @@ bool same_loads_bits(const routing::LoadMap& a, const routing::LoadMap& b) {
 }
 
 bool same_evaluation_bits(const core::Evaluation& a, const core::Evaluation& b) {
-  if (a.true_value.size() != b.true_value.size()) return false;
-  for (std::size_t i = 0; i < a.true_value.size(); ++i) {
-    if (a.true_value[i].size() != b.true_value[i].size()) return false;
-    if (!a.true_value[i].empty() &&
-        std::memcmp(a.true_value[i].data(), b.true_value[i].data(),
-                    a.true_value[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  if (a.classes.flows.size() != b.classes.flows.size()) return false;
-  for (std::size_t i = 0; i < a.classes.flows.size(); ++i) {
-    if (a.classes.flows[i].flow != b.classes.flows[i].flow ||
-        a.classes.flows[i].pref_of_candidate !=
-            b.classes.flows[i].pref_of_candidate)
-      return false;
-  }
-  return true;
+  const auto x = a.true_value.values();
+  const auto y = b.true_value.values();
+  return a.true_value.rows() == b.true_value.rows() &&
+         a.true_value.cols() == b.true_value.cols() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0) &&
+         a.classes == b.classes;
 }
 
 /// Scenario shared by the oracle properties: a generated pair, one-direction
@@ -352,8 +342,7 @@ class LyingOracle : public core::PreferenceOracle {
       const core::OracleContext& ctx,
       const core::EvaluationDelta& delta) override {
     core::Evaluation e = inner_.evaluate_incremental(ctx, delta);
-    if (!e.true_value.empty() && !e.true_value[0].empty())
-      e.true_value[0][0] += 1.0;
+    if (!e.true_value.values().empty()) e.true_value[0][0] += 1.0;
     return e;
   }
   [[nodiscard]] bool wants_reassignment() const override { return true; }

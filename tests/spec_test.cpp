@@ -301,8 +301,8 @@ TEST(ExperimentSpec, PrefRangeEdgesParseValidateAndQuantize) {
     ASSERT_TRUE(s.validate(&error)) << error;
     const core::PreferenceConfig prefs = s.to_negotiation_config().preferences;
     EXPECT_EQ(prefs.range, p);
-    EXPECT_EQ(core::quantize_deltas({1e9, -1e9, 0.0}, prefs, 1.0),
-              (std::vector<core::PrefClass>{p, -p, 0}));
+    EXPECT_EQ(core::quantize_deltas({{1e9, -1e9, 0.0}}, prefs, 1.0),
+              (core::PreferenceList{{p, -p, 0}}));
   }
   const std::string range =
       "\\[1, " + std::to_string(core::kMaxPrefRange) + "\\]";
