@@ -67,6 +67,12 @@ NegotiationAgent::NegotiationAgent(const core::NegotiationProblem& problem,
     throw std::invalid_argument("AgentConfig: kCoinToss unsupported on the wire");
   if (config_.negotiation.termination == core::TerminationPolicy::kFull)
     throw std::invalid_argument("AgentConfig: kFull unsupported on the wire");
+  // Flow ids index the traffic matrix, so a dense table is at most F long.
+  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos) {
+    const std::uint32_t id = flow_id(pos);
+    if (id >= pos_of_flow_id_.size()) pos_of_flow_id_.resize(id + 1, kNoPos);
+    if (pos_of_flow_id_[id] == kNoPos) pos_of_flow_id_[id] = pos;
+  }
 }
 
 const core::NegotiationOutcome& NegotiationAgent::outcome() const {
@@ -90,9 +96,9 @@ std::uint32_t NegotiationAgent::flow_id(std::size_t pos) const {
 }
 
 std::size_t NegotiationAgent::pos_of_flow(std::uint32_t id) const {
-  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
-    if (flow_id(pos) == id) return pos;
-  throw std::out_of_range("unknown flow id");
+  if (id >= pos_of_flow_id_.size() || pos_of_flow_id_[id] == kNoPos)
+    throw std::out_of_range("unknown flow id");
+  return pos_of_flow_id_[id];
 }
 
 std::size_t NegotiationAgent::ci_of_ix(std::uint32_t ix_id) const {
@@ -103,37 +109,34 @@ std::size_t NegotiationAgent::ci_of_ix(std::uint32_t ix_id) const {
 }
 
 void NegotiationAgent::send_pref_advert(bool reassignment) {
+  const core::PreferenceList& disclosed = side_.disclosed();
   proto::PrefAdvert advert;
   advert.reassignment = reassignment;
-  advert.flows.reserve(problem_.negotiable.size());
-  for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos) {
-    proto::PrefAdvert::Item item;
-    item.flow_id = flow_id(pos);
-    const std::span<const core::PrefClass> row = side_.disclosed()[pos];
-    item.pref_of_candidate.assign(row.begin(), row.end());
-    advert.flows.push_back(std::move(item));
-  }
+  advert.flow_ids.reserve(disclosed.rows());
+  advert.row_begin.reserve(disclosed.rows() + 1);
+  advert.classes.reserve(disclosed.rows() * disclosed.cols());
+  for (std::size_t pos = 0; pos < disclosed.rows(); ++pos)
+    advert.add_row(flow_id(pos), disclosed[pos]);
   send_message(advert);
 }
 
 bool NegotiationAgent::receive_pref_advert(const proto::PrefAdvert& advert) {
-  if (advert.flows.size() != problem_.negotiable.size()) {
+  if (advert.rows() != problem_.negotiable.size()) {
     fail("preference list shape mismatch");
     return false;
   }
   const int range = config_.negotiation.preferences.range;
   core::PreferenceList list(problem_.negotiable.size(),
                             problem_.candidates.size());
-  for (std::size_t pos = 0; pos < advert.flows.size(); ++pos) {
-    const auto& item = advert.flows[pos];
-    if (item.flow_id != flow_id(pos) ||
-        item.pref_of_candidate.size() != problem_.candidates.size()) {
+  for (std::size_t pos = 0; pos < advert.rows(); ++pos) {
+    const std::span<const std::int32_t> item = advert.row(pos);
+    if (advert.flow_ids[pos] != flow_id(pos) || item.size() != list.cols()) {
       fail("preference list shape mismatch");
       return false;
     }
     const std::span<core::PrefClass> row = list[pos];
     for (std::size_t ci = 0; ci < row.size(); ++ci) {
-      const std::int32_t p = item.pref_of_candidate[ci];
+      const std::int32_t p = item[ci];
       if (p < -range || p > range) {
         fail("preference class out of agreed range");
         return false;
@@ -418,9 +421,9 @@ bool NegotiationAgent::step() {
     progress = true;
   }
 
-  const proto::Bytes incoming = channel_->receive();
+  proto::Bytes incoming = channel_->receive();
   if (!incoming.empty()) {
-    decoder_.feed(incoming);
+    decoder_.feed(std::move(incoming));
     progress = true;
   }
   if (decoder_.failed()) {

@@ -98,6 +98,9 @@ class NegotiationAgent {
   Channel* channel_;
   AgentConfig config_;
   core::NegotiationSide side_;
+  /// Flow id -> negotiable position (kNoPos for flows off the table).
+  static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> pos_of_flow_id_;
 
   proto::FrameDecoder decoder_;
   AgentState state_ = AgentState::kHandshake;

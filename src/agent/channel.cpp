@@ -5,17 +5,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <deque>
 #include <stdexcept>
 
 namespace nexit::agent {
 
 namespace {
 
-/// Shared state of an in-memory duplex pipe.
+/// Shared state of an in-memory duplex pipe: one contiguous queue per
+/// direction, handed over whole by receive().
 struct PipeState {
-  std::deque<std::uint8_t> a_to_b;
-  std::deque<std::uint8_t> b_to_a;
+  proto::Bytes a_to_b;
+  proto::Bytes b_to_a;
   bool closed = false;
 };
 
@@ -31,9 +31,8 @@ class InMemoryChannel : public Channel {
   }
 
   proto::Bytes receive() override {
-    auto& q = is_a_ ? state_->b_to_a : state_->a_to_b;
-    proto::Bytes out(q.begin(), q.end());
-    q.clear();
+    proto::Bytes out;
+    out.swap(is_a_ ? state_->b_to_a : state_->a_to_b);
     return out;
   }
 

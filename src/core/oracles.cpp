@@ -359,8 +359,8 @@ void PiecewiseCostOracle::compute_row(const OracleContext& ctx,
       const auto idx = static_cast<std::size_t>(e);
       // nexit-lint: allow(float-accumulate): summed in path-edge order, the
       // same order both full and incremental evaluation walk
-      cost += metrics::piecewise_linear_cost({without[idx] + size}, {caps[idx]}) -
-              metrics::piecewise_linear_cost({without[idx]}, {caps[idx]});
+      cost += metrics::piecewise_phi(without[idx] + size, caps[idx]) -
+              metrics::piecewise_phi(without[idx], caps[idx]);
     }
     return cost;
   };

@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "dist/framed.hpp"
 #include "dist/tcp_channel.hpp"
@@ -75,8 +77,11 @@ void reap(pid_t pid, int grace_ms) {
 
 /// Why a worker's result cannot be accepted, or "" when it can. A worker
 /// answers only the job it holds (a retired worker's channel is closed, so
-/// no late answer arrives), and a histogram bucket outside the registry's
-/// range would fold into a quietly wrong record.
+/// no late answer arrives). The rest would fold into a quietly wrong
+/// record: an rc that disagrees with the error (non-empty iff rc != 0),
+/// counters not strictly sorted by name (the registry's order, so a
+/// duplicate shows here too), a repeated histogram, or a histogram bucket
+/// outside the registry's range.
 std::string reply_fault(const proto::DistResult& r, std::size_t job_count,
                         bool busy, std::size_t job) {
   if (r.job >= job_count) {
@@ -89,7 +94,20 @@ std::string reply_fault(const proto::DistResult& r, std::size_t job_count,
     return "result for job " + std::to_string(r.job) +
            ", not its in-flight job " + std::to_string(job);
   }
+  if ((r.rc != 0) != !r.error.empty()) {
+    return "rc " + std::to_string(r.rc) +
+           (r.error.empty() ? " without an error" : " with error \"" + r.error + "\"");
+  }
+  for (std::size_t i = 1; i < r.counters.size(); ++i) {
+    if (!(r.counters[i - 1].first < r.counters[i].first)) {
+      return "counter " + r.counters[i].first + " out of order after " +
+             r.counters[i - 1].first;
+    }
+  }
+  std::set<std::string> histograms;
   for (const proto::DistObsHistogram& h : r.histograms) {
+    if (!histograms.insert(h.name).second)
+      return "histogram " + h.name + " repeated";
     for (const auto& [bucket, count] : h.buckets) {
       if (bucket >= obs::kHistogramBuckets) {
         return "histogram " + h.name + " bucket " + std::to_string(bucket) +

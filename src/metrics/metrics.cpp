@@ -82,12 +82,15 @@ double piecewise_linear_cost(const std::vector<double>& loads,
   if (loads.size() != capacities.size())
     throw std::invalid_argument("piecewise_linear_cost: shape mismatch");
   double total = 0.0;
-  for (std::size_t e = 0; e < loads.size(); ++e) {
-    if (capacities[e] <= 0.0)
-      throw std::invalid_argument("piecewise_linear_cost: zero capacity");
-    total += phi(loads[e] / capacities[e]);
-  }
+  for (std::size_t e = 0; e < loads.size(); ++e)
+    total += piecewise_phi(loads[e], capacities[e]);
   return total;
+}
+
+double piecewise_phi(double load, double capacity) {
+  if (capacity <= 0.0)
+    throw std::invalid_argument("piecewise_linear_cost: zero capacity");
+  return phi(load / capacity);
 }
 
 }  // namespace nexit::metrics

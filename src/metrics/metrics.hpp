@@ -45,4 +45,8 @@ double path_mel(const std::vector<graph::EdgeIndex>& path_edges,
 double piecewise_linear_cost(const std::vector<double>& loads,
                              const std::vector<double>& capacities);
 
+/// One link's term of piecewise_linear_cost: phi(load / capacity). Throws
+/// std::invalid_argument on a capacity <= 0.
+double piecewise_phi(double load, double capacity);
+
 }  // namespace nexit::metrics

@@ -1,10 +1,21 @@
 #include "proto/messages.hpp"
 
+#include <algorithm>
+
 namespace nexit::proto {
 
 namespace {
 
 constexpr std::size_t kMaxListSize = 1u << 20;
+
+/// False for a list count above the cap, after latching the reader: the
+/// payload then fails to decode instead of reading as an empty list (an
+/// empty ROLLBACK, say, is a meaningful message).
+bool count_ok(Reader& r, std::uint64_t n) {
+  if (n <= kMaxListSize) return true;
+  while (r.ok()) (void)r.get_u8();  // the read past the end latches !ok()
+  return false;
+}
 
 void encode_hello(Writer& w, const Hello& m) {
   w.put_varint(m.asn);
@@ -40,7 +51,7 @@ void encode_candidates(Writer& w, const Candidates& m) {
 Candidates decode_candidates(Reader& r) {
   Candidates m;
   const std::uint64_t n = r.get_varint();
-  if (n > kMaxListSize) return m;  // reader will be poisoned by under-read
+  if (!count_ok(r, n)) return m;
   m.interconnection_ids.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n && r.ok(); ++i)
     m.interconnection_ids.push_back(static_cast<std::uint32_t>(r.get_varint()));
@@ -59,7 +70,7 @@ void encode_flow_announce(Writer& w, const FlowAnnounce& m) {
 FlowAnnounce decode_flow_announce(Reader& r) {
   FlowAnnounce m;
   const std::uint64_t n = r.get_varint();
-  if (n > kMaxListSize) return m;
+  if (!count_ok(r, n)) return m;
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     FlowAnnounce::Item item;
     item.flow_id = static_cast<std::uint32_t>(r.get_varint());
@@ -71,12 +82,15 @@ FlowAnnounce decode_flow_announce(Reader& r) {
 }
 
 void encode_pref_advert(Writer& w, const PrefAdvert& m) {
+  // Classes within +-63 take one byte each; ids and lengths a few more.
+  w.reserve(8 + 6 * m.rows() + m.classes.size());
   w.put_u8(m.reassignment ? 1 : 0);
-  w.put_varint(m.flows.size());
-  for (const auto& f : m.flows) {
-    w.put_varint(f.flow_id);
-    w.put_varint(f.pref_of_candidate.size());
-    for (std::int32_t p : f.pref_of_candidate) w.put_signed(p);
+  w.put_varint(m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    w.put_varint(m.flow_ids[r]);
+    const std::span<const std::int32_t> row = m.row(r);
+    w.put_varint(row.size());
+    for (std::int32_t p : row) w.put_signed(p);
   }
 }
 
@@ -84,15 +98,20 @@ PrefAdvert decode_pref_advert(Reader& r) {
   PrefAdvert m;
   m.reassignment = r.get_u8() != 0;
   const std::uint64_t n = r.get_varint();
-  if (n > kMaxListSize) return m;
+  if (!count_ok(r, n)) return m;
+  // Every row takes at least two bytes and every class one, so the payload
+  // bounds both reservations.
+  m.flow_ids.reserve(std::min<std::size_t>(n, r.remaining() / 2));
+  m.row_begin.reserve(m.flow_ids.capacity() + 1);
+  m.classes.reserve(r.remaining());
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    PrefAdvert::Item item;
-    item.flow_id = static_cast<std::uint32_t>(r.get_varint());
+    const auto flow_id = static_cast<std::uint32_t>(r.get_varint());
     const std::uint64_t k = r.get_varint();
-    if (k > kMaxListSize) break;
+    if (!count_ok(r, k)) break;
+    m.flow_ids.push_back(flow_id);
     for (std::uint64_t j = 0; j < k && r.ok(); ++j)
-      item.pref_of_candidate.push_back(static_cast<std::int32_t>(r.get_signed()));
-    m.flows.push_back(std::move(item));
+      m.classes.push_back(static_cast<std::int32_t>(r.get_signed()));
+    m.row_begin.push_back(static_cast<std::uint32_t>(m.classes.size()));
   }
   return m;
 }
@@ -102,6 +121,7 @@ PrefAdvert decode_pref_advert(Reader& r) {
 Frame encode_message(const Message& message) {
   Frame frame;
   Writer w;
+  w.reserve(16);  // every per-round message fits
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -185,7 +205,7 @@ util::Result<Message> decode_message(const Frame& frame) {
     case MessageType::kRollback: {
       Rollback m;
       const std::uint64_t n = r.get_varint();
-      if (n <= kMaxListSize) {
+      if (count_ok(r, n)) {
         for (std::uint64_t i = 0; i < n && r.ok(); ++i)
           m.flow_ids.push_back(static_cast<std::uint32_t>(r.get_varint()));
       }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -61,14 +62,26 @@ struct FlowAnnounce {
   friend bool operator==(const FlowAnnounce&, const FlowAnnounce&) = default;
 };
 
+/// One disclosed preference row per flow, stored CSR (compressed sparse
+/// row): row r is flow `flow_ids[r]` with classes
+/// `classes[row_begin[r] .. row_begin[r + 1])`. Rows are length-prefixed on
+/// the wire, so a ragged advert decodes as one and the receiver rejects it.
 struct PrefAdvert {
   bool reassignment = false;  // true when updating mid-session
-  struct Item {
-    std::uint32_t flow_id = 0;
-    std::vector<std::int32_t> pref_of_candidate;
-    friend bool operator==(const Item&, const Item&) = default;
-  };
-  std::vector<Item> flows;
+  std::vector<std::uint32_t> flow_ids;
+  std::vector<std::uint32_t> row_begin{0};  // rows() + 1 offsets into classes
+  std::vector<std::int32_t> classes;
+
+  [[nodiscard]] std::size_t rows() const { return flow_ids.size(); }
+  [[nodiscard]] std::span<const std::int32_t> row(std::size_t r) const {
+    return std::span<const std::int32_t>(classes).subspan(
+        row_begin[r], row_begin[r + 1] - row_begin[r]);
+  }
+  void add_row(std::uint32_t flow_id, std::span<const std::int32_t> prefs) {
+    flow_ids.push_back(flow_id);
+    classes.insert(classes.end(), prefs.begin(), prefs.end());
+    row_begin.push_back(static_cast<std::uint32_t>(classes.size()));
+  }
   friend bool operator==(const PrefAdvert&, const PrefAdvert&) = default;
 };
 

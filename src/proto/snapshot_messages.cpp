@@ -1,11 +1,13 @@
 #include "proto/snapshot_messages.hpp"
 
+#include <algorithm>
+
 namespace nexit::proto {
 
 namespace {
 
-/// A mark's assignment has one entry per negotiated flow; anything larger
-/// than the blob cap is garbage, refuse before allocating.
+/// A mark's assignment has one entry per flow; anything larger than the
+/// blob cap is garbage, refuse before allocating.
 constexpr std::size_t kMaxAssignment = 1u << 20;
 
 void encode_mark(Writer& w, const SnapshotNegotiationMark& m) {
@@ -19,12 +21,16 @@ void encode_mark(Writer& w, const SnapshotNegotiationMark& m) {
   w.put_double(m.true_gain_a);
   w.put_varint(m.pending_moves);
   w.put_varint(m.pending_settles);
-  w.put_varint(m.assignment.size());
-  for (std::uint64_t ix : m.assignment) w.put_varint(ix);
+  w.put_varint(m.flows);
+  w.put_varint(m.moves.size());
+  for (const SnapshotMove& mv : m.moves) {
+    w.put_varint(mv.flow);
+    w.put_varint(mv.ix);
+  }
 }
 
-SnapshotNegotiationMark decode_mark(Reader& r) {
-  SnapshotNegotiationMark m;
+/// Empty on success, else why the delta is refused.
+std::string decode_mark(Reader& r, SnapshotNegotiationMark& m) {
   m.live = r.get_u8();
   m.state_a = r.get_u8();
   m.state_b = r.get_u8();
@@ -35,19 +41,30 @@ SnapshotNegotiationMark decode_mark(Reader& r) {
   m.true_gain_a = r.get_double();
   m.pending_moves = r.get_varint();
   m.pending_settles = r.get_varint();
-  const std::uint64_t flows = r.get_varint();
-  if (flows > kMaxAssignment) {
-    // A length this large is garbage. Latch the reader's error before
-    // returning — with a short tail the remaining fields could otherwise
-    // parse cleanly and the record would decode as a *different* valid
-    // event (empty assignment), which restore must never see.
-    while (r.ok()) (void)r.get_u8();  // the read past the end latches !ok()
-    return m;
+  m.flows = r.get_varint();
+  const std::uint64_t count = r.get_varint();
+  if (!r.ok()) return "";  // truncated: reported as malformed
+  if (m.flows > kMaxAssignment)
+    return "mark claims " + std::to_string(m.flows) + " flows";
+  if (count > m.flows)
+    return "delta of " + std::to_string(count) + " moves over " +
+           std::to_string(m.flows) + " flows";
+  // Each move takes at least two bytes: a short payload cannot make the
+  // reservation large.
+  m.moves.reserve(std::min(static_cast<std::size_t>(count), r.remaining() / 2));
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    SnapshotMove mv;
+    mv.flow = r.get_varint();
+    mv.ix = r.get_varint();
+    if (!r.ok()) break;
+    if (mv.flow >= m.flows)
+      return "delta moves flow " + std::to_string(mv.flow) + " of " +
+             std::to_string(m.flows);
+    if (!m.moves.empty() && mv.flow <= m.moves.back().flow)
+      return "delta flows not strictly increasing";
+    m.moves.push_back(mv);
   }
-  m.assignment.reserve(r.ok() ? static_cast<std::size_t>(flows) : 0);
-  for (std::uint64_t i = 0; i < flows && r.ok(); ++i)
-    m.assignment.push_back(r.get_varint());
-  return m;
+  return "";
 }
 
 }  // namespace
@@ -77,6 +94,7 @@ Frame encode_snapshot_wal_event(const SnapshotWalEvent& ev) {
   frame.type =
       static_cast<std::uint8_t>(SnapshotMessageType::kSnapshotWalEvent);
   Writer w;
+  w.reserve(64 + 8 * ev.mark.moves.size() + ev.note.size());
   w.put_u8(ev.kind);
   w.put_varint(ev.tick);
   w.put_u8(ev.pre_status);
@@ -137,7 +155,9 @@ util::Result<SnapshotWalEvent> decode_snapshot_wal_event(const Frame& frame) {
   ev.pre_steps = r.get_varint();
   ev.pre_messages = r.get_varint();
   ev.pre_timeouts = r.get_varint();
-  ev.mark = decode_mark(r);
+  const std::string bad_delta = decode_mark(r, ev.mark);
+  if (!bad_delta.empty())
+    return util::make_error("snapshot: WAL event " + bad_delta);
   ev.note = r.get_string();
   if (!r.at_end())
     return util::make_error("snapshot: malformed WAL event payload");

@@ -13,7 +13,9 @@
 // durable (write-ahead: the record exists before its event runs), and
 // replay verifies those marks field by field — a log that does not
 // reproduce bit-identical state fails restore cleanly instead of resuming
-// as wrong data.
+// as wrong data. A mark carries side A's tentative assignment as a delta
+// against the previous record of the same WAL; replay rebuilds the full
+// assignment from the deltas and compares it exactly.
 
 #include <cstdint>
 #include <string>
@@ -34,9 +36,10 @@ enum class SnapshotMessageType : std::uint8_t {
 /// Version of the snapshot payload schema, independent of the frame-layer
 /// kProtocolVersion (the kDistProtocolVersion pattern): a build refuses to
 /// restore a log written by a different schema instead of mis-decoding it.
-/// Bump consciously on any field change and regenerate
-/// tests/fixtures/session_snapshot_v1.bin (see tests/snapshot_test.cpp).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Bump consciously on any field change and add a fixture
+/// tests/fixtures/session_snapshot_v<N>.bin (see tests/snapshot_test.cpp).
+/// v1 carried the full assignment in every mark; v2 carries deltas.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Session state at an attempt boundary (start, retry, planned restart).
 /// All ticks are session-local virtual time (runtime/session.hpp excises
@@ -60,10 +63,25 @@ struct SnapshotCheckpoint {
                          const SnapshotCheckpoint&) = default;
 };
 
+/// One entry of a mark's assignment delta: flow `flow` (an index into the
+/// problem's flows) sits on interconnection `ix`.
+struct SnapshotMove {
+  std::uint64_t flow = 0;
+  std::uint64_t ix = 0;
+  friend bool operator==(const SnapshotMove&, const SnapshotMove&) = default;
+};
+
 /// The live negotiation state a replayed prefix must land on before the
 /// next WAL record applies: FSM states, round, side A's tentative
 /// assignment, accumulated gains, and the un-evaluated pending delta.
 /// Zeroed while no attempt is live.
+///
+/// The assignment is a delta: `moves` lists, in strictly increasing flow
+/// order, every flow whose tentative ix changed since the previous record
+/// of the same WAL (for the first record after a checkpoint: since the
+/// problem's default assignment). The order makes each delta's encoding
+/// unique; the decoder refuses one out of order, with a flow >= `flows`,
+/// or longer than the cap.
 struct SnapshotNegotiationMark {
   std::uint8_t live = 0;     // 1 when an attempt (agent pair) exists
   std::uint8_t state_a = 0;  // agent::AgentState
@@ -75,7 +93,8 @@ struct SnapshotNegotiationMark {
   double true_gain_a = 0.0;            // side A's accumulated private gain
   std::uint64_t pending_moves = 0;     // side A's un-evaluated delta
   std::uint64_t pending_settles = 0;
-  std::vector<std::uint64_t> assignment;  // side A's tentative ix per flow
+  std::uint64_t flows = 0;             // length of side A's assignment
+  std::vector<SnapshotMove> moves;     // assignment delta, see above
   friend bool operator==(const SnapshotNegotiationMark&,
                          const SnapshotNegotiationMark&) = default;
 };

@@ -14,10 +14,21 @@ using Bytes = std::vector<std::uint8_t>;
 /// and blobs are length-prefixed.
 class Writer {
  public:
-  void put_u8(std::uint8_t v);
-  void put_u32_fixed(std::uint32_t v);  // little-endian, for frame headers
-  void put_varint(std::uint64_t v);
-  void put_signed(std::int64_t v);  // zig-zag
+  /// Reserves room for `n` more bytes (a size hint, not a limit).
+  void reserve(std::size_t n) { data_.reserve(data_.size() + n); }
+  void put_u8(std::uint8_t v) { data_.push_back(v); }
+  void put_varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      data_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    data_.push_back(static_cast<std::uint8_t>(v));
+  }
+  void put_signed(std::int64_t v) {  // zig-zag
+    // Small magnitudes (positive or negative) stay small on the wire.
+    put_varint((static_cast<std::uint64_t>(v) << 1) ^
+               static_cast<std::uint64_t>(v >> 63));
+  }
   void put_double(double v);
   void put_string(const std::string& s);
   void put_bytes(const Bytes& b);  // length-prefixed
@@ -37,9 +48,16 @@ class Reader {
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
   explicit Reader(const Bytes& b) : Reader(b.data(), b.size()) {}
 
-  std::uint8_t get_u8();
-  std::uint64_t get_varint();
-  std::int64_t get_signed();
+  std::uint8_t get_u8() { return take(1) ? data_[pos_++] : 0; }
+  std::uint64_t get_varint() {
+    // One-byte values (most ids, lengths and classes) skip the loop.
+    if (ok_ && pos_ < size_ && data_[pos_] < 0x80) return data_[pos_++];
+    return get_varint_long();
+  }
+  std::int64_t get_signed() {
+    const std::uint64_t z = get_varint();
+    return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
+  }
   double get_double();
   std::string get_string();
   Bytes get_bytes();
@@ -54,7 +72,14 @@ class Reader {
   static constexpr std::size_t kMaxBlob = 1 << 20;
 
  private:
-  bool take(std::size_t n);
+  bool take(std::size_t n) {
+    if (!ok_ || size_ - pos_ < n) {
+      ok_ = false;
+      return false;
+    }
+    return true;
+  }
+  std::uint64_t get_varint_long();
 
   const std::uint8_t* data_;
   std::size_t size_;

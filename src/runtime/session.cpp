@@ -243,6 +243,7 @@ void Session::kill(Tick now) {
   started_at_ = 0;
   finished_at_ = 0;
   offset_ = 0;
+  wal_baseline_.clear();
   error_.clear();
   outcome_ = core::NegotiationOutcome{};
   status_ = SessionStatus::kKilled;

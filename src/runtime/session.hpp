@@ -169,7 +169,13 @@ class Session {
   void journal_checkpoint();
   void journal_event(proto::WalEventKind kind, Tick sess_now,
                      const std::string& note = {});
+  /// Every mark field but the assignment delta (`moves` stays empty).
   [[nodiscard]] proto::SnapshotNegotiationMark negotiation_mark() const;
+  /// Replay's check of one record: applies its delta to `expected` (side
+  /// A's assignment as of the previous record) and compares the result and
+  /// every other field with the live state.
+  [[nodiscard]] bool mark_matches(const proto::SnapshotNegotiationMark& mark,
+                                  std::vector<std::size_t>& expected) const;
   /// Decode + replay + verify; fills *error and returns false on any
   /// corruption or state mismatch (the caller falls back to fresh).
   bool replay_journal(const SessionJournal& journal, Tick now,
@@ -200,6 +206,10 @@ class Session {
   /// experience). 0 until a resume happens.
   Tick offset_ = 0;
   SessionJournal* journal_ = nullptr;  // null = durability off
+  /// Side A's assignment as the last WAL record left it: the next record
+  /// logs only the flows that differ (reset to the defaults at every
+  /// checkpoint).
+  std::vector<std::size_t> wal_baseline_;
   std::string error_;
   core::NegotiationOutcome outcome_;
 };

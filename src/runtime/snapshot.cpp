@@ -1,7 +1,9 @@
 #include "runtime/snapshot.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -26,29 +28,29 @@ void SessionJournal::write_checkpoint(const proto::SnapshotCheckpoint& cp) {
   wal_.clear();
   wal_events_ = 0;
   ++checkpoints_;
-  mirror(".snap", snap_, /*append=*/false);
-  mirror(".wal", wal_, /*append=*/false);
+  mirror(".snap", snap_.data(), snap_.size(), /*append=*/false);
+  mirror(".wal", wal_.data(), wal_.size(), /*append=*/false);
 }
 
 void SessionJournal::append_event(const proto::SnapshotWalEvent& ev) {
   const obs::PhaseTimer timer(obs::Phase::kJournalAppend);
-  const proto::Bytes frame =
-      proto::encode_frame(proto::encode_snapshot_wal_event(ev));
-  wal_.insert(wal_.end(), frame.begin(), frame.end());
+  const proto::Frame frame = proto::encode_snapshot_wal_event(ev);
+  const std::size_t start = wal_.size();
+  proto::append_frame(wal_, frame.type, frame.payload);
   ++wal_events_;
-  mirror(".wal", frame, /*append=*/true);
+  mirror(".wal", wal_.data() + start, wal_.size() - start, /*append=*/true);
 }
 
 void SessionJournal::load(proto::Bytes snap, proto::Bytes wal) {
   snap_ = std::move(snap);
   wal_ = std::move(wal);
   wal_events_ = 0;  // unknown: the bytes came from outside
-  mirror(".snap", snap_, /*append=*/false);
-  mirror(".wal", wal_, /*append=*/false);
+  mirror(".snap", snap_.data(), snap_.size(), /*append=*/false);
+  mirror(".wal", wal_.data(), wal_.size(), /*append=*/false);
 }
 
-void SessionJournal::mirror(const std::string& suffix,
-                            const proto::Bytes& bytes, bool append) const {
+void SessionJournal::mirror(const std::string& suffix, const std::uint8_t* data,
+                            std::size_t size, bool append) const {
   if (dir_.empty()) return;
   const std::string path =
       dir_ + "/session_" + std::to_string(id_) + suffix;
@@ -57,8 +59,8 @@ void SessionJournal::mirror(const std::string& suffix,
                               : std::ios::binary | std::ios::trunc);
   if (!out) return;  // best-effort mirror; the in-memory copy stays
                      // authoritative for restore
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(size));
 }
 
 SnapshotStore::SnapshotStore(std::string dir) : dir_(std::move(dir)) {}
@@ -95,8 +97,7 @@ proto::SnapshotNegotiationMark Session::negotiation_mark() const {
   m.true_gain_a = side.true_gain();
   m.pending_moves = side.pending_delta().moves.size();
   m.pending_settles = side.pending_delta().settled_positions.size();
-  const std::vector<std::size_t>& ix = side.tentative().ix_of_flow;
-  m.assignment.assign(ix.begin(), ix.end());
+  m.flows = side.tentative().ix_of_flow.size();
   return m;
 }
 
@@ -113,6 +114,7 @@ void Session::journal_checkpoint() {
   cp.started_at = started_at_;
   cp.attempt_began = attempt_began_;
   journal_->write_checkpoint(cp);
+  wal_baseline_ = problem_.default_assignment.ix_of_flow;
 }
 
 void Session::journal_event(proto::WalEventKind kind, Tick sess_now,
@@ -128,8 +130,39 @@ void Session::journal_event(proto::WalEventKind kind, Tick sess_now,
   ev.pre_messages = messages_;
   ev.pre_timeouts = timeouts_;
   ev.mark = negotiation_mark();
+  if (ev.mark.live != 0) {
+    // Diff against the assignment the previous record left: only the
+    // flows that moved since then go into the log. Most records move
+    // nothing, so unchanged blocks are skipped with one memcmp each.
+    const std::vector<std::size_t>& ix = agent_a_->side().tentative().ix_of_flow;
+    constexpr std::size_t kBlock = 64;
+    for (std::size_t lo = 0; lo < ix.size(); lo += kBlock) {
+      const std::size_t hi = std::min(ix.size(), lo + kBlock);
+      if (std::memcmp(ix.data() + lo, wal_baseline_.data() + lo,
+                      (hi - lo) * sizeof(std::size_t)) == 0)
+        continue;
+      for (std::size_t f = lo; f < hi; ++f) {
+        if (ix[f] == wal_baseline_[f]) continue;
+        ev.mark.moves.push_back({f, ix[f]});
+        wal_baseline_[f] = ix[f];
+      }
+    }
+  }
   ev.note = note;
   journal_->append_event(ev);
+}
+
+bool Session::mark_matches(const proto::SnapshotNegotiationMark& mark,
+                           std::vector<std::size_t>& expected) const {
+  proto::SnapshotNegotiationMark now = negotiation_mark();
+  if (mark.live == 0) return mark.moves.empty() && mark == now;
+  if (mark.flows != expected.size()) return false;
+  for (const proto::SnapshotMove& mv : mark.moves)
+    expected[mv.flow] = static_cast<std::size_t>(mv.ix);
+  // The delta itself is checked through `expected`: the full assignment it
+  // rebuilds must equal side A's, entry for entry.
+  now.moves = mark.moves;
+  return mark == now && expected == agent_a_->side().tentative().ix_of_flow;
 }
 
 bool Session::replay_journal(const SessionJournal& journal, Tick now,
@@ -188,6 +221,8 @@ bool Session::replay_journal(const SessionJournal& journal, Tick now,
   // must reproduce it bit-for-bit or the log is not trustworthy.
   Tick last_tick = cp.attempt_began;
   std::optional<Tick> kill_tick;
+  // Side A's assignment as of the last replayed record; deltas apply to it.
+  std::vector<std::size_t> expected = problem_.default_assignment.ix_of_flow;
   proto::FrameDecoder wal_dec;
   wal_dec.feed(journal.wal_bytes());
   std::size_t applied = 0;
@@ -200,7 +235,7 @@ bool Session::replay_journal(const SessionJournal& journal, Tick now,
         ev.pre_attempts != static_cast<std::uint32_t>(attempts_) ||
         ev.pre_retries != static_cast<std::uint32_t>(retries_used_) ||
         ev.pre_steps != steps_ || ev.pre_messages != messages_ ||
-        ev.pre_timeouts != timeouts_ || !(ev.mark == negotiation_mark()))
+        ev.pre_timeouts != timeouts_ || !mark_matches(ev.mark, expected))
       return fail("WAL record " + std::to_string(applied) +
                   ": replayed state does not match the recorded mark");
     switch (static_cast<proto::WalEventKind>(ev.kind)) {
@@ -221,6 +256,9 @@ bool Session::replay_journal(const SessionJournal& journal, Tick now,
   // (or the last replayed event, if the kill record itself was lost).
   const Tick frozen_at = kill_tick.value_or(last_tick);
   offset_ = now > frozen_at ? now - frozen_at : 0;
+  // Records appended from here on continue the same WAL, so their deltas
+  // are against the last replayed record.
+  wal_baseline_ = std::move(expected);
   return true;
 }
 

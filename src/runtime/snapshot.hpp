@@ -50,8 +50,8 @@ class SessionJournal {
   void load(proto::Bytes snap, proto::Bytes wal);
 
  private:
-  void mirror(const std::string& suffix, const proto::Bytes& bytes,
-              bool append) const;
+  void mirror(const std::string& suffix, const std::uint8_t* data,
+              std::size_t size, bool append) const;
 
   const std::uint32_t id_;
   const std::string dir_;  // empty = memory-only

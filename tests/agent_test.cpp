@@ -413,15 +413,23 @@ TEST(AgentSession, MalformedPrefAdvertFailsTheSession) {
   const std::vector<std::pair<std::string, std::function<void(proto::PrefAdvert&)>>>
       cases = {
           {"preference list shape mismatch",
-           [](proto::PrefAdvert& a) { a.flows.back().pref_of_candidate.pop_back(); }},
-          {"preference list shape mismatch",
-           [](proto::PrefAdvert& a) { a.flows.front().pref_of_candidate.push_back(0); }},
-          {"preference list shape mismatch",
-           [](proto::PrefAdvert& a) { a.flows.pop_back(); }},
-          {"preference class out of agreed range",
-           [range](proto::PrefAdvert& a) {
-             a.flows.back().pref_of_candidate.back() = range + 1;
+           [](proto::PrefAdvert& a) {  // last row one class short
+             a.classes.pop_back();
+             --a.row_begin.back();
            }},
+          {"preference list shape mismatch",
+           [](proto::PrefAdvert& a) {  // first row one class long
+             a.classes.insert(a.classes.begin() + a.row_begin[1], 0);
+             for (std::size_t r = 1; r < a.row_begin.size(); ++r) ++a.row_begin[r];
+           }},
+          {"preference list shape mismatch",
+           [](proto::PrefAdvert& a) {  // last row missing
+             a.flow_ids.pop_back();
+             a.row_begin.pop_back();
+             a.classes.resize(a.row_begin.back());
+           }},
+          {"preference class out of agreed range",
+           [range](proto::PrefAdvert& a) { a.classes.back() = range + 1; }},
       };
   for (const auto& [error, tamper] : cases) {
     SessionFixture fx;

@@ -536,7 +536,46 @@ TEST(DistRun, BadWorkerRepliesRetireTheWorker) {
          r.histograms = {h};
          return r;
        },
-       "histogram engine.rounds bucket 65 out of range"}};
+       "histogram engine.rounds bucket 65 out of range"},
+      {"a failing rc without an error",
+       [&](const proto::DistJob& job) {
+         proto::DistResult r = forged(job.job);
+         r.rc = 1;
+         return r;
+       },
+       "rc 1 without an error"},
+      {"an error beside rc 0",
+       [&](const proto::DistJob& job) {
+         proto::DistResult r = forged(job.job);
+         r.error = "boom";
+         return r;
+       },
+       "rc 0 with error \"boom\""},
+      {"counters out of name order",
+       [&](const proto::DistJob& job) {
+         proto::DistResult r = forged(job.job);
+         r.counters = {{"runtime.b", 1}, {"runtime.a", 1}};
+         return r;
+       },
+       "counter runtime.a out of order after runtime.b"},
+      {"a repeated counter",
+       [&](const proto::DistJob& job) {
+         proto::DistResult r = forged(job.job);
+         r.counters = {{"runtime.a", 1}, {"runtime.a", 2}};
+         return r;
+       },
+       "counter runtime.a out of order after runtime.a"},
+      {"a repeated histogram",
+       [&](const proto::DistJob& job) {
+         proto::DistResult r = forged(job.job);
+         proto::DistObsHistogram h;
+         h.name = "engine.rounds";
+         h.count = 1;
+         h.buckets = {{3, 1}};
+         r.histograms = {h, h};
+         return r;
+       },
+       "histogram engine.rounds repeated"}};
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
 #include "metrics/metrics.hpp"
 #include "test_topologies.hpp"
 
@@ -77,6 +80,21 @@ TEST(Piecewise, ContinuousAtBreakpoints) {
     const double after = piecewise_linear_cost({b + 1e-9}, caps);
     EXPECT_NEAR(before, after, 1e-5) << "discontinuity at " << b;
   }
+}
+
+TEST(Piecewise, ScalarPhiIsTheOneLinkCostBitForBit) {
+  // The piecewise oracle evaluates link by link through piecewise_phi; a
+  // one-link piecewise_linear_cost is 0.0 + phi, the same bits.
+  for (double cap : {0.5, 1.0, 7.25}) {
+    for (double load = 0.0; load < 1.5 * cap; load += cap / 37.0) {
+      const double one = piecewise_linear_cost({load}, {cap});
+      const double phi = piecewise_phi(load, cap);
+      EXPECT_EQ(std::memcmp(&one, &phi, sizeof(double)), 0) << load << "/" << cap;
+    }
+  }
+  EXPECT_THROW((void)piecewise_phi(1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)piecewise_phi(1.0, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)piecewise_linear_cost({1.0}, {0.0}), std::invalid_argument);
 }
 
 TEST(Piecewise, PenalisesOverloadSharply) {

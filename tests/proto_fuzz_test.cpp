@@ -190,8 +190,9 @@ SnapshotWalEvent fuzz_wal_event(util::Rng& rng) {
   ev.mark.live = 1;
   ev.mark.round = rng.next_below(64);
   ev.mark.true_gain_a = static_cast<double>(rng.next_below(1000)) / 8.0;
-  for (std::size_t i = 0; i < 3 + rng.next_below(6); ++i)
-    ev.mark.assignment.push_back(rng.next_below(4));
+  ev.mark.flows = 3 + rng.next_below(6);
+  for (std::uint64_t f = 0; f < ev.mark.flows; ++f)
+    if (rng.next_bool(0.5)) ev.mark.moves.push_back({f, rng.next_below(4)});
   if (ev.kind == 2) ev.note = "fuzz cancel";
   return ev;
 }
@@ -312,27 +313,43 @@ TEST(SnapshotFuzz, OversizedLengthOnSnapshotFramesIsRejected) {
   EXPECT_FALSE(d.next().has_value());
   EXPECT_TRUE(d.failed());
 
-  // And the in-payload assignment length guard: a mark claiming 2^20+
-  // entries must be rejected before any allocation that size. Craft it by
-  // patching the varint length inside a valid payload.
+  // And the in-payload delta guards: a mark claiming more than 2^20 flows,
+  // or a delta longer than its flow count, must be rejected before any
+  // allocation that size. Craft both by patching varints inside a valid
+  // payload: with no moves and an empty note, the payload ends with the
+  // flow-count varint, the move-count varint 0x00 and the note length 0x00.
   util::Rng rng(0xfeed);
   SnapshotWalEvent ev = fuzz_wal_event(rng);
   ev.kind = 0;
-  ev.note.clear();             // note length 0x00 is the payload's last byte
-  ev.mark.assignment.clear();  // the length varint is then a single 0x00
-  Frame valid = encode_snapshot_wal_event(ev);
+  ev.note.clear();
+  ev.mark.flows = 5;  // a one-byte varint
+  ev.mark.moves.clear();
+  const Frame valid = encode_snapshot_wal_event(ev);
   ASSERT_TRUE(decode_snapshot_wal_event(valid).ok());
-  Frame huge = valid;
-  // note is empty for kind != kCancel only when the note string is empty;
-  // the assignment-length varint 0x00 is the last-but-one byte for empty
-  // note (note length 0x00 is last). Patch it to a 5-byte varint > 2^20.
-  ASSERT_GE(huge.payload.size(), 2u);
-  const std::size_t at = huge.payload.size() - 2;
-  ASSERT_EQ(huge.payload[at], 0x00);
-  huge.payload[at] = 0xff;
-  huge.payload.insert(huge.payload.begin() + static_cast<std::ptrdiff_t>(at) + 1,
-                      {0xff, 0xff, 0xff, 0x0f});
-  EXPECT_FALSE(decode_snapshot_wal_event(huge).ok());
+  const std::size_t count_at = valid.payload.size() - 2;
+  const std::size_t flows_at = valid.payload.size() - 3;
+  ASSERT_EQ(valid.payload[flows_at], 0x05);
+  ASSERT_EQ(valid.payload[count_at], 0x00);
+  const auto patched = [&valid](std::size_t at) {
+    // Replaces the one-byte varint at `at` with a 5-byte one > 2^20.
+    Frame f = valid;
+    f.payload[at] = 0xff;
+    f.payload.insert(f.payload.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                     {0xff, 0xff, 0xff, 0x0f});
+    return f;
+  };
+  const auto huge_flows = decode_snapshot_wal_event(patched(flows_at));
+  ASSERT_FALSE(huge_flows.ok());
+  EXPECT_NE(huge_flows.error().message.find("flows"), std::string::npos)
+      << huge_flows.error().message;
+  const auto huge_count = decode_snapshot_wal_event(patched(count_at));
+  ASSERT_FALSE(huge_count.ok());
+  EXPECT_NE(huge_count.error().message.find("delta of"), std::string::npos)
+      << huge_count.error().message;
+  // One more move than flows, even a short one, trips the same guard.
+  Frame over = valid;
+  over.payload[count_at] = 0x06;
+  EXPECT_FALSE(decode_snapshot_wal_event(over).ok());
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "proto/crc32.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
@@ -153,6 +156,56 @@ TEST(Frame, ByteAtATimeDelivery) {
   EXPECT_EQ(got->payload, f.payload);
 }
 
+TEST(Frame, ChunkedFeedsMatchOneFeedAndStayBounded) {
+  // The decoder's buffer is contiguous with a read offset: however the
+  // stream is cut, it yields the same frames, and the consumed prefix is
+  // dropped so a stream that always has a partial frame pending holds at
+  // most that frame plus the newest chunk.
+  util::Rng rng(17);
+  Bytes stream;
+  std::size_t largest = 0;
+  for (int i = 0; i < 60; ++i) {
+    Frame f;
+    f.type = static_cast<std::uint8_t>(1 + i % 9);
+    f.payload.resize(rng.next_below(300));
+    for (std::uint8_t& b : f.payload)
+      b = static_cast<std::uint8_t>(rng.next_below(256));
+    const Bytes one = encode_frame(f);
+    largest = std::max(largest, one.size());
+    stream.insert(stream.end(), one.begin(), one.end());
+  }
+  std::vector<Frame> whole;
+  FrameDecoder all;
+  all.feed(stream);
+  while (auto f = all.next()) whole.push_back(std::move(*f));
+  ASSERT_EQ(whole.size(), 60u);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    FrameDecoder d;
+    std::vector<Frame> got;
+    std::size_t peak = 0;
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      const std::size_t n = std::min(chunk, stream.size() - at);
+      if (chunk == 7) {
+        d.feed(Bytes(stream.begin() + static_cast<std::ptrdiff_t>(at),
+                     stream.begin() + static_cast<std::ptrdiff_t>(at + n)));
+      } else {
+        d.feed(stream.data() + at, n);
+      }
+      peak = std::max(peak, d.buffered());
+      while (auto f = d.next()) got.push_back(std::move(*f));
+    }
+    EXPECT_FALSE(d.failed()) << d.error();
+    ASSERT_EQ(got.size(), whole.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].type, whole[i].type) << i;
+      EXPECT_EQ(got[i].payload, whole[i].payload) << i;
+    }
+    EXPECT_LE(peak, largest + chunk) << "chunk " << chunk;
+    EXPECT_EQ(d.buffered(), 0u);
+  }
+}
+
 TEST(Frame, MultipleFramesInOneChunk) {
   Bytes wire;
   for (std::uint8_t t = 1; t <= 3; ++t) {
@@ -234,11 +287,48 @@ TEST(Messages, FlowAnnounceRoundTrip) {
   EXPECT_EQ(std::get<FlowAnnounce>(roundtrip(fa)), fa);
 }
 
-TEST(Messages, PrefAdvertRoundTrip) {
+PrefAdvert sample_advert() {
   PrefAdvert pa;
   pa.reassignment = true;
-  pa.flows = {{3, {-10, 0, 10}}, {4, {1, -1, 0}}};
+  pa.add_row(3, std::vector<std::int32_t>{-10, 0, 10});
+  pa.add_row(4, std::vector<std::int32_t>{1, -1, 0});
+  return pa;
+}
+
+TEST(Messages, PrefAdvertRoundTrip) {
+  const PrefAdvert pa = sample_advert();
   EXPECT_EQ(std::get<PrefAdvert>(roundtrip(pa)), pa);
+  EXPECT_EQ(pa.rows(), 2u);
+  EXPECT_EQ(std::vector<std::int32_t>(pa.row(1).begin(), pa.row(1).end()),
+            (std::vector<std::int32_t>{1, -1, 0}));
+}
+
+TEST(Messages, PrefAdvertWireBytesArePinned) {
+  // The advert's in-memory layout (CSR rows) is not its wire format: the
+  // bytes stay u8 reassignment, varint rows, then per row varint flow id,
+  // varint length and zig-zag classes, as they were with one vector per row.
+  const Bytes payload = {0x01,                                // reassignment
+                         0x02,                                // 2 rows
+                         0x03, 0x03, 0x13, 0x00, 0x14,        // flow 3: -10 0 10
+                         0x04, 0x03, 0x02, 0x01, 0x00};       // flow 4: 1 -1 0
+  const Frame f = encode_message(sample_advert());
+  EXPECT_EQ(f.type, static_cast<std::uint8_t>(MessageType::kPrefAdvert));
+  EXPECT_EQ(f.payload, payload);
+  const Bytes wire = {0x4e, 0x58, 0x01, 0x04, 0x0c, 0x00, 0x00, 0x00,  // header
+                      0x01, 0x02, 0x03, 0x03, 0x13, 0x00, 0x14, 0x04,  // payload
+                      0x03, 0x02, 0x01, 0x00,
+                      0x91, 0x10, 0xec, 0xc9};                         // crc32
+  EXPECT_EQ(encode_frame(f), wire);
+
+  // A ragged advert (rows of different lengths) still decodes as one; the
+  // receiving agent rejects its shape (AgentSession.MalformedPrefAdvert...).
+  PrefAdvert ragged;
+  ragged.add_row(1, std::vector<std::int32_t>{0});
+  ragged.add_row(2, std::vector<std::int32_t>{0, 1, 2});
+  const PrefAdvert back = std::get<PrefAdvert>(roundtrip(ragged));
+  EXPECT_EQ(back, ragged);
+  EXPECT_EQ(back.row(0).size(), 1u);
+  EXPECT_EQ(back.row(1).size(), 3u);
 }
 
 TEST(Messages, ProposeResponseStopByeRoundTrip) {
@@ -261,6 +351,27 @@ TEST(Messages, TrailingGarbageIsError) {
   Frame f = encode_message(Stop{1});
   f.payload.push_back(0xee);
   EXPECT_FALSE(decode_message(f).ok());
+}
+
+TEST(Messages, OverlongListCountIsError) {
+  // A count above the list cap with nothing after it must not read as an
+  // empty list: an empty ROLLBACK, for one, ends a settlement.
+  const Bytes huge = {0xff, 0xff, 0xff, 0x0f};  // 2^28 - 1
+  for (const MessageType type :
+       {MessageType::kCandidates, MessageType::kFlowAnnounce,
+        MessageType::kRollback}) {
+    Frame f;
+    f.type = static_cast<std::uint8_t>(type);
+    f.payload = huge;
+    EXPECT_FALSE(decode_message(f).ok()) << static_cast<int>(type);
+  }
+  Frame rows;  // PREF_ADVERT: reassignment byte, then the row count
+  rows.type = static_cast<std::uint8_t>(MessageType::kPrefAdvert);
+  rows.payload = {0x00, 0xff, 0xff, 0xff, 0x0f};
+  EXPECT_FALSE(decode_message(rows).ok());
+  Frame row = rows;  // one row, flow 7, with an overlong class count
+  row.payload = {0x00, 0x01, 0x07, 0xff, 0xff, 0xff, 0x0f};
+  EXPECT_FALSE(decode_message(row).ok());
 }
 
 TEST(Messages, TruncatedPayloadIsError) {

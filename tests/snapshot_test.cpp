@@ -7,7 +7,8 @@
 // logs must fail restore cleanly (fresh negotiation, counted in obs),
 // never resume as wrong data; a schema-version mismatch must refuse
 // loudly (exit 2), because silently renegotiating would mask a deployment
-// error. The golden fixture under tests/fixtures/ freezes the v1 bytes.
+// error. The golden fixture under tests/fixtures/ freezes the v2 bytes; the
+// retired v1 fixture stays beside it and must be refused.
 
 #include <gtest/gtest.h>
 
@@ -69,7 +70,8 @@ proto::SnapshotWalEvent sample_wal_event() {
   ev.mark.true_gain_a = 1.25;
   ev.mark.pending_moves = 1;
   ev.mark.pending_settles = 0;
-  ev.mark.assignment = {0, 2, 1};
+  ev.mark.flows = 3;
+  ev.mark.moves = {{0, 2}, {2, 1}};
   return ev;
 }
 
@@ -125,6 +127,36 @@ TEST(SnapshotProto, TruncatedPayloadFailsCleanly) {
     proto::Frame cut = f;
     cut.payload.resize(keep);
     EXPECT_FALSE(proto::decode_snapshot_wal_event(cut).ok()) << keep;
+  }
+}
+
+/// Encodes `ev` into a frame with a valid CRC and decodes it back through
+/// the frame layer: only the WAL payload decoder can refuse it.
+util::Result<proto::SnapshotWalEvent> through_frame_layer(
+    const proto::SnapshotWalEvent& ev) {
+  proto::FrameDecoder d;
+  d.feed(proto::encode_frame(proto::encode_snapshot_wal_event(ev)));
+  const std::optional<proto::Frame> f = d.next();
+  EXPECT_TRUE(f.has_value()) << d.error();
+  if (!f.has_value()) return util::make_error("no frame");
+  return proto::decode_snapshot_wal_event(*f);
+}
+
+TEST(SnapshotProto, MalformedDeltasAreRejected) {
+  // A delta has exactly one valid encoding: strictly increasing flows, each
+  // below the mark's flow count. Anything else is refused even when the
+  // CRC is valid, because replay would otherwise apply a different delta.
+  const std::vector<std::pair<std::string, std::vector<proto::SnapshotMove>>>
+      cases = {{"out of order", {{2, 1}, {0, 2}}},
+               {"repeated flow", {{1, 1}, {1, 2}}},
+               {"flow = F", {{0, 1}, {3, 1}}},
+               {"flow > F", {{7, 1}}}};
+  ASSERT_TRUE(through_frame_layer(sample_wal_event()).ok());
+  for (const auto& [name, moves] : cases) {
+    proto::SnapshotWalEvent ev = sample_wal_event();
+    ev.mark.moves = moves;
+    const auto decoded = through_frame_layer(ev);
+    EXPECT_FALSE(decoded.ok()) << name;
   }
 }
 
@@ -470,14 +502,129 @@ TEST(CrashResume, TruncatedCheckpointFailsRestoreCleanly) {
   }
 }
 
-// --- golden fixture: the frozen v1 bytes -------------------------------------
+/// Every WAL record of `journal`, decoded.
+std::vector<proto::SnapshotWalEvent> wal_records(const SessionJournal& journal) {
+  std::vector<proto::SnapshotWalEvent> out;
+  proto::FrameDecoder d;
+  d.feed(journal.wal_bytes());
+  while (const std::optional<proto::Frame> f = d.next()) {
+    const auto ev = proto::decode_snapshot_wal_event(*f);
+    EXPECT_TRUE(ev.ok()) << ev.error().message;
+    if (ev.ok()) out.push_back(ev.value());
+  }
+  EXPECT_FALSE(d.failed()) << d.error();
+  return out;
+}
 
-proto::Bytes fixture_bytes() {
+TEST(SessionJournal, PumpRecordWithoutMovesStaysSmall) {
+  // A record logs only the flows that moved since the previous one, so a
+  // pump that follows a step without an accepted proposal costs a fixed
+  // few dozen bytes however many flows the session has.
+  ScenarioConfig cfg = crash_config();
+  cfg.universe.isp_count = 30;
+  cfg.universe.max_pairs = 1;
+  cfg.limits.max_steps_per_pump = 1;
+  cfg.durability.journal = true;
+  Scenario scenario(cfg);
+  const ScenarioReport report = scenario.run();
+  ASSERT_EQ(report.sessions[0].status, SessionStatus::kDone);
+  const SessionJournal* j = scenario.snapshot_store()->find(0);
+  ASSERT_NE(j, nullptr);
+
+  std::size_t small = 0, with_moves = 0;
+  proto::FrameDecoder d;
+  d.feed(j->wal_bytes());
+  for (std::size_t i = 0; const std::optional<proto::Frame> f = d.next(); ++i) {
+    const auto ev = proto::decode_snapshot_wal_event(*f);
+    ASSERT_TRUE(ev.ok()) << ev.error().message;
+    const proto::SnapshotNegotiationMark& m = ev.value().mark;
+    ASSERT_GE(m.flows, 200u) << "the session should negotiate >= 200 flows";
+    if (!m.moves.empty()) {
+      ++with_moves;
+      continue;
+    }
+    if (i == 0 || ev.value().kind !=
+                      static_cast<std::uint8_t>(proto::WalEventKind::kPump))
+      continue;
+    const std::size_t bytes = proto::encode_frame(*f).size();
+    EXPECT_LE(bytes, 48u) << "record " << i;
+    ++small;
+  }
+  EXPECT_GT(small, 0u);
+  EXPECT_GT(with_moves, 0u);
+}
+
+TEST(CrashResume, WellFormedWrongDeltaFallsBackAndNeverResumes) {
+  // A delta that decodes cleanly but rebuilds an assignment the replay
+  // does not reach must fail the exact check: restore falls back to a
+  // fresh negotiation, which still lands on the uninterrupted outcome.
+  const ScenarioConfig base = crash_config();
+  const ScenarioReport uninterrupted = run_scenario(base);
+  const auto poison = [](SessionJournal& j) {
+    std::vector<proto::SnapshotWalEvent> records = wal_records(j);
+    ASSERT_FALSE(records.empty());
+    // Put the last flow on an interconnection no problem has.
+    proto::SnapshotNegotiationMark& m = records.back().mark;
+    ASSERT_GT(m.flows, 0u);
+    const std::uint64_t last = m.flows - 1;
+    if (m.moves.empty() || m.moves.back().flow != last)
+      m.moves.push_back({last, 0});
+    m.moves.back().ix = 1u << 20;
+    proto::Bytes wal;
+    for (const proto::SnapshotWalEvent& ev : records) {
+      const proto::Bytes b =
+          proto::encode_frame(proto::encode_snapshot_wal_event(ev));
+      wal.insert(wal.end(), b.begin(), b.end());
+    }
+    ASSERT_TRUE(proto::decode_snapshot_wal_event(
+                    proto::encode_snapshot_wal_event(records.back()))
+                    .ok());
+    j.load(proto::Bytes(j.snapshot_bytes()), std::move(wal));
+  };
+
+  // Directly: resume reports the fallback and why.
+  {
+    ScenarioConfig cfg = base;
+    cfg.events = {{5, EventKind::kKill, 0, 0}};
+    Scenario scenario(cfg);
+    (void)scenario.run();
+    ASSERT_EQ(scenario.manager().session(0).status(), SessionStatus::kKilled);
+    poison(scenario.snapshot_store()->journal(0));
+    std::string why;
+    EXPECT_EQ(scenario.manager().session(0).resume(scenario.manager().now() + 1,
+                                                   0, &why),
+              RestoreOutcome::kFellBack);
+    EXPECT_NE(why.find("does not match the recorded mark"), std::string::npos)
+        << why;
+    EXPECT_EQ(scenario.manager().session(0).status(), SessionStatus::kPending);
+  }
+
+  // In a run: counted once, and the fresh negotiation ends as it would have.
+  ScenarioConfig cfg = base;
+  cfg.events = {{5, EventKind::kKill, 0, 0}, {9, EventKind::kResume, 0, 0}};
+  Scenario scenario(cfg);
+  scenario.manager().at(
+      6, [&](Tick) { poison(scenario.snapshot_store()->journal(0)); });
+  obs::Registry::global().reset_counters();
+  const ScenarioReport report = scenario.run();
+  ASSERT_EQ(report.sessions[0].status, SessionStatus::kDone)
+      << report.sessions[0].error;
+  EXPECT_EQ(report.sessions[0].outcome.assignment.ix_of_flow,
+            uninterrupted.sessions[0].outcome.assignment.ix_of_flow);
+  std::uint64_t failures = 0;
+  for (const auto& c : obs::Registry::global().snapshot().counters)
+    if (c.name == "runtime.restore_failures") failures = c.value;
+  EXPECT_EQ(failures, 1u);
+}
+
+// --- golden fixtures: the frozen v2 bytes, the retired v1 bytes --------------
+
+proto::Bytes fixture_bytes(const std::string& name) {
   // __FILE__ is the absolute source path under CMake, so the fixture
   // resolves regardless of the ctest working directory.
   const std::string here = __FILE__;
   const std::string dir = here.substr(0, here.rfind('/'));
-  const std::string blob = read_file(dir + "/fixtures/session_snapshot_v1.bin");
+  const std::string blob = read_file(dir + "/fixtures/" + name);
   return proto::Bytes(blob.begin(), blob.end());
 }
 
@@ -487,7 +634,7 @@ TEST(SnapshotFixture, GoldenBytesDecodeAndReencodeBitExact) {
   // If this test fails after an intentional schema change, bump
   // kSnapshotVersion and regenerate the fixture (docs/ARCHITECTURE.md
   // § Durability has the recipe).
-  const proto::Bytes blob = fixture_bytes();
+  const proto::Bytes blob = fixture_bytes("session_snapshot_v2.bin");
   ASSERT_FALSE(blob.empty()) << "fixture missing: run tests from the repo root";
 
   proto::Bytes expected;
@@ -501,7 +648,7 @@ TEST(SnapshotFixture, GoldenBytesDecodeAndReencodeBitExact) {
   kill.kind = static_cast<std::uint8_t>(proto::WalEventKind::kKill);
   kill.tick = 13;
   append(proto::encode_snapshot_wal_event(kill));
-  EXPECT_EQ(blob, expected) << "encoder output drifted from the v1 fixture";
+  EXPECT_EQ(blob, expected) << "encoder output drifted from the v2 fixture";
 
   // And the bytes decode back to the pinned values.
   proto::FrameDecoder d;
@@ -525,22 +672,27 @@ TEST(SnapshotFixture, GoldenBytesDecodeAndReencodeBitExact) {
   EXPECT_FALSE(d.failed());
 }
 
-/// Kills session 0, hands it a journal stamped with a future schema
-/// version, and resumes: restore must exit(2) with the distinguished
-/// message (the death test below pins that).
-void resume_with_future_schema() {
+/// Kills session 0, hands it the given journal bytes, and resumes: with a
+/// checkpoint of another schema version, restore must exit(2) with the
+/// distinguished message (the death tests below pin that).
+void resume_with_journal(proto::Bytes snap, proto::Bytes wal) {
   ScenarioConfig cfg = crash_config();
   cfg.events = {{3, EventKind::kKill, 0, 0}};
   Scenario scenario(cfg);
   (void)scenario.run();
-  proto::SnapshotCheckpoint cp = sample_checkpoint();
-  cp.session = 0;
-  cp.version = proto::kSnapshotVersion + 1;
   SessionJournal& j = scenario.snapshot_store()->journal(0);
-  j.load(proto::encode_frame(proto::encode_snapshot_checkpoint(cp)), {});
+  j.load(std::move(snap), std::move(wal));
   std::string why;
   (void)scenario.manager().session(0).resume(scenario.manager().now() + 1, 0,
                                              &why);
+}
+
+void resume_with_future_schema() {
+  proto::SnapshotCheckpoint cp = sample_checkpoint();
+  cp.session = 0;
+  cp.version = proto::kSnapshotVersion + 1;
+  resume_with_journal(
+      proto::encode_frame(proto::encode_snapshot_checkpoint(cp)), {});
 }
 
 TEST(SnapshotDeathTest, VersionMismatchRefusesLoudly) {
@@ -548,6 +700,24 @@ TEST(SnapshotDeathTest, VersionMismatchRefusesLoudly) {
   // error, not silently renegotiate: restore calls std::exit(2).
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(resume_with_future_schema(), ::testing::ExitedWithCode(2),
+              "snapshot version mismatch");
+}
+
+void resume_with_v1_fixture() {
+  const proto::Bytes blob = fixture_bytes("session_snapshot_v1.bin");
+  ASSERT_GT(blob.size(), frame_size_at(blob, 0));
+  const auto cut = blob.begin() +
+                   static_cast<std::ptrdiff_t>(frame_size_at(blob, 0));
+  resume_with_journal(proto::Bytes(blob.begin(), cut),
+                      proto::Bytes(cut, blob.end()));
+}
+
+TEST(SnapshotDeathTest, RetiredV1JournalIsRefusedLoudly) {
+  // The v1 fixture (full assignments in every mark) is kept in the tree:
+  // a build speaking v2 must refuse it as a schema mismatch, not try to
+  // read its marks as deltas.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(resume_with_v1_fixture(), ::testing::ExitedWithCode(2),
               "snapshot version mismatch");
 }
 
