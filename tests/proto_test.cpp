@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "proto/crc32.hpp"
+#include "proto/dist_messages.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
+#include "proto/snapshot_messages.hpp"
 #include "proto/wire.hpp"
 #include "util/rng.hpp"
 
@@ -329,6 +331,138 @@ TEST(Messages, PrefAdvertWireBytesArePinned) {
   EXPECT_EQ(back, ragged);
   EXPECT_EQ(back.row(0).size(), 1u);
   EXPECT_EQ(back.row(1).size(), 3u);
+}
+
+/// "tt pppp...": the frame's type byte, a space, then its payload, in hex.
+std::string frame_hex(const Frame& f) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out = {kDigits[f.type >> 4], kDigits[f.type & 15], ' '};
+  for (std::uint8_t b : f.payload) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// One sample of every message of all three families, byte for byte: a codec
+// change that moves a single wire byte fails here, whatever still round-trips.
+TEST(WirePins, EveryNegotiationMessage) {
+  Hello hello;
+  hello.asn = 7018;
+  hello.pref_range = 10;
+  hello.wants_reassignment = true;
+  hello.reassign_fraction = 0.05;
+  hello.turn_policy = 1;
+  hello.proposal_policy = 2;
+  hello.acceptance_policy = 3;
+  hello.termination_policy = 2;
+  hello.settlement_rollback = false;
+  const std::vector<std::pair<Message, std::string>> pins = {
+      {hello, "01 ea36" "14" "01" "9a9999999999a93f" "01020302" "00"},
+      {Candidates{{0, 2, 300}}, "02 030002ac02"},
+      {FlowAnnounce{{{1, 0, 12.5}, {70000, 2, 0.25}}},
+       "03 02" "01" "00" "0000000000002940" "f0a204" "02" "000000000000d03f"},
+      {sample_advert(), "04 010203031300140403020100"},
+      {Propose{200, 70000, 3}, "05 c801f0a20403"},
+      {Response{200, false}, "06 c80100"},
+      {Stop{3}, "07 03"},
+      {Bye{}, "08 "},
+      {Rollback{{5, 9, 130}}, "09 0305098201"},
+  };
+  for (const auto& [message, bytes] : pins) {
+    const Frame f = encode_message(message);
+    EXPECT_EQ(frame_hex(f), bytes);
+    EXPECT_EQ(roundtrip(message), message) << bytes;
+  }
+}
+
+TEST(WirePins, EveryDistMessage) {
+  DistResult result;
+  result.job = 300;
+  result.rc = -3;
+  result.digest = 0xdeadbeefcafef00dull;
+  result.error = "boom";
+  result.metrics = {{"mean_gain", "1.25"}};
+  result.counters = {{"wire.frames", 70000}};
+  result.histograms = {{"wire.frame_bytes", 7, 900, {{5, 3}, {64, 4}}}};
+  const std::vector<std::pair<DistMessage, std::string>> pins = {
+      {DistHello{}, "10 01"},
+      {DistJob{9, "fig4", "p", "isps=12\n"},
+       "11 09" "0466696734" "0170" "08697370733d31320a"},
+      {result,
+       "12 ac02" "05" "8de0fbd7fcddefd6de01" "04626f6f6d"  // job rc digest error
+       "01" "096d65616e5f6761696e" "04312e3235"           // metrics
+       "01" "0b776972652e6672616d6573" "f0a204"           // counters
+       "01" "10776972652e6672616d655f6279746573" "07"     // histograms
+       "8407" "02" "0503" "4004"},
+      {DistShutdown{}, "13 "},
+  };
+  for (const auto& [message, bytes] : pins) {
+    const Frame f = encode_dist_message(message);
+    EXPECT_EQ(frame_hex(f), bytes);
+    const auto back = decode_dist_message(f);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    EXPECT_EQ(back.value(), message) << bytes;
+  }
+}
+
+TEST(WirePins, EverySnapshotRecord) {
+  SnapshotCheckpoint cp;
+  cp.session = 3;
+  cp.status = 1;
+  cp.attempts = 2;
+  cp.retries_used = 1;
+  cp.steps = 17;
+  cp.messages = 300;
+  cp.timeouts = 1;
+  cp.started_at = 4;
+  cp.attempt_began = 9;
+  const Frame cp_frame = encode_snapshot_checkpoint(cp);
+  EXPECT_EQ(frame_hex(cp_frame), "18 020301020111ac02010409");
+  ASSERT_TRUE(decode_snapshot_checkpoint(cp_frame).ok());
+  EXPECT_EQ(decode_snapshot_checkpoint(cp_frame).value(), cp);
+
+  SnapshotWalEvent pump;
+  pump.kind = static_cast<std::uint8_t>(WalEventKind::kPump);
+  pump.tick = 11;
+  pump.pre_status = 1;
+  pump.pre_attempts = 2;
+  pump.pre_retries = 1;
+  pump.pre_steps = 17;
+  pump.pre_messages = 300;
+  pump.pre_timeouts = 1;
+  pump.mark.live = 1;
+  pump.mark.state_a = 2;
+  pump.mark.state_b = 3;
+  pump.mark.round = 5;
+  pump.mark.remaining = 2;
+  pump.mark.disclosed_gain_a = 7;
+  pump.mark.disclosed_gain_b = -200;
+  pump.mark.true_gain_a = 1.25;
+  pump.mark.pending_moves = 1;
+  pump.mark.pending_settles = 0;
+  pump.mark.flows = 200;
+  pump.mark.moves = {{0, 2}, {150, 1}};
+  SnapshotWalEvent cancel;
+  cancel.kind = static_cast<std::uint8_t>(WalEventKind::kCancel);
+  cancel.tick = 8;
+  cancel.note = "link failed";
+  const std::vector<std::pair<SnapshotWalEvent, std::string>> pins = {
+      {pump, "19 00" "0b" "01" "02" "01" "11" "ac02" "01"  // event, pre-state
+             "010203" "05" "02" "0e" "8f03"               // mark
+             "000000000000f43f" "01" "00" "c801"
+             "02" "0002" "960101" "00"},
+      {cancel, "19 02" "08" "00" "00" "00" "00" "00" "00"
+               "000000" "00" "00" "00" "00" "0000000000000000"
+               "00" "00" "00" "00" "0b6c696e6b206661696c6564"},
+  };
+  for (const auto& [event, bytes] : pins) {
+    const Frame f = encode_snapshot_wal_event(event);
+    EXPECT_EQ(frame_hex(f), bytes);
+    const auto back = decode_snapshot_wal_event(f);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    EXPECT_EQ(back.value(), event) << bytes;
+  }
 }
 
 TEST(Messages, ProposeResponseStopByeRoundTrip) {
