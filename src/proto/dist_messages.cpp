@@ -1,155 +1,52 @@
 #include "proto/dist_messages.hpp"
 
+#include "proto/codec.hpp"
+
 namespace nexit::proto {
 
-namespace {
+// The field lists, in wire order (see proto/codec.hpp).
 
-constexpr std::size_t kMaxListSize = 1u << 20;
-
-void encode_hello(Writer& w, const DistHello& m) { w.put_varint(m.protocol); }
-
-DistHello decode_hello(Reader& r) {
-  DistHello m;
-  m.protocol = static_cast<std::uint32_t>(r.get_varint());
-  return m;
+template <class IO>
+void fields(IO& io, Field<IO, DistHello>& m) {
+  io.varint(m.protocol);
 }
 
-void encode_job(Writer& w, const DistJob& m) {
-  w.put_varint(m.job);
-  w.put_string(m.scenario);
-  w.put_string(m.label);
-  w.put_string(m.spec_text);
+template <class IO>
+void fields(IO& io, Field<IO, DistJob>& m) {
+  io.varint(m.job);
+  io.string(m.scenario, m.label, m.spec_text);
 }
 
-DistJob decode_job(Reader& r) {
-  DistJob m;
-  m.job = static_cast<std::uint32_t>(r.get_varint());
-  m.scenario = r.get_string();
-  m.label = r.get_string();
-  m.spec_text = r.get_string();
-  return m;
+template <class IO>
+void fields(IO& io, Field<IO, DistResult>& m) {
+  io.varint(m.job);
+  io.zigzag(m.rc);
+  io.varint(m.digest);
+  io.string(m.error);
+  io.list("metrics", m.metrics,
+          [&](auto& kv) { io.string(kv.first, kv.second); });
+  io.list("counters", m.counters, [&](auto& kv) {
+    io.string(kv.first);
+    io.varint(kv.second);
+  });
+  io.list("histograms", m.histograms, [&](auto& h) {
+    io.string(h.name);
+    io.varint(h.count, h.sum);
+    io.list("buckets", h.buckets,
+            [&](auto& b) { io.varint(b.first, b.second); });
+  });
 }
 
-void encode_result(Writer& w, const DistResult& m) {
-  w.put_varint(m.job);
-  w.put_signed(m.rc);
-  w.put_varint(m.digest);
-  w.put_string(m.error);
-  w.put_varint(m.metrics.size());
-  for (const auto& [name, value] : m.metrics) {
-    w.put_string(name);
-    w.put_string(value);
-  }
-  w.put_varint(m.counters.size());
-  for (const auto& [name, value] : m.counters) {
-    w.put_string(name);
-    w.put_varint(value);
-  }
-  w.put_varint(m.histograms.size());
-  for (const DistObsHistogram& h : m.histograms) {
-    w.put_string(h.name);
-    w.put_varint(h.count);
-    w.put_varint(h.sum);
-    w.put_varint(h.buckets.size());
-    for (const auto& [bucket, count] : h.buckets) {
-      w.put_varint(bucket);
-      w.put_varint(count);
-    }
-  }
-}
-
-DistResult decode_result(Reader& r) {
-  DistResult m;
-  m.job = static_cast<std::uint32_t>(r.get_varint());
-  m.rc = static_cast<std::int32_t>(r.get_signed());
-  m.digest = r.get_varint();
-  m.error = r.get_string();
-  const std::uint64_t metrics = r.get_varint();
-  if (metrics > kMaxListSize) return m;  // poisoned by under-read below
-  for (std::uint64_t i = 0; i < metrics && r.ok(); ++i) {
-    std::string name = r.get_string();
-    std::string value = r.get_string();
-    m.metrics.emplace_back(std::move(name), std::move(value));
-  }
-  const std::uint64_t counters = r.get_varint();
-  if (counters > kMaxListSize) return m;
-  for (std::uint64_t i = 0; i < counters && r.ok(); ++i) {
-    std::string name = r.get_string();
-    const std::uint64_t value = r.get_varint();
-    m.counters.emplace_back(std::move(name), value);
-  }
-  const std::uint64_t histograms = r.get_varint();
-  if (histograms > kMaxListSize) return m;
-  for (std::uint64_t i = 0; i < histograms && r.ok(); ++i) {
-    DistObsHistogram h;
-    h.name = r.get_string();
-    h.count = r.get_varint();
-    h.sum = r.get_varint();
-    const std::uint64_t buckets = r.get_varint();
-    if (buckets > kMaxListSize) break;
-    for (std::uint64_t j = 0; j < buckets && r.ok(); ++j) {
-      const auto bucket = static_cast<std::uint32_t>(r.get_varint());
-      const std::uint64_t count = r.get_varint();
-      h.buckets.emplace_back(bucket, count);
-    }
-    m.histograms.push_back(std::move(h));
-  }
-  return m;
-}
-
-}  // namespace
+template <class IO>
+void fields(IO&, Field<IO, DistShutdown>&) {}
 
 Frame encode_dist_message(const DistMessage& message) {
-  Frame frame;
-  Writer w;
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, DistHello>) {
-          frame.type = static_cast<std::uint8_t>(DistMessageType::kDistHello);
-          encode_hello(w, m);
-        } else if constexpr (std::is_same_v<T, DistJob>) {
-          frame.type = static_cast<std::uint8_t>(DistMessageType::kDistJob);
-          encode_job(w, m);
-        } else if constexpr (std::is_same_v<T, DistResult>) {
-          frame.type = static_cast<std::uint8_t>(DistMessageType::kDistResult);
-          encode_result(w, m);
-        } else {
-          static_assert(std::is_same_v<T, DistShutdown>);
-          frame.type =
-              static_cast<std::uint8_t>(DistMessageType::kDistShutdown);
-        }
-      },
-      message);
-  frame.payload = std::move(w).take();
-  return frame;
+  return encode_variant(DistMessageType::kDistHello, message);
 }
 
 util::Result<DistMessage> decode_dist_message(const Frame& frame) {
-  Reader r(frame.payload);
-  DistMessage message;
-  switch (static_cast<DistMessageType>(frame.type)) {
-    case DistMessageType::kDistHello:
-      message = decode_hello(r);
-      break;
-    case DistMessageType::kDistJob:
-      message = decode_job(r);
-      break;
-    case DistMessageType::kDistResult:
-      message = decode_result(r);
-      break;
-    case DistMessageType::kDistShutdown:
-      message = DistShutdown{};
-      break;
-    default:
-      return util::make_error("unknown dist message type " +
-                              std::to_string(frame.type));
-  }
-  if (!r.at_end()) {
-    return util::make_error("malformed dist message payload (type " +
-                            std::to_string(frame.type) + ")");
-  }
-  return message;
+  return decode_variant<DistMessage>(DistMessageType::kDistHello,
+                                     "dist message", frame);
 }
 
 }  // namespace nexit::proto

@@ -1,169 +1,103 @@
 #include "proto/snapshot_messages.hpp"
 
-#include <algorithm>
+#include "proto/codec.hpp"
 
 namespace nexit::proto {
 
-namespace {
+// The field lists, in wire order (see proto/codec.hpp).
 
-/// A mark's assignment has one entry per flow; anything larger than the
-/// blob cap is garbage, refuse before allocating.
-constexpr std::size_t kMaxAssignment = 1u << 20;
-
-void encode_mark(Writer& w, const SnapshotNegotiationMark& m) {
-  w.put_u8(m.live);
-  w.put_u8(m.state_a);
-  w.put_u8(m.state_b);
-  w.put_varint(m.round);
-  w.put_varint(m.remaining);
-  w.put_signed(m.disclosed_gain_a);
-  w.put_signed(m.disclosed_gain_b);
-  w.put_double(m.true_gain_a);
-  w.put_varint(m.pending_moves);
-  w.put_varint(m.pending_settles);
-  w.put_varint(m.flows);
-  w.put_varint(m.moves.size());
-  for (const SnapshotMove& mv : m.moves) {
-    w.put_varint(mv.flow);
-    w.put_varint(mv.ix);
-  }
+template <class IO>
+void fields(IO& io, Field<IO, SnapshotCheckpoint>& cp) {
+  io.varint(cp.version);  // first, so a mismatch is told apart from damage
+  io.varint(cp.session);
+  io.u8(cp.status);
+  io.varint(cp.attempts, cp.retries_used, cp.steps, cp.messages, cp.timeouts,
+            cp.started_at, cp.attempt_began);
 }
 
-/// Empty on success, else why the delta is refused.
-std::string decode_mark(Reader& r, SnapshotNegotiationMark& m) {
-  m.live = r.get_u8();
-  m.state_a = r.get_u8();
-  m.state_b = r.get_u8();
-  m.round = r.get_varint();
-  m.remaining = r.get_varint();
-  m.disclosed_gain_a = r.get_signed();
-  m.disclosed_gain_b = r.get_signed();
-  m.true_gain_a = r.get_double();
-  m.pending_moves = r.get_varint();
-  m.pending_settles = r.get_varint();
-  m.flows = r.get_varint();
-  const std::uint64_t count = r.get_varint();
-  if (!r.ok()) return "";  // truncated: reported as malformed
-  if (m.flows > kMaxAssignment)
-    return "mark claims " + std::to_string(m.flows) + " flows";
-  if (count > m.flows)
-    return "delta of " + std::to_string(count) + " moves over " +
-           std::to_string(m.flows) + " flows";
-  // Each move takes at least two bytes: a short payload cannot make the
-  // reservation large.
-  m.moves.reserve(std::min(static_cast<std::size_t>(count), r.remaining() / 2));
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    SnapshotMove mv;
-    mv.flow = r.get_varint();
-    mv.ix = r.get_varint();
-    if (!r.ok()) break;
-    if (mv.flow >= m.flows)
-      return "delta moves flow " + std::to_string(mv.flow) + " of " +
-             std::to_string(m.flows);
-    if (!m.moves.empty() && mv.flow <= m.moves.back().flow)
-      return "delta flows not strictly increasing";
-    m.moves.push_back(mv);
-  }
-  return "";
+template <class IO>
+void fields(IO& io, Field<IO, SnapshotNegotiationMark>& m) {
+  io.u8(m.live, m.state_a, m.state_b);
+  io.varint(m.round, m.remaining);
+  io.zigzag(m.disclosed_gain_a, m.disclosed_gain_b);
+  io.f64(m.true_gain_a);
+  io.varint(m.pending_moves, m.pending_settles, m.flows);
+  io.list("delta", m.moves, [&](auto& mv) { io.varint(mv.flow, mv.ix); });
+}
+
+template <class IO>
+void fields(IO& io, Field<IO, SnapshotWalEvent>& ev) {
+  io.u8(ev.kind);
+  io.varint(ev.tick);
+  io.u8(ev.pre_status);
+  io.varint(ev.pre_attempts, ev.pre_retries, ev.pre_steps, ev.pre_messages,
+            ev.pre_timeouts);
+  fields(io, ev.mark);
+  io.string(ev.note);
+}
+
+namespace {
+
+/// `frame` read as the record of type `type`, or why it is not one.
+template <class T>
+util::Result<T> decode_record(const Frame& frame, SnapshotMessageType type,
+                              const char* what) {
+  if (frame.type != static_cast<std::uint8_t>(type))
+    return util::make_error("snapshot: frame type " +
+                            std::to_string(frame.type) + " is not a " + what);
+  T out;
+  const std::string why = decode_fields(frame.payload, out);
+  if (!why.empty())
+    return util::make_error(std::string("snapshot: malformed ") + what +
+                            " payload: " + why);
+  return out;
 }
 
 }  // namespace
 
 Frame encode_snapshot_checkpoint(const SnapshotCheckpoint& cp) {
-  Frame frame;
-  frame.type =
-      static_cast<std::uint8_t>(SnapshotMessageType::kSnapshotCheckpoint);
-  Writer w;
-  w.put_varint(cp.version);  // first field, so a mismatch is detectable
-                             // before any schema-dependent decoding
-  w.put_varint(cp.session);
-  w.put_u8(cp.status);
-  w.put_varint(cp.attempts);
-  w.put_varint(cp.retries_used);
-  w.put_varint(cp.steps);
-  w.put_varint(cp.messages);
-  w.put_varint(cp.timeouts);
-  w.put_varint(cp.started_at);
-  w.put_varint(cp.attempt_began);
-  frame.payload = std::move(w).take();
-  return frame;
+  return encode_fields(SnapshotMessageType::kSnapshotCheckpoint, cp);
 }
 
 Frame encode_snapshot_wal_event(const SnapshotWalEvent& ev) {
-  Frame frame;
-  frame.type =
-      static_cast<std::uint8_t>(SnapshotMessageType::kSnapshotWalEvent);
-  Writer w;
-  w.reserve(64 + 8 * ev.mark.moves.size() + ev.note.size());
-  w.put_u8(ev.kind);
-  w.put_varint(ev.tick);
-  w.put_u8(ev.pre_status);
-  w.put_varint(ev.pre_attempts);
-  w.put_varint(ev.pre_retries);
-  w.put_varint(ev.pre_steps);
-  w.put_varint(ev.pre_messages);
-  w.put_varint(ev.pre_timeouts);
-  encode_mark(w, ev.mark);
-  w.put_string(ev.note);
-  frame.payload = std::move(w).take();
-  return frame;
+  return encode_fields(SnapshotMessageType::kSnapshotWalEvent, ev);
 }
 
 util::Result<SnapshotCheckpoint> decode_snapshot_checkpoint(
     const Frame& frame) {
-  if (frame.type !=
-      static_cast<std::uint8_t>(SnapshotMessageType::kSnapshotCheckpoint))
-    return util::make_error("snapshot: frame type " +
-                            std::to_string(frame.type) +
-                            " is not a checkpoint");
-  Reader r(frame.payload);
-  SnapshotCheckpoint cp;
-  cp.version = static_cast<std::uint32_t>(r.get_varint());
-  if (r.ok() && cp.version != kSnapshotVersion)
+  const auto type = SnapshotMessageType::kSnapshotCheckpoint;
+  Reader first(frame.payload);  // the version, checked before the rest
+  const std::uint64_t version = first.get_varint();
+  if (frame.type == static_cast<std::uint8_t>(type) && first.ok() &&
+      version != kSnapshotVersion)
     return util::make_error(
         "snapshot version mismatch: log was written by schema v" +
-        std::to_string(cp.version) + ", this build speaks v" +
+        std::to_string(version) + ", this build speaks v" +
         std::to_string(kSnapshotVersion) +
         " (bump kSnapshotVersion consciously and regenerate fixtures)");
-  cp.session = static_cast<std::uint32_t>(r.get_varint());
-  cp.status = r.get_u8();
-  cp.attempts = static_cast<std::uint32_t>(r.get_varint());
-  cp.retries_used = static_cast<std::uint32_t>(r.get_varint());
-  cp.steps = r.get_varint();
-  cp.messages = r.get_varint();
-  cp.timeouts = r.get_varint();
-  cp.started_at = r.get_varint();
-  cp.attempt_began = r.get_varint();
-  if (!r.at_end())
-    return util::make_error("snapshot: malformed checkpoint payload");
-  return cp;
+  return decode_record<SnapshotCheckpoint>(frame, type, "checkpoint");
 }
 
 util::Result<SnapshotWalEvent> decode_snapshot_wal_event(const Frame& frame) {
-  if (frame.type !=
-      static_cast<std::uint8_t>(SnapshotMessageType::kSnapshotWalEvent))
-    return util::make_error("snapshot: frame type " +
-                            std::to_string(frame.type) +
-                            " is not a WAL event");
-  Reader r(frame.payload);
-  SnapshotWalEvent ev;
-  ev.kind = r.get_u8();
-  ev.tick = r.get_varint();
-  ev.pre_status = r.get_u8();
-  ev.pre_attempts = static_cast<std::uint32_t>(r.get_varint());
-  ev.pre_retries = static_cast<std::uint32_t>(r.get_varint());
-  ev.pre_steps = r.get_varint();
-  ev.pre_messages = r.get_varint();
-  ev.pre_timeouts = r.get_varint();
-  const std::string bad_delta = decode_mark(r, ev.mark);
-  if (!bad_delta.empty())
-    return util::make_error("snapshot: WAL event " + bad_delta);
-  ev.note = r.get_string();
-  if (!r.at_end())
-    return util::make_error("snapshot: malformed WAL event payload");
-  if (ev.kind > static_cast<std::uint8_t>(WalEventKind::kKill))
+  auto ev = decode_record<SnapshotWalEvent>(
+      frame, SnapshotMessageType::kSnapshotWalEvent, "WAL event");
+  if (!ev.ok()) return ev;
+  // The delta must be the unique encoding of its moves.
+  const SnapshotNegotiationMark& m = ev.value().mark;
+  std::string bad;
+  if (m.flows > Reader::kMaxCount)
+    bad = "mark claims " + std::to_string(m.flows) + " flows";
+  for (std::size_t i = 0; i < m.moves.size() && bad.empty(); ++i) {
+    if (m.moves[i].flow >= m.flows)
+      bad = "delta moves flow " + std::to_string(m.moves[i].flow) + " of " +
+            std::to_string(m.flows);
+    else if (i > 0 && m.moves[i].flow <= m.moves[i - 1].flow)
+      bad = "delta flows not strictly increasing";
+  }
+  if (!bad.empty()) return util::make_error("snapshot: WAL event " + bad);
+  if (ev.value().kind > static_cast<std::uint8_t>(WalEventKind::kKill))
     return util::make_error("snapshot: unknown WAL event kind " +
-                            std::to_string(ev.kind));
+                            std::to_string(ev.value().kind));
   return ev;
 }
 

@@ -19,11 +19,6 @@ void Writer::put_string(const std::string& s) {
   data_.insert(data_.end(), s.begin(), s.end());
 }
 
-void Writer::put_bytes(const Bytes& b) {
-  put_varint(b.size());
-  data_.insert(data_.end(), b.begin(), b.end());
-}
-
 std::uint64_t Reader::get_varint_long() {
   std::uint64_t v = 0;
   int shift = 0;
@@ -52,7 +47,7 @@ double Reader::get_double() {
 
 std::string Reader::get_string() {
   const std::uint64_t n = get_varint();
-  if (!ok_ || n > kMaxBlob || !take(static_cast<std::size_t>(n))) {
+  if (!ok_ || n > kMaxCount || !take(static_cast<std::size_t>(n))) {
     ok_ = false;
     return {};
   }
@@ -60,17 +55,6 @@ std::string Reader::get_string() {
                 static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return s;
-}
-
-Bytes Reader::get_bytes() {
-  const std::uint64_t n = get_varint();
-  if (!ok_ || n > kMaxBlob || !take(static_cast<std::size_t>(n))) {
-    ok_ = false;
-    return {};
-  }
-  Bytes b(data_ + pos_, data_ + pos_ + n);
-  pos_ += static_cast<std::size_t>(n);
-  return b;
 }
 
 }  // namespace nexit::proto

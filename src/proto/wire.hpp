@@ -11,7 +11,7 @@ using Bytes = std::vector<std::uint8_t>;
 
 /// Append-only binary encoder. Integers use LEB128 varints (signed values
 /// zig-zag encoded); doubles are fixed 64-bit IEEE754 little-endian; strings
-/// and blobs are length-prefixed.
+/// are length-prefixed.
 class Writer {
  public:
   /// Reserves room for `n` more bytes (a size hint, not a limit).
@@ -31,7 +31,6 @@ class Writer {
   }
   void put_double(double v);
   void put_string(const std::string& s);
-  void put_bytes(const Bytes& b);  // length-prefixed
 
   [[nodiscard]] const Bytes& data() const { return data_; }
   [[nodiscard]] Bytes take() && { return std::move(data_); }
@@ -60,16 +59,17 @@ class Reader {
   }
   double get_double();
   std::string get_string();
-  Bytes get_bytes();
 
+  /// Latches the error: the payload holds a value its field cannot take.
+  void fail() { ok_ = false; }
   [[nodiscard]] bool ok() const { return ok_; }
   /// True when every byte was consumed and no error occurred.
   [[nodiscard]] bool at_end() const { return ok_ && pos_ == size_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
-  /// Caps for length-prefixed fields, to keep malformed input from causing
-  /// huge allocations.
-  static constexpr std::size_t kMaxBlob = 1 << 20;
+  /// The one cap on every count (string lengths and list lengths alike),
+  /// to keep malformed input from causing huge allocations.
+  static constexpr std::size_t kMaxCount = 1 << 20;
 
  private:
   bool take(std::size_t n) {

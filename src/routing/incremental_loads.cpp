@@ -159,11 +159,6 @@ void IncrementalLoads::move_flow(std::size_t flow, std::size_t to_ix) {
   ix_of_[flow] = to_ix;
 }
 
-void IncrementalLoads::apply_move(const std::vector<std::size_t>& members,
-                                  std::size_t to_ix) {
-  for (std::size_t m : members) move_flow(m, to_ix);
-}
-
 void IncrementalLoads::count_flow(std::size_t flow) {
   if (flow >= flows_->size())
     throw std::invalid_argument("IncrementalLoads: flow out of range");

@@ -43,11 +43,6 @@ class IncrementalLoads {
   /// flows only update their recorded position.
   void move_flow(std::size_t flow, std::size_t to_ix);
 
-  /// Moves a whole negotiation group: every member flow to `to_ix`. This is
-  /// the seam the engine's accepted moves and reassignment quanta go
-  /// through instead of a full compute_loads() rebuild.
-  void apply_move(const std::vector<std::size_t>& members, std::size_t to_ix);
-
   /// Starts counting `flow` at its current position (no-op when counted).
   /// Used by the kExcluded open-flow model when a flow settles.
   void count_flow(std::size_t flow);

@@ -11,16 +11,6 @@ LoadMap LoadMap::zeros(const topology::IspPair& pair) {
   return m;
 }
 
-LoadMap& LoadMap::operator+=(const LoadMap& other) {
-  for (int s = 0; s < 2; ++s) {
-    if (per_side[s].size() != other.per_side[s].size())
-      throw std::invalid_argument("LoadMap::operator+=: shape mismatch");
-    for (std::size_t e = 0; e < per_side[s].size(); ++e)
-      per_side[s][e] += other.per_side[s][e];
-  }
-  return *this;
-}
-
 void add_flow_load(LoadMap& loads, const PairRouting& routing,
                    const traffic::Flow& f, std::size_t ix, double scale) {
   // Validate the map's shape once; the cached path edges index their side's

@@ -16,8 +16,6 @@ struct LoadMap {
   std::array<std::vector<double>, 2> per_side;
 
   [[nodiscard]] static LoadMap zeros(const topology::IspPair& pair);
-
-  LoadMap& operator+=(const LoadMap& other);
 };
 
 /// Adds (scale > 0) or removes (scale < 0) `scale * f.size` units of load

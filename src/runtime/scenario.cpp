@@ -1,7 +1,9 @@
 #include "runtime/scenario.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "core/oracles.hpp"
 #include "dist/tcp_channel.hpp"
@@ -75,6 +77,50 @@ std::unique_ptr<SessionWorld> make_distance_world(
 
 }  // namespace
 
+std::string timeline_error(const std::vector<ScenarioEvent>& events,
+                           const std::vector<std::uint32_t>& fault_targets,
+                           Transport transport, std::size_t sessions) {
+  const std::string declared =
+      ", but only " + std::to_string(sessions) + " sessions are declared";
+  bool any_kill = false;
+  for (const ScenarioEvent& ev : events) {
+    if (sessions > 0 && ev.session >= sessions)
+      return "runtime.events: the event at tick " + std::to_string(ev.at) +
+             " targets session " + std::to_string(ev.session) + declared;
+    any_kill = any_kill || ev.kind == EventKind::kKill ||
+               ev.kind == EventKind::kResume;
+  }
+  for (std::uint32_t target : fault_targets) {
+    if (sessions > 0 && target >= sessions)
+      return "runtime.fault-targets: session " + std::to_string(target) +
+             " will not exist" + declared;
+  }
+  if (!any_kill) return "";
+  if (transport != Transport::kInMemory)
+    return "runtime.events: kill/resume events require "
+           "runtime.transport=memory (kernel socket buffers are not part of "
+           "the durable state)";
+  std::vector<std::size_t> order(events.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&](std::size_t a, std::size_t b) { return events[a].at < events[b].at; });
+  std::map<std::uint32_t, bool> down;
+  for (std::size_t i : order) {
+    const ScenarioEvent& ev = events[i];
+    const std::string at = std::to_string(ev.at);
+    const std::string session = std::to_string(ev.session);
+    if (ev.kind == EventKind::kKill && std::exchange(down[ev.session], true))
+      return "runtime.events: the kill at tick " + at + " kills session " +
+             session + " twice without a resume in between";
+    if (ev.kind == EventKind::kResume &&
+        !std::exchange(down[ev.session], false))
+      return "runtime.events: the resume at tick " + at + " resumes session " +
+             session + ", which no earlier kill took down";
+  }
+  return "";
+}
+
 Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)), manager_(config_.runtime) {
   // Wire agents reach identical decisions without a shared RNG only under
@@ -94,11 +140,12 @@ Scenario::Scenario(ScenarioConfig config)
 
   initial_count_ =
       config_.session_count == 0 ? pairs.size() : config_.session_count;
+  const std::string broken =
+      timeline_error(config_.events, config_.fault_targets, config_.transport,
+                     initial_count_);
+  if (!broken.empty()) throw std::invalid_argument("Scenario: " + broken);
   bool any_kill = false;
   for (const ScenarioEvent& ev : config_.events) {
-    if (ev.session >= initial_count_)
-      throw std::invalid_argument(
-          "Scenario: event targets a session that will not exist");
     any_kill = any_kill || ev.kind == EventKind::kKill ||
                ev.kind == EventKind::kResume;
     if (ev.kind == EventKind::kLinkFailure && ev.param != kBusiestIx) {
@@ -109,40 +156,6 @@ Scenario::Scenario(ScenarioConfig config)
       if (ev.param >= pair.interconnection_count())
         throw std::invalid_argument(
             "Scenario: link-failure index out of range for the pair");
-    }
-  }
-  for (std::uint32_t target : config_.fault_targets) {
-    if (target >= initial_count_)
-      throw std::invalid_argument(
-          "Scenario: fault target names a session that will not exist");
-  }
-  if (any_kill) {
-    if (config_.transport != Transport::kInMemory)
-      throw std::invalid_argument(
-          "Scenario: kill/resume events require the in-memory transport "
-          "(kernel socket buffers are not part of the durable state)");
-    // Kills and resumes must alternate per session, in timeline order
-    // (events at equal ticks fire in declaration order).
-    std::vector<std::size_t> order(config_.events.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return config_.events[a].at < config_.events[b].at;
-                     });
-    std::vector<char> down(initial_count_, 0);
-    for (std::size_t i : order) {
-      const ScenarioEvent& ev = config_.events[i];
-      if (ev.kind == EventKind::kKill) {
-        if (down[ev.session] != 0)
-          throw std::invalid_argument(
-              "Scenario: session killed twice without a resume between");
-        down[ev.session] = 1;
-      } else if (ev.kind == EventKind::kResume) {
-        if (down[ev.session] == 0)
-          throw std::invalid_argument(
-              "Scenario: resume without a preceding kill for the session");
-        down[ev.session] = 0;
-      }
     }
   }
   if (any_kill || config_.durability.journal ||

@@ -116,6 +116,18 @@ struct ScenarioConfig {
   std::uint64_t seed = 7;
 };
 
+/// The first timeline rule `events` and `fault_targets` break, or "" when
+/// they keep all four: every event and every fault target names one of
+/// `sessions` initial sessions (unchecked while `sessions` is 0, the
+/// one-per-pair count not known before the universe is built); kill/resume
+/// events need the in-memory transport (kernel socket buffers are not part
+/// of the durable state); and kills and resumes alternate per session in
+/// timeline order (events at equal ticks fire in declaration order). The
+/// message names the spec key that declares the broken part.
+std::string timeline_error(const std::vector<ScenarioEvent>& events,
+                           const std::vector<std::uint32_t>& fault_targets,
+                           Transport transport, std::size_t sessions);
+
 /// Shared expensive state: one per universe pair, referenced by every
 /// session on that pair. Heap-pinned (PairRouting points into `pair`).
 struct PairWorld {

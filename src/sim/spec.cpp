@@ -10,10 +10,10 @@
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <type_traits>
 
+#include "dist/tcp_channel.hpp"
 #include "geo/city_db.hpp"
 
 namespace nexit::sim {
@@ -819,10 +819,6 @@ std::string kinds_label(unsigned kinds) {
   return out;
 }
 
-std::string to_string(ExperimentKind kind) {
-  return name_of(kExperiments, kind);
-}
-
 const std::vector<SpecKeyInfo>& spec_key_registry() {
   static const std::vector<SpecKeyInfo> registry = [] {
     const ExperimentSpec defaults;
@@ -982,71 +978,12 @@ bool ExperimentSpec::validate(std::string* error) const {
   if (pop_min > pop_max) return fail("pop-min: must be <= pop-max");
 
   if (experiment == ExperimentKind::kRuntime) {
-    // Events and fault targets index the initial sessions. With an explicit
-    // session count the bound is known now; with the one-per-pair default it
-    // is only known after the universe is built (the runtime re-checks).
-    if (runtime.sessions > 0) {
-      for (const runtime::ScenarioEvent& ev : runtime.events) {
-        if (ev.session >= runtime.sessions) {
-          return fail("runtime.events: event \"" + event_text(ev) +
-                      "\" targets session " + std::to_string(ev.session) +
-                      ", but only " + std::to_string(runtime.sessions) +
-                      " sessions are declared");
-        }
-      }
-      for (std::uint32_t target : runtime.fault_targets) {
-        if (target >= runtime.sessions) {
-          return fail("runtime.fault-targets: session " +
-                      std::to_string(target) + " will not exist (only " +
-                      std::to_string(runtime.sessions) + " declared)");
-        }
-      }
-    }
-    // Crash-recovery timelines need durable state: only the in-memory
-    // transport keeps all in-flight bytes in the journal's reach (kernel
-    // socket buffers are not part of the durable snapshot). Kill/resume
-    // must also alternate per session — the runtime::Scenario re-checks,
-    // but a spec should fail fast with the friendly exit-2 message.
-    {
-      bool any_kill = false;
-      for (const runtime::ScenarioEvent& ev : runtime.events) {
-        any_kill |= ev.kind == EventKind::kKill ||
-                    ev.kind == EventKind::kResume;
-      }
-      if (any_kill && runtime.transport != runtime::Transport::kInMemory) {
-        return fail(
-            "runtime.events: kill/resume events require "
-            "runtime.transport=memory (kernel socket buffers are not part "
-            "of the durable state)");
-      }
-      if (any_kill) {
-        std::vector<std::size_t> order(runtime.events.size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return runtime.events[a].at < runtime.events[b].at;
-                         });
-        std::map<std::uint32_t, bool> down;
-        for (std::size_t i : order) {
-          const runtime::ScenarioEvent& ev = runtime.events[i];
-          if (ev.kind == EventKind::kKill) {
-            if (down[ev.session]) {
-              return fail("runtime.events: event \"" + event_text(ev) +
-                          "\" kills session " + std::to_string(ev.session) +
-                          " twice without a resume in between");
-            }
-            down[ev.session] = true;
-          } else if (ev.kind == EventKind::kResume) {
-            if (!down[ev.session]) {
-              return fail("runtime.events: event \"" + event_text(ev) +
-                          "\" resumes session " + std::to_string(ev.session) +
-                          " that no earlier kill took down");
-            }
-            down[ev.session] = false;
-          }
-        }
-      }
-    }
+    // The runtime::Scenario keeps the same rules, but a spec should fail fast
+    // with the friendly exit-2 message.
+    const std::string broken =
+        runtime::timeline_error(runtime.events, runtime.fault_targets,
+                                runtime.transport, runtime.sessions);
+    if (!broken.empty()) return fail(broken);
   }
 
   // Distributed execution shards sweep points (or offloads a whole runtime
@@ -1087,15 +1024,11 @@ bool ExperimentSpec::validate(std::string* error) const {
     if (dist.timeout_ms == 0) return fail("dist.timeout-ms: must be >= 1");
   }
   if (!dist.connect.empty()) {
-    // Endpoint grammar checked up front: a typo'd endpoint must die before
-    // any engine work, like every other malformed value.
+    // Endpoint grammar checked up front by the coordinator's own parser: a
+    // typo'd endpoint must die before any engine work, like every other
+    // malformed value.
     for (const std::string& endpoint : split(dist.connect, ',')) {
-      const std::size_t colon = endpoint.rfind(':');
-      bool numeric = colon != std::string::npos && colon > 0 &&
-                     colon + 1 < endpoint.size();
-      for (std::size_t i = colon + 1; numeric && i < endpoint.size(); ++i)
-        numeric = endpoint[i] >= '0' && endpoint[i] <= '9';
-      if (!numeric) {
+      if (!dist::parse_endpoint(endpoint, nullptr, nullptr)) {
         return fail("dist.connect: malformed endpoint \"" + endpoint +
                     "\" — expected host:port");
       }

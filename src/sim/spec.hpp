@@ -334,8 +334,6 @@ struct ExperimentSpec {
   }
 };
 
-[[nodiscard]] std::string to_string(ExperimentKind kind);
-
 /// The cross product of `axes` as per-point override lists, canonical
 /// order: axes as stored (sorted by key), rightmost axis varying fastest —
 /// the nested-loop order of `for v0 in axes[0]: ... for vN in axes[N]`.

@@ -372,12 +372,16 @@ TEST(AgentSession, ContractMismatchFails) {
 }
 
 /// Passes everything through except PREF_ADVERT frames, which it decodes,
-/// rewrites with `tamper`, and re-encodes (one frame per send()).
+/// rewrites with `tamper`, re-encodes and hands to `patch` as raw payload
+/// bytes (one frame per send()).
 class AdvertTamperingChannel : public Channel {
  public:
   AdvertTamperingChannel(std::unique_ptr<Channel> inner,
-                         std::function<void(proto::PrefAdvert&)> tamper)
-      : inner_(std::move(inner)), tamper_(std::move(tamper)) {}
+                         std::function<void(proto::PrefAdvert&)> tamper,
+                         std::function<void(proto::Bytes&)> patch = {})
+      : inner_(std::move(inner)),
+        tamper_(std::move(tamper)),
+        patch_(std::move(patch)) {}
 
   void send(const proto::Bytes& data) override {
     proto::FrameDecoder decoder;
@@ -388,7 +392,9 @@ class AdvertTamperingChannel : public Channel {
       if (m.ok()) {
         if (auto* advert = std::get_if<proto::PrefAdvert>(&m.value())) {
           tamper_(*advert);
-          inner_->send(proto::encode_frame(proto::encode_message(*advert)));
+          proto::Frame out = proto::encode_message(*advert);
+          if (patch_) patch_(out.payload);
+          inner_->send(proto::encode_frame(out));
           return;
         }
       }
@@ -403,6 +409,7 @@ class AdvertTamperingChannel : public Channel {
  private:
   std::unique_ptr<Channel> inner_;
   std::function<void(proto::PrefAdvert&)> tamper_;
+  std::function<void(proto::Bytes&)> patch_;
 };
 
 // The receiver copies each advertised row into its own row-major list: a
@@ -443,6 +450,29 @@ TEST(AgentSession, MalformedPrefAdvertFailsTheSession) {
     EXPECT_TRUE(agent_b.failed()) << error;
     EXPECT_EQ(agent_b.error(), error);
   }
+}
+
+// A class of 2^32 + 1 keeps only its low word, 1, when read into 32 bits:
+// inside the agreed range, so only the decoder can refuse it.
+TEST(AgentSession, PrefAdvertClassOverflowFailsTheSession) {
+  SessionFixture fx;
+  auto cfg = wire_config();
+  core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
+  auto [ca, cb] = make_in_memory_channel_pair();
+  AdvertTamperingChannel bad_a(
+      std::move(ca), [](proto::PrefAdvert& a) { a.classes.back() = 1; },
+      [](proto::Bytes& payload) {
+        ASSERT_EQ(payload.back(), 0x02);  // zig-zag 1, the advert's last byte
+        payload.pop_back();
+        proto::Writer w;
+        w.put_signed((std::int64_t{1} << 32) + 1);
+        payload.insert(payload.end(), w.data().begin(), w.data().end());
+      });
+  NegotiationAgent agent_a(fx.problem, oa, bad_a, AgentConfig{0, 1, cfg});
+  NegotiationAgent agent_b(fx.problem, ob, *cb, AgentConfig{1, 2, cfg});
+  run_session(agent_a, agent_b, 1000);
+  EXPECT_TRUE(agent_b.failed());
+  EXPECT_TRUE(agent_b.error().starts_with("decode error")) << agent_b.error();
 }
 
 TEST(AgentSession, RejectsUnsupportedConfig) {

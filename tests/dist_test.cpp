@@ -165,6 +165,37 @@ TEST(DistMessages, MalformedAndTruncatedFramesAreRejected) {
   EXPECT_TRUE(decoder.failed());
 }
 
+TEST(DistMessages, OverCapCountsAndOverwideValuesAreRejected) {
+  const auto result_frame = [](auto tail) {
+    proto::Writer w;
+    w.put_varint(3);  // job
+    w.put_signed(0);  // rc
+    w.put_varint(0);  // digest
+    w.put_string("");
+    tail(w);
+    return proto::Frame{
+        static_cast<std::uint8_t>(proto::DistMessageType::kDistResult),
+        std::move(w).take()};
+  };
+  // A metrics count over the list cap, last in the payload: not an ok
+  // result with no metrics, counters or histograms.
+  EXPECT_FALSE(proto::decode_dist_message(result_frame([](proto::Writer& w) {
+                 w.put_varint(proto::Reader::kMaxCount + 1);
+               })).ok());
+  // A histogram bucket of 2^32 + 3 is not bucket 3.
+  EXPECT_FALSE(proto::decode_dist_message(result_frame([](proto::Writer& w) {
+                 w.put_varint(0);  // metrics
+                 w.put_varint(0);  // counters
+                 w.put_varint(1);  // histograms
+                 w.put_string("wire.frame_bytes");
+                 w.put_varint(1);  // count
+                 w.put_varint(9);  // sum
+                 w.put_varint(1);  // buckets
+                 w.put_varint((std::uint64_t{1} << 32) + 3);
+                 w.put_varint(1);
+               })).ok());
+}
+
 // --- TCP transport -------------------------------------------------------
 
 TEST(TcpChannel, ParseEndpoint) {
@@ -274,6 +305,12 @@ TEST(DistSpec, ValidateRejectsUnshardableAndConflictingConfigs) {
       kv_flags({"dist.connect=nocolon", "sweep.isps=12,14"}));
   EXPECT_FALSE(bad_ep.validate(&error));
   EXPECT_NE(error.find("dist.connect"), std::string::npos) << error;
+  // A port past 65535 fails here, not later in the coordinator's connect.
+  sim::ExperimentSpec big_port;
+  big_port.merge_from_flags(
+      kv_flags({"dist.connect=host:70000", "sweep.isps=12,14"}));
+  EXPECT_FALSE(big_port.validate(&error));
+  EXPECT_NE(error.find("host:70000"), std::string::npos) << error;
   sim::ExperimentSpec zero;
   zero.merge_from_flags(kv_flags(
       {"dist.workers=2", "dist.timeout-ms=0", "sweep.isps=12,14"}));

@@ -51,11 +51,9 @@ TEST(Wire, DoubleRoundTrip) {
 TEST(Wire, StringAndBytesRoundTrip) {
   Writer w;
   w.put_string("hello");
-  w.put_bytes({1, 2, 3});
   w.put_string("");
   Reader r(w.data());
   EXPECT_EQ(r.get_string(), "hello");
-  EXPECT_EQ(r.get_bytes(), (Bytes{1, 2, 3}));
   EXPECT_EQ(r.get_string(), "");
   EXPECT_TRUE(r.at_end());
 }
@@ -75,7 +73,7 @@ TEST(Wire, TruncatedInputLatchesError) {
 
 TEST(Wire, OversizedLengthPrefixRejected) {
   Writer w;
-  w.put_varint(Reader::kMaxBlob + 1);
+  w.put_varint(Reader::kMaxCount + 1);
   Reader r(w.data());
   (void)r.get_string();
   EXPECT_FALSE(r.ok());
@@ -390,7 +388,7 @@ TEST(WirePins, EveryDistMessage) {
       {DistJob{9, "fig4", "p", "isps=12\n"},
        "11 09" "0466696734" "0170" "08697370733d31320a"},
       {result,
-       "12 ac02" "05" "8de0fbd7fcddefd6de01" "04626f6f6d"  // job rc digest error
+       "12 ac02" "05" "8de0fbd7fcddefd6de01" "04626f6f6d"  // job .. error
        "01" "096d65616e5f6761696e" "04312e3235"           // metrics
        "01" "0b776972652e6672616d6573" "f0a204"           // counters
        "01" "10776972652e6672616d655f6279746573" "07"     // histograms
@@ -506,6 +504,57 @@ TEST(Messages, OverlongListCountIsError) {
   Frame row = rows;  // one row, flow 7, with an overlong class count
   row.payload = {0x00, 0x01, 0x07, 0xff, 0xff, 0xff, 0x0f};
   EXPECT_FALSE(decode_message(row).ok());
+}
+
+/// A frame of `type` whose payload is `fill`'s writes.
+template <class Fill>
+Frame hand_made(MessageType type, Fill fill) {
+  Writer w;
+  fill(w);
+  return Frame{static_cast<std::uint8_t>(type), std::move(w).take()};
+}
+
+TEST(Messages, ValuesThatDoNotFitTheirFieldAreErrors) {
+  // Each payload is well formed but for one value wider than its field; cut
+  // to the field's width it would read as a different, valid message.
+  constexpr std::uint64_t k2p32 = std::uint64_t{1} << 32;
+  const std::vector<std::pair<std::string, Frame>> cases = {
+      {"advert class 2^32 + 1", hand_made(MessageType::kPrefAdvert,
+                                          [](Writer& w) {
+                                            w.put_u8(0);
+                                            w.put_varint(1);  // one row
+                                            w.put_varint(3);  // flow 3
+                                            w.put_varint(1);  // one class
+                                            w.put_signed(k2p32 + 1);
+                                          })},
+      {"propose flow 2^32 + 5", hand_made(MessageType::kPropose,
+                                          [](Writer& w) {
+                                            w.put_varint(1);
+                                            w.put_varint(k2p32 + 5);
+                                            w.put_varint(0);
+                                          })},
+      {"hello pref_range 2^31", hand_made(MessageType::kHello,
+                                          [](Writer& w) {
+                                            w.put_varint(7018);
+                                            w.put_signed(std::int64_t{1} << 31);
+                                            w.put_u8(0);
+                                            w.put_double(0.0);
+                                            for (int i = 0; i < 5; ++i)
+                                              w.put_u8(0);
+                                          })},
+      {"candidate id 2^32", hand_made(MessageType::kCandidates,
+                                      [](Writer& w) {
+                                        w.put_varint(1);
+                                        w.put_varint(k2p32);
+                                      })},
+      {"response flag 2", hand_made(MessageType::kResponse,
+                                    [](Writer& w) {
+                                      w.put_varint(1);
+                                      w.put_u8(2);
+                                    })},
+  };
+  for (const auto& [name, frame] : cases)
+    EXPECT_FALSE(decode_message(frame).ok()) << name;
 }
 
 TEST(Messages, TruncatedPayloadIsError) {

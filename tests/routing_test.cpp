@@ -140,9 +140,6 @@ TEST(Loads, MismatchedSizesThrow) {
   PairRouting r(pair);
   std::vector<traffic::Flow> flows{make_flow(0, Direction::kAtoB, 0, 2)};
   EXPECT_THROW(compute_loads(r, flows, Assignment{{0, 1}}), std::invalid_argument);
-  LoadMap a = LoadMap::zeros(pair);
-  LoadMap b;
-  EXPECT_THROW(a += b, std::invalid_argument);
 }
 
 TEST(Loads, AddFlowLoadRejectsMismatchedShape) {
@@ -172,16 +169,6 @@ TEST(PairRouting, PathEdgesAreCachedReferences) {
   EXPECT_EQ(&first, &second);
   // Out-of-range interconnections still throw (pre-cache behaviour).
   EXPECT_THROW((void)r.upstream_path_edges(f, 99), std::out_of_range);
-}
-
-TEST(Loads, PlusEqualsAccumulates) {
-  auto pair = figure1_pair();
-  LoadMap a = LoadMap::zeros(pair);
-  LoadMap b = LoadMap::zeros(pair);
-  a.per_side[0][0] = 1.0;
-  b.per_side[0][0] = 2.0;
-  a += b;
-  EXPECT_DOUBLE_EQ(a.per_side[0][0], 3.0);
 }
 
 }  // namespace

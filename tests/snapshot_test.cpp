@@ -110,6 +110,18 @@ TEST(SnapshotProto, VersionMismatchIsDistinguishedFromCorruption) {
       << decoded.error().message;
 }
 
+TEST(SnapshotProto, OverwideCheckpointFieldIsRejected) {
+  // Session 2^32 cut to 32 bits would restore session 0's journal.
+  proto::Writer w;
+  w.put_varint(proto::kSnapshotVersion);
+  w.put_varint(std::uint64_t{1} << 32);  // session
+  w.put_u8(static_cast<std::uint8_t>(SessionStatus::kRunning));
+  for (int i = 0; i < 7; ++i) w.put_varint(1);  // attempts .. attempt_began
+  proto::Frame f = proto::encode_snapshot_checkpoint(sample_checkpoint());
+  f.payload = std::move(w).take();
+  EXPECT_FALSE(proto::decode_snapshot_checkpoint(f).ok());
+}
+
 TEST(SnapshotProto, WrongFrameTypeIsRejected) {
   proto::Frame f = proto::encode_snapshot_checkpoint(sample_checkpoint());
   f.type =

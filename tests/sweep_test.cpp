@@ -277,6 +277,31 @@ TEST(RuntimeSpec, ValidateChecksKindApplicabilityAndEventBounds) {
   EXPECT_NE(error.find("targets session 7"), std::string::npos) << error;
 }
 
+TEST(RuntimeSpec, ValidateReportsTheRuntimeTimelineRules) {
+  // One rule set: validate() fails with runtime::timeline_error's message,
+  // the one runtime::Scenario throws for the same timeline.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"runtime.sessions=2", "runtime.fault-targets=5"},
+        "session 5 will not exist"},
+       {{"runtime.events=kill@3/0,resume@5/0", "runtime.transport=tcp"},
+        "runtime.transport=memory"},
+       {{"runtime.events=kill@3/0,kill@5/0"}, "the kill at tick 5"},
+       {{"runtime.events=resume@5/1,kill@3/0"}, "the resume at tick 5"}};
+  for (const auto& [assignments, expected] : cases) {
+    std::vector<std::string> flags = {"experiment=runtime"};
+    flags.insert(flags.end(), assignments.begin(), assignments.end());
+    ExperimentSpec s;
+    s.merge_from_flags(kv_flags(flags));
+    std::string error;
+    EXPECT_FALSE(s.validate(&error)) << expected;
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+    EXPECT_EQ(error, runtime::timeline_error(s.runtime.events,
+                                             s.runtime.fault_targets,
+                                             s.runtime.transport,
+                                             s.runtime.sessions));
+  }
+}
+
 TEST(SweepDeathTest, MalformedTimelineExitsNamingTheKey) {
   const auto merge = [](const char* assignment) {
     ExperimentSpec s;
