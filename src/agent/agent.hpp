@@ -42,7 +42,9 @@ struct AgentConfig {
 /// protocol step, shared with the in-process engine) plus the handshake and
 /// the wire codec, so a session between two honest agents reproduces
 /// NegotiationEngine::run() by construction (tests/agent_test.cpp sweeps
-/// the policy grid to confirm it).
+/// the policy grid to confirm it). The agent does not validate its problem:
+/// take it from a validating core::make_*_problem builder, or from the
+/// runtime::Session that runs the agent (it validates once per session).
 class NegotiationAgent {
  public:
   NegotiationAgent(const core::NegotiationProblem& problem,

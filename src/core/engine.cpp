@@ -4,11 +4,22 @@
 
 namespace nexit::core {
 
+namespace {
+
+/// Validates before the sides are built: their constructors index the
+/// problem.
+const NegotiationProblem& validated(const NegotiationProblem& problem) {
+  problem.validate();
+  return problem;
+}
+
+}  // namespace
+
 NegotiationEngine::NegotiationEngine(const NegotiationProblem& problem,
                                      PreferenceOracle& isp_a,
                                      PreferenceOracle& isp_b,
                                      NegotiationConfig config)
-    : problem_(problem), config_(config),
+    : problem_(validated(problem)), config_(config),
       sides_{NegotiationSide(problem, isp_a, 0, config),
              NegotiationSide(problem, isp_b, 1, config)},
       rng_(config.seed) {

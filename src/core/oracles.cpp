@@ -16,6 +16,16 @@ void check_ctx(const OracleContext& ctx) {
     throw std::invalid_argument("oracle: null context");
 }
 
+/// An oracle serves one negotiation: bound to `bound` (null = not yet), it
+/// refuses every other problem.
+void check_binding(const NegotiationProblem* bound,
+                   const NegotiationProblem& p) {
+  if (bound != nullptr && bound != &p)
+    throw std::logic_error(
+        "oracle: evaluated on a second problem; build one oracle per "
+        "negotiation and side");
+}
+
 /// Path of `f` inside ISP `side` when routed via interconnection `ix`
 /// (upstream or downstream path depending on the flow's direction).
 const std::vector<graph::EdgeIndex>& own_path(
@@ -73,38 +83,31 @@ std::vector<char> affected_positions(
   return affected;
 }
 
-/// (Re)builds a load-dependent oracle's incremental state for `ctx`: loads
-/// from scratch (every full evaluate is a reset point), the footprint index
-/// only when its inputs changed. Shared by BandwidthOracle and
-/// PiecewiseCostOracle so their invalidation rules cannot drift apart.
+/// Resets a load-dependent oracle's incremental state for `ctx`: binds it
+/// on the first call (building the loads and the footprint index, once),
+/// then rebuilds the loads from scratch (every full evaluate is a reset
+/// point). Shared by BandwidthOracle and PiecewiseCostOracle so their rules
+/// cannot drift apart.
 void rebuild_incremental_state(detail::IncrementalOracleState& inc,
                                const OracleContext& ctx, int side,
                                const std::vector<char>* counted) {
   const NegotiationProblem& p = *ctx.problem;
-  if (inc.loads == nullptr || inc.problem != &p || inc.routing != p.routing ||
-      inc.flows != p.flows)
-    inc.loads = std::make_unique<routing::IncrementalLoads>(*p.routing,
-                                                            *p.flows, side);
-  inc.loads->rebuild(*ctx.tentative, counted);
-  inc.without = inc.loads->loads().per_side[static_cast<std::size_t>(side)];
-  if (!inc.footprint_matches(p)) {
+  check_binding(inc.problem, p);
+  if (inc.problem == nullptr) {
+    inc.loads.emplace(*p.routing, *p.flows, side);
     inc.positions_of_link = build_footprints(p, side);
-    inc.routing = p.routing;
-    inc.flows = p.flows;
-    inc.negotiable = p.negotiable;
-    inc.candidates = p.candidates;
-    inc.group_count = p.group_members.size();
+    inc.problem = &p;
   }
-  inc.problem = &p;
+  inc.loads->rebuild(*ctx.tentative, counted);
+  inc.without = inc.loads->loads();
 }
 
-/// True when `inc` holds state usable for an incremental continuation on
-/// `p` — the guard both load-dependent oracles' evaluate_incremental()
-/// applies before trusting cached loads/footprints/rows.
+/// True when `inc` can continue incrementally on `p`: bound (to `p`; any
+/// other problem throws), and a full evaluate() has sized the rows.
 bool state_matches(const detail::IncrementalOracleState& inc,
                    const NegotiationProblem& p) {
-  return inc.problem == &p && inc.loads != nullptr &&
-         inc.deltas.rows() == p.negotiable.size() && inc.footprint_matches(p);
+  check_binding(inc.problem, p);
+  return inc.problem != nullptr && inc.deltas.rows() == p.negotiable.size();
 }
 
 /// Undoes a row computation's edits of `inc.without`: every entry on a
@@ -114,8 +117,7 @@ void restore_loads(detail::IncrementalOracleState& inc,
                    const OracleContext& ctx,
                    std::span<const std::size_t> members, int side) {
   const NegotiationProblem& p = *ctx.problem;
-  const auto& my_loads =
-      inc.loads->loads().per_side[static_cast<std::size_t>(side)];
+  const std::vector<double>& my_loads = inc.loads->loads();
   for (std::size_t m : members) {
     for (graph::EdgeIndex e : own_path(*p.routing, (*p.flows)[m],
                                        ctx.tentative->ix_of_flow[m], side)) {
@@ -146,7 +148,7 @@ Evaluation assemble_evaluation(Matrix<double> deltas,
 /// incremental semantics cannot drift apart.
 template <typename SettleFn, typename RowFn>
 Evaluation reevaluate_incremental(detail::IncrementalOracleState& inc,
-                                  const OracleContext& ctx, int side,
+                                  const OracleContext& ctx,
                                   const PreferenceConfig& config,
                                   const EvaluationDelta& delta,
                                   SettleFn settle, RowFn row) {
@@ -157,11 +159,10 @@ Evaluation reevaluate_incremental(detail::IncrementalOracleState& inc,
     inc.loads->move_flow(mv.flow, mv.to_ix);
   settle();
 
-  inc.without = inc.loads->loads().per_side[static_cast<std::size_t>(side)];
-  const auto touched = inc.loads->take_touched();
-  const std::vector<char> affected = affected_positions(
-      inc, touched[static_cast<std::size_t>(side)], delta.settled_positions,
-      p.negotiable.size());
+  inc.without = inc.loads->loads();
+  const std::vector<char> affected =
+      affected_positions(inc, inc.loads->take_touched(),
+                         delta.settled_positions, p.negotiable.size());
   std::size_t rows = 0;
   for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos) {
     if (!affected[pos]) continue;
@@ -182,6 +183,7 @@ DistanceOracle::DistanceOracle(int side, PreferenceConfig config)
 Evaluation DistanceOracle::evaluate(const OracleContext& ctx) {
   check_ctx(ctx);
   const NegotiationProblem& p = *ctx.problem;
+  check_binding(problem_, p);
 
   // Delta = traffic-km saved inside my network versus the default
   // alternative (size-weighted: carrying a bigger flow one km costs more).
@@ -201,38 +203,19 @@ Evaluation DistanceOracle::evaluate(const OracleContext& ctx) {
 
   Evaluation eval =
       assemble_evaluation(std::move(deltas), config_, p.negotiable.size());
+  problem_ = &p;
   cached_ = eval;
-  cached_problem_ = &p;
-  cached_routing_ = p.routing;
-  cached_flows_ = p.flows;
-  cached_negotiable_ = p.negotiable;
-  cached_candidates_ = p.candidates;
-  cached_defaults_.clear();
-  cached_defaults_.reserve(p.negotiable.size());
-  for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos)
-    cached_defaults_.push_back(p.default_ix(pos));
-  cached_group_count_ = p.group_members.size();
   return eval;
-}
-
-bool DistanceOracle::cache_matches(const NegotiationProblem& p) const {
-  if (cached_problem_ != &p || cached_routing_ != p.routing ||
-      cached_flows_ != p.flows || cached_negotiable_ != p.negotiable ||
-      cached_candidates_ != p.candidates ||
-      cached_group_count_ != p.group_members.size())
-    return false;
-  for (std::size_t pos = 0; pos < p.negotiable.size(); ++pos)
-    if (cached_defaults_[pos] != p.default_ix(pos)) return false;
-  return true;
 }
 
 Evaluation DistanceOracle::evaluate_incremental(const OracleContext& ctx,
                                                 const EvaluationDelta& delta) {
   (void)delta;
   check_ctx(ctx);
+  check_binding(problem_, *ctx.problem);
   // Distance deltas depend only on the (immutable) problem geometry, never
   // on the tentative assignment, so a prior evaluation is simply reusable.
-  if (!cache_matches(*ctx.problem)) return evaluate(ctx);
+  if (problem_ == nullptr) return evaluate(ctx);
   Evaluation eval = cached_;
   eval.rows_recomputed = 0;
   return eval;
@@ -320,7 +303,7 @@ Evaluation BandwidthOracle::evaluate_incremental(const OracleContext& ctx,
   if (!state_matches(inc_, p)) return evaluate(ctx);
   const std::vector<char> open = open_mask(ctx);
   return reevaluate_incremental(
-      inc_, ctx, side_, config_, delta,
+      inc_, ctx, config_, delta,
       [&] {
         if (open_model_ == OpenFlowModel::kExcluded) {
           for (std::size_t pos : delta.settled_positions)
@@ -403,7 +386,7 @@ Evaluation PiecewiseCostOracle::evaluate_incremental(
   const NegotiationProblem& p = *ctx.problem;
   if (!state_matches(inc_, p)) return evaluate(ctx);
   return reevaluate_incremental(
-      inc_, ctx, side_, config_, delta, [] {},
+      inc_, ctx, config_, delta, [] {},
       [&](std::size_t pos, std::span<double> row) {
         compute_row(ctx, pos, row);
       });

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -14,7 +14,8 @@ namespace nexit::core {
 namespace detail {
 
 /// Bookkeeping behind the load-dependent oracles' incremental path:
-///  - exact delta-maintained link loads (routing::IncrementalLoads),
+///  - exact delta-maintained link loads of this side
+///    (routing::IncrementalLoads),
 ///  - the link -> negotiable-positions reverse index ("which preference rows
 ///    does this link feed"), built over every member's path to every
 ///    candidate — the tentative interconnection is always a candidate, so a
@@ -24,36 +25,24 @@ namespace detail {
 ///    edits in place (its members' tentative paths taken out) and then
 ///    restores entry by entry from the maintained loads, so no row copies
 ///    the whole load vector.
-/// `problem` identifies the context the state was built for; a mismatch
-/// forces a full rebuild (the engine's first refresh always takes the full
-/// path, so reusing one oracle across negotiations is safe). The footprint
-/// index is a pure function of the problem's geometry, so it is rebuilt
-/// only when the fingerprint below stops matching — not on every full
-/// evaluate() — keeping the --incremental=0 baseline an honest baseline.
+/// The state belongs to the one problem the oracle is bound to: the loads
+/// and the footprint index are built once, at binding, and every full
+/// evaluate() only resets the loads.
 struct IncrementalOracleState {
-  std::unique_ptr<routing::IncrementalLoads> loads;
+  const NegotiationProblem* problem = nullptr;  // null until bound
+  std::optional<routing::IncrementalLoads> loads;
   std::vector<std::vector<std::uint32_t>> positions_of_link;
   Matrix<double> deltas;
   std::vector<double> without;
-  const NegotiationProblem* problem = nullptr;
-  /// Copies of the inputs the footprint index depends on, compared before
-  /// reusing it: a fresh problem at a recycled address (same stack slot in
-  /// an experiment loop) must not inherit a stale index.
-  const void* routing = nullptr;
-  const void* flows = nullptr;
-  std::vector<std::size_t> negotiable;
-  std::vector<std::size_t> candidates;
-  std::size_t group_count = 0;
-
-  [[nodiscard]] bool footprint_matches(const NegotiationProblem& p) const {
-    return !positions_of_link.empty() && routing == p.routing &&
-           flows == p.flows && negotiable == p.negotiable &&
-           candidates == p.candidates &&
-           group_count == p.group_members.size();
-  }
 };
 
 }  // namespace detail
+
+// Every oracle below serves one negotiation and side: it binds to the first
+// problem it evaluates and throws std::logic_error when asked to evaluate
+// any other (build one oracle per negotiation, as sim::negotiate and the
+// runtime's sessions do). The same holds behind the cheat: decorator, which
+// forwards evaluation to its inner oracle.
 
 /// §5.1 oracle: the ISP's metric is the geographic distance each flow
 /// travels inside its own network. Preferences for different flows are
@@ -72,21 +61,10 @@ class DistanceOracle : public PreferenceOracle {
   [[nodiscard]] bool wants_reassignment() const override { return false; }
 
  private:
-  /// True when the cached evaluation was computed for this exact problem —
-  /// same fingerprint standard as IncrementalOracleState: a fresh problem
-  /// at a recycled address must not inherit the stale cache.
-  [[nodiscard]] bool cache_matches(const NegotiationProblem& p) const;
-
   int side_;
   PreferenceConfig config_;
+  const NegotiationProblem* problem_ = nullptr;  // null until bound
   Evaluation cached_;
-  const NegotiationProblem* cached_problem_ = nullptr;
-  const void* cached_routing_ = nullptr;
-  const void* cached_flows_ = nullptr;
-  std::vector<std::size_t> cached_negotiable_;
-  std::vector<std::size_t> cached_candidates_;
-  std::vector<std::size_t> cached_defaults_;  // default_ix per position
-  std::size_t cached_group_count_ = 0;
 };
 
 /// How a load-dependent oracle accounts for flows that are still open

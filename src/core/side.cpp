@@ -85,7 +85,6 @@ NegotiationSide::NegotiationSide(const NegotiationProblem& problem,
                                  PreferenceOracle& oracle, int side,
                                  const NegotiationConfig& config)
     : problem_(problem), oracle_(&oracle), side_(side), config_(config) {
-  problem_.validate();
   tentative_ = problem_.default_assignment;
   remaining_.assign(problem_.negotiable.size(), 1);
   banned_ = Matrix<char>(problem_.negotiable.size(),
@@ -104,6 +103,7 @@ void NegotiationSide::enable_reassignment(bool remote_wants) {
 }
 
 void NegotiationSide::evaluate() {
+  index_stale_ = true;
   const OracleContext ctx{&problem_, &tentative_, &remaining_};
   const bool incremental = config_.incremental_evaluation && evaluated_once_;
   if (incremental) {
@@ -140,20 +140,19 @@ void NegotiationSide::evaluate() {
       (truth_.true_value.rows() > 0 &&
        truth_.true_value.cols() != problem_.candidates.size()))
     throw std::logic_error("oracle returned wrong true_value shape");
-  rebuild_index();
 }
 
 void NegotiationSide::disclose(const PreferenceList& remote_hint) {
+  index_stale_ = true;
   const OracleContext ctx{&problem_, &tentative_, &remaining_};
   disclosed_ = oracle_->disclose(ctx, truth_.classes, remote_hint);
   check_shape(disclosed_, problem_);
-  rebuild_index();
 }
 
 void NegotiationSide::set_remote_disclosed(PreferenceList list) {
   check_shape(list, problem_);
   remote_disclosed_ = std::move(list);
-  rebuild_index();
+  index_stale_ = true;
 }
 
 NegotiationSide::Key NegotiationSide::proposal_key(int own, int remote,
@@ -219,14 +218,17 @@ NegotiationSide::PositionSummary NegotiationSide::summarize(
   return s;
 }
 
-void NegotiationSide::rebuild_index() {
+void NegotiationSide::rebuild_index() const {
   const std::size_t n = problem_.negotiable.size();
+  if (truth_.true_value.rows() != n || disclosed_.rows() != n ||
+      remote_disclosed_.rows() != n)
+    throw std::logic_error(
+        "NegotiationSide: position index read before every preference list "
+        "arrived");
+  index_stale_ = false;
   summary_.clear();
   best_key_.clear();
   order_.clear();
-  if (truth_.true_value.rows() != n || disclosed_.rows() != n ||
-      remote_disclosed_.rows() != n)
-    return;  // not every list has arrived yet
   summary_.reserve(n);
   best_key_.reserve(n);
   int lo = 0, hi = 0;
@@ -266,6 +268,7 @@ int NegotiationSide::settlement_opener(StopReason reason) const {
 
 bool NegotiationSide::select_proposal(util::Rng* rng,
                                       ProposalChoice& out) const {
+  if (index_stale_) rebuild_index();
   const obs::PhaseTimer timer(obs::Phase::kSelectProposal);
   bool found = false;
   // The running best key; before the first find it sits just above the
@@ -325,6 +328,7 @@ bool NegotiationSide::select_proposal(util::Rng* rng,
 template <typename Settled>
 Projection NegotiationSide::walk_projection(std::size_t excluded,
                                             Settled settled) const {
+  if (index_stale_) rebuild_index();
   const obs::PhaseTimer timer(obs::Phase::kProjectFuture);
   Projection p;
   double run = 0.0;
@@ -400,7 +404,7 @@ bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
   disclosed_gain_[side_] += disclosed_[pos][ci];
   disclosed_gain_[1 - side_] += remote_disclosed_[pos][ci];
   remaining_[pos] = 0;
-  if (!best_key_.empty()) best_key_[pos] = kClosedKey;
+  if (!index_stale_) best_key_[pos] = kClosedKey;
   --remaining_count_;
   ++tally_.flows_negotiated;
   ++round_;
@@ -415,7 +419,7 @@ bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
 void NegotiationSide::ban(std::size_t pos, std::size_t ci) {
   banned_[pos][ci] = 1;
   ++round_;
-  if (summary_.empty()) return;
+  if (index_stale_) return;
   const PositionSummary now =
       remaining_[pos] ? summarize(pos) : PositionSummary{};
   PositionSummary& was = summary_[pos];

@@ -182,14 +182,20 @@ struct Projection {
 /// policy's key of the best candidate, with a bitmask of the candidates
 /// that tie that key. Alongside it, the open positions in decreasing
 /// combined class, ties in position order (a stable counting sort over the
-/// observed class span). Invalidation:
-///   - evaluate(), disclose() and set_remote_disclosed() rebuild every
-///     summary and the order (once all three lists exist);
-///   - ban(pos, ci) recomputes position `pos` and moves it in the order;
-///   - apply_accept() closes the position's selection key; it and the
-///     settlement rollbacks leave the rest alone: the walk skips settled
-///     positions.
-/// The projection is then one walk over the order, which the stop test and
+/// observed class span). The index is a pure function of the three lists,
+/// the vetoes and the open positions, and it is either stale or fresh:
+///   - evaluate(), disclose() and set_remote_disclosed() mark it stale;
+///   - the first reader of a stale index (stops_early, select_proposal,
+///     accepts, project_future) rebuilds it, once, from whatever lists the
+///     side holds then; reading before all three lists exist throws
+///     std::logic_error;
+///   - ban(pos, ci) and apply_accept() keep a fresh index fresh (ban
+///     recomputes `pos` and moves it in the order, apply_accept closes its
+///     selection key; the walk skips settled positions, as it does after
+///     settlement rollbacks) and leave a stale one alone.
+/// So a refresh costs one rebuild whatever order its three calls come in,
+/// and the engine and a wire agent need not agree on that order. The
+/// projection is then one walk over the order, which the stop test and
 /// protective acceptance end as soon as the running peak decides them.
 ///
 /// Selection keys are packed: (primary, secondary, is_default) in one int64
@@ -210,6 +216,8 @@ class NegotiationSide {
   static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
 
   /// `side` is 0 for ISP A, 1 for ISP B; `oracle` must outlive the side.
+  /// `problem` must be valid (NegotiationProblem::validate(); the builders
+  /// and NegotiationEngine check it) and outlive the side.
   NegotiationSide(const NegotiationProblem& problem, PreferenceOracle& oracle,
                   int side, const NegotiationConfig& config);
 
@@ -345,7 +353,8 @@ class NegotiationSide {
   template <typename Settled>
   [[nodiscard]] Projection walk_projection(std::size_t excluded,
                                            Settled settled) const;
-  void rebuild_index();
+  /// Rebuilds a stale index from the current lists (see the class comment).
+  void rebuild_index() const;
 
   const NegotiationProblem& problem_;
   PreferenceOracle* oracle_;
@@ -375,18 +384,20 @@ class NegotiationSide {
   /// Counters carried into outcome(): flows negotiated/moved/rolled back,
   /// reassignments, and the evaluation telemetry.
   NegotiationOutcome tally_;
-  /// The position index (see the class comment). Empty until evaluate(),
-  /// disclose() and set_remote_disclosed() have all run once.
-  std::vector<PositionSummary> summary_;
+  /// The position index (see the class comment): a cache the const
+  /// readers rebuild when it is stale, so a side is not safe to read from
+  /// two threads at once (no driver shares one).
+  mutable bool index_stale_ = true;
+  mutable std::vector<PositionSummary> summary_;
   /// summary_[pos].best, or kClosedKey once the position is closed or
   /// settled: the selection's skip loop reads only this array. Real keys
   /// have primaries within +-2 * kMaxPrefRange, far above the sentinel.
   static constexpr Key kClosedKey = std::numeric_limits<Key>::min();
-  std::vector<Key> best_key_;
+  mutable std::vector<Key> best_key_;
   /// Open positions with an unvetoed candidate at the last rebuild (minus
   /// those vetoed out since), by decreasing combined class, ties by
   /// position.
-  std::vector<std::size_t> order_;
+  mutable std::vector<std::size_t> order_;
 };
 
 }  // namespace nexit::core

@@ -105,16 +105,6 @@ std::vector<EdgeIndex> ShortestPathTree::path_edges(NodeIndex dst) const {
   return path;
 }
 
-std::vector<NodeIndex> ShortestPathTree::path_nodes(NodeIndex dst) const {
-  std::vector<NodeIndex> nodes{source_};
-  NodeIndex cur = source_;
-  for (EdgeIndex e : path_edges(dst)) {
-    cur = graph_->other_end(e, cur);
-    nodes.push_back(cur);
-  }
-  return nodes;
-}
-
 AllPairsShortestPaths::AllPairsShortestPaths(const Graph& g) {
   trees_.reserve(g.node_count());
   for (std::size_t s = 0; s < g.node_count(); ++s) {

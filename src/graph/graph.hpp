@@ -79,9 +79,6 @@ class ShortestPathTree {
   /// Throws if dst is unreachable.
   [[nodiscard]] std::vector<EdgeIndex> path_edges(NodeIndex dst) const;
 
-  /// Node indices along the path source -> dst inclusive.
-  [[nodiscard]] std::vector<NodeIndex> path_nodes(NodeIndex dst) const;
-
  private:
   const Graph* graph_;
   NodeIndex source_;

@@ -9,83 +9,60 @@ namespace nexit::routing {
 
 IncrementalLoads::IncrementalLoads(const PairRouting& routing,
                                    const std::vector<traffic::Flow>& flows,
-                                   int track_side)
-    : routing_(&routing), flows_(&flows), track_side_(track_side) {
-  if (track_side < -1 || track_side > 1)
-    throw std::invalid_argument("IncrementalLoads: track_side must be -1/0/1");
+                                   int side)
+    : routing_(&routing), flows_(&flows), side_(side) {
+  if (side != 0 && side != 1)
+    throw std::invalid_argument("IncrementalLoads: side must be 0 or 1");
   const topology::IspPair& pair = routing.pair();
-  for (int side = 0; side < 2; ++side) {
-    const std::size_t edges = side == 0 ? pair.a().backbone().edge_count()
-                                        : pair.b().backbone().edge_count();
-    if (tracked(side)) {
-      links_[static_cast<std::size_t>(side)].resize(edges);
-      loads_.per_side[static_cast<std::size_t>(side)].assign(edges, 0.0);
-    }
-  }
+  const std::size_t edges = side == 0 ? pair.a().backbone().edge_count()
+                                      : pair.b().backbone().edge_count();
+  links_.resize(edges);
+  loads_.assign(edges, 0.0);
   ix_of_.assign(flows.size(), 0);
   counted_.assign(flows.size(), 0);
 }
 
-void IncrementalLoads::mark(int side, graph::EdgeIndex e) {
-  Link& link = links_[static_cast<std::size_t>(side)][static_cast<std::size_t>(e)];
+const std::vector<graph::EdgeIndex>& IncrementalLoads::path(
+    std::size_t flow, std::size_t ix) const {
+  const traffic::Flow& f = (*flows_)[flow];
+  if (side_ == traffic::upstream_side(f.direction))
+    return routing_->upstream_path_edges(f, ix);
+  return routing_->downstream_path_edges(f, ix);
+}
+
+void IncrementalLoads::mark(graph::EdgeIndex e) {
+  Link& link = links_[static_cast<std::size_t>(e)];
   if (!link.dirty) {
     link.dirty = true;
-    dirty_list_[static_cast<std::size_t>(side)].push_back(e);
+    dirty_list_.push_back(e);
   }
   if (!link.touched) {
     link.touched = true;
-    touched_list_[static_cast<std::size_t>(side)].push_back(e);
+    touched_list_.push_back(e);
   }
-}
-
-void IncrementalLoads::link_insert(int side, graph::EdgeIndex e,
-                                   std::size_t flow) {
-  Link& link = links_[static_cast<std::size_t>(side)][static_cast<std::size_t>(e)];
-  const auto it = std::lower_bound(link.flows.begin(), link.flows.end(), flow);
-  if (it != link.flows.end() && *it == flow)
-    throw std::logic_error("IncrementalLoads: flow already on link");
-  link.flows.insert(it, flow);
-  mark(side, e);
-}
-
-void IncrementalLoads::link_erase(int side, graph::EdgeIndex e,
-                                  std::size_t flow) {
-  Link& link = links_[static_cast<std::size_t>(side)][static_cast<std::size_t>(e)];
-  const auto it = std::lower_bound(link.flows.begin(), link.flows.end(), flow);
-  if (it == link.flows.end() || *it != flow)
-    throw std::logic_error("IncrementalLoads: flow not on link");
-  link.flows.erase(it);
-  mark(side, e);
 }
 
 void IncrementalLoads::place(std::size_t flow, std::size_t ix, bool insert) {
-  const traffic::Flow& f = (*flows_)[flow];
-  const int up = traffic::upstream_side(f.direction);
-  const int down = traffic::downstream_side(f.direction);
-  if (tracked(up)) {
-    for (graph::EdgeIndex e : routing_->upstream_path_edges(f, ix)) {
-      if (insert) link_insert(up, e, flow);
-      else link_erase(up, e, flow);
-    }
-  }
-  if (tracked(down)) {
-    for (graph::EdgeIndex e : routing_->downstream_path_edges(f, ix)) {
-      if (insert) link_insert(down, e, flow);
-      else link_erase(down, e, flow);
-    }
+  for (graph::EdgeIndex e : path(flow, ix)) {
+    std::vector<std::size_t>& on_link = links_[static_cast<std::size_t>(e)].flows;
+    const auto it = std::lower_bound(on_link.begin(), on_link.end(), flow);
+    const bool present = it != on_link.end() && *it == flow;
+    if (insert == present)
+      throw std::logic_error(insert ? "IncrementalLoads: flow already on link"
+                                    : "IncrementalLoads: flow not on link");
+    if (insert) on_link.insert(it, flow);
+    else on_link.erase(it);
+    mark(e);
   }
 }
 
 void IncrementalLoads::clear_marks() {
-  for (int side = 0; side < 2; ++side) {
-    auto& side_links = links_[static_cast<std::size_t>(side)];
-    for (graph::EdgeIndex e : dirty_list_[static_cast<std::size_t>(side)])
-      side_links[static_cast<std::size_t>(e)].dirty = false;
-    for (graph::EdgeIndex e : touched_list_[static_cast<std::size_t>(side)])
-      side_links[static_cast<std::size_t>(e)].touched = false;
-    dirty_list_[static_cast<std::size_t>(side)].clear();
-    touched_list_[static_cast<std::size_t>(side)].clear();
-  }
+  for (graph::EdgeIndex e : dirty_list_)
+    links_[static_cast<std::size_t>(e)].dirty = false;
+  for (graph::EdgeIndex e : touched_list_)
+    links_[static_cast<std::size_t>(e)].touched = false;
+  dirty_list_.clear();
+  touched_list_.clear();
 }
 
 void IncrementalLoads::rebuild(const Assignment& assignment,
@@ -95,19 +72,16 @@ void IncrementalLoads::rebuild(const Assignment& assignment,
     throw std::invalid_argument("IncrementalLoads: assignment size mismatch");
   if (counted != nullptr && counted->size() != flows_->size())
     throw std::invalid_argument("IncrementalLoads: counted mask size mismatch");
-  for (int side = 0; side < 2; ++side) {
-    if (indexed_) {
-      for (Link& link : links_[static_cast<std::size_t>(side)]) {
-        link.flows.clear();
-        link.dirty = false;
-        link.touched = false;
-      }
+  if (indexed_) {
+    for (Link& link : links_) {
+      link.flows.clear();
+      link.dirty = false;
+      link.touched = false;
     }
-    dirty_list_[static_cast<std::size_t>(side)].clear();
-    touched_list_[static_cast<std::size_t>(side)].clear();
-    auto& side_loads = loads_.per_side[static_cast<std::size_t>(side)];
-    side_loads.assign(side_loads.size(), 0.0);
   }
+  dirty_list_.clear();
+  touched_list_.clear();
+  loads_.assign(loads_.size(), 0.0);
   indexed_ = false;
   ix_of_.assign(flows_->size(), 0);
   counted_.assign(flows_->size(), 0);
@@ -117,22 +91,11 @@ void IncrementalLoads::rebuild(const Assignment& assignment,
   // membership index is deferred to ensure_index(): a rebuild that is only
   // ever read (full-recompute mode) never pays for it.
   for (std::size_t i = 0; i < flows_->size(); ++i) {
-    const traffic::Flow& f = (*flows_)[i];
     ix_of_[i] = assignment.ix_of_flow[i];
     counted_[i] = counted == nullptr ? 1 : (*counted)[i];
     if (!counted_[i]) continue;
-    const int up = traffic::upstream_side(f.direction);
-    const int down = traffic::downstream_side(f.direction);
-    if (tracked(up)) {
-      auto& side_loads = loads_.per_side[static_cast<std::size_t>(up)];
-      for (graph::EdgeIndex e : routing_->upstream_path_edges(f, ix_of_[i]))
-        side_loads[static_cast<std::size_t>(e)] += f.size;
-    }
-    if (tracked(down)) {
-      auto& side_loads = loads_.per_side[static_cast<std::size_t>(down)];
-      for (graph::EdgeIndex e : routing_->downstream_path_edges(f, ix_of_[i]))
-        side_loads[static_cast<std::size_t>(e)] += f.size;
-    }
+    for (graph::EdgeIndex e : path(i, ix_of_[i]))
+      loads_[static_cast<std::size_t>(e)] += (*flows_)[i].size;
   }
 }
 
@@ -168,34 +131,22 @@ void IncrementalLoads::count_flow(std::size_t flow) {
   place(flow, ix_of_[flow], /*insert=*/true);
 }
 
-const LoadMap& IncrementalLoads::loads() {
-  for (int side = 0; side < 2; ++side) {
-    auto& list = dirty_list_[static_cast<std::size_t>(side)];
-    if (list.empty()) continue;
-    auto& side_loads = loads_.per_side[static_cast<std::size_t>(side)];
-    auto& side_links = links_[static_cast<std::size_t>(side)];
-    for (graph::EdgeIndex e : list) {
-      Link& link = side_links[static_cast<std::size_t>(e)];
-      double sum = 0.0;
-      for (std::size_t i : link.flows) sum += (*flows_)[i].size;
-      side_loads[static_cast<std::size_t>(e)] = sum;
-      link.dirty = false;
-    }
-    list.clear();
+const std::vector<double>& IncrementalLoads::loads() {
+  for (graph::EdgeIndex e : dirty_list_) {
+    Link& link = links_[static_cast<std::size_t>(e)];
+    double sum = 0.0;
+    for (std::size_t i : link.flows) sum += (*flows_)[i].size;
+    loads_[static_cast<std::size_t>(e)] = sum;
+    link.dirty = false;
   }
+  dirty_list_.clear();
   return loads_;
 }
 
-std::array<std::vector<graph::EdgeIndex>, 2> IncrementalLoads::take_touched() {
-  std::array<std::vector<graph::EdgeIndex>, 2> out;
-  for (int side = 0; side < 2; ++side) {
-    out[static_cast<std::size_t>(side)] =
-        std::move(touched_list_[static_cast<std::size_t>(side)]);
-    touched_list_[static_cast<std::size_t>(side)].clear();
-    for (graph::EdgeIndex e : out[static_cast<std::size_t>(side)])
-      links_[static_cast<std::size_t>(side)][static_cast<std::size_t>(e)]
-          .touched = false;
-  }
+std::vector<graph::EdgeIndex> IncrementalLoads::take_touched() {
+  std::vector<graph::EdgeIndex> out = std::move(touched_list_);
+  touched_list_.clear();
+  for (graph::EdgeIndex e : out) links_[static_cast<std::size_t>(e)].touched = false;
   return out;
 }
 

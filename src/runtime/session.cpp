@@ -53,6 +53,8 @@ Session::Session(std::uint32_t id, const core::NegotiationProblem& problem,
     : id_(id), problem_(problem), oracle_a_(oracle_a), oracle_b_(oracle_b),
       config_(std::move(config)), make_channels_(std::move(channels)),
       limits_(limits) {
+  // Once per session: every attempt's agents share the problem.
+  problem_.validate();
   if (!make_channels_)
     throw std::invalid_argument("Session: null channel factory");
   if (limits_.max_attempts < 1)

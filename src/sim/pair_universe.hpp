@@ -83,9 +83,9 @@ struct EngineTotals {
 };
 
 /// One negotiation of `problem` under `spec`'s policies: both sides'
-/// objectives are built fresh through core::OracleRegistry (an oracle's
-/// incremental state must not leak between independent negotiations), the
-/// engine runs with `seed`, and its totals are added to `totals`.
+/// objectives are built fresh through core::OracleRegistry (an oracle binds
+/// to the one problem it evaluates), the engine runs with `seed`, and its
+/// totals are added to `totals`.
 /// `capacities` is the link-capacity map load-dependent oracles read (null
 /// for the distance experiments).
 core::NegotiationOutcome negotiate(const ExperimentSpec& spec,

@@ -36,22 +36,6 @@ IspPair::IspPair(IspTopology a, IspTopology b, std::vector<Interconnection> link
   }
 }
 
-std::vector<std::size_t> IspPair::up_interconnections() const {
-  std::vector<std::size_t> up;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].up) up.push_back(i);
-  }
-  return up;
-}
-
-IspPair IspPair::with_failed(std::size_t idx) const {
-  if (idx >= links_.size())
-    throw std::out_of_range("IspPair::with_failed: index out of range");
-  IspPair copy = *this;
-  copy.links_[idx].up = false;
-  return copy;
-}
-
 std::optional<IspPair> make_pair_if_peers(const IspTopology& a,
                                           const IspTopology& b,
                                           std::size_t min_links) {
@@ -59,7 +43,7 @@ std::optional<IspPair> make_pair_if_peers(const IspTopology& a,
   for (const Pop& pa : a.pops()) {
     const auto pb = b.pop_in_city(pa.city_index);
     if (!pb) continue;
-    links.push_back(Interconnection{pa.id, *pb, pa.city_index, pa.city_name, true});
+    links.push_back(Interconnection{pa.id, *pb, pa.city_index, pa.city_name});
   }
   if (links.size() < min_links) return std::nullopt;
   return IspPair{a, b, std::move(links)};

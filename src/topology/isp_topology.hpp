@@ -65,7 +65,6 @@ struct Interconnection {
   PopId pop_b;  // PoP in ISP B
   std::size_t city_index = 0;
   std::string city_name;
-  bool up = true;
 };
 
 /// Two neighboring ISPs plus their interconnections. This is the negotiation
@@ -81,12 +80,6 @@ class IspPair {
     return links_;
   }
   [[nodiscard]] std::size_t interconnection_count() const { return links_.size(); }
-
-  /// Indices of interconnections currently up.
-  [[nodiscard]] std::vector<std::size_t> up_interconnections() const;
-
-  /// Returns a copy of this pair with interconnection `idx` marked down.
-  [[nodiscard]] IspPair with_failed(std::size_t idx) const;
 
   [[nodiscard]] std::string label() const { return a_.name() + "|" + b_.name(); }
 

@@ -45,34 +45,13 @@ double percentile(std::vector<double>&& xs, double p) {
   return at_lo + (at_hi - at_lo) * frac;
 }
 
-Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)), sorted_(false) {
-  ensure_sorted();
-}
-
-void Cdf::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-void Cdf::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double Cdf::fraction_leq(double x) const {
-  if (samples_.empty()) throw std::logic_error("Cdf::fraction_leq: empty");
-  ensure_sorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
+Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)) {
+  std::sort(samples_.begin(), samples_.end());
 }
 
 double Cdf::value_at(double q) const {
   if (samples_.empty()) throw std::logic_error("Cdf::value_at: empty");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("Cdf::value_at: q");
-  ensure_sorted();
   if (samples_.size() == 1) return samples_[0];
   const double rank = q * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
@@ -83,13 +62,11 @@ double Cdf::value_at(double q) const {
 
 double Cdf::min() const {
   if (samples_.empty()) throw std::logic_error("Cdf::min: empty");
-  ensure_sorted();
   return samples_.front();
 }
 
 double Cdf::max() const {
   if (samples_.empty()) throw std::logic_error("Cdf::max: empty");
-  ensure_sorted();
   return samples_.back();
 }
 

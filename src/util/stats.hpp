@@ -32,19 +32,15 @@ double percentile(const std::vector<double>& xs, double p);
 double percentile(std::vector<double>&& xs, double p);
 
 /// Empirical cumulative distribution over a sample, in the style the paper
-/// plots: for a value x, `fraction_leq(x)` is the fraction of samples <= x.
-/// Also produces fixed-percentile tables for textual "figures".
+/// plots; sorted once, at construction. Also produces fixed-percentile
+/// tables for textual "figures".
 class Cdf {
  public:
   Cdf() = default;
   explicit Cdf(std::vector<double> samples);
 
-  void add(double x);
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
-
-  /// Fraction of samples <= x, in [0, 1].
-  [[nodiscard]] double fraction_leq(double x) const;
 
   /// Value at cumulative fraction q in [0, 1] (inverse CDF).
   [[nodiscard]] double value_at(double q) const;
@@ -53,10 +49,7 @@ class Cdf {
   [[nodiscard]] double max() const;
 
  private:
-  void ensure_sorted() const;
-
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  std::vector<double> samples_;  // ascending
 };
 
 /// Renders one row per requested percentile: "p10 p25 p50 p75 p90 ..." for

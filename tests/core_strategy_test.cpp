@@ -79,7 +79,7 @@ struct SideFixture {
   }
 
   /// Evaluates, discloses and takes the remote list: the three calls that
-  /// rebuild the side's index.
+  /// mark the side's index stale.
   void refresh(const std::vector<std::vector<PrefClass>>& mine,
                const std::vector<std::vector<double>>& my_true,
                const std::vector<std::vector<PrefClass>>& theirs) {
@@ -177,7 +177,9 @@ TEST(SelectProposal, NothingProposableUntilAllListsArrive) {
   fx.side->evaluate();
   fx.side->disclose(list_of({{0, 0}}));
   ProposalChoice out{};
-  EXPECT_FALSE(fx.side->select_proposal(nullptr, out));  // no remote list yet
+  // No remote list yet: reading the index fails loudly.
+  EXPECT_THROW((void)fx.side->select_proposal(nullptr, out), std::logic_error);
+  EXPECT_THROW((void)fx.side->stops_early(), std::logic_error);
   fx.side->set_remote_disclosed(list_of({{0, 1}}));
   ASSERT_TRUE(fx.side->select_proposal(nullptr, out));
   EXPECT_EQ(out.ci, 1u);
@@ -556,6 +558,111 @@ TEST(PositionIndex, MatchesPairScanAtThePrefRangeBound) {
   run_differential(ProposalPolicy::kMaxCombinedGain, true, Classes::kAtBound);
   run_differential(ProposalPolicy::kBestLocalMinImpact, false,
                    Classes::kAtBound);
+}
+
+// A refresh between rounds, fed in the two orders the drivers use: the
+// engine's (evaluate, disclose, set_remote_disclosed, then the reads) and a
+// wire agent's facing a stateless remote (evaluate and disclose, then the
+// reads; the remote's list stays the one of the handshake). Some vetoes and
+// accepts land on the stale index before any read, as a responder's do when
+// its acceptance never walks the projection. Both replicas must make the
+// same selections with the same rng draws, the same stop votes and the same
+// acceptances, and match the reference scan.
+void run_refresh_orders(ProposalPolicy policy, bool with_rng) {
+  util::Rng gen(with_rng ? 41 : 42);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t positions = 1 + gen.next_below(14);
+    const std::size_t candidates = 1 + gen.next_below(5);
+    std::vector<std::size_t> defaults(positions);
+    for (auto& d : defaults) d = gen.next_below(candidates);
+    NegotiationConfig config;
+    config.proposal = policy;
+    config.acceptance = AcceptancePolicy::kProtective;
+    SideFixture engine(candidates, defaults, config);
+    SideFixture agent(candidates, defaults, config);
+    std::vector<std::vector<PrefClass>> mine, theirs;
+    std::vector<std::vector<double>> my_true;
+    random_lists(gen, Classes::kNarrow, positions, candidates, mine, my_true,
+                 theirs);
+    engine.refresh(mine, my_true, theirs);
+    agent.refresh(mine, my_true, theirs);  // the handshake
+    Reference ref{engine.side.get(), &engine.problem, policy,
+                  std::vector<char>(positions, 1),
+                  std::vector<std::vector<char>>(
+                      positions, std::vector<char>(candidates, 0))};
+    util::Rng engine_rng(static_cast<std::uint64_t>(trial) + 300);
+    util::Rng agent_rng = engine_rng, ref_rng = engine_rng;
+    const auto settle = [&](const ProposalChoice& c, bool accept) {
+      for (SideFixture* fx : {&engine, &agent}) {
+        if (accept) fx->side->apply_accept(c.pos, c.ci);
+        else fx->side->ban(c.pos, c.ci);
+      }
+      if (accept) ref.remaining[c.pos] = 0;
+      else ref.banned[c.pos][c.ci] = 1;
+    };
+    std::optional<ProposalChoice> last;
+
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " step " +
+                   std::to_string(step));
+      if (step > 0 && gen.next_below(3) == 0) {
+        std::vector<std::vector<PrefClass>> ignored;
+        random_lists(gen, Classes::kNarrow, positions, candidates, mine,
+                     my_true, ignored);
+        for (SideFixture* fx : {&engine, &agent}) {
+          fx->oracle.next.classes = list_of(mine);
+          fx->oracle.next.true_value = matrix_of(my_true);
+          fx->side->evaluate();
+          fx->side->disclose(list_of(theirs));
+        }
+        engine.side->set_remote_disclosed(list_of(theirs));
+        if (last && engine.side->proposable(last->pos, last->ci) &&
+            gen.next_bool())
+          settle(*last, gen.next_bool());
+      }
+
+      ProposalChoice got_engine{}, got_agent{}, want{};
+      const bool found_engine = engine.side->select_proposal(
+          with_rng ? &engine_rng : nullptr, got_engine);
+      const bool found_agent = agent.side->select_proposal(
+          with_rng ? &agent_rng : nullptr, got_agent);
+      const bool want_found = ref.select(with_rng ? &ref_rng : nullptr, want);
+      ASSERT_EQ(found_engine, want_found);
+      ASSERT_EQ(found_agent, want_found);
+      if (want_found) {
+        ASSERT_EQ(got_engine.pos, want.pos);
+        ASSERT_EQ(got_engine.ci, want.ci);
+        ASSERT_EQ(got_agent.pos, want.pos);
+        ASSERT_EQ(got_agent.ci, want.ci);
+      }
+      util::Rng engine_next = engine_rng, agent_next = agent_rng;
+      ASSERT_EQ(engine_next.next_u64(), agent_next.next_u64());
+
+      const Projection whole = ref.project(NegotiationSide::kNoPosition);
+      ASSERT_TRUE(same_bits(engine.side->project_future(), whole));
+      ASSERT_TRUE(same_bits(agent.side->project_future(), whole));
+      const bool stops = whole.peak <= 0 && whole.end < 0;
+      ASSERT_EQ(engine.side->stops_early(), stops);
+      ASSERT_EQ(agent.side->stops_early(), stops);
+      if (!want_found) break;
+      const bool accepted = engine.side->accepts(want.pos, want.ci);
+      ASSERT_EQ(agent.side->accepts(want.pos, want.ci), accepted);
+      const double gain = engine.side->true_gain();
+      const double value = engine.side->truth().true_value[want.pos][want.ci];
+      ASSERT_EQ(accepted, gain + value >= 0 ||
+                              gain + value + ref.project(want.pos).peak >= 0);
+      settle(want, accepted);
+      last = want;
+    }
+  }
+}
+
+TEST(PositionIndex, RefreshOrderDoesNotMatterMaxCombinedWithRng) {
+  run_refresh_orders(ProposalPolicy::kMaxCombinedGain, true);
+}
+
+TEST(PositionIndex, RefreshOrderDoesNotMatterBestLocalDeterministic) {
+  run_refresh_orders(ProposalPolicy::kBestLocalMinImpact, false);
 }
 
 // Selection alone against the reference's scan of every (pos, ci) pair,

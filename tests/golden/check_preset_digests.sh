@@ -6,7 +6,10 @@
 #      printed outcome digest must equal the recorded one, and the run must
 #      print no `[MISS]` line (every paper claim the preset checks holds at
 #      this scale). Rows without flags run with --threads=<threads>; a `-`
-#      in the flags column means no flags at all.
+#      in the flags column means no flags at all. The `custom` rows pin the
+#      shipped scenarios/*.spec files; their paths are relative to the
+#      repository root, where the script runs (ctest sets it as the
+#      working directory).
 #   2. Records. Every registered preset except `custom` must have a digest
 #      row and a JSON record in records/ next to the table. The preset is
 #      rerun at small scale (--isps=12 --pairs=4 --threads=2; table3, which
@@ -36,17 +39,19 @@ while IFS=$'\t' read -r preset expected flags; do
   case "$preset" in '' | '#'*) continue ;; esac
   flags=${flags:---threads=$threads}
   [ "$flags" = "-" ] && flags=""
+  name=$preset  # a custom row is named by its spec
+  [ "$preset" = custom ] && name="custom $flags"
   # shellcheck disable=SC2086  # flags is a word list
   "$bin" --scenario="$preset" $flags > "$tmp/$preset.out" || true
   actual=$(sed -n 's/^outcome digest: //p' "$tmp/$preset.out")
   if [ "$actual" = "$expected" ]; then
-    echo "ok    $preset $actual"
+    echo "ok    $name $actual"
   else
-    echo "DRIFT $preset expected $expected got ${actual:-<none>}"
+    echo "DRIFT $name expected $expected got ${actual:-<none>}"
     status=1
   fi
   if grep -q '^\[MISS\]' "$tmp/$preset.out"; then
-    echo "MISS  $preset:"
+    echo "MISS  $name:"
     grep -A1 '^\[MISS\]' "$tmp/$preset.out"
     status=1
   fi

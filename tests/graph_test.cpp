@@ -59,7 +59,6 @@ TEST(ShortestPath, PathEdgesAndNodes) {
   Graph g = line_graph();
   ShortestPathTree t(g, 0);
   EXPECT_EQ(t.path_edges(3), (std::vector<EdgeIndex>{0, 1, 2}));
-  EXPECT_EQ(t.path_nodes(3), (std::vector<NodeIndex>{0, 1, 2, 3}));
   EXPECT_TRUE(t.path_edges(0).empty());
 }
 
@@ -72,7 +71,7 @@ TEST(ShortestPath, PrefersLighterRoute) {
   ShortestPathTree t(g, 0);
   EXPECT_DOUBLE_EQ(t.distance(1), 2.0);
   EXPECT_DOUBLE_EQ(t.path_length_km(1), 10.0);
-  EXPECT_EQ(t.path_nodes(1), (std::vector<NodeIndex>{0, 2, 1}));
+  EXPECT_EQ(t.path_edges(1), (std::vector<EdgeIndex>{1, 2}));
 }
 
 TEST(ShortestPath, UnreachableReportsInfinity) {
@@ -93,7 +92,7 @@ TEST(ShortestPath, DeterministicTieBreak) {
     g.add_edge(0, 2, 1.0, 1.0);  // e2
     g.add_edge(2, 3, 1.0, 1.0);  // e3
     ShortestPathTree t(g, 0);
-    EXPECT_EQ(t.path_nodes(3), (std::vector<NodeIndex>{0, 1, 3}));
+    EXPECT_EQ(t.path_edges(3), (std::vector<EdgeIndex>{0, 1}));
   }
 }
 

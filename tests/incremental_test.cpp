@@ -6,6 +6,7 @@
 //  - NegotiationEngine outcomes are identical with incremental evaluation
 //    on and off (and pass the always-on cross-check),
 //  - the engine cross-check actually catches a lying oracle,
+//  - an oracle serves one problem and refuses a second one,
 //  - the bandwidth experiment is bit-identical across --threads values and
 //    across the incremental knob.
 
@@ -16,6 +17,7 @@
 
 #include "capacity/capacity.hpp"
 #include "core/engine.hpp"
+#include "core/oracle_registry.hpp"
 #include "core/oracles.hpp"
 #include "routing/incremental_loads.hpp"
 #include "sim/bandwidth_experiment.hpp"
@@ -38,17 +40,39 @@ topology::IspPair generated_pair(std::uint64_t seed, std::size_t pops) {
   return pairs.front();
 }
 
-bool same_loads_bits(const routing::LoadMap& a, const routing::LoadMap& b) {
-  for (int s = 0; s < 2; ++s) {
-    const auto& x = a.per_side[static_cast<std::size_t>(s)];
-    const auto& y = b.per_side[static_cast<std::size_t>(s)];
-    if (x.size() != y.size()) return false;
-    if (!x.empty() &&
-        std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)
-      return false;
-  }
-  return true;
+bool same_loads_bits(const std::vector<double>& x,
+                     const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
 }
+
+/// One IncrementalLoads per ISP fed the same calls, each checked against
+/// its side of a full rebuild.
+struct BothSides {
+  routing::IncrementalLoads a, b;
+
+  BothSides(const routing::PairRouting& r,
+            const std::vector<traffic::Flow>& flows)
+      : a(r, flows, 0), b(r, flows, 1) {}
+  void rebuild(const routing::Assignment& assignment,
+               const std::vector<char>* counted) {
+    a.rebuild(assignment, counted);
+    b.rebuild(assignment, counted);
+  }
+  void move_flow(std::size_t flow, std::size_t to_ix) {
+    a.move_flow(flow, to_ix);
+    b.move_flow(flow, to_ix);
+  }
+  void count_flow(std::size_t flow) {
+    a.count_flow(flow);
+    b.count_flow(flow);
+  }
+  bool same_bits(const routing::LoadMap& full) {
+    return same_loads_bits(a.loads(), full.per_side[0]) &&
+           same_loads_bits(b.loads(), full.per_side[1]);
+  }
+};
 
 bool same_evaluation_bits(const core::Evaluation& a, const core::Evaluation& b) {
   const auto x = a.true_value.values();
@@ -107,7 +131,7 @@ TEST(IncrementalLoads, RandomMovesStayBitIdenticalToFullRebuild) {
   Scenario sc(17);
   const auto& flows = sc.tm.flows();
   routing::Assignment assignment = sc.problem.default_assignment;
-  routing::IncrementalLoads inc(sc.routing, flows);
+  BothSides inc(sc.routing, flows);
   inc.rebuild(assignment, nullptr);
 
   util::Rng rng(99);
@@ -118,8 +142,8 @@ TEST(IncrementalLoads, RandomMovesStayBitIdenticalToFullRebuild) {
     const std::size_t to = static_cast<std::size_t>(rng.next_u64()) % n_ix;
     assignment.ix_of_flow[f] = to;
     inc.move_flow(f, to);
-    ASSERT_TRUE(same_loads_bits(
-        inc.loads(), routing::compute_loads(sc.routing, flows, assignment)))
+    ASSERT_TRUE(
+        inc.same_bits(routing::compute_loads(sc.routing, flows, assignment)))
         << "diverged at step " << step;
   }
 }
@@ -132,7 +156,7 @@ TEST(IncrementalLoads, CountedMaskAndCountFlow) {
   // Start with only even-indexed flows counted.
   std::vector<char> counted(flows.size(), 0);
   for (std::size_t i = 0; i < flows.size(); i += 2) counted[i] = 1;
-  routing::IncrementalLoads inc(sc.routing, flows);
+  BothSides inc(sc.routing, flows);
   inc.rebuild(assignment, &counted);
 
   const auto reference = [&]() {
@@ -143,7 +167,7 @@ TEST(IncrementalLoads, CountedMaskAndCountFlow) {
                                assignment.ix_of_flow[i], 1.0);
     return m;
   };
-  ASSERT_TRUE(same_loads_bits(inc.loads(), reference()));
+  ASSERT_TRUE(inc.same_bits(reference()));
 
   // Uncounted flows move silently, then start counting at their position.
   util::Rng rng(5);
@@ -159,7 +183,7 @@ TEST(IncrementalLoads, CountedMaskAndCountFlow) {
       counted[f] = 1;
       inc.count_flow(f);
     }
-    ASSERT_TRUE(same_loads_bits(inc.loads(), reference()))
+    ASSERT_TRUE(inc.same_bits(reference()))
         << "diverged at step " << step;
   }
 }
@@ -167,22 +191,20 @@ TEST(IncrementalLoads, CountedMaskAndCountFlow) {
 TEST(IncrementalLoads, TouchedLinksCoverEveryChange) {
   Scenario sc(31);
   const auto& flows = sc.tm.flows();
-  routing::IncrementalLoads inc(sc.routing, flows);
-  inc.rebuild(sc.problem.default_assignment, nullptr);
-  (void)inc.loads();
-  routing::LoadMap before = inc.loads();
-  ASSERT_TRUE(inc.take_touched()[0].empty());
-
-  inc.move_flow(0, sc.problem.candidates[1]);
-  inc.move_flow(1, sc.problem.candidates[0]);
-  const routing::LoadMap after = inc.loads();
-  const auto touched = inc.take_touched();
   for (int s = 0; s < 2; ++s) {
-    std::vector<char> is_touched(before.per_side[s].size(), 0);
-    for (graph::EdgeIndex e : touched[static_cast<std::size_t>(s)])
+    routing::IncrementalLoads inc(sc.routing, flows, s);
+    inc.rebuild(sc.problem.default_assignment, nullptr);
+    const std::vector<double> before = inc.loads();
+    ASSERT_TRUE(inc.take_touched().empty());
+
+    inc.move_flow(0, sc.problem.candidates[1]);
+    inc.move_flow(1, sc.problem.candidates[0]);
+    const std::vector<double> after = inc.loads();
+    std::vector<char> is_touched(before.size(), 0);
+    for (graph::EdgeIndex e : inc.take_touched())
       is_touched[static_cast<std::size_t>(e)] = 1;
-    for (std::size_t e = 0; e < before.per_side[s].size(); ++e) {
-      if (before.per_side[s][e] != after.per_side[s][e]) {
+    for (std::size_t e = 0; e < before.size(); ++e) {
+      if (before[e] != after[e]) {
         EXPECT_TRUE(is_touched[e]) << "side " << s << " edge " << e;
       }
     }
@@ -362,6 +384,36 @@ TEST(EngineCrossCheck, CatchesLyingIncrementalOracle) {
   cfg.verify_incremental_every = 1;
   core::NegotiationEngine engine(sc.problem, a, b, cfg);
   EXPECT_THROW((void)engine.run(), std::logic_error);
+}
+
+// An oracle binds to the first problem it evaluates. A second problem —
+// here a copy of the first at another address — throws on either path,
+// for every registered objective and behind the cheat: decorator, and the
+// bound problem's state survives the refusal.
+TEST(OracleBinding, SecondProblemThrows) {
+  Scenario sc(3);
+  const core::NegotiationProblem other = sc.problem;
+  routing::Assignment tentative = sc.problem.default_assignment;
+  std::vector<char> remaining(sc.problem.negotiable.size(), 1);
+  const core::OracleContext bound{&sc.problem, &tentative, &remaining};
+  const core::OracleContext second{&other, &tentative, &remaining};
+  const core::OracleRegistry& registry = core::OracleRegistry::global();
+  for (const std::string& name : registry.names()) {
+    for (const char* prefix : {"", "cheat:"}) {
+      SCOPED_TRACE(prefix + name);
+      core::OracleBuildInputs in;
+      in.capacities = &sc.caps;
+      const core::BuiltOracle built =
+          registry.build(core::OracleSpec::parse(prefix + name), in);
+      core::PreferenceOracle& oracle = built.get();
+      const core::Evaluation first = oracle.evaluate(bound);
+      EXPECT_THROW((void)oracle.evaluate(second), std::logic_error);
+      EXPECT_THROW((void)oracle.evaluate_incremental(second, {}),
+                   std::logic_error);
+      EXPECT_TRUE(
+          same_evaluation_bits(oracle.evaluate_incremental(bound, {}), first));
+    }
+  }
 }
 
 bool same_sample_bits(const sim::BandwidthSample& a,

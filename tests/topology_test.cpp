@@ -75,20 +75,6 @@ TEST(IspPair, TooFewSharedCitiesReturnsNullopt) {
   EXPECT_TRUE(make_pair_if_peers(a, b, 1).has_value());
 }
 
-TEST(IspPair, FailedInterconnectionTracking) {
-  IspTopology a = tiny_isp(AsNumber{1}, {0, 1, 2, 3});
-  IspTopology b = tiny_isp(AsNumber{2}, {1, 2, 3, 4});
-  auto pair = make_pair_if_peers(a, b, 3);
-  ASSERT_TRUE(pair.has_value());
-  EXPECT_EQ(pair->up_interconnections().size(), 3u);
-  IspPair failed = pair->with_failed(1);
-  EXPECT_EQ(failed.up_interconnections().size(), 2u);
-  EXPECT_FALSE(failed.interconnections()[1].up);
-  // Original unchanged.
-  EXPECT_EQ(pair->up_interconnections().size(), 3u);
-  EXPECT_THROW(pair->with_failed(9), std::out_of_range);
-}
-
 class GeneratorTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GeneratorTest, GeneratedIspIsWellFormed) {

@@ -189,34 +189,6 @@ TEST(Stats, PercentileSelectionMatchesSortedReferenceBitForBit) {
   }
 }
 
-TEST(Cdf, SizeStableAcrossAddAndSortCycles) {
-  // Regression for the dead ternary in size(): the count must track add()
-  // exactly, whether or not a query sorted the sample in between.
-  Cdf c;
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_TRUE(c.empty());
-  for (int i = 0; i < 5; ++i) {
-    c.add(5.0 - i);
-    EXPECT_EQ(c.size(), static_cast<std::size_t>(i + 1));
-  }
-  (void)c.value_at(0.5);  // forces a sort
-  EXPECT_EQ(c.size(), 5u);
-  c.add(0.0);  // un-sorts again
-  EXPECT_EQ(c.size(), 6u);
-  (void)c.min();
-  (void)c.fraction_leq(2.0);
-  EXPECT_EQ(c.size(), 6u);
-  EXPECT_FALSE(c.empty());
-}
-
-TEST(Cdf, FractionLeq) {
-  Cdf c({1, 2, 3, 4});
-  EXPECT_DOUBLE_EQ(c.fraction_leq(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(c.fraction_leq(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(c.fraction_leq(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(c.fraction_leq(10), 1.0);
-}
-
 TEST(Cdf, ValueAtInverse) {
   Cdf c({10, 20, 30});
   EXPECT_DOUBLE_EQ(c.value_at(0.0), 10);
@@ -224,11 +196,10 @@ TEST(Cdf, ValueAtInverse) {
   EXPECT_DOUBLE_EQ(c.value_at(0.5), 20);
 }
 
-TEST(Cdf, AddThenQuery) {
-  Cdf c;
-  c.add(3);
-  c.add(1);
-  c.add(2);
+TEST(Cdf, UnsortedSampleThenQuery) {
+  const Cdf c({3, 1, 2});
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_FALSE(c.empty());
   EXPECT_DOUBLE_EQ(c.min(), 1);
   EXPECT_DOUBLE_EQ(c.max(), 3);
   EXPECT_DOUBLE_EQ(c.value_at(0.5), 2);
