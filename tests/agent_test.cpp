@@ -230,11 +230,18 @@ TEST(AgentSession, TruthfulSideNeverLosesToAWireCheater) {
   }
 }
 
-/// Honest distance oracle whose incremental path lies: every incremental
-/// evaluation shifts one true value, which a full recompute does not.
-class DivergingOracle : public core::DistanceOracle {
+/// Honest distance oracle that asks for reassignment quanta.
+class ReassigningOracle : public core::DistanceOracle {
  public:
   using core::DistanceOracle::DistanceOracle;
+  [[nodiscard]] bool wants_reassignment() const override { return true; }
+};
+
+/// Reassigning oracle whose incremental path lies: every incremental
+/// evaluation shifts one true value, which a full recompute does not.
+class DivergingOracle : public ReassigningOracle {
+ public:
+  using ReassigningOracle::ReassigningOracle;
   core::Evaluation evaluate_incremental(
       const core::OracleContext& ctx,
       const core::EvaluationDelta& delta) override {
@@ -242,7 +249,6 @@ class DivergingOracle : public core::DistanceOracle {
     if (!e.true_value.values().empty()) e.true_value[0][0] += 1.0;
     return e;
   }
-  [[nodiscard]] bool wants_reassignment() const override { return true; }
 };
 
 // The wire agents run the engine's full-recompute audit: a diverging
@@ -371,35 +377,35 @@ TEST(AgentSession, ContractMismatchFails) {
   EXPECT_TRUE(agent_a.failed() || agent_b.failed());
 }
 
-/// Passes everything through except PREF_ADVERT frames, which it decodes,
-/// rewrites with `tamper`, re-encodes and hands to `patch` as raw payload
-/// bytes (one frame per send()).
-class AdvertTamperingChannel : public Channel {
+/// What a TamperingChannel does to each outgoing message: it gets the
+/// decoded message as a one-element list, which it may edit, replace,
+/// extend or empty; every message left goes out, one frame each.
+using Rewrite = std::function<void(std::vector<proto::Message>&)>;
+
+/// A hostile peer's channel: passes every frame it sends through `rewrite`,
+/// then hands each re-encoded frame to `patch` before it goes out.
+class TamperingChannel : public Channel {
  public:
-  AdvertTamperingChannel(std::unique_ptr<Channel> inner,
-                         std::function<void(proto::PrefAdvert&)> tamper,
-                         std::function<void(proto::Bytes&)> patch = {})
+  TamperingChannel(std::unique_ptr<Channel> inner, Rewrite rewrite,
+                   std::function<void(proto::Frame&)> patch = {})
       : inner_(std::move(inner)),
-        tamper_(std::move(tamper)),
+        rewrite_(std::move(rewrite)),
         patch_(std::move(patch)) {}
 
   void send(const proto::Bytes& data) override {
     proto::FrameDecoder decoder;
     decoder.feed(data);
     const std::optional<proto::Frame> frame = decoder.next();
-    if (frame) {
-      util::Result<proto::Message> m = proto::decode_message(*frame);
-      if (m.ok()) {
-        if (auto* advert = std::get_if<proto::PrefAdvert>(&m.value())) {
-          tamper_(*advert);
-          proto::Frame out = proto::encode_message(*advert);
-          if (patch_) patch_(out.payload);
-          inner_->send(proto::encode_frame(out));
-          return;
-        }
-      }
+    if (!frame) return inner_->send(data);
+    const util::Result<proto::Message> m = proto::decode_message(*frame);
+    if (!m.ok()) return inner_->send(data);
+    std::vector<proto::Message> out{m.value()};
+    rewrite_(out);
+    for (const proto::Message& message : out) {
+      proto::Frame f = proto::encode_message(message);
+      if (patch_) patch_(f);
+      inner_->send(proto::encode_frame(f));
     }
-    inner_->send(data);
   }
   proto::Bytes receive() override { return inner_->receive(); }
   [[nodiscard]] bool readable() const override { return inner_->readable(); }
@@ -408,9 +414,17 @@ class AdvertTamperingChannel : public Channel {
 
  private:
   std::unique_ptr<Channel> inner_;
-  std::function<void(proto::PrefAdvert&)> tamper_;
-  std::function<void(proto::Bytes&)> patch_;
+  Rewrite rewrite_;
+  std::function<void(proto::Frame&)> patch_;
 };
+
+/// Applies `tamper` to every PREF_ADVERT.
+Rewrite adverts(std::function<void(proto::PrefAdvert&)> tamper) {
+  return [tamper](std::vector<proto::Message>& out) {
+    if (auto* advert = std::get_if<proto::PrefAdvert>(&out.front()))
+      tamper(*advert);
+  };
+}
 
 // The receiver copies each advertised row into its own row-major list: a
 // row of the wrong length or a class outside the agreed range must fail the
@@ -443,7 +457,7 @@ TEST(AgentSession, MalformedPrefAdvertFailsTheSession) {
     auto cfg = wire_config();
     core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
     auto [ca, cb] = make_in_memory_channel_pair();
-    AdvertTamperingChannel bad_a(std::move(ca), tamper);
+    TamperingChannel bad_a(std::move(ca), adverts(tamper));
     NegotiationAgent agent_a(fx.problem, oa, bad_a, AgentConfig{0, 1, cfg});
     NegotiationAgent agent_b(fx.problem, ob, *cb, AgentConfig{1, 2, cfg});
     run_session(agent_a, agent_b, 1000);
@@ -459,9 +473,12 @@ TEST(AgentSession, PrefAdvertClassOverflowFailsTheSession) {
   auto cfg = wire_config();
   core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
   auto [ca, cb] = make_in_memory_channel_pair();
-  AdvertTamperingChannel bad_a(
-      std::move(ca), [](proto::PrefAdvert& a) { a.classes.back() = 1; },
-      [](proto::Bytes& payload) {
+  TamperingChannel bad_a(
+      std::move(ca), adverts([](proto::PrefAdvert& a) { a.classes.back() = 1; }),
+      [](proto::Frame& f) {
+        if (f.type != static_cast<std::uint8_t>(proto::MessageType::kPrefAdvert))
+          return;
+        proto::Bytes& payload = f.payload;
         ASSERT_EQ(payload.back(), 0x02);  // zig-zag 1, the advert's last byte
         payload.pop_back();
         proto::Writer w;
@@ -473,6 +490,133 @@ TEST(AgentSession, PrefAdvertClassOverflowFailsTheSession) {
   run_session(agent_a, agent_b, 1000);
   EXPECT_TRUE(agent_b.failed());
   EXPECT_TRUE(agent_b.error().starts_with("decode error")) << agent_b.error();
+}
+
+/// Rewrites, with `edit`, the `n`th (from 0) message of type T the channel
+/// sends.
+template <class T>
+Rewrite nth(std::size_t n, std::function<void(std::vector<proto::Message>&)> edit) {
+  return [n, edit, seen = std::size_t{0}](std::vector<proto::Message>& out) mutable {
+    if (std::holds_alternative<T>(out.front()) && seen++ == n) edit(out);
+  };
+}
+/// Sends `m` in place of the `n`th message of type T.
+template <class T>
+Rewrite replace(std::size_t n, proto::Message m) {
+  return nth<T>(n, [m](std::vector<proto::Message>& out) { out = {m}; });
+}
+/// Sends `m` right after the `n`th message of type T.
+template <class T>
+Rewrite append(std::size_t n, proto::Message m) {
+  return nth<T>(n, [m](std::vector<proto::Message>& out) { out.push_back(m); });
+}
+
+/// One message a hostile peer sends against the §4/§6 turn rules, and the
+/// error the honest receiver must fail the session with.
+struct HostileCase {
+  std::string error;
+  int hostile = 0;  // the side whose channel rewrites; the other receives
+  Rewrite rewrite;
+  bool settlement_rollback = true;
+  bool reassign = false;  // quanta at 1% of the volume
+};
+
+// Every refusal of the agent's turn rules, one rewritten message each, on a
+// session that reaches all of them. Honestly it runs (seq, flow,
+// interconnection):
+//   A PROPOSE(0, 75, 1), B RESPONSE(0), B PROPOSE(1, 76, 1), A RESPONSE(1),
+//   ... eight accepted rounds, then A STOP(early-stop-a),
+//   A ROLLBACK(), B ROLLBACK(52), A ROLLBACK(20), B ROLLBACK(51),
+//   A ROLLBACK(18), B ROLLBACK(76 75 84 83), A ROLLBACK(), B BYE;
+// without settlement, A STOP then B BYE.
+TEST(AgentSession, RefusesMessagesAgainstTheTurnRules) {
+  using proto::Message;
+  using proto::Propose;
+  using proto::Response;
+  using proto::Rollback;
+  const auto worlds = distance_worlds(4);
+  const core::NegotiationProblem& problem = worlds[3]->problem;
+  const auto propose = [](auto edit) {
+    return nth<Propose>(0, [edit](std::vector<Message>& out) {
+      edit(std::get<Propose>(out.front()));
+    });
+  };
+  proto::PrefAdvert reassignment_advert;
+  reassignment_advert.reassignment = true;
+  const auto stop = [](core::StopReason r) {
+    return proto::Stop{static_cast<std::uint8_t>(r)};
+  };
+  const std::vector<HostileCase> cases = {
+      {"PROPOSE in state await-response", 1,
+       replace<Response>(0, Propose{0, 75, 1})},
+      {"PROPOSE out of turn", 0, append<Propose>(0, Propose{1, 76, 1})},
+      {"PROPOSE with bad sequence number", 0,
+       propose([](Propose& p) { p.seq = 5; })},
+      {"PROPOSE references unknown flow/interconnection", 0,
+       propose([](Propose& p) { p.flow_id = 999999; })},
+      {"PROPOSE references unknown flow/interconnection", 0,
+       propose([](Propose& p) { p.interconnection_id = 999; })},
+      {"PROPOSE for a negotiated flow or vetoed alternative", 0,
+       [first = std::optional<Propose>{}](std::vector<Message>& out) mutable {
+         auto* p = std::get_if<Propose>(&out.front());
+         if (p == nullptr) return;
+         if (!first) {
+           first = *p;
+         } else {  // A's second proposal repeats its first, settled in round 0
+           p->flow_id = first->flow_id;
+           p->interconnection_id = first->interconnection_id;
+         }
+       }},
+      {"PROPOSE before reassignment", 0,
+       replace<proto::PrefAdvert>(1, Propose{}), true, true},
+      {"RESPONSE in state negotiating", 1,
+       append<Response>(0, Response{0, true})},
+      {"RESPONSE with bad sequence number", 1,
+       nth<Response>(0, [](std::vector<Message>& out) {
+         std::get<Response>(out.front()).seq = 9;
+       })},
+      {"STOP in state await-response", 0,
+       replace<Response>(0, stop(core::StopReason::kEarlyStopA))},
+      {"STOP out of turn", 0,
+       append<Propose>(0, stop(core::StopReason::kExhausted))},
+      {"STOP out of turn", 0,
+       replace<Propose>(0, stop(core::StopReason::kEarlyStopB))},
+      {"ROLLBACK outside settlement", 0, replace<Propose>(0, Rollback{})},
+      {"ROLLBACK references unknown flow", 0,
+       replace<Rollback>(0, Rollback{{999999}})},
+      {"ROLLBACK for flow that never moved", 1,  // B rolls 52 back twice
+       nth<Rollback>(0, [](std::vector<Message>& out) {
+         auto& ids = std::get<Rollback>(out.front()).flow_ids;
+         ASSERT_FALSE(ids.empty());
+         ids.push_back(ids.front());
+       })},
+      {"unexpected BYE", 0, replace<Propose>(0, proto::Bye{})},
+      {"unexpected PREF_ADVERT", 0, replace<Propose>(0, reassignment_advert)},
+  };
+  for (const HostileCase& c : cases) {
+    auto cfg = wire_config();
+    cfg.settlement_rollback = c.settlement_rollback;
+    if (c.reassign) cfg.reassign_traffic_fraction = 0.01;
+    ReassigningOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
+    auto [ca, cb] = make_in_memory_channel_pair();
+    TamperingChannel bad(std::move(c.hostile == 0 ? ca : cb), c.rewrite);
+    NegotiationAgent a(problem, oa, c.hostile == 0 ? bad : *ca,
+                       AgentConfig{0, 1, cfg});
+    NegotiationAgent b(problem, ob, c.hostile == 1 ? bad : *cb,
+                       AgentConfig{1, 2, cfg});
+    run_session(a, b, 1000);
+    const NegotiationAgent& receiver = c.hostile == 0 ? b : a;
+    EXPECT_TRUE(receiver.failed()) << c.error;
+    EXPECT_EQ(receiver.error(), c.error);
+  }
+
+  // The honest session the cases rewrite.
+  auto cfg = wire_config();
+  core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
+  const auto [a, b] = wire_session(problem, oa, ob, cfg);
+  EXPECT_EQ(a.rounds, 8u);
+  EXPECT_EQ(a.stop_reason, core::StopReason::kEarlyStopA);
+  EXPECT_GT(a.flows_rolled_back, 0u);
 }
 
 TEST(AgentSession, RejectsUnsupportedConfig) {
