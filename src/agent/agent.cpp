@@ -1,7 +1,6 @@
 #include "agent/agent.hpp"
 
 #include <cmath>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -10,6 +9,9 @@
 namespace nexit::agent {
 
 namespace {
+
+static_assert(proto::Stop::kMaxReason ==
+              static_cast<std::uint8_t>(core::StopReason::kNoProposal));
 
 proto::Hello make_hello(const AgentConfig& config, bool wants_reassignment) {
   proto::Hello h;
@@ -227,12 +229,9 @@ void NegotiationAgent::handle_handshake_message(const proto::Message& m) {
 }
 
 void NegotiationAgent::reassign() {
-  if (oracle_->wants_reassignment()) {
-    side_.evaluate();
+  if (side_.reevaluate_at_quantum()) {
     side_.disclose(side_.remote_disclosed());
     send_pref_advert(true);
-  } else {
-    side_.discard_pending_delta();
   }
   awaiting_remote_advert_ = remote_hello_.wants_reassignment;
 }
@@ -257,11 +256,7 @@ void NegotiationAgent::handle_propose(const proto::Propose& m) {
   resp.seq = m.seq;
   resp.accepted = side_.accepts(pos, ci);
   send_message(resp);
-  if (!resp.accepted) {
-    side_.ban(pos, ci);
-  } else if (side_.apply_accept(pos, ci)) {
-    reassign();
-  }
+  if (side_.end_round(pos, ci, resp.accepted)) reassign();
 }
 
 void NegotiationAgent::handle_response(const proto::Response& m) {
@@ -269,11 +264,32 @@ void NegotiationAgent::handle_response(const proto::Response& m) {
     return fail("RESPONSE in state " + to_string(state_));
   if (m.seq != side_.round()) return fail("RESPONSE with bad sequence number");
   state_ = AgentState::kNegotiating;
-  if (!m.accepted) {
-    side_.ban(outstanding_.pos, outstanding_.ci);
-  } else if (side_.apply_accept(outstanding_.pos, outstanding_.ci)) {
+  if (side_.end_round(outstanding_.pos, outstanding_.ci, m.accepted))
     reassign();
-  }
+}
+
+void NegotiationAgent::handle_stop(core::StopReason reason) {
+  if (state_ != AgentState::kNegotiating)
+    return fail("STOP in state " + to_string(state_));
+  if (awaiting_remote_advert_) return fail("STOP before reassignment");
+  // The peer must hold the turn, and an early stop must name the peer.
+  if (side_.turn_holder() == config_.side ||
+      side_.settlement_opener(reason) == config_.side)
+    return fail("STOP out of turn");
+  // The rest of the peer's take_turn this replica can check.
+  if (reason == core::StopReason::kGainWouldGoNegative)
+    return fail("STOP for full termination, unsupported on the wire");
+  const bool exhausted = side_.remaining_count() == 0;
+  if (reason == core::StopReason::kExhausted && !exhausted)
+    return fail("STOP exhausted while flows remain");
+  if (reason != core::StopReason::kExhausted && exhausted)
+    return fail("STOP " + core::to_string(reason) +
+                " with every flow negotiated");
+  core::ProposalChoice any{};
+  if (reason == core::StopReason::kNoProposal &&
+      side_.select_proposal(/*rng=*/nullptr, any))
+    return fail("STOP no-proposal while a pair is proposable");
+  begin_settlement(reason);
 }
 
 void NegotiationAgent::begin_settlement(core::StopReason reason) {
@@ -290,37 +306,33 @@ void NegotiationAgent::begin_settlement(core::StopReason reason) {
     return;
   }
   state_ = AgentState::kSettling;
-  last_received_rollback_empty_ = false;
   if (i_open) send_settlement_turn();
 }
 
 void NegotiationAgent::send_settlement_turn() {
-  const std::vector<std::size_t> rolled = side_.rollback_turn();
-  if (rolled.empty() && last_received_rollback_empty_) {
+  const auto rolled = side_.settlement_turn();
+  if (!rolled) {
     send_message(proto::Bye{});
     finish();
     return;
   }
   proto::Rollback msg;
-  for (std::size_t pos : rolled) msg.flow_ids.push_back(flow_id(pos));
+  for (std::size_t pos : *rolled) msg.flow_ids.push_back(flow_id(pos));
   send_message(msg);
 }
 
 void NegotiationAgent::handle_rollback(
     const std::vector<std::uint32_t>& flow_ids) {
-  if (state_ != AgentState::kSettling && state_ != AgentState::kStopping)
+  if (state_ != AgentState::kSettling)
     return fail("ROLLBACK outside settlement");
-  for (std::uint32_t id : flow_ids) {
-    std::size_t pos = 0;
-    try {
-      pos = pos_of_flow(id);
-    } catch (const std::out_of_range&) {
-      return fail("ROLLBACK references unknown flow");
-    }
-    if (!side_.apply_peer_rollback(pos))
-      return fail("ROLLBACK for flow that never moved");
+  std::vector<std::size_t> positions;
+  try {
+    for (std::uint32_t id : flow_ids) positions.push_back(pos_of_flow(id));
+  } catch (const std::out_of_range&) {
+    return fail("ROLLBACK references unknown flow");
   }
-  last_received_rollback_empty_ = flow_ids.empty();
+  if (!side_.apply_peer_rollback(positions))
+    return fail("ROLLBACK for flow that never moved");
   send_settlement_turn();
 }
 
@@ -350,12 +362,7 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
     return;
   }
   if (const auto* stop = std::get_if<proto::Stop>(&m)) {
-    const auto reason = static_cast<core::StopReason>(stop->reason);
-    if (state_ != AgentState::kNegotiating)
-      return fail("STOP in state " + to_string(state_));
-    if (side_.settlement_opener(reason) == config_.side)
-      return fail("STOP out of turn");
-    begin_settlement(reason);
+    handle_stop(static_cast<core::StopReason>(stop->reason));
     return;
   }
   if (const auto* rollback = std::get_if<proto::Rollback>(&m)) {
@@ -363,7 +370,9 @@ void NegotiationAgent::handle_message(const proto::Message& m) {
     return;
   }
   if (std::get_if<proto::Bye>(&m) != nullptr) {
-    if (state_ != AgentState::kStopping && state_ != AgentState::kSettling)
+    // In settlement, only right after this side rolled nothing back.
+    if (state_ != AgentState::kStopping &&
+        (state_ != AgentState::kSettling || !side_.settlement_may_end()))
       return fail("unexpected BYE");
     finish();
     return;
@@ -375,17 +384,8 @@ void NegotiationAgent::maybe_act() {
   if (state_ != AgentState::kNegotiating || awaiting_remote_advert_) return;
   if (side_.turn_holder() != config_.side) return;
 
-  std::optional<core::StopReason> stop;
   core::ProposalChoice sel{};
-  if (side_.remaining_count() == 0) {
-    stop = core::StopReason::kExhausted;
-  } else if (side_.stops_early()) {
-    stop = config_.side == 0 ? core::StopReason::kEarlyStopA
-                             : core::StopReason::kEarlyStopB;
-  } else if (!side_.select_proposal(/*rng=*/nullptr, sel)) {
-    stop = core::StopReason::kNoProposal;
-  }
-  if (stop.has_value()) {
+  if (const auto stop = side_.take_turn(/*rng=*/nullptr, sel)) {
     proto::Stop m;
     m.reason = static_cast<std::uint8_t>(*stop);
     send_message(m);

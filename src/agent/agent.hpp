@@ -38,9 +38,11 @@ struct AgentConfig {
 /// One side of the out-of-band negotiation of Fig. 12: evaluates routing
 /// choices through its oracle, advertises opaque preferences, exchanges
 /// proposals over the channel, and reports the agreed assignment. The
-/// agent is one core::NegotiationSide (the negotiation state and every
-/// protocol step, shared with the in-process engine) plus the handshake and
-/// the wire codec, so a session between two honest agents reproduces
+/// agent is one core::NegotiationSide, whose take_turn, end_round,
+/// reevaluate_at_quantum and settlement_turn are the §4/§6 rules the
+/// in-process engine calls too, plus what only a wire needs: the handshake,
+/// adverts, the codec, and the checks that refuse a peer's message the
+/// rules forbid. So a session between two honest agents reproduces
 /// NegotiationEngine::run() by construction (tests/agent_test.cpp sweeps
 /// the policy grid to confirm it). The agent does not validate its problem:
 /// take it from a validating core::make_*_problem builder, or from the
@@ -79,6 +81,8 @@ class NegotiationAgent {
   bool receive_pref_advert(const proto::PrefAdvert& advert);
   void handle_propose(const proto::Propose& m);
   void handle_response(const proto::Response& m);
+  /// Checks a peer's STOP against the turn rules, then begins settlement.
+  void handle_stop(core::StopReason reason);
   /// Runs a completed reassignment quantum: re-evaluates and advertises
   /// when this side's oracle is stateful, and awaits the peer's advert when
   /// the peer's is.
@@ -114,7 +118,6 @@ class NegotiationAgent {
   proto::Hello remote_hello_;
 
   bool awaiting_remote_advert_ = false;
-  bool last_received_rollback_empty_ = false;
   core::ProposalChoice outstanding_{};
   core::StopReason stop_reason_ = core::StopReason::kExhausted;
   core::NegotiationOutcome outcome_;

@@ -27,8 +27,7 @@ NegotiationEngine::NegotiationEngine(const NegotiationProblem& problem,
   sides_[1].enable_reassignment(isp_a.wants_reassignment());
 }
 
-void NegotiationEngine::refresh_preferences() {
-  for (NegotiationSide& s : sides_) s.evaluate();
+void NegotiationEngine::exchange_disclosures() {
   sides_[0].disclose(sides_[1].truth().classes);
   sides_[1].disclose(sides_[0].truth().classes);
   sides_[0].set_remote_disclosed(sides_[1].disclosed());
@@ -41,29 +40,18 @@ int NegotiationEngine::pick_turn() {
 }
 
 NegotiationOutcome NegotiationEngine::run() {
-  refresh_preferences();
+  for (NegotiationSide& s : sides_) s.evaluate();
+  exchange_disclosures();
   std::vector<RoundTrace> trace;
-  StopReason stop = StopReason::kExhausted;
+  util::Rng* tie_rng = config_.tie_break == TieBreak::kRandom ? &rng_ : nullptr;
+  StopReason stop{};
 
-  while (sides_[0].remaining_count() > 0) {
+  for (;;) {
     const std::size_t round = sides_[0].round();
     const int proposer = pick_turn();
-
-    // The ISP holding the turn stops once it perceives no additional gain
-    // in continuing AND continuing would actually hurt it; a flat future is
-    // harmless (Fig. 3's ISP-A proposes a zero-gain alternative). The
-    // decision sits with the turn holder: mid-trade compromises already
-    // accepted are honoured until one's own next turn, which is what lets
-    // trades across flows complete and both ISPs end ahead.
-    if (sides_[proposer].stops_early()) {
-      stop = proposer == 0 ? StopReason::kEarlyStopA : StopReason::kEarlyStopB;
-      break;
-    }
     ProposalChoice sel{};
-    util::Rng* tie_rng =
-        config_.tie_break == TieBreak::kRandom ? &rng_ : nullptr;
-    if (!sides_[proposer].select_proposal(tie_rng, sel)) {
-      stop = StopReason::kNoProposal;
+    if (const auto reason = sides_[proposer].take_turn(tie_rng, sel)) {
+      stop = *reason;
       break;
     }
     if (config_.termination == TerminationPolicy::kFull) {
@@ -86,13 +74,11 @@ NegotiationOutcome NegotiationEngine::run() {
     tr.pref_a = sides_[0].disclosed()[sel.pos][sel.ci];
     tr.pref_b = sides_[1].disclosed()[sel.pos][sel.ci];
     tr.accepted = sides_[1 - proposer].accepts(sel.pos, sel.ci);
-    if (tr.accepted) {
-      bool due = false;
-      for (NegotiationSide& s : sides_) due = s.apply_accept(sel.pos, sel.ci);
-      if (due) refresh_preferences();
-      tr.reassigned_after = due;
-    } else {
-      for (NegotiationSide& s : sides_) s.ban(sel.pos, sel.ci);
+    for (NegotiationSide& s : sides_)
+      tr.reassigned_after = s.end_round(sel.pos, sel.ci, tr.accepted);
+    if (tr.reassigned_after) {
+      for (NegotiationSide& s : sides_) s.reevaluate_at_quantum();
+      exchange_disclosures();
     }
     if (config_.record_trace) trace.push_back(tr);
   }
@@ -101,14 +87,10 @@ NegotiationOutcome NegotiationEngine::run() {
     // §6 settlement: sides alternate rolling back their losing concessions;
     // each rollback may trigger the other's. The wire agents run the same
     // exchange as ROLLBACK messages.
-    int who = sides_[0].settlement_opener(stop);
-    bool previous_empty = false;
-    for (;;) {
-      const std::vector<std::size_t> rolled = sides_[who].rollback_turn();
-      for (std::size_t pos : rolled) sides_[1 - who].apply_peer_rollback(pos);
-      if (rolled.empty() && previous_empty) break;
-      previous_empty = rolled.empty();
-      who = 1 - who;
+    for (int who = sides_[0].settlement_opener(stop);; who = 1 - who) {
+      const auto rolled = sides_[who].settlement_turn();
+      if (!rolled) break;
+      sides_[1 - who].apply_peer_rollback(*rolled);
     }
   }
 

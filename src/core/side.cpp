@@ -260,6 +260,21 @@ int NegotiationSide::turn_holder() const {
   return static_cast<int>(round_ % 2);
 }
 
+std::optional<StopReason> NegotiationSide::take_turn(
+    util::Rng* rng, ProposalChoice& out) const {
+  if (remaining_count_ == 0) return StopReason::kExhausted;
+  // The ISP holding the turn stops once it perceives no additional gain
+  // in continuing AND continuing would actually hurt it; a flat future is
+  // harmless (Fig. 3's ISP-A proposes a zero-gain alternative). The
+  // decision sits with the turn holder: mid-trade compromises already
+  // accepted are honoured until one's own next turn, which is what lets
+  // trades across flows complete and both ISPs end ahead.
+  if (stops_early())
+    return side_ == 0 ? StopReason::kEarlyStopA : StopReason::kEarlyStopB;
+  if (!select_proposal(rng, out)) return StopReason::kNoProposal;
+  return std::nullopt;
+}
+
 int NegotiationSide::settlement_opener(StopReason reason) const {
   if (reason == StopReason::kEarlyStopA) return 0;
   if (reason == StopReason::kEarlyStopB) return 1;
@@ -380,6 +395,22 @@ bool NegotiationSide::accepts(std::size_t pos, std::size_t ci) const {
   throw std::logic_error("accepts: bad policy");
 }
 
+bool NegotiationSide::end_round(std::size_t pos, std::size_t ci,
+                                bool accepted) {
+  if (accepted) return apply_accept(pos, ci);
+  ban(pos, ci);
+  return false;
+}
+
+bool NegotiationSide::reevaluate_at_quantum() {
+  if (!oracle_->wants_reassignment()) {
+    pending_delta_.clear();
+    return false;
+  }
+  evaluate();
+  return true;
+}
+
 bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
   const std::size_t ix = problem_.candidates[ci];
   // Delta bookkeeping feeds evaluate_incremental(); skip it entirely when
@@ -448,7 +479,7 @@ void NegotiationSide::roll_back(AcceptedMove& m) {
   ++tally_.flows_rolled_back;
 }
 
-std::vector<std::size_t> NegotiationSide::rollback_turn() {
+std::optional<std::vector<std::size_t>> NegotiationSide::settlement_turn() {
   std::vector<std::size_t> rolled;
   while (true_gain_ < -1e-12) {
     AcceptedMove* worst = nullptr;
@@ -460,17 +491,21 @@ std::vector<std::size_t> NegotiationSide::rollback_turn() {
     roll_back(*worst);
     rolled.push_back(worst->pos);
   }
+  rolled_nothing_ = rolled.empty();
+  if (rolled_nothing_ && peer_rolled_nothing_) return std::nullopt;
   return rolled;
 }
 
-bool NegotiationSide::apply_peer_rollback(std::size_t pos) {
-  for (AcceptedMove& m : accepted_moves_) {
-    if (m.pos == pos && !m.rolled_back) {
-      roll_back(m);
-      return true;
-    }
+bool NegotiationSide::apply_peer_rollback(
+    std::span<const std::size_t> positions) {
+  peer_rolled_nothing_ = positions.empty();
+  for (std::size_t pos : positions) {
+    auto m = accepted_moves_.begin();
+    while (m != accepted_moves_.end() && (m->pos != pos || m->rolled_back)) ++m;
+    if (m == accepted_moves_.end()) return false;
+    roll_back(*m);
   }
-  return false;
+  return true;
 }
 
 NegotiationOutcome NegotiationSide::outcome(StopReason reason) const {

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,11 +168,11 @@ struct Projection {
 /// the tentative assignment, which positions are still open or vetoed, its
 /// own evaluation and both disclosed preference lists, its true gain and
 /// both disclosed gains, the ledger of accepted moves, the delta pending for
-/// the next incremental evaluation, and the reassignment quantum. Every
-/// protocol step that changes or reads that state lives here, so the
-/// in-process engine (two sides, one turn loop) and a wire agent (one side,
-/// one channel) cannot drift apart: both replicas of a session apply the
-/// same calls in the same order.
+/// the next incremental evaluation, and the reassignment quantum. The §4/§6
+/// rules live here once — take_turn, end_round, reevaluate_at_quantum, and
+/// settlement_turn with apply_peer_rollback — and both drivers call them:
+/// the in-process engine (two sides, one turn loop) and a wire agent (one
+/// side, one channel), so neither can apply half a round.
 ///
 /// The position index. Every §4 round asks the same three questions of the
 /// open (position, candidate) pairs — stop? propose what? accept? — so the
@@ -189,10 +191,10 @@ struct Projection {
 ///     accepts, project_future) rebuilds it, once, from whatever lists the
 ///     side holds then; reading before all three lists exist throws
 ///     std::logic_error;
-///   - ban(pos, ci) and apply_accept() keep a fresh index fresh (ban
-///     recomputes `pos` and moves it in the order, apply_accept closes its
-///     selection key; the walk skips settled positions, as it does after
-///     settlement rollbacks) and leave a stale one alone.
+///   - end_round keeps a fresh index fresh (a veto recomputes `pos` and
+///     moves it in the order, an acceptance closes its selection key; the
+///     walk skips settled positions, as it does after settlement rollbacks)
+///     and leaves a stale one alone.
 /// So a refresh costs one rebuild whatever order its three calls come in,
 /// and the engine and a wire agent need not agree on that order. The
 /// projection is then one walk over the order, which the stop test and
@@ -236,9 +238,6 @@ class NegotiationSide {
   /// Takes the remote's disclosed list (throws std::logic_error on a shape
   /// mismatch or a class outside [-kMaxPrefRange, kMaxPrefRange]).
   void set_remote_disclosed(PreferenceList list);
-  /// Forgets the pending delta at a quantum this side does not evaluate
-  /// (its own oracle does not want reassignment).
-  void discard_pending_delta() { pending_delta_.clear(); }
 
   /// Who proposes next under the deterministic turn rules: the lower
   /// disclosed gain under kLowerGain, else round parity (kCoinToss draws
@@ -277,17 +276,28 @@ class NegotiationSide {
     return remaining_[pos] != 0 && banned_[pos][ci] == 0;
   }
 
-  /// Ends the round with an accepted proposal. Returns true when the
+  /// This side's §4 turn, as the turn holder: why it stops (every flow
+  /// negotiated, early termination named by this side, nothing proposable),
+  /// or nullopt with its proposal in `out` (`rng` as in select_proposal).
+  [[nodiscard]] std::optional<StopReason> take_turn(util::Rng* rng,
+                                                    ProposalChoice& out) const;
+  /// Ends the round on (pos, ci), accepted or vetoed. Returns true when the
   /// accepted volume completes a reassignment quantum (the counter restarts).
-  bool apply_accept(std::size_t pos, std::size_t ci);
-  /// Ends the round with a veto.
-  void ban(std::size_t pos, std::size_t ci);
-  /// This side's settlement turn: while below its default, it rolls back
+  bool end_round(std::size_t pos, std::size_t ci, bool accepted);
+  /// At a quantum: re-evaluates and returns true when this side's own oracle
+  /// wants reassignment (the driver then re-discloses); otherwise drops the
+  /// pending delta and returns false.
+  bool reevaluate_at_quantum();
+  /// This side's §6 settlement turn: while below its default, it rolls back
   /// the standing concession that hurts it most (ties toward the earliest
-  /// accepted). Returns the rolled-back positions in order.
-  std::vector<std::size_t> rollback_turn();
-  /// Applies a rollback the peer announced; false if `pos` never moved.
-  bool apply_peer_rollback(std::size_t pos);
+  /// accepted), and returns the rolled-back positions in order; nullopt once
+  /// this turn and the peer's before it rolled nothing back (settled).
+  std::optional<std::vector<std::size_t>> settlement_turn();
+  /// Applies the peer's settlement turn; false if a position never moved.
+  bool apply_peer_rollback(std::span<const std::size_t> positions);
+  /// Whether the peer may end settlement now: this side's last settlement
+  /// turn rolled nothing back.
+  [[nodiscard]] bool settlement_may_end() const { return rolled_nothing_; }
 
   /// The outcome as seen from this side. The peer's true gain is private,
   /// so its disclosed gain stands in for it.
@@ -344,6 +354,8 @@ class NegotiationSide {
     std::uint64_t tie_mask = 0;
   };
 
+  bool apply_accept(std::size_t pos, std::size_t ci);
+  void ban(std::size_t pos, std::size_t ci);
   void roll_back(AcceptedMove& m);
   [[nodiscard]] Key proposal_key(int own, int remote, bool is_default) const;
   [[nodiscard]] PositionSummary summarize(std::size_t pos) const;
@@ -373,6 +385,8 @@ class NegotiationSide {
   std::size_t remaining_count_ = 0;
   std::size_t round_ = 0;
   std::vector<AcceptedMove> accepted_moves_;
+  bool rolled_nothing_ = false;       // this side's last settlement turn
+  bool peer_rolled_nothing_ = false;  // the peer's
   /// Accepted moves + settles since the last evaluation; consumed by
   /// evaluate_incremental() at the next reassignment quantum.
   EvaluationDelta pending_delta_;

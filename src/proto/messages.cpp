@@ -70,7 +70,13 @@ Frame encode_message(const Message& message) {
 }
 
 util::Result<Message> decode_message(const Frame& frame) {
-  return decode_variant<Message>(MessageType::kHello, "message", frame);
+  util::Result<Message> m =
+      decode_variant<Message>(MessageType::kHello, "message", frame);
+  const Stop* stop = m.ok() ? std::get_if<Stop>(&m.value()) : nullptr;
+  if (stop != nullptr && stop->reason > Stop::kMaxReason)
+    return util::make_error("unknown STOP reason " +
+                            std::to_string(stop->reason));
+  return m;
 }
 
 }  // namespace nexit::proto

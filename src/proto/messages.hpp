@@ -99,6 +99,8 @@ struct Response {
 };
 
 struct Stop {
+  /// core::StopReason's last value; decoding refuses a larger reason.
+  static constexpr std::uint8_t kMaxReason = 4;
   std::uint8_t reason = 0;  // mirrors core::StopReason
   friend bool operator==(const Stop&, const Stop&) = default;
 };

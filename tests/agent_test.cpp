@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -158,10 +159,12 @@ std::pair<core::NegotiationOutcome, core::NegotiationOutcome> wire_session(
 // Every wire-supported policy combination over generated distance pairs:
 // the wire session must reproduce the engine bit for bit — assignment, each
 // side's true gain (from its own agent), rounds, stop reason, rollbacks and
-// reassignments.
+// reassignments. The grid reaches every stop reason a wire session can end
+// with, and settlements that roll flows back.
 TEST(AgentSession, MatchesEngineAcrossThePolicyGrid) {
   const auto worlds = distance_worlds(30);
-  std::size_t sessions = 0, mismatches = 0;
+  std::size_t sessions = 0, mismatches = 0, rolled_back = 0;
+  std::map<core::StopReason, std::size_t> stops;
   std::string first_mismatch;
   for (std::size_t w = 0; w < worlds.size(); ++w) {
     const core::NegotiationProblem& problem = worlds[w]->problem;
@@ -186,6 +189,8 @@ TEST(AgentSession, MatchesEngineAcrossThePolicyGrid) {
       core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
       const auto [a, b] = wire_session(problem, oa, ob, cfg);
       ++sessions;
+      ++stops[expected.stop_reason];
+      if (expected.flows_rolled_back > 0) ++rolled_back;
       const bool same =
           a.assignment.ix_of_flow == expected.assignment.ix_of_flow &&
           b.assignment.ix_of_flow == expected.assignment.ix_of_flow &&
@@ -207,6 +212,11 @@ TEST(AgentSession, MatchesEngineAcrossThePolicyGrid) {
   }
   EXPECT_EQ(sessions, 30u * 48u);
   EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+  using core::StopReason;
+  for (auto reason : {StopReason::kExhausted, StopReason::kEarlyStopA,
+                      StopReason::kEarlyStopB, StopReason::kNoProposal})
+    EXPECT_GT(stops[reason], 0u) << core::to_string(reason);
+  EXPECT_GT(rolled_back, 0u);
 }
 
 // §5.4 over the wire: whichever side cheats, the truthful side's exact
@@ -290,7 +300,8 @@ TEST(AgentSession, MatchesEngineOverRealSockets) {
 
 TEST(AgentSession, MatchesEngineWithBandwidthOraclesAndReassignment) {
   // Failure scenario with bandwidth oracles: reassignment adverts must flow
-  // and the result must still match the engine.
+  // and the result must still match the engine. With a distance oracle on
+  // B, only A re-evaluates at a quantum, in the engine as on the wire.
   topology::TopologyGenerator gen(geo::CityDb::builtin(),
                                   topology::GeneratorConfig{});
   util::Rng rng(2024);
@@ -317,23 +328,28 @@ TEST(AgentSession, MatchesEngineWithBandwidthOraclesAndReassignment) {
   auto cfg = wire_config();
   cfg.reassign_traffic_fraction = 0.05;
 
-  core::BandwidthOracle ea(0, cfg.preferences, caps), eb(1, cfg.preferences, caps);
-  core::NegotiationEngine engine(problem, ea, eb, cfg);
-  auto expected = engine.run();
+  for (const bool distance_b : {false, true}) {
+    SCOPED_TRACE(distance_b ? "A bandwidth, B distance" : "both bandwidth");
+    const auto oracle_b = [&]() -> std::unique_ptr<core::PreferenceOracle> {
+      if (distance_b)
+        return std::make_unique<core::DistanceOracle>(1, cfg.preferences);
+      return std::make_unique<core::BandwidthOracle>(1, cfg.preferences, caps);
+    };
+    core::BandwidthOracle ea(0, cfg.preferences, caps);
+    const auto eb = oracle_b();
+    const auto expected = core::NegotiationEngine(problem, ea, *eb, cfg).run();
 
-  core::BandwidthOracle oa(0, cfg.preferences, caps), ob(1, cfg.preferences, caps);
-  auto [ca, cb] = make_in_memory_channel_pair();
-  NegotiationAgent agent_a(problem, oa, *ca, AgentConfig{0, 1, cfg});
-  NegotiationAgent agent_b(problem, ob, *cb, AgentConfig{1, 2, cfg});
-  run_session(agent_a, agent_b);
-
-  ASSERT_TRUE(agent_a.done()) << agent_a.error();
-  ASSERT_TRUE(agent_b.done()) << agent_b.error();
-  EXPECT_EQ(agent_a.outcome().assignment.ix_of_flow,
-            expected.assignment.ix_of_flow);
-  EXPECT_EQ(agent_a.outcome().reassignments, expected.reassignments);
-  EXPECT_EQ(agent_a.outcome().true_gain_a, expected.true_gain_a);
-  EXPECT_EQ(agent_b.outcome().true_gain_b, expected.true_gain_b);
+    core::BandwidthOracle oa(0, cfg.preferences, caps);
+    const auto ob = oracle_b();
+    const auto [a, b] = wire_session(problem, oa, *ob, cfg);
+    EXPECT_GT(expected.reassignments, 0u);
+    EXPECT_EQ(a.assignment.ix_of_flow, expected.assignment.ix_of_flow);
+    EXPECT_EQ(a.reassignments, expected.reassignments);
+    EXPECT_EQ(a.true_gain_a, expected.true_gain_a);
+    EXPECT_EQ(b.true_gain_b, expected.true_gain_b);
+    EXPECT_EQ(a.evaluate_calls_incremental + b.evaluate_calls_incremental,
+              expected.evaluate_calls_incremental);
+  }
 }
 
 TEST(AgentSession, CorruptionFailsCleanlyWithoutHanging) {
@@ -474,10 +490,11 @@ TEST(AgentSession, PrefAdvertClassOverflowFailsTheSession) {
   core::DistanceOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
   auto [ca, cb] = make_in_memory_channel_pair();
   TamperingChannel bad_a(
-      std::move(ca), adverts([](proto::PrefAdvert& a) { a.classes.back() = 1; }),
+      std::move(ca),
+      adverts([](proto::PrefAdvert& a) { a.classes.back() = 1; }),
       [](proto::Frame& f) {
-        if (f.type != static_cast<std::uint8_t>(proto::MessageType::kPrefAdvert))
-          return;
+        const auto advert = proto::MessageType::kPrefAdvert;
+        if (f.type != static_cast<std::uint8_t>(advert)) return;
         proto::Bytes& payload = f.payload;
         ASSERT_EQ(payload.back(), 0x02);  // zig-zag 1, the advert's last byte
         payload.pop_back();
@@ -495,8 +512,9 @@ TEST(AgentSession, PrefAdvertClassOverflowFailsTheSession) {
 /// Rewrites, with `edit`, the `n`th (from 0) message of type T the channel
 /// sends.
 template <class T>
-Rewrite nth(std::size_t n, std::function<void(std::vector<proto::Message>&)> edit) {
-  return [n, edit, seen = std::size_t{0}](std::vector<proto::Message>& out) mutable {
+Rewrite nth(std::size_t n, Rewrite edit) {
+  return [n, edit, seen = std::size_t{0}](
+             std::vector<proto::Message>& out) mutable {
     if (std::holds_alternative<T>(out.front()) && seen++ == n) edit(out);
   };
 }
@@ -519,6 +537,7 @@ struct HostileCase {
   Rewrite rewrite;
   bool settlement_rollback = true;
   bool reassign = false;  // quanta at 1% of the volume
+  core::TerminationPolicy termination = core::TerminationPolicy::kEarly;
 };
 
 // Every refusal of the agent's turn rules, one rewritten message each, on a
@@ -592,10 +611,34 @@ TEST(AgentSession, RefusesMessagesAgainstTheTurnRules) {
        })},
       {"unexpected BYE", 0, replace<Propose>(0, proto::Bye{})},
       {"unexpected PREF_ADVERT", 0, replace<Propose>(0, reassignment_advert)},
+      // A STOP must be what the peer's own take_turn could return.
+      {"decode error: unknown STOP reason 200", 0,
+       replace<Propose>(0, proto::Stop{200})},
+      {"STOP out of turn", 0,
+       append<Propose>(0, stop(core::StopReason::kEarlyStopA))},
+      {"STOP before reassignment", 0,
+       replace<proto::PrefAdvert>(1, stop(core::StopReason::kEarlyStopA)),
+       true, true},
+      {"STOP for full termination, unsupported on the wire", 0,
+       replace<Propose>(0, stop(core::StopReason::kGainWouldGoNegative))},
+      {"STOP exhausted while flows remain", 0,
+       replace<Propose>(0, stop(core::StopReason::kExhausted))},
+      {"STOP early-stop-a with every flow negotiated", 0,  // A's last turn
+       replace<proto::Stop>(0, stop(core::StopReason::kEarlyStopA)), true,
+       false, core::TerminationPolicy::kNegotiateAll},
+      {"STOP no-proposal while a pair is proposable", 0,
+       replace<Propose>(0, stop(core::StopReason::kNoProposal))},
+      // §6: no ROLLBACK without settlement, and a BYE only right after this
+      // side's own turn rolled nothing back.
+      {"ROLLBACK outside settlement", 1, replace<proto::Bye>(0, Rollback{}),
+       false},
+      {"unexpected BYE", 0, replace<Rollback>(0, proto::Bye{})},
+      {"unexpected BYE", 0, replace<Rollback>(1, proto::Bye{})},
   };
   for (const HostileCase& c : cases) {
     auto cfg = wire_config();
     cfg.settlement_rollback = c.settlement_rollback;
+    cfg.termination = c.termination;
     if (c.reassign) cfg.reassign_traffic_fraction = 0.01;
     ReassigningOracle oa(0, cfg.preferences), ob(1, cfg.preferences);
     auto [ca, cb] = make_in_memory_channel_pair();

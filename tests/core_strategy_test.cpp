@@ -156,7 +156,7 @@ TEST(SelectProposal, BestLocalMinImpactPolicy) {
 
 TEST(SelectProposal, BannedAlternativesSkipped) {
   auto fx = make_side({{5, 1}}, {{5, 1}}, 1);
-  fx->side->ban(0, 0);  // the juicy candidate is vetoed
+  fx->side->end_round(0, 0, false);  // the juicy candidate is vetoed
   ProposalChoice out{};
   ASSERT_TRUE(fx->side->select_proposal(nullptr, out));
   EXPECT_EQ(out.ci, 1u);
@@ -164,7 +164,7 @@ TEST(SelectProposal, BannedAlternativesSkipped) {
 
 TEST(SelectProposal, NothingRemainingReturnsFalse) {
   auto fx = make_side({{1, 2}}, {{1, 2}});
-  fx->side->apply_accept(0, 1);
+  fx->side->end_round(0, 1, true);
   ProposalChoice out{};
   EXPECT_FALSE(fx->side->select_proposal(nullptr, out));
 }
@@ -260,8 +260,8 @@ TEST(ProjectFuture, AlternationAssignsItemsByParity) {
 
 TEST(ProjectFuture, BannedAndSettledFlowsExcluded) {
   auto fx = make_side({{0, 9}, {0, 9}}, {{0, 0}, {0, 0}});
-  fx->side->apply_accept(0, 0);
-  fx->side->ban(1, 1);  // only flow 1's default remains
+  fx->side->end_round(0, 0, true);
+  fx->side->end_round(1, 1, false);  // only flow 1's default remains
   const Projection p = fx->side->project_future();
   EXPECT_DOUBLE_EQ(p.peak, 0.0);
   EXPECT_DOUBLE_EQ(p.end, 0.0);
@@ -502,10 +502,10 @@ void run_differential(ProposalPolicy policy, bool with_rng,
       // Mutate: ban, settle, or refresh one or all of the three lists.
       const std::uint64_t action = gen.next_below(10);
       if (want_found && action < 4) {
-        fx.side->ban(want.pos, want.ci);
+        fx.side->end_round(want.pos, want.ci, false);
         ref.banned[want.pos][want.ci] = 1;
       } else if (want_found && action < 7) {
-        fx.side->apply_accept(want.pos, want.ci);
+        fx.side->end_round(want.pos, want.ci, true);
         ref.remaining[want.pos] = 0;
       } else {
         random_lists(gen, classes, positions, candidates, mine, my_true, theirs);
@@ -593,10 +593,8 @@ void run_refresh_orders(ProposalPolicy policy, bool with_rng) {
     util::Rng engine_rng(static_cast<std::uint64_t>(trial) + 300);
     util::Rng agent_rng = engine_rng, ref_rng = engine_rng;
     const auto settle = [&](const ProposalChoice& c, bool accept) {
-      for (SideFixture* fx : {&engine, &agent}) {
-        if (accept) fx->side->apply_accept(c.pos, c.ci);
-        else fx->side->ban(c.pos, c.ci);
-      }
+      for (SideFixture* fx : {&engine, &agent})
+        fx->side->end_round(c.pos, c.ci, accept);
       if (accept) ref.remaining[c.pos] = 0;
       else ref.banned[c.pos][c.ci] = 1;
     };
@@ -712,10 +710,10 @@ TEST(PositionIndex, SelectionMatchesReferenceScan) {
             ASSERT_EQ(got.pos, want.pos) << "step " << step;
             ASSERT_EQ(got.ci, want.ci) << "step " << step;
             if (gen.next_below(3) != 0) {
-              fx.side->ban(want.pos, want.ci);
+              fx.side->end_round(want.pos, want.ci, false);
               ref.banned[want.pos][want.ci] = 1;
             } else {
-              fx.side->apply_accept(want.pos, want.ci);
+              fx.side->end_round(want.pos, want.ci, true);
               ref.remaining[want.pos] = 0;
             }
           }
