@@ -1,6 +1,7 @@
 #include "agent/agent.hpp"
 
 #include <cmath>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -432,21 +433,20 @@ bool NegotiationAgent::step() {
   }
 
   while (state_ != AgentState::kDone && state_ != AgentState::kFailed) {
-    const auto frame = [this] {
+    // One timer per frame covers the framing and the message decode.
+    auto msg = [this]() -> std::optional<util::Result<proto::Message>> {
       const obs::PhaseTimer timer(obs::Phase::kWireDecode);
-      return decoder_.next();
-    }();
-    if (!frame.has_value()) break;
-    auto msg = [&frame] {
-      const obs::PhaseTimer timer(obs::Phase::kWireDecode);
+      const std::optional<proto::Frame> frame = decoder_.next();
+      if (!frame.has_value()) return std::nullopt;
       return proto::decode_message(*frame);
     }();
-    if (!msg.ok()) {
-      fail("decode error: " + msg.error().message);
+    if (!msg.has_value()) break;
+    if (!msg->ok()) {
+      fail("decode error: " + msg->error().message);
       return true;
     }
     try {
-      handle_message(msg.value());
+      handle_message(msg->value());
     } catch (const std::logic_error& e) {
       // A failed oracle audit or a malformed evaluation ends the session.
       fail(std::string("evaluation failed: ") + e.what());

@@ -91,8 +91,9 @@ using PreferenceList = Matrix<PrefClass>;
 /// worse (negative) candidate c is than the default, in the ISP's internal
 /// metric units. `scale` is the metric value that maps to the extreme class
 /// (usually quantization_scale(deltas), so the bulk of the swings spreads
-/// over [-P, P]). Throws std::invalid_argument unless
-/// 1 <= range <= kMaxPrefRange.
+/// over [-P, P]); classes round half away from zero, as std::lround does.
+/// Throws std::invalid_argument unless 1 <= range <= kMaxPrefRange and
+/// `scale` is not infinite, and std::logic_error on a NaN delta.
 PreferenceList quantize_deltas(const Matrix<double>& deltas,
                                const PreferenceConfig& config, double scale);
 

@@ -39,9 +39,14 @@ void check_shape(const PreferenceList& list, const NegotiationProblem& p) {
     throw std::logic_error("preference list has wrong number of flows");
   if (list.rows() > 0 && list.cols() != p.candidates.size())
     throw std::logic_error("preference list has wrong number of candidates");
-  for (PrefClass c : list.values())
-    if (c < -kMaxPrefRange || c > kMaxPrefRange)
-      throw std::logic_error("preference class out of range");
+  // A min/max reduction, which vectorizes, then one test.
+  PrefClass lo = 0, hi = 0;
+  for (PrefClass c : list.values()) {
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+  }
+  if (lo < -kMaxPrefRange || hi > kMaxPrefRange)
+    throw std::logic_error("preference class out of range");
 }
 
 /// Stable sort of `items` by `digit_of(item)` in [0, span): LSD radix sort
@@ -93,13 +98,15 @@ NegotiationSide::NegotiationSide(const NegotiationProblem& problem,
   for (std::size_t pos = 0; pos < problem_.negotiable.size(); ++pos)
     default_ci_.push_back(problem_.default_candidate(pos));
   remaining_count_ = problem_.negotiable.size();
-  reassign_quantum_ =
-      config_.reassign_traffic_fraction * problem_.negotiable_volume();
 }
 
 void NegotiationSide::enable_reassignment(bool remote_wants) {
   reassign_enabled_ = config_.reassign_traffic_fraction > 0.0 &&
                       (oracle_->wants_reassignment() || remote_wants);
+  // The quantum is read only when reassignment is on.
+  if (reassign_enabled_)
+    reassign_quantum_ =
+        config_.reassign_traffic_fraction * problem_.negotiable_volume();
 }
 
 void NegotiationSide::evaluate() {
@@ -225,19 +232,26 @@ void NegotiationSide::rebuild_index() const {
     throw std::logic_error(
         "NegotiationSide: position index read before every preference list "
         "arrived");
+  const obs::PhaseTimer timer(obs::Phase::kIndexBuild);
   index_stale_ = false;
   summary_.clear();
   best_key_.clear();
+  contenders_.clear();
   order_.clear();
   summary_.reserve(n);
   best_key_.reserve(n);
   int lo = 0, hi = 0;
+  Key bar = kClosedKey + 1;  // the running best, as in select_proposal
   for (std::size_t pos = 0; pos < n; ++pos) {
     // Settled positions stay out of the index for good.
     summary_.push_back(remaining_[pos] ? summarize(pos) : PositionSummary{});
     const PositionSummary& s = summary_.back();
     best_key_.push_back(s.open ? s.best : kClosedKey);
     if (!s.open) continue;
+    if (s.best >= bar) {
+      bar = s.best;
+      contenders_.push_back(pos);
+    }
     if (order_.empty() || s.combined < lo) lo = s.combined;
     if (order_.empty() || s.combined > hi) hi = s.combined;
     order_.push_back(pos);
@@ -292,9 +306,9 @@ bool NegotiationSide::select_proposal(util::Rng* rng,
   std::size_t num_tied = 0;
   const bool masks = problem_.candidates.size() <= kMaskBits;
   const Key* key = best_key_.data();
-  for (std::size_t pos = 0; pos < best_key_.size(); ++pos) {
-    // Below the running best, no candidate here can win or tie.
-    if (key[pos] < bar) continue;
+  // Every position off the contender list is below the running best, where
+  // no candidate can win or tie; every contender ties or raises it.
+  for (const std::size_t pos : contenders_) {
     const PositionSummary& s = summary_[pos];
     const bool raises = !found || key[pos] > bar;
     if (rng == nullptr) {
@@ -435,7 +449,7 @@ bool NegotiationSide::apply_accept(std::size_t pos, std::size_t ci) {
   disclosed_gain_[side_] += disclosed_[pos][ci];
   disclosed_gain_[1 - side_] += remote_disclosed_[pos][ci];
   remaining_[pos] = 0;
-  if (!index_stale_) best_key_[pos] = kClosedKey;
+  if (!index_stale_) lower_key(pos, kClosedKey);
   --remaining_count_;
   ++tally_.flows_negotiated;
   ++round_;
@@ -454,7 +468,7 @@ void NegotiationSide::ban(std::size_t pos, std::size_t ci) {
   const PositionSummary now =
       remaining_[pos] ? summarize(pos) : PositionSummary{};
   PositionSummary& was = summary_[pos];
-  best_key_[pos] = now.open ? now.best : kClosedKey;
+  lower_key(pos, now.open ? now.best : kClosedKey);
   if (now.open == was.open && now.combined == was.combined) {
     was = now;  // same slot in the order
     return;
@@ -469,6 +483,27 @@ void NegotiationSide::ban(std::size_t pos, std::size_t ci) {
   if (now.open)
     order_.insert(std::upper_bound(order_.begin(), order_.end(), pos, before),
                   pos);
+}
+
+void NegotiationSide::lower_key(std::size_t pos, Key key) {
+  const Key was = best_key_[pos];
+  best_key_[pos] = key;
+  if (key == was) return;
+  auto it = std::lower_bound(contenders_.begin(), contenders_.end(), pos);
+  // A non-contender was below the running best and stays below it.
+  if (it == contenders_.end() || *it != pos) return;
+  const Key bar =
+      it == contenders_.begin() ? kClosedKey + 1 : best_key_[*(it - 1)];
+  it = contenders_.erase(it);
+  if (was == bar) return;  // a tie: the running best past `pos` is unchanged
+  // A record: rescan from `pos` up to the next contender, which stays one.
+  const std::size_t end = it == contenders_.end() ? best_key_.size() : *it;
+  Key run = bar;
+  for (std::size_t q = pos; q < end; ++q) {
+    if (best_key_[q] < run) continue;
+    run = best_key_[q];
+    it = contenders_.insert(it, q) + 1;
+  }
 }
 
 void NegotiationSide::roll_back(AcceptedMove& m) {

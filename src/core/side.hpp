@@ -201,15 +201,30 @@ struct Projection {
 /// protective acceptance end as soon as the running peak decides them.
 ///
 /// Selection keys are packed: (primary, secondary, is_default) in one int64
-/// whose integer order is the lexicographic order of the triple. The
-/// selection scans a contiguous array of each position's best packed key
-/// (kClosedKey for closed or settled positions) and skips every position
-/// below the running best, which can neither win nor tie. A position that
-/// ties the running best draws once per candidate in its tie mask, in
-/// candidate order; one that raises it replays the exact candidate loop, so
-/// the intermediate draws are those of a scan of every pair, and the random
-/// tie-break consumes the same draws. With more than 64 candidates the masks
-/// cannot hold a row, and the exact loop runs for ties too.
+/// whose integer order is the lexicographic order of the triple; each
+/// position's best packed key (kClosedKey for closed or settled positions)
+/// sits in one contiguous array. A scan of every position in order would
+/// skip each one below the running best, which can neither win nor tie, so
+/// the selection walks only the others, the contenders: in position order,
+/// every position whose key is at least every earlier position's key (and
+/// above kClosedKey). Contender keys never decrease along the list; a
+/// contender whose key equals its predecessor's is a tie, any other a
+/// record. A contender that ties the running best draws once per candidate
+/// in its tie mask, in candidate order; one that raises it replays the
+/// exact candidate loop, so the intermediate draws are those of a scan of
+/// every pair, and the random tie-break consumes the same draws. With more
+/// than 64 candidates the masks cannot hold a row, and the exact loop runs
+/// for ties too.
+///
+/// The contender list is built in the index rebuild's pass and kept by one
+/// rule, lower_key, which an acceptance (the key closes) and a veto (the key
+/// falls or stays) both apply; keys never rise between rebuilds. Lowering a
+/// non-contender changes nothing. A lowered tie leaves the list, and the
+/// running best after it is unchanged. A lowered record leaves the list and
+/// the positions from it up to the next contender (or to the end, if it was
+/// the last) are rescanned against its predecessor's key: the next
+/// contender's key is at least the old record's, so it and everything after
+/// it stay as they were.
 ///
 /// All per-(position, candidate) tables — true values, both disclosed
 /// lists, the veto table — are row-major Matrix blocks (core/preference.hpp).
@@ -274,6 +289,12 @@ class NegotiationSide {
   /// alternative was not vetoed.
   [[nodiscard]] bool proposable(std::size_t pos, std::size_t ci) const {
     return remaining_[pos] != 0 && banned_[pos][ci] == 0;
+  }
+  /// The positions select_proposal walks, in position order (see the class
+  /// comment); rebuilds a stale index first.
+  [[nodiscard]] std::span<const std::size_t> contenders() const {
+    if (index_stale_) rebuild_index();
+    return contenders_;
   }
 
   /// This side's §4 turn, as the turn holder: why it stops (every flow
@@ -356,6 +377,9 @@ class NegotiationSide {
 
   bool apply_accept(std::size_t pos, std::size_t ci);
   void ban(std::size_t pos, std::size_t ci);
+  /// Sets the fresh index's best_key_[pos] to `key`, no higher than before,
+  /// and keeps the contender list (see the class comment).
+  void lower_key(std::size_t pos, Key key);
   void roll_back(AcceptedMove& m);
   [[nodiscard]] Key proposal_key(int own, int remote, bool is_default) const;
   [[nodiscard]] PositionSummary summarize(std::size_t pos) const;
@@ -404,10 +428,12 @@ class NegotiationSide {
   mutable bool index_stale_ = true;
   mutable std::vector<PositionSummary> summary_;
   /// summary_[pos].best, or kClosedKey once the position is closed or
-  /// settled: the selection's skip loop reads only this array. Real keys
-  /// have primaries within +-2 * kMaxPrefRange, far above the sentinel.
+  /// settled. Real keys have primaries within +-2 * kMaxPrefRange, far above
+  /// the sentinel.
   static constexpr Key kClosedKey = std::numeric_limits<Key>::min();
   mutable std::vector<Key> best_key_;
+  /// The contenders, in increasing position order (see the class comment).
+  mutable std::vector<std::size_t> contenders_;
   /// Open positions with an unvetoed candidate at the last rebuild (minus
   /// those vetoed out since), by decreasing combined class, ties by
   /// position.

@@ -18,6 +18,7 @@ const char* phase_name(Phase p) {
     case Phase::kProjectFuture: return "project_future";
     case Phase::kJournalAppend: return "journal_append";
     case Phase::kJournalReplay: return "journal_replay";
+    case Phase::kIndexBuild: return "index_build";
     case Phase::kCount: break;
   }
   return "?";

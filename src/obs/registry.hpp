@@ -47,6 +47,7 @@ enum class Phase : std::uint8_t {
   kProjectFuture,
   kJournalAppend,  // encode + frame (+ disk mirror) of a checkpoint or WAL record
   kJournalReplay,  // a whole restore, including the session pumps it re-runs
+  kIndexBuild,     // a negotiation side's position index rebuild
   kCount,
 };
 

@@ -41,11 +41,12 @@ std::uint64_t Rng::next_u64() {
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   if (bound == 0) throw std::invalid_argument("Rng::next_below: bound == 0");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0 - bound) % bound;
+  // Rejection sampling to avoid modulo bias: reject r below the threshold
+  // (2^64 - bound) % bound. That threshold is below `bound`, so it needs
+  // computing only for r < bound.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= (0 - bound) % bound) return r % bound;
   }
 }
 

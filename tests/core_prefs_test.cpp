@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "core/cheating.hpp"
 #include "core/preference.hpp"
 
@@ -58,6 +63,47 @@ TEST(Quantize, ClampsBeforeNarrowing) {
   auto prefs = quantize_deltas({{1e12, -1e12, 1e300, 0.5}}, cfg, 1.0);
   EXPECT_EQ(prefs, (PreferenceList{{kMaxPrefRange, -kMaxPrefRange,
                                            kMaxPrefRange, kMaxPrefRange / 2}}));
+}
+
+TEST(Quantize, RoundsLikeLroundAtEveryHalf) {
+  // At range = scale = 2^20 the scaling is exact, so each cell rounds its
+  // own delta: every half in [-P - 0.5, P + 0.5], the largest double below
+  // one half, a negative zero, and values past +-P (the outermost halves
+  // among them) and infinities, which clamp first.
+  PreferenceConfig cfg;
+  cfg.range = kMaxPrefRange;
+  const double range = kMaxPrefRange;
+  std::vector<double> in;
+  for (int k = 0; k <= kMaxPrefRange; ++k) {
+    in.push_back(k + 0.5);
+    in.push_back(-(k + 0.5));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {std::nextafter(0.5, 0.0), -std::nextafter(0.5, 0.0), -0.0,
+                   0.0, range + 1, -range - 1, 1e300, -1e300, inf, -inf})
+    in.push_back(v);
+  Matrix<double> deltas(1, in.size());
+  std::copy(in.begin(), in.end(), deltas[0].begin());
+  const PreferenceList got = quantize_deltas(deltas, cfg, range);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    ASSERT_EQ(got[0][i], std::lround(std::clamp(in[i], -range, range)))
+        << "delta " << in[i];
+  EXPECT_EQ(got[0][in.size() - 10], 0);  // nextafter(0.5, 0)
+}
+
+TEST(Quantize, NanDeltaFailsLoudly) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  PreferenceConfig cfg;
+  EXPECT_THROW(quantize_deltas({{1.0, nan}}, cfg, 1.0), std::logic_error);
+  EXPECT_THROW(quantize_deltas({{nan}}, cfg, 0.0), std::logic_error);
+  cfg.ordinal = true;
+  EXPECT_THROW(quantize_deltas({{nan, 1.0}}, cfg, 1.0), std::logic_error);
+}
+
+TEST(Quantize, InfiniteScaleThrows) {
+  PreferenceConfig cfg;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(quantize_deltas({{inf}}, cfg, inf), std::invalid_argument);
 }
 
 // --- Cheating transform (§5.4) --------------------------------------------

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <tuple>
 
 #include "core/cheating.hpp"
 #include "core/side.hpp"
@@ -324,6 +326,38 @@ struct Reference {
       }
     }
     return found;
+  }
+
+  /// A position's best (primary, secondary, is_default) under the policy,
+  /// or nullopt when nothing is proposable there; tuple order is ranking.
+  using Key = std::tuple<int, int, bool>;
+  [[nodiscard]] std::optional<Key> best_key(std::size_t pos) const {
+    std::optional<Key> best;
+    if (!remaining[pos]) return best;
+    for (std::size_t ci = 0; ci < mine(pos).size(); ++ci) {
+      if (banned[pos][ci]) continue;
+      const int own = mine(pos)[ci], rem = theirs(pos)[ci];
+      const Key key =
+          policy == ProposalPolicy::kMaxCombinedGain
+              ? Key{own + rem, own, ci == problem->default_candidate(pos)}
+              : Key{own, rem, ci == problem->default_candidate(pos)};
+      if (!best || *best < key) best = key;
+    }
+    return best;
+  }
+
+  /// The proposable positions whose best key is at least every earlier
+  /// one's, in position order: all the scan above can pick from.
+  [[nodiscard]] std::vector<std::size_t> contenders() const {
+    std::vector<std::size_t> out;
+    std::optional<Key> run;
+    for (std::size_t pos = 0; pos < remaining.size(); ++pos) {
+      const std::optional<Key> key = best_key(pos);
+      if (!key || (run && *key < *run)) continue;
+      run = key;
+      out.push_back(pos);
+    }
+    return out;
   }
 
   [[nodiscard]] bool max_combined(std::size_t pos, int& best) const {
@@ -721,6 +755,88 @@ TEST(PositionIndex, SelectionMatchesReferenceScan) {
       }
     }
   }
+}
+
+// The contender list through seeded accepts and vetoes, of the selected
+// pair or of a random proposable one: after every round the maintained list
+// must equal a fresh scan of the reference's keys, and selection must match
+// the reference scan, rng draws included. The sequence must lower each kind
+// of contender the maintenance rule tells apart: a tie, a record with
+// contenders after it, the last contender (a rescan to the end), and a
+// record a veto lowers without closing its position.
+TEST(PositionIndex, ContenderListMatchesAFreshScan) {
+  util::Rng gen(4242);
+  std::size_t ties = 0, mid_records = 0, last = 0, vetoed_open = 0;
+  for (const TieBreak tie_break : {TieBreak::kRandom, TieBreak::kDeterministic}) {
+    for (const std::size_t candidates : {1, 2, 5, 64, 65}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        SCOPED_TRACE("candidates " + std::to_string(candidates) + " trial " +
+                     std::to_string(trial));
+        const std::size_t positions = 8 + gen.next_below(40);
+        std::vector<std::size_t> defaults(positions);
+        for (auto& d : defaults) d = gen.next_below(candidates);
+        NegotiationConfig config;
+        config.tie_break = tie_break;
+        SideFixture fx(candidates, defaults, config);
+        std::vector<std::vector<PrefClass>> mine, theirs;
+        std::vector<std::vector<double>> my_true;
+        random_lists(gen, Classes::kNarrow, positions, candidates, mine,
+                     my_true, theirs);
+        fx.refresh(mine, my_true, theirs);
+        Reference ref{fx.side.get(), &fx.problem, config.proposal,
+                      std::vector<char>(positions, 1),
+                      std::vector<std::vector<char>>(
+                          positions, std::vector<char>(candidates, 0))};
+        util::Rng side_rng(gen.next_u64());
+        util::Rng ref_rng = side_rng;
+        const bool random = tie_break == TieBreak::kRandom;
+        for (int step = 0;; ++step) {
+          SCOPED_TRACE("step " + std::to_string(step));
+          const std::vector<std::size_t> before = ref.contenders();
+          const std::span<const std::size_t> kept = fx.side->contenders();
+          ASSERT_EQ(std::vector<std::size_t>(kept.begin(), kept.end()), before);
+          ProposalChoice got{}, want{};
+          const bool got_found =
+              fx.side->select_proposal(random ? &side_rng : nullptr, got);
+          const bool want_found = ref.select(random ? &ref_rng : nullptr, want);
+          ASSERT_EQ(got_found, want_found);
+          util::Rng side_next = side_rng, ref_next = ref_rng;
+          ASSERT_EQ(side_next.next_u64(), ref_next.next_u64());
+          if (!want_found) break;
+          ASSERT_EQ(got.pos, want.pos);
+          ASSERT_EQ(got.ci, want.ci);
+
+          ProposalChoice target = want;
+          if (gen.next_bool()) {
+            const std::size_t pos = gen.next_below(positions);
+            const std::size_t ci = gen.next_below(candidates);
+            if (ref.remaining[pos] && !ref.banned[pos][ci]) target = {pos, ci};
+          }
+          const bool accept = gen.next_below(3) == 0;
+          const auto at = std::find(before.begin(), before.end(), target.pos);
+          const std::optional<Reference::Key> was = ref.best_key(target.pos);
+          fx.side->end_round(target.pos, target.ci, accept);
+          if (accept) ref.remaining[target.pos] = 0;
+          else ref.banned[target.pos][target.ci] = 1;
+          const std::optional<Reference::Key> now = ref.best_key(target.pos);
+          if (at == before.end() || now == was) continue;
+          if (at != before.begin() && ref.best_key(*(at - 1)) == was) {
+            ++ties;
+            continue;
+          }
+          ++(at + 1 == before.end() ? last : mid_records);
+          if (now) ++vetoed_open;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(mid_records, 0u);
+  EXPECT_GT(last, 0u);
+  EXPECT_GT(vetoed_open, 0u);
+  std::printf("lowered: %zu ties, %zu mid-list records, %zu last contenders, "
+              "%zu records vetoed open\n",
+              ties, mid_records, last, vetoed_open);
 }
 
 // --- shape checks -------------------------------------------------------

@@ -241,10 +241,11 @@ long long timing_calls_in(const std::string& text, const std::string& name) {
 }
 
 TEST(ObsRegistry, JournalPhasesAreTimedUnderTheirOwnNames) {
-  // Appended last, after project_future.
+  // Appended after project_future.
   EXPECT_EQ(static_cast<std::size_t>(Phase::kJournalAppend),
             static_cast<std::size_t>(Phase::kProjectFuture) + 1);
-  EXPECT_EQ(static_cast<std::size_t>(Phase::kJournalReplay), kPhaseCount - 1);
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kJournalReplay),
+            static_cast<std::size_t>(Phase::kJournalAppend) + 1);
   EXPECT_STREQ(phase_name(Phase::kJournalAppend), "journal_append");
   EXPECT_STREQ(phase_name(Phase::kJournalReplay), "journal_replay");
 
@@ -283,6 +284,30 @@ TEST(ObsRegistry, JournalPhasesAreTimedUnderTheirOwnNames) {
 
   std::remove(killed.c_str());
   std::remove(plain.c_str());
+}
+
+TEST(ObsRegistry, IndexBuildPhaseIsTimedOncePerRefresh) {
+  // Appended last, after the journal phases.
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kIndexBuild),
+            static_cast<std::size_t>(Phase::kJournalReplay) + 1);
+  EXPECT_EQ(static_cast<std::size_t>(Phase::kIndexBuild), kPhaseCount - 1);
+  EXPECT_STREQ(phase_name(Phase::kIndexBuild), "index_build");
+
+  // Distance negotiations refresh once per side: a side rebuilds its index
+  // at most once per full evaluation, never per round.
+  const sim::ScenarioPreset* fig4 = sim::find_scenario("fig4");
+  ASSERT_NE(fig4, nullptr);
+  const std::string json = temp_path("_fig4.json");
+  ASSERT_EQ(sim::run_scenario(*fig4, kv_flags({"isps=12", "pairs=3",
+                                               "obs.timing=true",
+                                               "json=" + json})),
+            0);
+  const std::string text = read_file(json);
+  const long long builds = timing_calls_in(text, "index_build");
+  EXPECT_GT(builds, 0) << text;
+  EXPECT_LE(builds, timing_calls_in(text, "evaluate_full")) << text;
+  EXPECT_LT(builds, timing_calls_in(text, "select_proposal")) << text;
+  std::remove(json.c_str());
 }
 
 // --- the trace writer ----------------------------------------------------

@@ -77,6 +77,39 @@ TEST(Rng, NextBelowZeroThrows) {
   EXPECT_THROW(rng.next_below(0), std::invalid_argument);
 }
 
+/// next_below's rejection loop with the threshold modulo taken on every
+/// draw, counting the draws.
+std::uint64_t two_modulo_next_below(Rng& rng, std::uint64_t bound,
+                                    std::size_t& draws) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next_u64();
+    ++draws;
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, NextBelowMatchesTheTwoModuloFormula) {
+  // 3 * 2^62 rejects a quarter of the draws and 2^63 + 1 almost half.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
+        std::uint64_t{1000}, (std::uint64_t{1} << 32) + 1,
+        std::uint64_t{3} << 62, (std::uint64_t{1} << 63) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    Rng rng(bound ^ 0x5eed), ref = rng;
+    constexpr std::size_t kOutputs = 4000;
+    std::size_t draws = 0;
+    for (std::size_t i = 0; i < kOutputs; ++i)
+      ASSERT_EQ(rng.next_below(bound), two_modulo_next_below(ref, bound, draws));
+    EXPECT_EQ(rng.next_u64(), ref.next_u64());
+    if (bound >= (std::uint64_t{3} << 62) &&
+        bound != std::numeric_limits<std::uint64_t>::max()) {
+      EXPECT_GT(draws, kOutputs + kOutputs / 5);
+    }
+  }
+}
+
 TEST(Rng, NextIntInclusiveRange) {
   Rng rng(9);
   bool saw_lo = false, saw_hi = false;
